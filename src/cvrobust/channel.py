@@ -135,8 +135,16 @@ def attenuate(v, t) -> CovMatrix:
     physical for every transmittance pair.
     """
     t = Transmittance.of(t)
-    cov = _as_cov(v)
-    diag = np.repeat([math.sqrt(t.t1), math.sqrt(t.t2)], 2)
-    scale = np.outer(diag, diag)
-    m = scale * (cov.matrix - np.eye(4)) + np.eye(4)
-    return CovMatrix(m)
+    return CovMatrix(_attenuate_stack(_as_cov(v).matrix, t.t1, t.t2))
+
+
+def _attenuate_stack(m: np.ndarray, t1, t2) -> np.ndarray:
+    """:func:`attenuate` of ``m`` for each pair of the broadcast ``t1``, ``t2``.
+
+    Returns the attenuated matrices with shape ``shape(t1 * t2) + (4, 4)``;
+    the transmittances are not range checked here.
+    """
+    l1, l2 = np.broadcast_arrays(np.sqrt(t1), np.sqrt(t2))
+    diag = np.stack([l1, l1, l2, l2], axis=-1)
+    scale = diag[..., :, None] * diag[..., None, :]
+    return scale * (m - np.eye(4)) + np.eye(4)

@@ -23,7 +23,13 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .channel import LinkBudget, Transmittance, attenuate, transmittance_from_link
+from .channel import (
+    LinkBudget,
+    Transmittance,
+    _attenuate_stack,
+    attenuate,
+    transmittance_from_link,
+)
 from .covariance import (
     CovMatrix,
     purities,
@@ -38,6 +44,7 @@ from .families import (
     RandomStateParams,
     StandardFormI,
     SymmetricModes,
+    _grid_chunks,
     build,
     random_physical_state,
     region_map_correlations,
@@ -50,11 +57,11 @@ from .robustness import (
     robustify,
 )
 from .witnesses import (
+    _ppt,
+    _reduced,
     duan_witness,
     gamma_coefficients,
     minimized_duan,
-    ppt_witness,
-    reduced_witness,
 )
 
 STATE_FIELDS = {"label", "ordering", "matrix"}
@@ -223,13 +230,17 @@ def _cmd_scan(args) -> int:
         raise ValidationError("scan grid must be at least 2")
     g = gamma_coefficients(cov)
     ts = np.linspace(0.0, 1.0, args.grid)
-    rows = []
-    for t1 in ts:
-        for t2 in ts:
-            w_att = ppt_witness(attenuate(cov, (t1, t2)))
-            w_red = reduced_witness(g, (t1, t2))
-            rows.append((float(t1), float(t2), w_att, w_red))
-    _emit(_csv_text(["t1", "t2", "w_ppt_attenuated", "w_reduced"], rows), args.output)
+    t_text = [_fmt(t) for t in ts]
+    lines = ["t1,t2,w_ppt_attenuated,w_reduced"]
+    for _, i, j in _grid_chunks(ts.size, ts.size):
+        t1, t2 = ts[i], ts[j]
+        w_att = _ppt(_attenuate_stack(cov.matrix, t1, t2))
+        w_red = _reduced(g, t1, t2)
+        lines += [
+            f"{t_text[a]},{t_text[b]},{_fmt(x)},{_fmt(y)}"
+            for a, b, x, y in zip(i.tolist(), j.tolist(), w_att.tolist(), w_red.tolist())
+        ]
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -302,16 +313,15 @@ def _cmd_map(args) -> int:
             q_plus_max=args.q_plus_max,
             p_minus_max=args.p_minus_max,
         )
-    rows = []
-    for i, x in enumerate(region.x):
-        for j, y in enumerate(region.y):
-            rows.append(
-                (float(x), float(y), region.labels[i, j], "1" if region.boundary[i, j] else "0")
-            )
-    _emit(
-        _csv_text([region.x_name, region.y_name, "label", "boundary"], rows),
-        args.output,
-    )
+    y_text = [_fmt(y) for y in region.y]
+    lines = [f"{region.x_name},{region.y_name},label,boundary"]
+    for x, labels, flags in zip(region.x, region.labels.tolist(), region.boundary.tolist()):
+        x_text = _fmt(x)
+        lines += [
+            f"{x_text},{y},{label},{'1' if flag else '0'}"
+            for y, label, flag in zip(y_text, labels, flags)
+        ]
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 

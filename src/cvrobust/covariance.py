@@ -113,8 +113,9 @@ def _as_cov(v) -> CovMatrix:
     return v if isinstance(v, CovMatrix) else CovMatrix(v)
 
 
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def _det2(m: np.ndarray):
+    """Determinants of 2x2 blocks over any leading batch axes."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 @dataclass(frozen=True)
@@ -193,10 +194,10 @@ def symplectic_spectrum(v, partial_transpose_mode: int | None = None) -> Symplec
         raise ValueError("partial_transpose_mode must be 1 or 2")
     cov = _as_cov(v)
     b = blocks(cov)
-    det_c = _det2(b.c)
+    det_c = float(_det2(b.c))
     if partial_transpose_mode is not None:
         det_c = -det_c
-    delta = _det2(b.a1) + _det2(b.a2) + 2.0 * det_c
+    delta = float(_det2(b.a1)) + float(_det2(b.a2)) + 2.0 * det_c
     det_v = float(np.linalg.det(cov.matrix))
     return _spectrum_from_invariants(delta, det_v)
 
@@ -217,6 +218,20 @@ class PhysicalityDiagnosis:
     boundary: bool
 
 
+def _physicality(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(physical, boundary)`` verdicts over a stack of matrices ``(..., 4, 4)``.
+
+    The kernel of :func:`validate_physicality`, shared with the region maps.
+    """
+    min_eig_v = np.linalg.eigvalsh(m)[..., 0]
+    min_eig_unc = np.linalg.eigvalsh(m + 1j * OMEGA)[..., 0]
+    physical = (min_eig_v >= -PHYSICALITY_TOL) & (min_eig_unc >= -PHYSICALITY_TOL)
+    boundary = (np.abs(min_eig_v) <= PHYSICALITY_TOL) | (
+        np.abs(min_eig_unc) <= PHYSICALITY_TOL
+    )
+    return physical, boundary
+
+
 def validate_physicality(v) -> PhysicalityDiagnosis:
     """Diagnose whether ``v`` describes a physical Gaussian state.
 
@@ -232,19 +247,20 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
     """
     cov = _as_cov(v)
     m = cov.matrix
-    min_eig_v = float(np.linalg.eigvalsh(m)[0])
-    min_eig_unc = float(np.linalg.eigvalsh(m + 1j * OMEGA)[0])
-    b = blocks(cov)
+    physical, boundary = _physicality(m)
     det_v = float(np.linalg.det(m))
-    det_condition = det_v + 1.0 - 2.0 * _det2(b.c) - _det2(b.a1) - _det2(b.a2)
+    det_condition = float(
+        det_v + 1.0 - 2.0 * _det2(m[:2, 2:]) - _det2(m[:2, :2]) - _det2(m[2:, 2:])
+    )
     try:
         nu = symplectic_spectrum(cov)
     except ValidationError:
         nu = SymplecticSpectrum(math.nan, math.nan)
-    physical = min_eig_v >= -PHYSICALITY_TOL and min_eig_unc >= -PHYSICALITY_TOL
-    boundary = abs(min_eig_v) <= PHYSICALITY_TOL or abs(min_eig_unc) <= PHYSICALITY_TOL
     return PhysicalityDiagnosis(
-        physical=physical, nu=nu, det_condition=det_condition, boundary=boundary
+        physical=bool(physical),
+        nu=nu,
+        det_condition=det_condition,
+        boundary=bool(boundary),
     )
 
 
@@ -270,8 +286,8 @@ def purities(v) -> Purities:
     cov = _as_cov(v)
     b = blocks(cov)
     det_v = float(np.linalg.det(cov.matrix))
-    det_a1 = _det2(b.a1)
-    det_a2 = _det2(b.a2)
+    det_a1 = float(_det2(b.a1))
+    det_a2 = float(_det2(b.a2))
     if det_v <= 0.0 or det_a1 <= 0.0 or det_a2 <= 0.0:
         raise ValidationError(
             "nonpositive covariance determinant: input is not a physical state"

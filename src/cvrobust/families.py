@@ -23,9 +23,19 @@ from typing import Union
 
 import numpy as np
 
-from .covariance import CovMatrix, _as_cov, beam_splitter, blocks, rotation2, squeeze2, validate_physicality
+from .covariance import (
+    CovMatrix,
+    _as_cov,
+    _physicality,
+    beam_splitter,
+    blocks,
+    rotation2,
+    squeeze2,
+    validate_physicality,
+)
 from .errors import ValidationError
-from .robustness import classify
+from .robustness import _CLASSES, _corner_class
+from .witnesses import _band, _gamma_set
 
 __all__ = [
     "FullySymmetric",
@@ -123,14 +133,7 @@ def _family_matrix(spec: FamilySpec) -> np.ndarray:
             ]
         )
     if isinstance(spec, SymmetricModes):
-        return np.array(
-            [
-                [spec.dq, 0.0, spec.c_q, 0.0],
-                [0.0, spec.dp, 0.0, spec.c_p],
-                [spec.c_q, 0.0, spec.dq, 0.0],
-                [0.0, spec.c_p, 0.0, spec.dp],
-            ]
-        )
+        return _symmetric_modes_stack(spec.dq, spec.dp, spec.c_q, spec.c_p)
     if isinstance(spec, StandardFormI):
         return np.array(
             [
@@ -141,6 +144,16 @@ def _family_matrix(spec: FamilySpec) -> np.ndarray:
             ]
         )
     raise TypeError(f"unknown family spec {spec!r}")
+
+
+def _symmetric_modes_stack(dq, dp, c_q, c_p) -> np.ndarray:
+    """Symmetric-mode matrices for broadcast parameter arrays, shape ``(..., 4, 4)``."""
+    m = np.zeros(np.broadcast_shapes(*map(np.shape, (dq, dp, c_q, c_p))) + (4, 4))
+    m[..., 0, 0] = m[..., 2, 2] = dq
+    m[..., 1, 1] = m[..., 3, 3] = dp
+    m[..., 0, 2] = m[..., 2, 0] = c_q
+    m[..., 1, 3] = m[..., 3, 1] = c_p
+    return m
 
 
 def build(spec: FamilySpec) -> CovMatrix:
@@ -289,13 +302,18 @@ def epr_state(
         raise ValidationError("partial purities must lie in (0, 1]")
     if q_plus_var <= 0.0 or p_minus_var <= 0.0:
         raise ValidationError("EPR variances must be positive")
+    return SymmetricModes(*_epr_moments(mu_minus, mu_plus, q_plus_var, p_minus_var))
+
+
+def _epr_moments(mu_minus, mu_plus, q_plus_var, p_minus_var):
+    """``(dq, dp, c_q, c_p)`` of :func:`epr_state`; the variances may be arrays."""
     q_minus_var = 1.0 / (mu_minus**2 * p_minus_var)
     p_plus_var = 1.0 / (mu_plus**2 * q_plus_var)
-    return SymmetricModes(
-        dq=0.5 * (q_plus_var + q_minus_var),
-        dp=0.5 * (p_plus_var + p_minus_var),
-        c_q=0.5 * (q_plus_var - q_minus_var),
-        c_p=0.5 * (p_plus_var - p_minus_var),
+    return (
+        0.5 * (q_plus_var + q_minus_var),
+        0.5 * (p_plus_var + p_minus_var),
+        0.5 * (q_plus_var - q_minus_var),
+        0.5 * (p_plus_var - p_minus_var),
     )
 
 
@@ -309,6 +327,17 @@ _REGION_OF_LABEL = {
 }
 
 UNPHYSICAL = "unphysical"
+
+#: Region code of each robustness class code, then of an unphysical cell.
+_REGIONS = np.array(
+    [_REGION_OF_LABEL[cls.label] for cls in _CLASSES] + [UNPHYSICAL], dtype=object
+)
+_UNPHYSICAL_CODE = len(_CLASSES)
+
+#: Cells evaluated per batch by the grid commands (region maps and scans).
+#: It bounds the kernels' temporaries (the complex uncertainty matrices take
+#: 256 bytes a cell) whatever the grid size.
+GRID_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -328,12 +357,60 @@ class RegionMap:
     boundary: np.ndarray
 
 
-def _region_of(cov: CovMatrix) -> tuple[str, bool]:
-    diag = validate_physicality(cov)
-    if not diag.physical:
-        return UNPHYSICAL, diag.boundary
-    report = classify(cov)
-    return _REGION_OF_LABEL[report.cls.label], bool(report.boundary_flags)
+def _grid_chunks(nx: int, ny: int):
+    """The ``nx x ny`` cells in row-major batches of ``GRID_CHUNK``.
+
+    Yields ``(cells, i, j)``: the slice of flat cell indices and the row and
+    column index of each cell in it.
+    """
+    for start in range(0, nx * ny, GRID_CHUNK):
+        cells = slice(start, min(start + GRID_CHUNK, nx * ny))
+        i, j = np.divmod(np.arange(cells.start, cells.stop), ny)
+        yield cells, i, j
+
+
+def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
+    """Classify every cell ``(x[i], y[j])``; ``matrices(xs, ys)`` builds their stack.
+
+    Each cell gets the verdicts of ``validate_physicality`` and ``classify``
+    on its matrix, evaluated a chunk at a time by the shared kernels.  An
+    unphysical cell is flagged ``boundary`` when it lies within tolerance of
+    the physicality boundary, a physical one when a corner witness lies in
+    the zero band.
+    """
+    codes = np.empty(x.size * y.size, dtype=np.intp)
+    boundary = np.empty(x.size * y.size, dtype=bool)
+    for cells, i, j in _grid_chunks(x.size, y.size):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m = matrices(x[i], y[j])
+        if not np.isfinite(m).all():
+            raise ValidationError("covariance matrix contains non-finite entries")
+        physical, flagged = _physicality(m)
+        code = np.full(physical.shape, _UNPHYSICAL_CODE)
+        if physical.any():
+            m = m[physical]
+            with np.errstate(over="ignore", invalid="ignore"):
+                g, band = _gamma_set(m), _band(m)
+            cls, corner_flags = _corner_class(g, band)
+            code[physical] = cls
+            flagged[physical] = np.any(corner_flags, axis=0)
+        codes[cells] = code
+        boundary[cells] = flagged
+    shape = (x.size, y.size)
+    return RegionMap(
+        x_name=x_name,
+        y_name=y_name,
+        x=x,
+        y=y,
+        labels=_REGIONS[codes].reshape(shape),
+        boundary=boundary.reshape(shape),
+    )
+
+
+def _require_finite(**params) -> None:
+    bad = [name for name, value in params.items() if not math.isfinite(value)]
+    if bad:
+        raise ValidationError(f"map parameters must be finite: {', '.join(bad)}")
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -345,29 +422,25 @@ def region_map_correlations(dq: float, dp: float, grid: int) -> RegionMap:
     """Robustness regions over normalized correlations for symmetric modes.
 
     The axes are ``cbar_p = c_p/dp`` and ``cbar_q = c_q/dq``, sampled at the
-    centers of a ``grid x grid`` partition of ``[-1, 1]^2``.
+    centers of a ``grid x grid`` partition of ``[-1, 1]^2``.  The cells are
+    classified in batches of ``GRID_CHUNK``, so memory beyond the returned
+    arrays does not grow with ``grid``; each label equals that of
+    ``classify`` on the cell's ``SymmetricModes`` matrix, or
+    ``"unphysical"`` where ``validate_physicality`` rejects it.
     """
+    _require_finite(dq=dq, dp=dp)
     if dq < 1.0 or dp < 1.0:
         raise ValidationError("variances must be at least the vacuum level 1")
     if grid < 1:
         raise ValueError("grid must be positive")
     cbar_p = _cell_centers(-1.0, 1.0, grid)
     cbar_q = _cell_centers(-1.0, 1.0, grid)
-    labels = np.empty((grid, grid), dtype=object)
-    boundary = np.zeros((grid, grid), dtype=bool)
-    for i, cp in enumerate(cbar_p):
-        for j, cq in enumerate(cbar_q):
-            cov = CovMatrix(
-                _family_matrix(SymmetricModes(dq=dq, dp=dp, c_q=cq * dq, c_p=cp * dp))
-            )
-            labels[i, j], boundary[i, j] = _region_of(cov)
-    return RegionMap(
-        x_name="cbar_p",
-        y_name="cbar_q",
-        x=cbar_p,
-        y=cbar_q,
-        labels=labels,
-        boundary=boundary,
+    return _region_map(
+        "cbar_p",
+        "cbar_q",
+        cbar_p,
+        cbar_q,
+        lambda cp, cq: _symmetric_modes_stack(dq, dp, cq * dq, cp * dp),
     )
 
 
@@ -382,28 +455,27 @@ def region_map_epr(
 
     The axes are the collective variances ``q_plus`` and ``p_minus`` sampled
     at cell centers of ``(0, q_plus_max] x (0, p_minus_max]``; the conjugate
-    variances are fixed by the purities.
+    variances are fixed by the purities.  Cells are classified in batches
+    as in :func:`region_map_correlations`; each label equals that of
+    ``classify`` on the cell's :func:`epr_state` matrix.
     """
+    _require_finite(
+        mu_minus=mu_minus, mu_plus=mu_plus, q_plus_max=q_plus_max, p_minus_max=p_minus_max
+    )
     if not (0.0 < mu_minus <= 1.0 and 0.0 < mu_plus <= 1.0):
         raise ValidationError("partial purities must lie in (0, 1]")
     if grid < 1:
         raise ValueError("grid must be positive")
     q_plus = _cell_centers(0.0, q_plus_max, grid)
     p_minus = _cell_centers(0.0, p_minus_max, grid)
-    labels = np.empty((grid, grid), dtype=object)
-    boundary = np.zeros((grid, grid), dtype=bool)
-    for i, x in enumerate(q_plus):
-        for j, y in enumerate(p_minus):
-            spec = epr_state(mu_minus, mu_plus, q_plus_var=x, p_minus_var=y)
-            cov = CovMatrix(_family_matrix(spec))
-            labels[i, j], boundary[i, j] = _region_of(cov)
-    return RegionMap(
-        x_name="q_plus_var",
-        y_name="p_minus_var",
-        x=q_plus,
-        y=p_minus,
-        labels=labels,
-        boundary=boundary,
+    if (q_plus <= 0.0).any() or (p_minus <= 0.0).any():
+        raise ValidationError("EPR variances must be positive")
+    return _region_map(
+        "q_plus_var",
+        "p_minus_var",
+        q_plus,
+        p_minus,
+        lambda x, y: _symmetric_modes_stack(*_epr_moments(mu_minus, mu_plus, x, y)),
     )
 
 

@@ -170,6 +170,45 @@ def critical_transmittance(v, mode: int) -> float | None:
     return w / (w - g.w_ppt)
 
 
+#: Robustness classes indexed by the codes of :func:`_corner_class`.
+_CLASSES = (
+    SEPARABLE,
+    FRAGILE,
+    partially_robust_asymmetric(1),
+    partially_robust_asymmetric(2),
+    PARTIALLY_ROBUST_SYMMETRIC,
+    FULLY_ROBUST,
+)
+
+_CORNERS = ("w_ppt", "w_full", "w_ch1", "w_ch2")
+
+
+def _corner_class(g: GammaSet, band):
+    """Corner-sign class decision, for one Gamma set or a stack of them.
+
+    ``g`` holds floats or arrays of one batch shape and ``band`` the matching
+    zero-band half-widths.  Returns the class codes (indices into
+    ``_CLASSES``) and, per corner in ``_CORNERS`` order, whether its value
+    lies inside the band.  Corners within the band count as nonpositive.
+    Raises :class:`ValidationError` when a corner is not finite, as when the
+    witness polynomial overflows.
+    """
+    corners = (g.w_ppt, g.w_full, g.w_ch1, g.w_ch2)
+    if not np.isfinite(corners).all():
+        raise ValidationError(
+            "witness values are not finite: the covariance entries are too "
+            "large to evaluate the quartic witness"
+        )
+    w_ppt, w_full, w_ch1, w_ch2 = corners
+    r1 = w_ch1 <= band
+    r2 = w_ch2 <= band
+    rf = w_full <= band
+    # Separable 0; entangled: 1 + (robust on 1) + 2*(robust on 2), and 5 when
+    # also robust at full loss, following the order of _CLASSES.
+    code = (w_ppt < 0.0) * (1 + r1 + 2 * r2 + (rf & r1 & r2))
+    return code, tuple(abs(w) <= band for w in corners)
+
+
 def classify(v) -> RobustnessReport:
     """Assign a robustness class from the corner values of the reduced witness.
 
@@ -178,42 +217,20 @@ def classify(v) -> RobustnessReport:
     nonstrict rule: ``w_ppt >= 0`` is separable.
     """
     cov = _as_cov(v)
-    diag = validate_physicality(cov)
-    if not diag.physical:
-        raise ValidationError(
-            f"cannot classify an unphysical state (nu_minus={diag.nu.nu_minus!r})"
-        )
-    g = gamma_coefficients(cov)
-    band = boundary_band(cov)
-
-    flags = set()
-    for name, value in (
-        ("w_ppt", g.w_ppt),
-        ("w_full", g.w_full),
-        ("w_ch1", g.w_ch1),
-        ("w_ch2", g.w_ch2),
-    ):
-        if abs(value) <= band:
-            flags.add(name)
-
-    entangled = g.w_ppt < 0.0
-    if not entangled:
-        cls = SEPARABLE
-    else:
-        r1 = g.w_ch1 <= band
-        r2 = g.w_ch2 <= band
-        rf = g.w_full <= band
-        if rf and r1 and r2:
-            cls = FULLY_ROBUST
-        elif r1 and r2:
-            cls = PARTIALLY_ROBUST_SYMMETRIC
-        elif r1 or r2:
-            cls = partially_robust_asymmetric(1 if r1 else 2)
-        else:
-            cls = FRAGILE
+    # Entries too large for the quartic invariants overflow here; the
+    # corner check in _corner_class turns that into a ValidationError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = validate_physicality(cov)
+        if not diag.physical:
+            raise ValidationError(
+                f"cannot classify an unphysical state (nu_minus={diag.nu.nu_minus!r})"
+            )
+        g = gamma_coefficients(cov)
+        band = boundary_band(cov)
+    code, flagged = _corner_class(g, band)
 
     def t_crit(w):
-        if entangled and g.w_ppt < -band and w > band:
+        if g.w_ppt < -band and w > band:
             return w / (w - g.w_ppt)
         return None
 
@@ -224,8 +241,10 @@ def classify(v) -> RobustnessReport:
         w_ch2=g.w_ch2,
         t1_critical=t_crit(g.w_ch1),
         t2_critical=t_crit(g.w_ch2),
-        cls=cls,
-        boundary_flags=frozenset(flags),
+        cls=_CLASSES[code],
+        boundary_flags=frozenset(
+            name for name, flag in zip(_CORNERS, flagged) if flag
+        ),
     )
 
 

@@ -11,7 +11,10 @@ with a reduced witness bilinear in the transmittances,
     W_R(T1, T2) = Gamma11 + T1*Gamma21 + T2*Gamma12 + T1*T2*Gamma22,
 
 whose coefficients are local-rotation invariants of the input state.  This
-module computes the witnesses and the Gamma decomposition.
+module computes the witnesses and the Gamma decomposition.  The private
+kernels (``_ppt``, ``_gamma_set``, ``_band``) evaluate them over a stack of
+matrices ``(..., 4, 4)`` for the grid commands; the public functions are
+their one-matrix calls.
 """
 
 from __future__ import annotations
@@ -45,14 +48,19 @@ DEGENERATE_SIGMA_TOL = 1e-9
 _BAND_COEFF = 1e-10
 
 
+def _band(m: np.ndarray):
+    """:func:`boundary_band` over a stack of matrices ``(..., 4, 4)``."""
+    scale = np.abs(m).max(axis=(-2, -1))
+    return _BAND_COEFF * np.maximum(1.0, scale * scale)
+
+
 def boundary_band(v) -> float:
     """Half-width of the witness zero band for boundary flagging.
 
     Witness values are polynomial (up to quartic) in the covariance entries,
     so the band scales with the squared magnitude of the matrix.
     """
-    scale = float(np.abs(_as_cov(v).matrix).max())
-    return _BAND_COEFF * max(1.0, scale * scale)
+    return float(_band(_as_cov(v).matrix))
 
 
 @dataclass(frozen=True)
@@ -140,15 +148,23 @@ def minimized_duan(v) -> MinimizedDuan:
     return MinimizedDuan(w_m=w_m, a_opt=a_opt)
 
 
+def _ppt(m: np.ndarray):
+    """:func:`ppt_witness` over a stack of matrices ``(..., 4, 4)``."""
+    return (
+        1.0
+        + np.linalg.det(m)
+        + 2.0 * _det2(m[..., :2, 2:])
+        - _det2(m[..., :2, :2])
+        - _det2(m[..., 2:, 2:])
+    )
+
+
 def ppt_witness(v) -> float:
     """PPT witness ``1 + det V + 2 det c - det a1 - det a2``.
 
     Negative iff the Gaussian state is entangled; nonnegative iff separable.
     """
-    cov = _as_cov(v)
-    b = blocks(cov)
-    det_v = float(np.linalg.det(cov.matrix))
-    return 1.0 + det_v + 2.0 * _det2(b.c) - _det2(b.a1) - _det2(b.a2)
+    return float(_ppt(_as_cov(v).matrix))
 
 
 @dataclass(frozen=True)
@@ -196,25 +212,35 @@ class GammaSet:
         return self.gamma11 + self.gamma21
 
 
-def gamma_coefficients(v) -> GammaSet:
-    """Decompose the attenuated PPT witness into its Gamma coefficients."""
-    cov = _as_cov(v)
-    b = blocks(cov)
-    a1, a2, c = b.a1, b.a2, b.c
+def _trace2(m: np.ndarray):
+    """Traces of 2x2 blocks over any leading batch axes."""
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _gamma_set(m: np.ndarray) -> GammaSet:
+    """:func:`gamma_coefficients` over a stack ``(..., 4, 4)``; fields are arrays.
+
+    The 2x2 products run as stacked ``matmul`` in the scalar evaluation
+    order, so each cell gets the same bits as a one-matrix call.
+    """
+    a1 = m[..., :2, :2]
+    a2 = m[..., 2:, 2:]
+    c = m[..., :2, 2:]
+    c_t = np.swapaxes(c, -1, -2)
     i2 = np.eye(2)
 
-    sigma1 = float(np.trace(a1)) - 2.0
-    sigma2 = float(np.trace(a2)) - 2.0
+    sigma1 = _trace2(a1) - 2.0
+    sigma2 = _trace2(a2) - 2.0
     det_a1 = _det2(a1)
     det_a2 = _det2(a2)
     impurity1 = det_a1 - 1.0
     impurity2 = det_a2 - 1.0
     det_c = _det2(c)
 
-    lambda1 = float(np.trace(c.T @ J2 @ (a1 - i2) @ J2 @ c))
-    lambda2 = float(np.trace(c @ J2 @ (a2 - i2) @ J2 @ c.T))
-    lambda_c = float(np.trace(c.T @ c))
-    lambda4 = float(np.trace(a1 @ J2 @ c @ J2 @ a2 @ J2 @ c.T @ J2))
+    lambda1 = _trace2(c_t @ J2 @ (a1 - i2) @ J2 @ c)
+    lambda2 = _trace2(c @ J2 @ (a2 - i2) @ J2 @ c_t)
+    lambda_c = _trace2(c_t @ c)
+    lambda4 = _trace2(a1 @ J2 @ c @ J2 @ a2 @ J2 @ c_t @ J2)
     eta = (
         sigma1 * (impurity2 - sigma2)
         + sigma2 * (impurity1 - sigma1)
@@ -227,7 +253,7 @@ def gamma_coefficients(v) -> GammaSet:
         - 1.0
     )
 
-    gamma22 = float(np.linalg.det(cov.matrix - np.eye(4)))
+    gamma22 = np.linalg.det(m - np.eye(4))
     gamma12 = sigma1 * (impurity2 - sigma2) + lambda2
     gamma21 = sigma2 * (impurity1 - sigma1) + lambda1
     gamma11 = sigma1 * sigma2 - lambda_c + 2.0 * det_c
@@ -249,6 +275,17 @@ def gamma_coefficients(v) -> GammaSet:
     )
 
 
+def gamma_coefficients(v) -> GammaSet:
+    """Decompose the attenuated PPT witness into its Gamma coefficients."""
+    g = _gamma_set(_as_cov(v).matrix)
+    return GammaSet(**{name: float(x) for name, x in vars(g).items()})
+
+
+def _reduced(g: GammaSet, t1, t2):
+    """Reduced witness at transmittances ``t1``, ``t2`` (floats or arrays)."""
+    return g.gamma11 + t1 * g.gamma21 + t2 * g.gamma12 + t1 * t2 * g.gamma22
+
+
 def reduced_witness(g: GammaSet, t) -> float:
     """Evaluate the reduced witness at transmittances ``t``.
 
@@ -256,19 +293,4 @@ def reduced_witness(g: GammaSet, t) -> float:
     when ``g = gamma_coefficients(v)``.
     """
     t = Transmittance.of(t)
-    return (
-        g.gamma11
-        + t.t1 * g.gamma21
-        + t.t2 * g.gamma12
-        + t.t1 * t.t2 * g.gamma22
-    )
-
-
-def corner_witnesses(v) -> tuple[float, float, float, float]:
-    """``(w_ppt, w_full, w_ch1, w_ch2)``: the reduced witness at the corners.
-
-    Convenience wrapper around :func:`gamma_coefficients` used by the
-    robustness classification.
-    """
-    g = gamma_coefficients(v)
-    return g.w_ppt, g.w_full, g.w_ch1, g.w_ch2
+    return _reduced(g, t.t1, t.t2)

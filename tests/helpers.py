@@ -11,8 +11,10 @@ from cvrobust import (
     CovMatrix,
     RandomStateParams,
     boundary_band,
+    classify,
     ppt_witness,
     random_physical_state,
+    validate_physicality,
 )
 
 I4 = np.eye(4)
@@ -120,3 +122,62 @@ def random_entangled_states(n: int, start_seed: int = 0, params=None):
             out.append(v)
         seed += 1
     return out
+
+
+REGION_OF_LABEL = {
+    "FullyRobust": "I",
+    "PartiallyRobustSymmetric": "II",
+    "PartiallyRobustAsymmetric": "II",
+    "Fragile": "III",
+    "Separable": "IV",
+}
+
+
+def symmetric_modes_matrix(dq, dp, c_q, c_p) -> np.ndarray:
+    return np.array(
+        [[dq, 0.0, c_q, 0.0], [0.0, dp, 0.0, c_p], [c_q, 0.0, dq, 0.0], [0.0, c_p, 0.0, dp]]
+    )
+
+
+def correlations_cell(dq: float, dp: float):
+    """Cell matrix of the correlation map: ``(cbar_p, cbar_q) -> V``."""
+    return lambda cp, cq: symmetric_modes_matrix(dq, dp, cq * dq, cp * dp)
+
+
+def epr_cell(mu_minus: float, mu_plus: float):
+    """Cell matrix of the EPR map: ``(q_plus_var, p_minus_var) -> V``."""
+
+    def matrix(q_plus, p_minus):
+        q_minus = 1.0 / (mu_minus**2 * p_minus)
+        p_plus = 1.0 / (mu_plus**2 * q_plus)
+        return symmetric_modes_matrix(
+            0.5 * (q_plus + q_minus),
+            0.5 * (p_plus + p_minus),
+            0.5 * (q_plus - q_minus),
+            0.5 * (p_plus - p_minus),
+        )
+
+    return matrix
+
+
+def reference_region_labels(x, y, cell):
+    """Per-cell region map: ``CovMatrix``, ``validate_physicality`` and ``classify``.
+
+    The definition the batched region maps must reproduce: an unphysical
+    cell is labeled ``"unphysical"`` and flagged when it sits within
+    tolerance of the physicality boundary; a physical one gets the region
+    of its class and is flagged when a corner witness is in the zero band.
+    """
+    labels = np.empty((len(x), len(y)), dtype=object)
+    boundary = np.zeros((len(x), len(y)), dtype=bool)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            cov = CovMatrix(cell(xi, yj))
+            diag = validate_physicality(cov)
+            if not diag.physical:
+                labels[i, j], boundary[i, j] = "unphysical", diag.boundary
+                continue
+            report = classify(cov)
+            labels[i, j] = REGION_OF_LABEL[report.cls.label]
+            boundary[i, j] = bool(report.boundary_flags)
+    return labels, boundary

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cvrobust import CovMatrix, attenuate, classify, ppt_witness
+from cvrobust import CovMatrix, attenuate, classify, ppt_witness, region_map_correlations
 from cvrobust.cli import main, read_state_file, state_file_text
 from helpers import CM_B, CM_C, CM_D, eq19_matrix
 
@@ -119,6 +119,11 @@ class TestClassify:
     def test_unphysical_input_fails(self, tmp_path, capsys):
         path = write_state(tmp_path / "bad.json", eq19_matrix(2.54))
         assert run(["classify", path]) == 1
+
+    def test_overflowing_witness_fails(self, tmp_path, capsys):
+        path = write_state(tmp_path / "big.json", CovMatrix(np.diag([1e100] * 4)))
+        assert run(["classify", path]) == 1
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestScan:
@@ -242,6 +247,36 @@ class TestMap:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "q_plus_var,p_minus_var,label,boundary"
         assert len(lines) == 1 + 36
+
+    def test_non_finite_correlation_parameter_rejected(self, capsys):
+        args = ["map", "correlations", "--dq", "nan", "--dp", "1.8", "--grid", "3"]
+        assert run(args) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_epr_window_rejected(self, capsys):
+        args = ["map", "epr", "--mu-minus", "0.7267", "--mu-plus", "0.4529",
+                "--q-plus-max", "nan", "--grid", "3"]
+        assert run(args) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_witness_rejected(self, capsys):
+        args = ["map", "correlations", "--dq", "1e300", "--dp", "1.8", "--grid", "3"]
+        assert run(args) == 1
+        assert "not finite" in capsys.readouterr().err
+
+    def test_csv_matches_region_map(self, tmp_path):
+        out = tmp_path / "map.csv"
+        args = ["map", "correlations", "--dq", "2.55", "--dp", "1.80",
+                "--grid", "5", "-o", str(out)]
+        assert run(args) == 0
+        region = region_map_correlations(2.55, 1.80, 5)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        expected = [
+            [repr(float(x)), repr(float(y)), region.labels[i, j], str(int(region.boundary[i, j]))]
+            for i, x in enumerate(region.x)
+            for j, y in enumerate(region.y)
+        ]
+        assert rows == expected
 
 
 class TestRandomAndRobustify:
