@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -52,6 +53,7 @@ from .families import (
 )
 from .robustness import (
     CHANNEL_WITNESS_NOTE,
+    _finite_gamma,
     classify,
     esd_contour,
     robustify,
@@ -153,15 +155,20 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_none(x: float) -> float | None:
+    """``x``, or ``None`` (JSON null) when it is NaN or infinite."""
+    return x if math.isfinite(x) else None
+
+
 def _cmd_validate(args) -> int:
     cov, label = read_state_file(args.input)
     diag = validate_physicality(cov)
     data = {
         "label": label,
         "physical": diag.physical,
-        "nu_minus": diag.nu.nu_minus,
-        "nu_plus": diag.nu.nu_plus,
-        "det_condition": diag.det_condition,
+        "nu_minus": _finite_or_none(diag.nu.nu_minus),
+        "nu_plus": _finite_or_none(diag.nu.nu_plus),
+        "det_condition": _finite_or_none(diag.det_condition),
         "boundary": diag.boundary,
     }
     _emit(_json_text(data), args.output)
@@ -228,7 +235,7 @@ def _cmd_scan(args) -> int:
     cov, _ = read_state_file(args.input)
     if args.grid < 2:
         raise ValidationError("scan grid must be at least 2")
-    g = gamma_coefficients(cov)
+    g = _finite_gamma(cov)
     ts = np.linspace(0.0, 1.0, args.grid)
     t_text = [_fmt(t) for t in ts]
     lines = ["t1,t2,w_ppt_attenuated,w_reduced"]

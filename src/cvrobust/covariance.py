@@ -241,21 +241,25 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
     ``nu_minus >= 1`` but, unlike the quartic for ``nu_minus``, stays
     accurate for pure states, whose double root at ``nu = 1`` turns
     determinant roundoff into ~1e-8 eigenvalue noise.  The reported ``nu``
-    still comes from the quartic (NaN when it has no real roots).
+    still comes from the quartic (NaN when it has no real roots), and
+    ``nu`` and ``det_condition`` are not finite when the determinants
+    overflow.
 
     Never raises for symmetric input.
     """
     cov = _as_cov(v)
     m = cov.matrix
     physical, boundary = _physicality(m)
-    det_v = float(np.linalg.det(m))
-    det_condition = float(
-        det_v + 1.0 - 2.0 * _det2(m[:2, 2:]) - _det2(m[:2, :2]) - _det2(m[2:, 2:])
-    )
-    try:
-        nu = symplectic_spectrum(cov)
-    except ValidationError:
-        nu = SymplecticSpectrum(math.nan, math.nan)
+    # Determinants of entries above about 1e77 overflow to inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_v = float(np.linalg.det(m))
+        det_condition = float(
+            det_v + 1.0 - 2.0 * _det2(m[:2, 2:]) - _det2(m[:2, :2]) - _det2(m[2:, 2:])
+        )
+        try:
+            nu = symplectic_spectrum(cov)
+        except ValidationError:
+            nu = SymplecticSpectrum(math.nan, math.nan)
     return PhysicalityDiagnosis(
         physical=bool(physical),
         nu=nu,

@@ -26,7 +26,7 @@ import numpy as np
 from .covariance import CovMatrix, LocalSymplectic, _as_cov, validate_physicality
 from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
-from .witnesses import GammaSet, boundary_band, gamma_coefficients, reduced_witness
+from .witnesses import GammaSet, _band, _reduced, boundary_band, gamma_coefficients
 
 __all__ = [
     "RobustnessClass",
@@ -154,20 +154,19 @@ def channel_robustness_witness(v, mode: int) -> float:
 def critical_transmittance(v, mode: int) -> float | None:
     """Transmittance below which single-channel loss disentangles the state.
 
-    ``T_c = w_ch / (w_ch - w_ppt)``, guaranteed in (0, 1) when it exists;
-    ``None`` when the state is robust on that channel.  Raises for separable
-    input.
+    ``T_c = w_ch / (w_ch - w_ppt)`` in (0, 1), the ``t1_critical`` or
+    ``t2_critical`` of :func:`classify`: ``None`` when the state is robust on
+    that channel or a witness lies in the zero band.  Raises for separable or
+    unphysical input.
     """
-    cov = _as_cov(v)
-    g = gamma_coefficients(cov)
-    if g.w_ppt >= 0.0:
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode!r}")
+    report = classify(v)
+    if report.cls == SEPARABLE:
         raise SeparableInputError(
             "critical transmittance requires an entangled state (w_ppt < 0)"
         )
-    w = channel_robustness_witness(cov, mode)
-    if w <= 0.0:
-        return None
-    return w / (w - g.w_ppt)
+    return report.t1_critical if mode == 1 else report.t2_critical
 
 
 #: Robustness classes indexed by the codes of :func:`_corner_class`.
@@ -183,14 +182,10 @@ _CLASSES = (
 _CORNERS = ("w_ppt", "w_full", "w_ch1", "w_ch2")
 
 
-def _corner_class(g: GammaSet, band):
-    """Corner-sign class decision, for one Gamma set or a stack of them.
+def _finite_corners(g: GammaSet):
+    """The corners of ``g`` in ``_CORNERS`` order, checked to be finite.
 
-    ``g`` holds floats or arrays of one batch shape and ``band`` the matching
-    zero-band half-widths.  Returns the class codes (indices into
-    ``_CLASSES``) and, per corner in ``_CORNERS`` order, whether its value
-    lies inside the band.  Corners within the band count as nonpositive.
-    Raises :class:`ValidationError` when a corner is not finite, as when the
+    Raises :class:`ValidationError` when one is not, as when the quartic
     witness polynomial overflows.
     """
     corners = (g.w_ppt, g.w_full, g.w_ch1, g.w_ch2)
@@ -199,7 +194,27 @@ def _corner_class(g: GammaSet, band):
             "witness values are not finite: the covariance entries are too "
             "large to evaluate the quartic witness"
         )
-    w_ppt, w_full, w_ch1, w_ch2 = corners
+    return corners
+
+
+def _finite_gamma(v) -> GammaSet:
+    """:func:`gamma_coefficients` of ``v``, rejecting overflowing witnesses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gamma_coefficients(v)
+    _finite_corners(g)
+    return g
+
+
+def _corner_class(g: GammaSet, band):
+    """Corner-sign class decision, for one Gamma set or a stack of them.
+
+    ``g`` holds floats or arrays of one batch shape and ``band`` the matching
+    zero-band half-widths.  Returns the class codes (indices into
+    ``_CLASSES``) and, per corner in ``_CORNERS`` order, whether its value
+    lies inside the band.  Corners within the band count as nonpositive.
+    Raises :class:`ValidationError` when a corner is not finite.
+    """
+    w_ppt, w_full, w_ch1, w_ch2 = corners = _finite_corners(g)
     r1 = w_ch1 <= band
     r2 = w_ch2 <= band
     rf = w_full <= band
@@ -248,58 +263,28 @@ def classify(v) -> RobustnessReport:
     )
 
 
-def _bisect_vertical(g: GammaSet, t1: float, lo: float, hi: float) -> float | None:
-    f_lo = reduced_witness(g, (t1, lo))
-    f_hi = reduced_witness(g, (t1, hi))
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = reduced_witness(g, (t1, mid))
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def esd_contour(v, samples: int = 256) -> np.ndarray:
     """Sample the disentanglement boundary ``W_R = 0`` inside ``(0, 1]^2``.
 
-    Scans ``samples`` evenly spaced values of ``t1`` and solves the affine
-    equation for ``t2``; where the denominator nearly vanishes (the
-    hyperbola's vertical asymptote) a sign-change bisection along the
-    vertical line is used instead.  Returns an ``(n, 2)`` array of
-    ``(t1, t2)`` points, empty for fully robust states.
+    At each of ``samples`` evenly spaced values of ``t1`` the affine equation
+    ``W_R(t1, t2) = 0`` gives ``t2`` in closed form; a point is kept when
+    ``t2`` lies in ``(0, 1]`` and its witness in the zero band of
+    :func:`boundary_band`.  On the hyperbola's vertical asymptote the
+    quotient is infinite or NaN and drops out.  Returns an ``(n, 2)`` array
+    of ``(t1, t2)`` points, empty for fully robust states and when ``W_R``
+    vanishes identically.  Raises :class:`ValidationError` when the witness
+    overflows.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     cov = _as_cov(v)
-    g = gamma_coefficients(cov)
-    band = 1e-9 * max(1.0, float(np.abs(cov.matrix).max()) ** 2)
-    eps = 1e-12 * max(1.0, abs(g.gamma22), abs(g.gamma12))
-
-    tiny = 1e-12
-    points = []
-    for t1 in np.linspace(0.0, 1.0, samples + 1)[1:]:
-        den = g.gamma22 * t1 + g.gamma12
-        if abs(den) < eps:
-            t2 = _bisect_vertical(g, t1, tiny, 1.0)
-        else:
-            t2 = -(g.gamma21 * t1 + g.gamma11) / den
-        if t2 is None or not (0.0 < t2 <= 1.0):
-            continue
-        if abs(reduced_witness(g, (t1, t2))) <= band:
-            points.append((float(t1), float(t2)))
-    if not points:
-        return np.empty((0, 2))
-    return np.array(points)
+    g = _finite_gamma(cov)
+    t1 = np.linspace(0.0, 1.0, samples + 1)[1:]
+    with np.errstate(all="ignore"):
+        t2 = -(g.gamma21 * t1 + g.gamma11) / (g.gamma22 * t1 + g.gamma12)
+        residual = np.abs(_reduced(g, t1, t2))
+        keep = (0.0 < t2) & (t2 <= 1.0) & (residual <= _band(cov.matrix))
+    return np.column_stack((t1[keep], t2[keep]))
 
 
 @dataclass(frozen=True)

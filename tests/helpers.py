@@ -5,15 +5,20 @@ spectra come from dense eigendecompositions and attenuated witnesses from
 direct matrix congruence, so they can vouch for the closed-form paths.
 """
 
+import json
+
 import numpy as np
 
 from cvrobust import (
     CovMatrix,
+    GammaSet,
     RandomStateParams,
     boundary_band,
     classify,
+    gamma_coefficients,
     ppt_witness,
     random_physical_state,
+    reduced_witness,
     validate_physicality,
 )
 
@@ -181,3 +186,61 @@ def reference_region_labels(x, y, cell):
             labels[i, j] = REGION_OF_LABEL[report.cls.label]
             boundary[i, j] = bool(report.boundary_flags)
     return labels, boundary
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects the non-standard NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _bisect_vertical(g: GammaSet, t1: float, lo: float, hi: float) -> float | None:
+    f_lo = reduced_witness(g, (t1, lo))
+    f_hi = reduced_witness(g, (t1, hi))
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = reduced_witness(g, (t1, mid))
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_esd_contour(v: CovMatrix, samples: int = 256) -> np.ndarray:
+    """Per-``t1`` ESD contour with a bisection fallback at the vertical asymptote.
+
+    The scalar loop the closed-form ``esd_contour`` must reproduce: where the
+    denominator ``gamma22*t1 + gamma12`` nearly vanishes it bisects along
+    the vertical line, and it keeps points whose witness lies within
+    ``1e-9 * max(1, max|V|**2)`` of zero.
+    """
+    g = gamma_coefficients(v)
+    band = 1e-9 * max(1.0, float(np.abs(v.matrix).max()) ** 2)
+    eps = 1e-12 * max(1.0, abs(g.gamma22), abs(g.gamma12))
+    tiny = 1e-12
+    points = []
+    for t1 in np.linspace(0.0, 1.0, samples + 1)[1:]:
+        den = g.gamma22 * t1 + g.gamma12
+        if abs(den) < eps:
+            t2 = _bisect_vertical(g, t1, tiny, 1.0)
+        else:
+            t2 = -(g.gamma21 * t1 + g.gamma11) / den
+        if t2 is None or not (0.0 < t2 <= 1.0):
+            continue
+        if abs(reduced_witness(g, (t1, t2))) <= band:
+            points.append((float(t1), float(t2)))
+    if not points:
+        return np.empty((0, 2))
+    return np.array(points)

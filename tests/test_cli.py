@@ -7,7 +7,7 @@ import pytest
 
 from cvrobust import CovMatrix, attenuate, classify, ppt_witness, region_map_correlations
 from cvrobust.cli import main, read_state_file, state_file_text
-from helpers import CM_B, CM_C, CM_D, eq19_matrix
+from helpers import CM_B, CM_C, CM_D, eq19_matrix, strict_json
 
 
 def run(args):
@@ -43,7 +43,7 @@ class TestStateFiles:
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        data = json.loads(state_file_text(CM_D, "x"))
+        data = strict_json(state_file_text(CM_D, "x"))
         data["comment"] = "nope"
         bad.write_text(json.dumps(data))
         assert run(["validate", str(bad)]) == 1
@@ -51,7 +51,7 @@ class TestStateFiles:
 
     def test_wrong_ordering_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        data = json.loads(state_file_text(CM_D, "x"))
+        data = strict_json(state_file_text(CM_D, "x"))
         data["ordering"] = "q1,q2,p1,p2"
         bad.write_text(json.dumps(data))
         assert run(["validate", str(bad)]) == 1
@@ -59,7 +59,7 @@ class TestStateFiles:
 
     def test_asymmetric_matrix_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        data = json.loads(state_file_text(CM_D, "x"))
+        data = strict_json(state_file_text(CM_D, "x"))
         data["matrix"][0][2] = 99.0
         bad.write_text(json.dumps(data))
         assert run(["validate", str(bad)]) == 1
@@ -84,7 +84,7 @@ class TestValidate:
     def test_physical_state(self, tmp_path, cm_d_file):
         out = tmp_path / "report.json"
         assert run(["validate", cm_d_file, "-o", str(out)]) == 0
-        data = json.loads(out.read_text())
+        data = strict_json(out.read_text())
         assert data["physical"] is True
         assert data["nu_minus"] >= 1.0 - 1e-9
 
@@ -92,14 +92,36 @@ class TestValidate:
         path = write_state(tmp_path / "bad.json", eq19_matrix(2.54))
         out = tmp_path / "report.json"
         assert run(["validate", path, "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["physical"] is False
+        assert strict_json(out.read_text())["physical"] is False
+
+    def test_squeezed_state_is_strict_json(self, tmp_path):
+        # Strong squeezing can leave the quartic for nu without real roots.
+        state = tmp_path / "sq.json"
+        args = ["random", "--seed", "3", "--nu-min", "1", "--nu-max", "1",
+                "--squeeze-max", "9", "-o", str(state)]
+        assert run(args) == 0
+        out = tmp_path / "report.json"
+        assert run(["validate", str(state), "-o", str(out)]) == 0
+        data = strict_json(out.read_text())
+        assert isinstance(data["physical"], bool)
+        for key in ("nu_minus", "nu_plus", "det_condition"):
+            assert data[key] is None or np.isfinite(data[key])
+
+    def test_overflowing_determinants_are_null(self, tmp_path):
+        path = write_state(tmp_path / "big.json", CovMatrix(np.diag([1e100] * 4)))
+        out = tmp_path / "report.json"
+        assert run(["validate", path, "-o", str(out)]) == 0
+        data = strict_json(out.read_text())
+        assert data["physical"] is True
+        assert data["nu_minus"] is None and data["nu_plus"] is None
+        assert data["det_condition"] is None
 
 
 class TestClassify:
     def test_fixture_report(self, tmp_path, cm_d_file):
         out = tmp_path / "report.json"
         assert run(["classify", cm_d_file, "-o", str(out)]) == 0
-        data = json.loads(out.read_text())
+        data = strict_json(out.read_text())
         assert data["class"] == "PartiallyRobustSymmetric"
         assert data["robust_mode"] is None
         assert data["witnesses"]["w_ppt"] == pytest.approx(-1.8016868636)
@@ -112,7 +134,7 @@ class TestClassify:
         assert run(["attenuate", cm_d_file, "--t2", "0.40", "-o", str(att)]) == 0
         out = tmp_path / "report.json"
         assert run(["classify", str(att), "-o", str(out)]) == 0
-        data = json.loads(out.read_text())
+        data = strict_json(out.read_text())
         assert data["class"] == "PartiallyRobustAsymmetric"
         assert data["robust_mode"] == 2
 
@@ -147,6 +169,13 @@ class TestScan:
             t1, t2, w_att, w_red = map(float, line.split(","))
             assert abs(w_att - t1 * t2 * w_red) <= 1e-9 * (1.0 + abs(w_red))
 
+    def test_overflowing_witness_fails(self, tmp_path, capsys):
+        path = write_state(tmp_path / "big.json", CovMatrix(np.diag([1e90] * 4)))
+        out = tmp_path / "scan.csv"
+        assert run(["scan", path, "--grid", "2", "-o", str(out)]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_row_major_t1_outer(self, tmp_path, cm_d_file):
         out = tmp_path / "scan.csv"
         assert run(["scan", cm_d_file, "--grid", "3", "-o", str(out)]) == 0
@@ -157,6 +186,19 @@ class TestScan:
 
 
 class TestContour:
+    def test_overflowing_witness_fails(self, tmp_path, capsys):
+        path = write_state(tmp_path / "big.json", CovMatrix(np.diag([1e90] * 4)))
+        out = tmp_path / "contour.csv"
+        assert run(["contour", path, "-o", str(out)]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vanishing_witness_has_empty_boundary(self, tmp_path):
+        path = write_state(tmp_path / "vac.json", CovMatrix.vacuum())
+        out = tmp_path / "contour.csv"
+        assert run(["contour", path, "--samples", "8", "-o", str(out)]) == 0
+        assert out.read_text() == "t1,t2\n"
+
     def test_fragile_fixture(self, tmp_path):
         path = write_state(tmp_path / "b.json", CM_B)
         out = tmp_path / "contour.csv"
@@ -290,7 +332,7 @@ class TestRandomAndRobustify:
         path = write_state(tmp_path / "b.json", CM_B)
         out = tmp_path / "rob.json"
         assert run(["robustify", path, "-o", str(out)]) == 0
-        data = json.loads(out.read_text())
+        data = strict_json(out.read_text())
         assert data["found"] is True
         assert data["class_out"] == "FullyRobust"
         assert data["objective"] < 0
@@ -317,4 +359,4 @@ class TestDeterminism:
         out = tmp_path / "report.json"
         out.write_text("stale")
         assert run(["validate", cm_d_file, "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["physical"] is True
+        assert strict_json(out.read_text())["physical"] is True

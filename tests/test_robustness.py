@@ -7,6 +7,7 @@ from cvrobust import (
     FULLY_ROBUST,
     SEPARABLE,
     CovMatrix,
+    RandomStateParams,
     SeparableInputError,
     ValidationError,
     attenuate,
@@ -33,6 +34,7 @@ from helpers import (
     oracle_attenuated_ppt_grid,
     random_entangled_states,
     random_states,
+    reference_esd_contour,
 )
 
 
@@ -92,6 +94,18 @@ class TestCriticalTransmittance:
     def test_separable_input_rejected(self):
         with pytest.raises(SeparableInputError):
             critical_transmittance(CM_C, 1)
+
+    def test_unphysical_input_rejected(self):
+        with pytest.raises(ValidationError, match="unphysical"):
+            critical_transmittance(eq19_matrix(2.54), 1)
+
+    def test_matches_classify(self):
+        for v in random_states(200):
+            report = classify(v)
+            if report.cls == SEPARABLE:
+                continue
+            assert critical_transmittance(v, 1) == report.t1_critical
+            assert critical_transmittance(v, 2) == report.t2_critical
 
     def test_witness_vanishes_at_critical_point(self):
         for v in random_entangled_states(50):
@@ -237,6 +251,32 @@ class TestEsdContour:
 
     def test_sample_count_bound(self):
         assert len(esd_contour(CM_B, 64)) <= 64
+
+    @pytest.mark.parametrize(
+        "params",
+        [None, RandomStateParams(1.0, 1.0, 3.0), RandomStateParams(1.0, 1.0, 9.0)],
+        ids=["default", "pure-squeeze3", "pure-squeeze9"],
+    )
+    def test_matches_reference_loop(self, params):
+        # Pure states put the hyperbola's vertical asymptote at t1 = 1, where
+        # the reference falls back to bisection.
+        states = [CM_A, CM_B, CM_C, CM_D, CM_E, HIGHLY_SQUEEZED]
+        states += random_states(150, params=params)
+        for v in states:
+            assert repr(esd_contour(v, 256).tolist()) == repr(
+                reference_esd_contour(v, 256).tolist()
+            )
+
+    @pytest.mark.parametrize("diag", [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]])
+    def test_vanishing_witness_is_empty(self, diag):
+        v = CovMatrix(np.diag(diag))
+        g = gamma_coefficients(v)
+        assert (g.gamma11, g.gamma12, g.gamma21, g.gamma22) == (0.0, 0.0, 0.0, 0.0)
+        assert esd_contour(v, 64).shape == (0, 2)
+
+    def test_overflowing_witness_rejected(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            esd_contour(CovMatrix(np.diag([1e90] * 4)), 16)
 
 
 class TestRobustify:
