@@ -23,7 +23,6 @@ __all__ = [
     "Transmittance",
     "LinkBudget",
     "attenuate",
-    "loss_matrix",
     "transmittance_from_link",
     "default_alpha_db_per_km",
     "ALPHA_ENV_VAR",
@@ -116,14 +115,6 @@ def transmittance_from_link(budget: LinkBudget) -> Transmittance:
         return Transmittance(1.0, t2)
     t1 = 10.0 ** (-alpha * budget.length1_km / 10.0)
     return Transmittance(t1, t2)
-
-
-def loss_matrix(t) -> np.ndarray:
-    """The diagonal loss matrix ``diag(sqrt(T1), sqrt(T1), sqrt(T2), sqrt(T2))``."""
-    t = Transmittance.of(t)
-    l1 = math.sqrt(t.t1)
-    l2 = math.sqrt(t.t2)
-    return np.diag([l1, l1, l2, l2])
 
 
 def attenuate(v, t) -> CovMatrix:

@@ -7,7 +7,9 @@ Conventions used throughout the package:
   identity and the standard quantum level (shot noise) equals 1;
 * a covariance matrix ``V`` describes a physical state when ``V + i*Omega``
   is positive semidefinite, equivalently when ``V`` is positive semidefinite
-  and its smallest symplectic eigenvalue is >= 1.
+  and its smallest symplectic eigenvalue is >= 1;
+* tolerances are relative to the magnitude ``max(1, max|V|)`` of the input
+  (see ``_scale``).
 
 All values are dimensionless noise powers relative to shot noise.
 """
@@ -44,12 +46,8 @@ __all__ = [
 #: Relative tolerance for the symmetry check on input matrices.
 SYMMETRY_RTOL = 1e-9
 
-#: Absolute tolerance on ``nu_minus >= 1`` and on the smallest eigenvalue of V.
+#: Tolerance on the smallest eigenvalue of ``V + i*Omega``, in units of ``_scale``.
 PHYSICALITY_TOL = 1e-9
-
-# Discriminants of the symplectic quartic more negative than this (times the
-# problem scale) indicate a genuinely unphysical input rather than roundoff.
-_DISC_TOL = 1e-12
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J2.setflags(write=False)
@@ -113,6 +111,15 @@ def _as_cov(v) -> CovMatrix:
     return v if isinstance(v, CovMatrix) else CovMatrix(v)
 
 
+def _scale(m: np.ndarray):
+    """The tolerance unit ``max(1, max|V|)`` over a stack of matrices ``(..., 4, 4)``.
+
+    Roundoff in a quantity of degree ``k`` in the entries grows like
+    ``eps * max|V|**k``, so its tolerance is a constant times ``_scale**k``.
+    """
+    return np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+
+
 def _det2(m: np.ndarray):
     """Determinants of 2x2 blocks over any leading batch axes."""
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
@@ -160,22 +167,12 @@ class SymplecticSpectrum:
 
 
 def _spectrum_from_invariants(delta: float, det_v: float) -> SymplecticSpectrum:
-    # nu^2 are the roots of x^2 - delta*x + det_v = 0.
-    disc = delta * delta - 4.0 * det_v
-    tol = _DISC_TOL * max(1.0, delta * delta, abs(4.0 * det_v))
-    if disc < -tol:
-        raise ValidationError(
-            "unphysical covariance matrix: complex symplectic spectrum"
-        )
-    root = math.sqrt(max(disc, 0.0))
-    lo = 0.5 * (delta - root)
-    hi = 0.5 * (delta + root)
-    if lo < -tol:
-        raise ValidationError(
-            "unphysical covariance matrix: negative squared symplectic eigenvalue"
-        )
+    # nu^2 are the roots of x^2 - delta*x + det_v = 0, real and nonnegative
+    # for V > 0 by Williamson's theorem; roundoff below zero is clamped.
+    root = math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))
     return SymplecticSpectrum(
-        nu_minus=math.sqrt(max(lo, 0.0)), nu_plus=math.sqrt(max(hi, 0.0))
+        nu_minus=math.sqrt(max(0.5 * (delta - root), 0.0)),
+        nu_plus=math.sqrt(max(0.5 * (delta + root), 0.0)),
     )
 
 
@@ -189,6 +186,10 @@ def symplectic_spectrum(v, partial_transpose_mode: int | None = None) -> Symplec
     ``delta = det a1 + det a2 + 2 det c``.
 
     A partially transposed ``nu_minus < 1`` certifies entanglement.
+
+    The spectrum reports and does not judge physicality: roots that
+    roundoff or an unphysical ``V`` push below 0 are clamped at 0, and
+    determinants that overflow give NaN.
     """
     if partial_transpose_mode not in (None, 1, 2):
         raise ValueError("partial_transpose_mode must be 1 or 2")
@@ -206,10 +207,12 @@ def symplectic_spectrum(v, partial_transpose_mode: int | None = None) -> Symplec
 class PhysicalityDiagnosis:
     """Result of a physicality check.
 
-    ``det_condition`` is the determinant-based uncertainty quantity
+    ``physical`` is the verdict of the uncertainty-eigenvalue test and
+    ``boundary`` is set when that eigenvalue lies within the tolerance of 0.
+    ``nu`` is the symplectic spectrum, reported but not judged; it and
+    ``det_condition``, the determinant-based uncertainty quantity
     ``1 + det V - 2 det c - det a1 - det a2`` (nonnegative is necessary for a
-    physical state).  ``boundary`` is set when the verdict sits within
-    tolerance of the physicality boundary.
+    physical state), are not finite only when the determinants overflow.
     """
 
     physical: bool
@@ -222,28 +225,26 @@ def _physicality(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(physical, boundary)`` verdicts over a stack of matrices ``(..., 4, 4)``.
 
     The kernel of :func:`validate_physicality`, shared with the region maps.
+    ``V >= 0`` needs no test of its own: for real unit ``x``,
+    ``x^T V x = x^H (V + i*Omega) x``, so the smallest eigenvalue of ``V`` is
+    at least that of ``V + i*Omega``.
     """
-    min_eig_v = np.linalg.eigvalsh(m)[..., 0]
-    min_eig_unc = np.linalg.eigvalsh(m + 1j * OMEGA)[..., 0]
-    physical = (min_eig_v >= -PHYSICALITY_TOL) & (min_eig_unc >= -PHYSICALITY_TOL)
-    boundary = (np.abs(min_eig_v) <= PHYSICALITY_TOL) | (
-        np.abs(min_eig_unc) <= PHYSICALITY_TOL
-    )
-    return physical, boundary
+    min_eig = np.linalg.eigvalsh(m + 1j * OMEGA)[..., 0]
+    tol = PHYSICALITY_TOL * _scale(m)
+    return min_eig >= -tol, np.abs(min_eig) <= tol
 
 
 def validate_physicality(v) -> PhysicalityDiagnosis:
     """Diagnose whether ``v`` describes a physical Gaussian state.
 
-    The verdict tests the uncertainty relation directly: the smallest
-    eigenvalue of the Hermitian matrix ``V + i*Omega`` must be
-    ``>= -PHYSICALITY_TOL``.  This is equivalent to ``V >= 0`` together with
-    ``nu_minus >= 1`` but, unlike the quartic for ``nu_minus``, stays
-    accurate for pure states, whose double root at ``nu = 1`` turns
-    determinant roundoff into ~1e-8 eigenvalue noise.  The reported ``nu``
-    still comes from the quartic (NaN when it has no real roots), and
-    ``nu`` and ``det_condition`` are not finite when the determinants
-    overflow.
+    The package's one physicality verdict: the smallest eigenvalue of the
+    Hermitian matrix ``V + i*Omega`` must be
+    ``>= -PHYSICALITY_TOL * max(1, max|V|)``, a tolerance that grows with
+    the eigenvalue roundoff.  Unlike the quartic for ``nu_minus``, this
+    stays accurate for pure states, whose double root at ``nu = 1`` turns
+    determinant roundoff into eigenvalue noise.  ``nu`` is reported from
+    :func:`symplectic_spectrum`; it and ``det_condition`` are not finite
+    only when the determinants overflow.
 
     Never raises for symmetric input.
     """
@@ -256,10 +257,7 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
         det_condition = float(
             det_v + 1.0 - 2.0 * _det2(m[:2, 2:]) - _det2(m[:2, :2]) - _det2(m[2:, 2:])
         )
-        try:
-            nu = symplectic_spectrum(cov)
-        except ValidationError:
-            nu = SymplecticSpectrum(math.nan, math.nan)
+        nu = symplectic_spectrum(cov)
     return PhysicalityDiagnosis(
         physical=bool(physical),
         nu=nu,

@@ -24,9 +24,11 @@ from typing import Union
 import numpy as np
 
 from .covariance import (
+    SYMMETRY_RTOL,
     CovMatrix,
     _as_cov,
     _physicality,
+    _scale,
     beam_splitter,
     blocks,
     rotation2,
@@ -261,10 +263,9 @@ def epr_summary(v) -> EprSummary:
     )
 
 
-def _is_symmetric_mode_form(v, rtol: float = 1e-9) -> bool:
-    b = blocks(v)
-    scale = max(1.0, float(np.abs(_as_cov(v).matrix).max()))
-    tol = rtol * scale
+def _is_symmetric_mode_form(cov: CovMatrix) -> bool:
+    b = blocks(cov)
+    tol = SYMMETRY_RTOL * _scale(cov.matrix)
     diagonal = (
         abs(b.a1[0, 1]) <= tol
         and abs(b.a2[0, 1]) <= tol
@@ -432,7 +433,7 @@ def region_map_correlations(dq: float, dp: float, grid: int) -> RegionMap:
     if dq < 1.0 or dp < 1.0:
         raise ValidationError("variances must be at least the vacuum level 1")
     if grid < 1:
-        raise ValueError("grid must be positive")
+        raise ValidationError("grid must be positive")
     cbar_p = _cell_centers(-1.0, 1.0, grid)
     cbar_q = _cell_centers(-1.0, 1.0, grid)
     return _region_map(
@@ -465,7 +466,7 @@ def region_map_epr(
     if not (0.0 < mu_minus <= 1.0 and 0.0 < mu_plus <= 1.0):
         raise ValidationError("partial purities must lie in (0, 1]")
     if grid < 1:
-        raise ValueError("grid must be positive")
+        raise ValidationError("grid must be positive")
     q_plus = _cell_centers(0.0, q_plus_max, grid)
     p_minus = _cell_centers(0.0, p_minus_max, grid)
     if (q_plus <= 0.0).any() or (p_minus <= 0.0).any():
@@ -488,6 +489,8 @@ class RandomStateParams:
     squeeze_max: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.nu_min, self.nu_max, self.squeeze_max))):
+            raise ValidationError("random state ranges must be finite")
         if not 1.0 <= self.nu_min <= self.nu_max:
             raise ValidationError("require 1 <= nu_min <= nu_max")
         if self.squeeze_max < 0.0:

@@ -188,7 +188,8 @@ def _finite_corners(g: GammaSet):
     Raises :class:`ValidationError` when one is not, as when the quartic
     witness polynomial overflows.
     """
-    corners = (g.w_ppt, g.w_full, g.w_ch1, g.w_ch2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = (g.w_ppt, g.w_full, g.w_ch1, g.w_ch2)
     if not np.isfinite(corners).all():
         raise ValidationError(
             "witness values are not finite: the covariance entries are too "
@@ -276,7 +277,7 @@ def esd_contour(v, samples: int = 256) -> np.ndarray:
     overflows.
     """
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise ValidationError("samples must be positive")
     cov = _as_cov(v)
     g = _finite_gamma(cov)
     t1 = np.linspace(0.0, 1.0, samples + 1)[1:]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Transmittance
-from .covariance import J2, _as_cov, _det2, blocks
+from .covariance import J2, _as_cov, _det2, _scale, blocks
 
 __all__ = [
     "boundary_band",
@@ -50,15 +50,14 @@ _BAND_COEFF = 1e-10
 
 def _band(m: np.ndarray):
     """:func:`boundary_band` over a stack of matrices ``(..., 4, 4)``."""
-    scale = np.abs(m).max(axis=(-2, -1))
-    return _BAND_COEFF * np.maximum(1.0, scale * scale)
+    return _BAND_COEFF * _scale(m) ** 2
 
 
 def boundary_band(v) -> float:
     """Half-width of the witness zero band for boundary flagging.
 
-    Witness values are polynomial (up to quartic) in the covariance entries,
-    so the band scales with the squared magnitude of the matrix.
+    Witness values are polynomial (up to quartic) in the covariance entries;
+    the band is ``1e-10 * max(1, max|V|)**2``.
     """
     return float(_band(_as_cov(v).matrix))
 

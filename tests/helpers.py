@@ -83,6 +83,22 @@ def oracle_min_uncertainty_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m + 1j * OMEGA)[0])
 
 
+def reference_physicality(m: np.ndarray):
+    """Two-eigenvalue physicality verdict with an absolute tolerance of 1e-9.
+
+    ``(physical, boundary)`` over a stack ``(..., 4, 4)``: the smallest
+    eigenvalues of both ``V`` and ``V + i*Omega`` must be ``>= -1e-9``, and
+    either one within 1e-9 of 0 flags the boundary.  On well-scaled inputs
+    the package's single scaled test must reproduce it.
+    """
+    tol = 1e-9
+    min_eig_v = np.linalg.eigvalsh(m)[..., 0]
+    min_eig_unc = np.linalg.eigvalsh(m + 1j * OMEGA)[..., 0]
+    physical = (min_eig_v >= -tol) & (min_eig_unc >= -tol)
+    boundary = (np.abs(min_eig_v) <= tol) | (np.abs(min_eig_unc) <= tol)
+    return physical, boundary
+
+
 def oracle_attenuate(m: np.ndarray, t1: float, t2: float) -> np.ndarray:
     l = np.diag(np.repeat([np.sqrt(t1), np.sqrt(t2)], 2))
     return l @ (m - I4) @ l + I4

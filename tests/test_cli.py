@@ -80,6 +80,25 @@ class TestUsage:
         assert run(["family", "fully-symmetric", "--s", "2.0"]) == 2
 
 
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["contour", "STATE", "--samples", "0"],
+            ["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "0"],
+            ["map", "epr", "--mu-minus", "0.7267", "--mu-plus", "0.4529", "--grid", "-1"],
+            ["random", "--seed", "1", "--squeeze-max", "inf"],
+            ["random", "--seed", "1", "--nu-max", "inf"],
+        ],
+        ids=["contour-samples", "map-correlations-grid", "map-epr-grid",
+             "random-squeeze-max", "random-nu-max"],
+    )
+    def test_error_message_without_traceback(self, args, cm_d_file, capsys):
+        assert run([cm_d_file if a == "STATE" else a for a in args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestValidate:
     def test_physical_state(self, tmp_path, cm_d_file):
         out = tmp_path / "report.json"
@@ -95,17 +114,19 @@ class TestValidate:
         assert strict_json(out.read_text())["physical"] is False
 
     def test_squeezed_state_is_strict_json(self, tmp_path):
-        # Strong squeezing can leave the quartic for nu without real roots.
+        # Roundoff leaves the quartic for nu of these pure states with a
+        # negative discriminant, which the spectrum clamps.
         state = tmp_path / "sq.json"
-        args = ["random", "--seed", "3", "--nu-min", "1", "--nu-max", "1",
-                "--squeeze-max", "9", "-o", str(state)]
-        assert run(args) == 0
         out = tmp_path / "report.json"
-        assert run(["validate", str(state), "-o", str(out)]) == 0
-        data = strict_json(out.read_text())
-        assert isinstance(data["physical"], bool)
-        for key in ("nu_minus", "nu_plus", "det_condition"):
-            assert data[key] is None or np.isfinite(data[key])
+        for seed in (3, 4, 5, 6):
+            args = ["random", "--seed", str(seed), "--nu-min", "1", "--nu-max", "1",
+                    "--squeeze-max", "9", "-o", str(state)]
+            assert run(args) == 0
+            assert run(["validate", str(state), "-o", str(out)]) == 0
+            data = strict_json(out.read_text())
+            assert data["physical"] is True, f"seed {seed}"
+            for key in ("nu_minus", "nu_plus", "det_condition"):
+                assert np.isfinite(data[key]), f"seed {seed}"
 
     def test_overflowing_determinants_are_null(self, tmp_path):
         path = write_state(tmp_path / "big.json", CovMatrix(np.diag([1e100] * 4)))
@@ -146,6 +167,16 @@ class TestClassify:
         path = write_state(tmp_path / "big.json", CovMatrix(np.diag([1e100] * 4)))
         assert run(["classify", path]) == 1
         assert "not finite" in capsys.readouterr().err
+
+    def test_strongly_squeezed_pure_states_classify(self, tmp_path):
+        state = tmp_path / "sq.json"
+        for seed in range(200):
+            args = ["random", "--seed", str(seed), "--nu-min", "1", "--nu-max", "1",
+                    "--squeeze-max", "9", "-o", str(state)]
+            assert run(args) == 0
+            out = tmp_path / "report.json"
+            assert run(["classify", str(state), "-o", str(out)]) == 0, f"seed {seed}"
+            strict_json(out.read_text())
 
 
 class TestScan:

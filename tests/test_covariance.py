@@ -6,6 +6,7 @@ import pytest
 from cvrobust import (
     CovMatrix,
     LocalSymplectic,
+    RandomStateParams,
     ValidationError,
     apply_local_symplectic,
     blocks,
@@ -109,6 +110,26 @@ class TestValidatePhysicality:
             - np.linalg.det(b.a2)
         )
         assert validate_physicality(CM_D).det_condition == pytest.approx(expected, rel=1e-12)
+
+    def test_strongly_squeezed_pure_states_physical(self):
+        # Seeds 3-6 left the symplectic quartic with a negative discriminant.
+        for seed, v in enumerate(random_states(200, params=RandomStateParams(1, 1, 9))):
+            d = validate_physicality(v)
+            assert d.physical, f"seed {seed}"
+            assert np.isfinite([d.nu.nu_minus, d.nu.nu_plus]).all(), f"seed {seed}"
+
+    def test_indefinite_matrix_spectrum_is_clamped(self):
+        # det a1 = -1: the quartic's roots in nu^2 are -1 and 1.
+        d = validate_physicality(CovMatrix(np.diag([-1.0, 1.0, 1.0, 1.0])))
+        assert not d.physical
+        assert (d.nu.nu_minus, d.nu.nu_plus) == (0.0, 1.0)
+
+    def test_singular_unphysical_matrix_is_not_boundary(self):
+        # V is singular, but V + i*Omega is far from positive semidefinite.
+        v = CovMatrix(np.diag([1e-12, 1.0, 1.0, 1.0]))
+        d = validate_physicality(v)
+        assert not d.physical and not d.boundary
+        assert oracle_min_uncertainty_eigenvalue(v.matrix) == pytest.approx(-0.618, abs=1e-3)
 
     def test_verdict_matches_uncertainty_eigenvalue(self):
         for seed, v in enumerate(random_states(100)):

@@ -45,6 +45,11 @@ class TestBuild:
             v = build(PureTwoModeSqueezed(r))
             assert abs(np.linalg.det(v.matrix) - 1.0) < 1e-9
 
+    def test_strongly_squeezed_pure_state_accepted(self):
+        # An absolute physicality tolerance rejected some r in this range.
+        for r in np.linspace(7.5, 9.5, 21):
+            build(PureTwoModeSqueezed(float(r)))  # raises ValidationError if rejected
+
     def test_from_squeezing_equals_pure_at_unit_nu(self):
         a = build(FullySymmetricFromSqueezing(r=0.7, nu=1.0))
         b = build(PureTwoModeSqueezed(r=0.7))
@@ -360,3 +365,6 @@ class TestRandomPhysicalState:
             RandomStateParams(nu_min=0.5)
         with pytest.raises(ValidationError):
             RandomStateParams(squeeze_max=-1.0)
+        for bad in ({"squeeze_max": np.inf}, {"nu_max": np.inf}, {"squeeze_max": np.nan}):
+            with pytest.raises(ValidationError, match="finite"):
+                RandomStateParams(**bad)

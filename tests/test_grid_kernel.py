@@ -26,6 +26,7 @@ from cvrobust import (
     region_map_epr,
 )
 from cvrobust.cli import main, state_file_text
+from cvrobust.covariance import _physicality
 from cvrobust.families import GRID_CHUNK
 from cvrobust.robustness import _CLASSES, _corner_class
 from cvrobust.witnesses import _gamma_set
@@ -38,6 +39,7 @@ from helpers import (
     correlations_cell,
     epr_cell,
     random_states,
+    reference_physicality,
     reference_region_labels,
 )
 
@@ -67,6 +69,28 @@ def test_epr_map_matches_per_cell_loop(grid):
     labels, boundary = reference_region_labels(region.x, region.y, epr_cell(MU_MINUS, MU_PLUS))
     assert np.array_equal(region.labels, labels)
     assert np.array_equal(region.boundary, boundary)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_physicality_kernel_matches_two_eigenvalue_verdict_on_maps(grid):
+    for region, cell in (
+        (region_map_correlations(DQ, DP, grid), correlations_cell(DQ, DP)),
+        (region_map_epr(MU_MINUS, MU_PLUS, grid), epr_cell(MU_MINUS, MU_PLUS)),
+    ):
+        m = np.array([[cell(x, y) for y in region.y] for x in region.x])
+        physical, boundary = _physicality(m)
+        ref_physical, ref_boundary = reference_physicality(m)
+        assert np.array_equal(physical, ref_physical)
+        assert np.array_equal(boundary, ref_boundary)
+
+
+def test_physicality_kernel_matches_two_eigenvalue_verdict_on_states():
+    fixtures = [CM_A, CM_B, CM_C, CM_D, CM_E]
+    m = np.array([v.matrix for v in fixtures + random_states(300)])
+    physical, boundary = _physicality(m)
+    ref_physical, ref_boundary = reference_physicality(m)
+    assert np.array_equal(physical, ref_physical)
+    assert np.array_equal(boundary, ref_boundary)
 
 
 def test_pure_state_map_flags_only_corner_witnesses():
