@@ -45,6 +45,17 @@ class TestCovMatrix:
         with pytest.raises(ValidationError, match="asymmetric"):
             CovMatrix(m)
 
+    def test_symmetry_tolerance_has_absolute_floor(self):
+        # The tolerance is SYMMETRY_RTOL * max(1, max|V|), so small entries
+        # get the absolute 1e-9, not 1e-9 * max|V|.
+        m = 0.5 * np.eye(4)
+        m[0, 2] = 0.25
+        m[2, 0] = 0.25 + 8e-10  # over 1e-9 * max|V| = 5e-10
+        assert CovMatrix(m).matrix[0, 2] == CovMatrix(m).matrix[2, 0]
+        m[2, 0] = 0.25 + 2e-9
+        with pytest.raises(ValidationError, match="asymmetric"):
+            CovMatrix(m)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValidationError):
             CovMatrix(np.eye(3))
@@ -124,12 +135,22 @@ class TestValidatePhysicality:
         assert not d.physical
         assert (d.nu.nu_minus, d.nu.nu_plus) == (0.0, 1.0)
 
-    def test_singular_unphysical_matrix_is_not_boundary(self):
-        # V is singular, but V + i*Omega is far from positive semidefinite.
-        v = CovMatrix(np.diag([1e-12, 1.0, 1.0, 1.0]))
+    @pytest.mark.parametrize(
+        "diagonal, min_eig",
+        [
+            # V is singular, but V + i*Omega is far from positive semidefinite.
+            ([1e-12, 1.0, 1.0, 1.0], -0.618),
+            # det a1 < 1 with max|V| = 1e6: the violation is far past the
+            # eigenvalue roundoff there (about 2e-10).
+            ([1e6, 5e-7, 1.0, 1.0], -5e-7),
+            ([1e6, 1e-12, 1.0, 1.0], -1e-6),
+        ],
+    )
+    def test_unphysical_matrix_is_not_boundary(self, diagonal, min_eig):
+        v = CovMatrix(np.diag(diagonal))
         d = validate_physicality(v)
         assert not d.physical and not d.boundary
-        assert oracle_min_uncertainty_eigenvalue(v.matrix) == pytest.approx(-0.618, abs=1e-3)
+        assert oracle_min_uncertainty_eigenvalue(v.matrix) == pytest.approx(min_eig, rel=1e-3)
 
     def test_verdict_matches_uncertainty_eigenvalue(self):
         for seed, v in enumerate(random_states(100)):
