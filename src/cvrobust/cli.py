@@ -33,6 +33,7 @@ from .channel import (
 )
 from .covariance import (
     CovMatrix,
+    _require_physical,
     purities,
     symplectic_spectrum,
     validate_physicality,
@@ -53,7 +54,7 @@ from .families import (
 )
 from .robustness import (
     CHANNEL_WITNESS_NOTE,
-    _finite_gamma,
+    _checked_gamma,
     classify,
     esd_contour,
     robustify,
@@ -219,7 +220,7 @@ def _cmd_classify(args) -> int:
             "pt_nu_minus": nu_pt.nu_minus,
             "pt_nu_plus": nu_pt.nu_plus,
         },
-        "purities": {"mu": pur.mu, "mu1": pur.mu1, "mu2": pur.mu2},
+        "purities": {k: _finite_or_none(getattr(pur, k)) for k in ("mu", "mu1", "mu2")},
         "critical_transmittance": {
             "t1": report.t1_critical,
             "t2": report.t2_critical,
@@ -235,7 +236,7 @@ def _cmd_scan(args) -> int:
     cov, _ = read_state_file(args.input)
     if args.grid < 2:
         raise ValidationError("scan grid must be at least 2")
-    g = _finite_gamma(cov)
+    g = _checked_gamma(cov)
     ts = np.linspace(0.0, 1.0, args.grid)
     t_text = [_fmt(t) for t in ts]
     lines = ["t1,t2,w_ppt_attenuated,w_reduced"]
@@ -281,7 +282,7 @@ def _cmd_attenuate(args) -> int:
             args.t1 if args.t1 is not None else 1.0,
             args.t2 if args.t2 is not None else 1.0,
         )
-    out = attenuate(cov, t)
+    out = attenuate(_require_physical(cov), t)
     _emit(state_file_text(out, label), args.output)
     return 0
 

@@ -240,6 +240,14 @@ def _physicality(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return min_eig >= -tol, np.abs(min_eig) <= tol
 
 
+def _require_physical(v) -> CovMatrix:
+    """The admissibility gate: ``v`` as a :class:`CovMatrix` if physical, else raise."""
+    cov = _as_cov(v)
+    if not _physicality(cov.matrix)[0]:
+        raise ValidationError("unphysical state (uncertainty bound V + i*Omega >= 0 violated)")
+    return cov
+
+
 def validate_physicality(v) -> PhysicalityDiagnosis:
     """Diagnose whether ``v`` describes a physical Gaussian state.
 
@@ -291,20 +299,16 @@ class Purities:
 
 
 def purities(v) -> Purities:
-    """Purities ``mu = (det V)^-1/2``, ``mu_j = (det a_j)^-1/2`` and noise terms."""
-    cov = _as_cov(v)
+    """Purities ``mu = (det V)^-1/2``, ``mu_j = (det a_j)^-1/2`` and noise terms.
+
+    Raises for unphysical ``v``; a purity is NaN where roundoff makes its determinant ``<= 0``.
+    """
+    cov = _require_physical(v)
     b = blocks(cov)
-    det_v = float(np.linalg.det(cov.matrix))
-    det_a1 = float(_det2(b.a1))
-    det_a2 = float(_det2(b.a2))
-    if det_v <= 0.0 or det_a1 <= 0.0 or det_a2 <= 0.0:
-        raise ValidationError(
-            "nonpositive covariance determinant: input is not a physical state"
-        )
+    det_a1, det_a2 = float(_det2(b.a1)), float(_det2(b.a2))
+    dets = (float(np.linalg.det(cov.matrix)), det_a1, det_a2)
     return Purities(
-        mu=det_v**-0.5,
-        mu1=det_a1**-0.5,
-        mu2=det_a2**-0.5,
+        *(d**-0.5 if d > 0.0 else math.nan for d in dets),
         sigma1=float(np.trace(b.a1)) - 2.0,
         sigma2=float(np.trace(b.a2)) - 2.0,
         impurity1=det_a1 - 1.0,

@@ -28,12 +28,12 @@ from .covariance import (
     CovMatrix,
     _as_cov,
     _physicality,
+    _require_physical,
     _scale,
     beam_splitter,
     blocks,
     rotation2,
     squeeze2,
-    validate_physicality,
 )
 from .errors import ValidationError
 from .robustness import _CLASSES, _corner_class
@@ -116,9 +116,11 @@ FamilySpec = Union[
 def _reduce_to_sc(spec) -> FullySymmetric:
     if isinstance(spec, PureTwoModeSqueezed):
         spec = FullySymmetricFromSqueezing(r=spec.r, nu=1.0)
-    return FullySymmetric(
-        s=spec.nu * math.cosh(2.0 * spec.r), c=spec.nu * math.sinh(2.0 * spec.r)
-    )
+    try:
+        ch, sh = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
+    except OverflowError:
+        raise ValidationError(f"squeezing r={spec.r!r} overflows the covariance entries")
+    return FullySymmetric(s=spec.nu * ch, c=spec.nu * sh)
 
 
 def _family_matrix(spec: FamilySpec) -> np.ndarray:
@@ -161,18 +163,10 @@ def _symmetric_modes_stack(dq, dp, c_q, c_p) -> np.ndarray:
 def build(spec: FamilySpec) -> CovMatrix:
     """Construct the covariance matrix of a family member.
 
-    Raises :class:`ValidationError` naming the violated bound when the
-    parameters do not describe a physical state.
+    Raises :class:`ValidationError` when the parameters overflow or do not
+    describe a physical state.
     """
-    cov = CovMatrix(_family_matrix(spec))
-    diag = validate_physicality(cov)
-    if not diag.physical:
-        raise ValidationError(
-            f"{type(spec).__name__} parameters violate the uncertainty bound "
-            f"nu_minus >= 1 (nu_minus={diag.nu.nu_minus!r}, "
-            f"min eigenvalue condition V >= 0 also required)"
-        )
-    return cov
+    return _require_physical(_family_matrix(spec))
 
 
 @dataclass(frozen=True)
@@ -498,12 +492,14 @@ class RandomStateParams:
 
 
 def random_physical_state(seed: int, params: RandomStateParams | None = None) -> CovMatrix:
-    """Deterministic random physical state ``S^T diag(nu1,nu1,nu2,nu2) S``.
+    """Deterministic random physical state ``S^T diag(nu1,nu1,nu2,nu2) S`` for ``seed >= 0``.
 
     ``S`` composes a per-mode rotation-squeeze-rotation with a beam-splitter
     mixing angle; the symplectic eigenvalues ``nu_j >= 1`` are drawn from
     the configured range, so the output is physical by construction.
     """
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     p = params or RandomStateParams()
     rng = np.random.default_rng(seed)
     nu1, nu2 = rng.uniform(p.nu_min, p.nu_max, 2)

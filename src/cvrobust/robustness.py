@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovMatrix, LocalSymplectic, _as_cov, validate_physicality
+from .covariance import CovMatrix, LocalSymplectic, _as_cov, _require_physical
 from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
 from .witnesses import GammaSet, _band, _reduced, boundary_band, gamma_coefficients
@@ -198,10 +198,11 @@ def _finite_corners(g: GammaSet):
     return corners
 
 
-def _finite_gamma(v) -> GammaSet:
-    """:func:`gamma_coefficients` of ``v``, rejecting overflowing witnesses."""
+def _checked_gamma(v) -> GammaSet:
+    """:func:`gamma_coefficients` of a physical ``v`` with finite corners, else raise."""
+    cov = _require_physical(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = gamma_coefficients(v)
+        g = gamma_coefficients(cov)
     _finite_corners(g)
     return g
 
@@ -230,18 +231,12 @@ def classify(v) -> RobustnessReport:
 
     Witness values within the zero band (see :func:`boundary_band`) count as
     nonpositive -- the robust side -- and are flagged.  Separability uses the
-    nonstrict rule: ``w_ppt >= 0`` is separable.
+    nonstrict rule: ``w_ppt >= 0`` is separable.  Unphysical input and
+    overflowing witnesses raise :class:`ValidationError`.
     """
     cov = _as_cov(v)
-    # Entries too large for the quartic invariants overflow here; the
-    # corner check in _corner_class turns that into a ValidationError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = validate_physicality(cov)
-        if not diag.physical:
-            raise ValidationError(
-                f"cannot classify an unphysical state (nu_minus={diag.nu.nu_minus!r})"
-            )
-        g = gamma_coefficients(cov)
+    g = _checked_gamma(cov)
+    with np.errstate(over="ignore"):  # an infinite band flags every corner
         band = boundary_band(cov)
     code, flagged = _corner_class(g, band)
 
@@ -273,13 +268,13 @@ def esd_contour(v, samples: int = 256) -> np.ndarray:
     :func:`boundary_band`.  On the hyperbola's vertical asymptote the
     quotient is infinite or NaN and drops out.  Returns an ``(n, 2)`` array
     of ``(t1, t2)`` points, empty for fully robust states and when ``W_R``
-    vanishes identically.  Raises :class:`ValidationError` when the witness
-    overflows.
+    vanishes identically.  Raises :class:`ValidationError` for unphysical
+    input and when the witness overflows.
     """
     if samples < 1:
         raise ValidationError("samples must be positive")
     cov = _as_cov(v)
-    g = _finite_gamma(cov)
+    g = _checked_gamma(cov)
     t1 = np.linspace(0.0, 1.0, samples + 1)[1:]
     with np.errstate(all="ignore"):
         t2 = -(g.gamma21 * t1 + g.gamma11) / (g.gamma22 * t1 + g.gamma12)
@@ -312,8 +307,11 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
     scale 0.1), restarting from up to 8 seeded random points, and returns the
     first transform achieving a negative objective.  Entanglement is
     untouched: ``S V S^T`` has the symplectic spectrum of ``V``.  Returns
-    ``None`` when the evaluation budget is exhausted.
+    ``None`` when the evaluation budget is exhausted; ``budget < 1``,
+    ``seed < 0`` and unphysical input raise :class:`ValidationError`.
     """
+    if budget < 1 or seed < 0:
+        raise ValidationError("robustify needs budget >= 1 and seed >= 0")
     cov = _as_cov(v)
     report = classify(cov)
     if report.cls == SEPARABLE:

@@ -27,6 +27,10 @@ def cm_d_file(tmp_path):
     return write_state(tmp_path / "cm_d.json", CM_D)
 
 
+#: Mode 1 below the vacuum noise in both quadratures: nu_minus = 0.5.
+SUB_VACUUM = CovMatrix(np.diag([0.5, 0.5, 1.0, 1.0]))
+
+
 class TestStateFiles:
     def test_round_trip_preserves_bits(self, tmp_path):
         path = write_state(tmp_path / "s.json", CM_D, label="x")
@@ -89,14 +93,35 @@ class TestBadArguments:
             ["map", "epr", "--mu-minus", "0.7267", "--mu-plus", "0.4529", "--grid", "-1"],
             ["random", "--seed", "1", "--squeeze-max", "inf"],
             ["random", "--seed", "1", "--nu-max", "inf"],
+            ["robustify", "STATE", "--budget", "-5"],
+            ["robustify", "STATE", "--budget", "0"],
+            ["random", "--seed", "-1"],
+            ["robustify", "STATE", "--seed", "-1"],
+            ["family", "pure-squeezed", "--r", "1000"],
+            ["family", "from-squeezing", "--r", "1000"],
         ],
         ids=["contour-samples", "map-correlations-grid", "map-epr-grid",
-             "random-squeeze-max", "random-nu-max"],
+             "random-squeeze-max", "random-nu-max", "robustify-budget-negative",
+             "robustify-budget-zero", "random-seed", "robustify-seed",
+             "pure-squeezed-overflow", "from-squeezing-overflow"],
     )
     def test_error_message_without_traceback(self, args, cm_d_file, capsys):
         assert run([cm_d_file if a == "STATE" else a for a in args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["scan"], ["contour"], ["attenuate", "--t1", "0.5"], ["classify"], ["robustify"]],
+        ids=["scan", "contour", "attenuate", "classify", "robustify"],
+    )
+    def test_unphysical_state_rejected(self, args, tmp_path, capsys):
+        path = write_state(tmp_path / "bad.json", SUB_VACUUM)
+        out = tmp_path / "out"
+        assert run([args[0], path, *args[1:], "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unphysical state") and "uncertainty bound" in err
+        assert not out.exists()
 
 
 class TestValidate:
@@ -109,6 +134,13 @@ class TestValidate:
 
     def test_unphysical_state(self, tmp_path):
         path = write_state(tmp_path / "bad.json", eq19_matrix(2.54))
+        out = tmp_path / "report.json"
+        assert run(["validate", path, "-o", str(out)]) == 0
+        assert strict_json(out.read_text())["physical"] is False
+
+    def test_sub_vacuum_state_is_reported(self, tmp_path):
+        # validate reports the state that the analysis commands reject.
+        path = write_state(tmp_path / "bad.json", SUB_VACUUM)
         out = tmp_path / "report.json"
         assert run(["validate", path, "-o", str(out)]) == 0
         assert strict_json(out.read_text())["physical"] is False
@@ -177,6 +209,17 @@ class TestClassify:
             out = tmp_path / "report.json"
             assert run(["classify", str(state), "-o", str(out)]) == 0, f"seed {seed}"
             strict_json(out.read_text())
+
+    @pytest.mark.parametrize("seed", [5, 9])
+    def test_roundoff_purity_is_null(self, seed, tmp_path):
+        # Pure states whose float det V roundoff leaves <= 0; physical all the same.
+        state = tmp_path / "sq.json"
+        args = ["random", "--seed", str(seed), "--nu-min", "1", "--nu-max", "1",
+                "--squeeze-max", "11", "-o", str(state)]
+        assert run(args) == 0
+        out = tmp_path / "report.json"
+        assert run(["classify", str(state), "-o", str(out)]) == 0
+        assert strict_json(out.read_text())["purities"]["mu"] is None
 
 
 class TestScan:

@@ -14,6 +14,7 @@ from cvrobust import (
     FullySymmetric,
     ppt_witness,
     purities,
+    random_physical_state,
     reassemble,
     symplectic_spectrum,
     validate_physicality,
@@ -230,8 +231,19 @@ class TestPurities:
     def test_nonpositive_determinant_rejected(self):
         m = np.eye(4)
         m[0, 1] = m[1, 0] = 2.0  # det a1 = -3
-        with pytest.raises(ValidationError, match="determinant"):
+        with pytest.raises(ValidationError, match="unphysical"):
             purities(CovMatrix(m))
+
+    def test_unphysical_state_rejected(self):
+        with pytest.raises(ValidationError, match=r"^unphysical state .*uncertainty bound"):
+            purities(eq19_matrix(2.54))
+
+    def test_roundoff_determinant_gives_nan_purity(self):
+        # A pure state whose float det V roundoff leaves <= 0: physical, mu undefined.
+        v = random_physical_state(5, RandomStateParams(1.0, 1.0, 11.0))
+        assert validate_physicality(v).physical
+        assert np.linalg.det(v.matrix) <= 0.0
+        assert np.isnan(purities(v).mu)
 
 
 class TestLocalSymplectic:

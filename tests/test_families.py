@@ -61,6 +61,12 @@ class TestBuild:
         with pytest.raises(ValidationError):
             build(SymmetricModes(dq=2.55, dp=1.80, c_q=2.54, c_p=-1.26))
 
+    @pytest.mark.parametrize("spec", [PureTwoModeSqueezed(1000.0),
+                                      FullySymmetricFromSqueezing(r=-1000.0)])
+    def test_overflowing_squeezing_rejected(self, spec):
+        with pytest.raises(ValidationError, match="overflows"):
+            build(spec)
+
 
 class TestFamilyWitnesses:
     def test_fully_symmetric_closed_form(self):
@@ -359,6 +365,10 @@ class TestRandomPhysicalState:
         for seed in (0, 5, 9):
             v = random_physical_state(seed, params)
             assert np.allclose(v.matrix, np.eye(4), atol=1e-12)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            random_physical_state(-1)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValidationError):

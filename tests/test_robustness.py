@@ -144,6 +144,15 @@ class TestClassify:
         with pytest.raises(ValidationError):
             classify(eq19_matrix(2.54))
 
+    @pytest.mark.parametrize(
+        "analysis",
+        [classify, esd_contour, robustify, lambda v: critical_transmittance(v, 1)],
+        ids=["classify", "esd_contour", "robustify", "critical_transmittance"],
+    )
+    def test_one_unphysical_message(self, analysis):
+        with pytest.raises(ValidationError, match=r"^unphysical state .*uncertainty bound"):
+            analysis(eq19_matrix(2.54))
+
     def test_critical_presence_matches_witness_signs(self):
         for v in random_entangled_states(100):
             report = classify(v)
@@ -301,6 +310,13 @@ class TestRobustify:
     def test_separable_rejected(self):
         with pytest.raises(SeparableInputError):
             robustify(CM_C)
+
+    @pytest.mark.parametrize("kwargs", [{"budget": 0}, {"budget": -5}, {"seed": -1}])
+    def test_bad_budget_or_seed_rejected(self, kwargs):
+        # Checked before the search, also for an already robust state.
+        for v in (CM_A, CM_D):
+            with pytest.raises(ValidationError, match="robustify needs"):
+                robustify(v, **kwargs)
 
     def test_deterministic_given_seed(self):
         r1 = robustify(CM_B, seed=7)
