@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .covariance import CovMatrix, _as_cov
 from .errors import ValidationError
 
@@ -36,6 +36,13 @@ DEFAULT_ALPHA_DB_PER_KM = 0.2
 ALPHA_ENV_VAR = "CVROBUST_ALPHA_DB_PER_KM"
 
 
+def _require_finite_nonnegative(name: str, value: float) -> float:
+    """``value`` if it is a finite number ``>= 0``; else raise, naming ``name``."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
 def default_alpha_db_per_km() -> float:
     """The default fiber attenuation, overridable via the environment."""
     raw = os.environ.get(ALPHA_ENV_VAR)
@@ -45,24 +52,21 @@ def default_alpha_db_per_km() -> float:
         value = float(raw)
     except ValueError:
         raise ValidationError(f"{ALPHA_ENV_VAR} must be a number, got {raw!r}")
-    if value < 0.0:
-        raise ValidationError(f"{ALPHA_ENV_VAR} must be nonnegative, got {value}")
-    return value
+    return _require_finite_nonnegative(ALPHA_ENV_VAR, value)
 
 
-@dataclass(frozen=True)
-class Transmittance:
+class Transmittance(Record):
     """Intensity transmittances of the two channels, each in [0, 1]."""
 
-    t1: float
-    t2: float
+    __slots__ = _fields = ("t1", "t2")
 
-    def __post_init__(self):
-        for name, t in (("t1", self.t1), ("t2", self.t2)):
+    def __init__(self, t1: float, t2: float):
+        for name, t in (("t1", t1), ("t2", t2)):
             if not (isinstance(t, (int, float)) and math.isfinite(t)):
                 raise ValidationError(f"transmittance {name} must be a finite number")
             if not 0.0 <= t <= 1.0:
                 raise ValidationError(f"transmittance {name}={t} outside [0, 1]")
+        self._init(t1, t2)
 
     @classmethod
     def of(cls, value) -> "Transmittance":
@@ -73,34 +77,35 @@ class Transmittance:
         return cls(float(t1), float(t2))
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(Record):
     """Fiber-link description from which transmittances are derived.
 
     ``scenario`` selects between ``"dual-channel"`` (both modes propagate,
     each over its own fiber length) and ``"single-channel"`` (the sender
     keeps mode 1, so channel 1 is lossless and only ``length2_km`` matters).
+    The lengths and ``alpha_db_per_km`` must be finite and nonnegative;
     ``alpha_db_per_km=None`` uses the package default, which can be
     overridden through the ``CVROBUST_ALPHA_DB_PER_KM`` environment variable.
     """
 
-    scenario: str = "dual-channel"
-    length1_km: float = 0.0
-    length2_km: float = 0.0
-    alpha_db_per_km: float | None = None
+    __slots__ = _fields = ("scenario", "length1_km", "length2_km", "alpha_db_per_km")
 
-    def __post_init__(self):
-        if self.scenario not in ("dual-channel", "single-channel"):
+    def __init__(
+        self,
+        scenario: str = "dual-channel",
+        length1_km: float = 0.0,
+        length2_km: float = 0.0,
+        alpha_db_per_km: float | None = None,
+    ):
+        if scenario not in ("dual-channel", "single-channel"):
             raise ValidationError(
-                f"scenario must be 'dual-channel' or 'single-channel', got {self.scenario!r}"
+                f"scenario must be 'dual-channel' or 'single-channel', got {scenario!r}"
             )
-        for name, value in (("length1_km", self.length1_km), ("length2_km", self.length2_km)):
-            if value < 0.0:
-                raise ValidationError(f"{name} must be nonnegative, got {value}")
-        if self.alpha_db_per_km is not None and self.alpha_db_per_km < 0.0:
-            raise ValidationError(
-                f"alpha_db_per_km must be nonnegative, got {self.alpha_db_per_km}"
-            )
+        _require_finite_nonnegative("length1_km", length1_km)
+        _require_finite_nonnegative("length2_km", length2_km)
+        if alpha_db_per_km is not None:
+            _require_finite_nonnegative("alpha_db_per_km", alpha_db_per_km)
+        self._init(scenario, length1_km, length2_km, alpha_db_per_km)
 
 
 def transmittance_from_link(budget: LinkBudget) -> Transmittance:

@@ -15,6 +15,7 @@ Exit status: 0 on success, 1 on validation errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from .channel import (
     LinkBudget,
     Transmittance,
     _attenuate_stack,
+    _require_finite_nonnegative,
     attenuate,
     transmittance_from_link,
 )
@@ -262,6 +264,13 @@ def _cmd_contour(args) -> int:
 def _link_budget_from_args(args) -> LinkBudget | None:
     if args.length1_km is None and args.length2_km is None:
         return None
+    for flag, value in (
+        ("--length1-km", args.length1_km),
+        ("--length2-km", args.length2_km),
+        ("--alpha-db-per-km", args.alpha_db_per_km),
+    ):
+        if value is not None:
+            _require_finite_nonnegative(flag, value)
     return LinkBudget(
         scenario=args.scenario,
         length1_km=args.length1_km or 0.0,
@@ -478,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command on ``argv`` (default ``sys.argv[1:]``); returns the exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -490,5 +500,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Process entry of ``python -m cvrobust.cli`` and the ``cvrobust`` script.
+
+    Moves every object alive after import (numpy's and cvrobust's modules,
+    classes and constants) into the collector's permanent generation, then
+    runs :func:`main`.  Neither the collections during the command nor the
+    final one at interpreter exit walk those objects again.  In-process
+    callers use :func:`main`, which leaves the collector alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -17,7 +17,7 @@ All values are dimensionless noise powers relative to shot noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def _det2(m: np.ndarray):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-@dataclass(frozen=True)
-class Blocks:
+class Blocks(NamedTuple):
     """The 2x2 decomposition ``V = [[a1, c], [c^T, a2]]``.
 
     ``a1`` and ``a2`` are the reduced covariance matrices of each mode and
@@ -164,8 +163,7 @@ def reassemble(b: Blocks) -> CovMatrix:
     return CovMatrix(np.block([[b.a1, b.c], [b.c.T, b.a2]]))
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
+class SymplecticSpectrum(NamedTuple):
     """Symplectic eigenvalues, sorted so that ``nu_minus <= nu_plus``."""
 
     nu_minus: float
@@ -209,8 +207,7 @@ def symplectic_spectrum(v, partial_transpose_mode: int | None = None) -> Symplec
     return _spectrum_from_invariants(delta, det_v)
 
 
-@dataclass(frozen=True)
-class PhysicalityDiagnosis:
+class PhysicalityDiagnosis(NamedTuple):
     """Result of a physicality check.
 
     ``physical`` is the verdict of the uncertainty-eigenvalue test and
@@ -281,8 +278,7 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
     )
 
 
-@dataclass(frozen=True)
-class Purities:
+class Purities(NamedTuple):
     """Global and per-mode purities plus the derived noise invariants.
 
     ``sigma_j = tr a_j - 2`` is the excess noise of mode ``j`` and
@@ -334,8 +330,7 @@ def beam_splitter(angle: float) -> np.ndarray:
     return np.block([[c * i2, s * i2], [-s * i2, c * i2]])
 
 
-@dataclass(frozen=True)
-class LocalSymplectic:
+class LocalSymplectic(NamedTuple):
     """A mode-local symplectic operation, rotation-squeeze-rotation per mode.
 
     The induced 4x4 matrix is block diagonal over the two modes with

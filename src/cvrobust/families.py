@@ -18,11 +18,11 @@ The EPR parametrization uses the collective quadratures
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
+from ._record import Record
 from .covariance import (
     SYMMETRY_RTOL,
     CovMatrix,
@@ -61,24 +61,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FullySymmetric:
+class FullySymmetric(NamedTuple):
     """Equal variances ``s`` on all quadratures, correlations ``(c, -c)``."""
 
     s: float
     c: float
 
 
-@dataclass(frozen=True)
-class FullySymmetricFromSqueezing:
+class FullySymmetricFromSqueezing(NamedTuple):
     """Fully symmetric state from squeezing ``r`` and thermal factor ``nu >= 1``."""
 
     r: float
     nu: float = 1.0
 
 
-@dataclass(frozen=True)
-class SymmetricModes:
+class SymmetricModes(NamedTuple):
     """Identical modes with quadrature variances ``(dq, dp)`` and diagonal correlations."""
 
     dq: float
@@ -87,8 +84,7 @@ class SymmetricModes:
     c_p: float
 
 
-@dataclass(frozen=True)
-class StandardFormI:
+class StandardFormI(NamedTuple):
     """Mode variances ``s`` and ``t`` (equal per mode), diagonal correlations."""
 
     s: float
@@ -97,8 +93,7 @@ class StandardFormI:
     c_p: float
 
 
-@dataclass(frozen=True)
-class PureTwoModeSqueezed:
+class PureTwoModeSqueezed(NamedTuple):
     """Pure two-mode squeezed vacuum with squeezing parameter ``r``."""
 
     r: float
@@ -169,8 +164,7 @@ def build(spec: FamilySpec) -> CovMatrix:
     return _require_physical(_family_matrix(spec))
 
 
-@dataclass(frozen=True)
-class FamilyWitnesses:
+class FamilyWitnesses(NamedTuple):
     w_ppt: float
     w_full: float
 
@@ -208,8 +202,7 @@ def family_witnesses(spec: FamilySpec) -> FamilyWitnesses:
     raise TypeError(f"unknown family spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class EprSummary:
+class EprSummary(NamedTuple):
     """Variances and witnesses in the collective EPR quadratures.
 
     ``w_sum``/``w_prod`` pair the squeezed combination ``(p_-, q_+)``;
@@ -335,8 +328,7 @@ _UNPHYSICAL_CODE = len(_CLASSES)
 GRID_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(NamedTuple):
     """Labeled grid of robustness regions.
 
     ``labels[i, j]`` and ``boundary[i, j]`` correspond to the cell centered
@@ -474,21 +466,19 @@ def region_map_epr(
     )
 
 
-@dataclass(frozen=True)
-class RandomStateParams:
+class RandomStateParams(Record):
     """Sampling ranges for random physical states."""
 
-    nu_min: float = 1.0
-    nu_max: float = 2.5
-    squeeze_max: float = 1.0
+    __slots__ = _fields = ("nu_min", "nu_max", "squeeze_max")
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.nu_min, self.nu_max, self.squeeze_max))):
+    def __init__(self, nu_min: float = 1.0, nu_max: float = 2.5, squeeze_max: float = 1.0):
+        if not all(map(math.isfinite, (nu_min, nu_max, squeeze_max))):
             raise ValidationError("random state ranges must be finite")
-        if not 1.0 <= self.nu_min <= self.nu_max:
+        if not 1.0 <= nu_min <= nu_max:
             raise ValidationError("require 1 <= nu_min <= nu_max")
-        if self.squeeze_max < 0.0:
+        if squeeze_max < 0.0:
             raise ValidationError("squeeze_max must be nonnegative")
+        self._init(nu_min, nu_max, squeeze_max)
 
 
 def random_physical_state(seed: int, params: RandomStateParams | None = None) -> CovMatrix:

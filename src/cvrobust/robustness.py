@@ -19,10 +19,11 @@ same quantity by the transposed index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .covariance import CovMatrix, LocalSymplectic, _as_cov, _require_physical
 from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
@@ -64,20 +65,19 @@ _LABEL_RANK = {
 }
 
 
-@dataclass(frozen=True)
-class RobustnessClass:
+class RobustnessClass(Record):
     """Robustness class label, with the robust channel for asymmetric states."""
 
-    label: str
-    robust_mode: int | None = None
+    __slots__ = _fields = ("label", "robust_mode")
 
-    def __post_init__(self):
-        if self.label not in _LABEL_RANK:
-            raise ValueError(f"unknown robustness label {self.label!r}")
-        if (self.label == "PartiallyRobustAsymmetric") != (self.robust_mode is not None):
+    def __init__(self, label: str, robust_mode: int | None = None):
+        if label not in _LABEL_RANK:
+            raise ValueError(f"unknown robustness label {label!r}")
+        if (label == "PartiallyRobustAsymmetric") != (robust_mode is not None):
             raise ValueError("robust_mode is set exactly for asymmetric labels")
-        if self.robust_mode not in (None, 1, 2):
+        if robust_mode not in (None, 1, 2):
             raise ValueError("robust_mode must be 1 or 2")
+        self._init(label, robust_mode)
 
     @property
     def rank(self) -> int:
@@ -104,8 +104,7 @@ def partially_robust_asymmetric(mode: int) -> RobustnessClass:
     return RobustnessClass("PartiallyRobustAsymmetric", robust_mode=mode)
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(NamedTuple):
     """Corner witnesses, critical transmittances and the assigned class.
 
     ``t1_critical`` (``t2_critical``) is the single-channel transmittance at
@@ -283,8 +282,7 @@ def esd_contour(v, samples: int = 256) -> np.ndarray:
     return np.column_stack((t1[keep], t2[keep]))
 
 
-@dataclass(frozen=True)
-class RobustifyResult:
+class RobustifyResult(NamedTuple):
     """A local symplectic making the state fully robust, and the transformed state."""
 
     s: LocalSymplectic

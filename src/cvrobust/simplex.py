@@ -7,15 +7,14 @@ target value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["SimplexResult", "nelder_mead"]
 
 
-@dataclass
-class SimplexResult:
+class SimplexResult(NamedTuple):
     x: np.ndarray
     fun: float
     evaluations: int

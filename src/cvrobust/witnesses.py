@@ -20,10 +20,11 @@ their one-matrix calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .channel import Transmittance
 from .covariance import J2, _as_cov, _det2, _scale, blocks
 
@@ -62,21 +63,19 @@ def boundary_band(v) -> float:
     return float(_band(_as_cov(v).matrix))
 
 
-@dataclass(frozen=True)
-class DuanParameters:
+class DuanParameters(Record):
     """Signed EPR weight and the variances of the collective operators.
 
     The operators are ``u = (|a| p1 - p2/a)/sqrt(2)`` and
     ``v = (|a| q1 + q2/a)/sqrt(2)``.
     """
 
-    a: float
-    u_variance: float
-    v_variance: float
+    __slots__ = _fields = ("a", "u_variance", "v_variance")
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, a: float, u_variance: float, v_variance: float):
+        if a == 0:
             raise ValueError("the EPR weight a must be nonzero")
+        self._init(a, u_variance, v_variance)
 
     @property
     def witness(self) -> float:
@@ -117,8 +116,7 @@ def duan_witness(v, a: float) -> float:
     return min(_duan_raw(v, mag), _duan_raw(v, -mag))
 
 
-@dataclass(frozen=True)
-class MinimizedDuan:
+class MinimizedDuan(NamedTuple):
     """Product form of the variance witness minimized over the EPR weight.
 
     ``w_m = sigma1*sigma2 - (c_p - c_q)^2`` shares its sign with the
@@ -166,29 +164,30 @@ def ppt_witness(v) -> float:
     return float(_ppt(_as_cov(v).matrix))
 
 
-@dataclass(frozen=True)
-class GammaSet:
+class GammaSet(Record):
     """Coefficients of the reduced witness and their building blocks.
 
     The four ``gamma_ij`` multiply ``T1^(i-1) T2^(j-1)`` in the reduced
     witness; their sum equals the PPT witness of the source state and
     ``gamma22 = det(V - I)``.  The remaining fields are the auxiliary
-    invariants entering the decomposition.
+    invariants entering the decomposition.  The fields are floats, or arrays
+    of one batch shape from the grid kernel; ``vars(g)`` maps each field
+    name to its value, in field order.
     """
 
-    gamma11: float
-    gamma12: float
-    gamma21: float
-    gamma22: float
-    lambda1: float
-    lambda2: float
-    lambda_c: float
-    lambda4: float
-    eta: float
-    sigma1: float
-    sigma2: float
-    impurity1: float
-    impurity2: float
+    _fields = (
+        "gamma11", "gamma12", "gamma21", "gamma22", "lambda1", "lambda2", "lambda_c",
+        "lambda4", "eta", "sigma1", "sigma2", "impurity1", "impurity2",
+    )
+
+    def __init__(
+        self, gamma11, gamma12, gamma21, gamma22, lambda1, lambda2, lambda_c,
+        lambda4, eta, sigma1, sigma2, impurity1, impurity2,
+    ):
+        self._init(
+            gamma11, gamma12, gamma21, gamma22, lambda1, lambda2, lambda_c,
+            lambda4, eta, sigma1, sigma2, impurity1, impurity2,
+        )
 
     @property
     def w_ppt(self) -> float:

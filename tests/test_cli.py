@@ -99,16 +99,43 @@ class TestBadArguments:
             ["robustify", "STATE", "--seed", "-1"],
             ["family", "pure-squeezed", "--r", "1000"],
             ["family", "from-squeezing", "--r", "1000"],
+            ["attenuate", "STATE", "--length2-km", "10", "--alpha-db-per-km", "nan"],
+            ["attenuate", "STATE", "--length2-km", "nan"],
+            ["attenuate", "STATE", "--length1-km", "inf", "--alpha-db-per-km", "0"],
+            ["attenuate", "STATE", "--length2-km", "-1"],
         ],
         ids=["contour-samples", "map-correlations-grid", "map-epr-grid",
              "random-squeeze-max", "random-nu-max", "robustify-budget-negative",
              "robustify-budget-zero", "random-seed", "robustify-seed",
-             "pure-squeezed-overflow", "from-squeezing-overflow"],
+             "pure-squeezed-overflow", "from-squeezing-overflow",
+             "attenuate-alpha-nan", "attenuate-length-nan", "attenuate-length-inf",
+             "attenuate-length-negative"],
     )
     def test_error_message_without_traceback(self, args, cm_d_file, capsys):
         assert run([cm_d_file if a == "STATE" else a for a in args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--length2-km", "10", "--alpha-db-per-km", "nan"], "--alpha-db-per-km"),
+            (["--length2-km", "nan"], "--length2-km"),
+            (["--length1-km", "inf", "--alpha-db-per-km", "0"], "--length1-km"),
+        ],
+        ids=["alpha-nan", "length-nan", "length-inf"],
+    )
+    def test_bad_link_flag_is_named(self, args, named, cm_d_file, capsys):
+        assert run(["attenuate", cm_d_file, *args]) == 1
+        value = args[args.index(named) + 1]
+        err = capsys.readouterr().err
+        assert err == f"error: {named} must be finite and nonnegative, got {value}\n"
+
+    def test_bad_alpha_variable_is_named(self, cm_d_file, capsys, monkeypatch):
+        monkeypatch.setenv("CVROBUST_ALPHA_DB_PER_KM", "nan")
+        assert run(["attenuate", cm_d_file, "--length2-km", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: CVROBUST_ALPHA_DB_PER_KM must be finite and nonnegative, got nan\n"
 
     @pytest.mark.parametrize(
         "args",

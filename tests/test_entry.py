@@ -1,0 +1,86 @@
+"""Process start-up and entry: what importing the CLI loads, and ``cli.run``."""
+
+import gc
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cvrobust.cli import main, state_file_text
+from helpers import CM_E
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def python(*args):
+    """Run the interpreter on ``args`` with this checkout's package importable."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+def layer_modules() -> set[str]:
+    """The cvrobust modules whose functions ``bench/tracer.py`` wraps."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {f"cvrobust.{module}" for module, _ in tracer.LAYER_FUNCTIONS.values()}
+
+
+class TestStartup:
+    def test_cli_import_loads_layers_without_dataclasses(self):
+        code = "import json, sys, cvrobust.cli; print(json.dumps(sorted(sys.modules)))"
+        done = python("-c", code)
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stdout))
+        assert "dataclasses" not in loaded
+        assert layer_modules() <= loaded
+
+    def test_main_leaves_collector_alone(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["random", "--seed", "1", "-o", str(tmp_path / "state.json")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_then_runs_main(self):
+        code = (
+            "import gc, sys; from cvrobust import cli; sys.argv[1:] = ['--version'];\n"
+            "try: cli.run()\n"
+            "except SystemExit as exc: print(exc.code, gc.get_freeze_count() > 0)"
+        )
+        done = python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 True"
+
+
+def in_process(argv, capsys):
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --version and usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize(
+        "argv, expected_code",
+        [(["--version"], 0), (["classify", "STATE"], 0), (["random", "--seed", "-1"], 1)],
+        ids=["version", "classify", "failing"],
+    )
+    def test_module_entry_matches_main(self, argv, expected_code, tmp_path, capsys):
+        state = tmp_path / "cm_e.json"
+        state.write_text(state_file_text(CM_E, "CM_E"))
+        argv = [str(state) if a == "STATE" else a for a in argv]
+        done = python("-m", "cvrobust.cli", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == in_process(argv, capsys)
+        assert done.returncode == expected_code
