@@ -263,6 +263,12 @@ def _cmd_contour(args) -> int:
 
 def _link_budget_from_args(args) -> LinkBudget | None:
     if args.length1_km is None and args.length2_km is None:
+        for flag, value in (
+            ("--alpha-db-per-km", args.alpha_db_per_km),
+            ("--scenario", args.scenario),
+        ):
+            if value is not None:
+                raise ValidationError(f"{flag} needs --length1-km or --length2-km")
         return None
     for flag, value in (
         ("--length1-km", args.length1_km),
@@ -272,7 +278,7 @@ def _link_budget_from_args(args) -> LinkBudget | None:
         if value is not None:
             _require_finite_nonnegative(flag, value)
     return LinkBudget(
-        scenario=args.scenario,
+        scenario=args.scenario or "dual-channel",
         length1_km=args.length1_km or 0.0,
         length2_km=args.length2_km or 0.0,
         alpha_db_per_km=args.alpha_db_per_km,
@@ -420,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scenario",
         choices=["dual-channel", "single-channel"],
-        default="dual-channel",
+        default=None,
+        help="loss scenario of the link lengths (default dual-channel)",
     )
     p.add_argument("--alpha-db-per-km", type=float, default=None, dest="alpha_db_per_km")
     add_output(p)

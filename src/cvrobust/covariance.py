@@ -233,8 +233,13 @@ def _physicality(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at least that of ``V + i*Omega``.
     """
     min_eig = np.linalg.eigvalsh(m + 1j * OMEGA)[..., 0]
-    tol = np.maximum(PHYSICALITY_TOL, _PHYSICALITY_ROUNDOFF * _scale(m))
+    tol = _physicality_tol(_scale(m))
     return min_eig >= -tol, np.abs(min_eig) <= tol
+
+
+def _physicality_tol(scale):
+    """The tolerance of :func:`_physicality` on ``lambda_min`` at ``_scale`` ``scale``."""
+    return np.maximum(PHYSICALITY_TOL, _PHYSICALITY_ROUNDOFF * scale)
 
 
 def _require_physical(v) -> CovMatrix:

@@ -36,7 +36,7 @@ from .covariance import (
     squeeze2,
 )
 from .errors import ValidationError
-from .robustness import _CLASSES, _corner_class
+from .robustness import _CLASSES, _corner_class, _screen
 from .witnesses import _band, _gamma_set
 
 __all__ = [
@@ -356,14 +356,30 @@ def _grid_chunks(nx: int, ny: int):
         yield cells, i, j
 
 
+def _kernel_verdicts(m):
+    """Region codes and boundary flags of a stack ``(..., 4, 4)`` by the shared kernels."""
+    physical, flagged = _physicality(m)
+    code = np.full(physical.shape, _UNPHYSICAL_CODE)
+    if physical.any():
+        m = m[physical]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, band = _gamma_set(m), _band(m)
+        cls, corner_flags = _corner_class(g, band)
+        code[physical] = cls
+        flagged[physical] = np.any(corner_flags, axis=0)
+    return code, flagged
+
+
 def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
     """Classify every cell ``(x[i], y[j])``; ``matrices(xs, ys)`` builds their stack.
 
     Each cell gets the verdicts of ``validate_physicality`` and ``classify``
-    on its matrix, evaluated a chunk at a time by the shared kernels.  An
-    unphysical cell is flagged ``boundary`` when it lies within tolerance of
-    the physicality boundary, a physical one when a corner witness lies in
-    the zero band.
+    on its matrix, evaluated a chunk at a time.  An unphysical cell is
+    flagged ``boundary`` when it lies within tolerance of the physicality
+    boundary, a physical one when a corner witness lies in the zero band.
+    The certified screen of :mod:`cvrobust.robustness` decides most cells
+    from closed-form invariants; only the cells it leaves open go through
+    the kernels, so every verdict is the kernels' own.
     """
     codes = np.empty(x.size * y.size, dtype=np.intp)
     boundary = np.empty(x.size * y.size, dtype=bool)
@@ -372,15 +388,11 @@ def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
             m = matrices(x[i], y[j])
         if not np.isfinite(m).all():
             raise ValidationError("covariance matrix contains non-finite entries")
-        physical, flagged = _physicality(m)
-        code = np.full(physical.shape, _UNPHYSICAL_CODE)
-        if physical.any():
-            m = m[physical]
-            with np.errstate(over="ignore", invalid="ignore"):
-                g, band = _gamma_set(m), _band(m)
-            cls, corner_flags = _corner_class(g, band)
-            code[physical] = cls
-            flagged[physical] = np.any(corner_flags, axis=0)
+        certain, physical, cls, flagged = _screen(m)
+        code = np.where(physical, cls, _UNPHYSICAL_CODE)
+        if not certain.all():
+            rest = ~certain
+            code[rest], flagged[rest] = _kernel_verdicts(m[rest])
         codes[cells] = code
         boundary[cells] = flagged
     shape = (x.size, y.size)

@@ -24,10 +24,17 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
-from .covariance import CovMatrix, LocalSymplectic, _as_cov, _require_physical
+from .covariance import (
+    CovMatrix,
+    LocalSymplectic,
+    _as_cov,
+    _physicality,
+    _physicality_tol,
+    _require_physical,
+)
 from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
-from .witnesses import GammaSet, _band, _reduced, boundary_band, gamma_coefficients
+from .witnesses import GammaSet, _band, _band_at, _reduced, boundary_band, gamma_coefficients
 
 __all__ = [
     "RobustnessClass",
@@ -215,7 +222,12 @@ def _corner_class(g: GammaSet, band):
     lies inside the band.  Corners within the band count as nonpositive.
     Raises :class:`ValidationError` when a corner is not finite.
     """
-    w_ppt, w_full, w_ch1, w_ch2 = corners = _finite_corners(g)
+    return _class_code(_finite_corners(g), band)
+
+
+def _class_code(corners, band):
+    """:func:`_corner_class` on corner values in ``_CORNERS`` order."""
+    w_ppt, w_full, w_ch1, w_ch2 = corners
     r1 = w_ch1 <= band
     r2 = w_ch2 <= band
     rf = w_full <= band
@@ -223,6 +235,158 @@ def _corner_class(g: GammaSet, band):
     # also robust at full loss, following the order of _CLASSES.
     code = (w_ppt < 0.0) * (1 + r1 + 2 * r2 + (rf & r1 & r2))
     return code, tuple(abs(w) <= band for w in corners)
+
+
+_EPS = float(np.finfo(float).eps)
+
+#: Roundoff bound of the screen's determinant invariants, per unit of
+#: ``_scale**k`` for an invariant of degree ``k``.  A priori each of the six
+#: minor products of the Laplace expansion of ``det V`` errs by at most
+#: 10 eps*_scale**4 and their sum by 60 more.  The largest error measured
+#: against exact rational evaluation was 2.5, on random states (pure, mixed
+#: and scaled by 0.5 to 1.2, ``squeeze_max`` 1 to 13) and map cells; 512
+#: covers the a priori bound four times over.
+_INVARIANT_ROUNDOFF = 512 * _EPS
+
+#: Roundoff bound of one corner witness, screen and kernel errors together,
+#: per unit of ``_scale**4``.  The largest sum measured on the same states
+#: was 4.2; 4096 leaves room for the kernel's LU determinant ``det(V - I)``,
+#: whose a priori bound is far looser than its measured error.
+_CORNER_ROUNDOFF = 4096 * _EPS
+
+#: Error bound of ``eigvalsh``'s smallest eigenvalue of ``V + i*Omega``, per
+#: unit of ``||V||_inf + 1``.  The largest error measured against 50-digit
+#: arithmetic was 2.2 on 4500 of the same states; 256 leaves a margin of 100.
+_EIGVALSH_ROUNDOFF = 256 * _EPS
+
+#: Largest ``_scale**4`` the screen decides.  The kernels' quartic
+#: intermediates stay below 64*_scale**4, far from overflow, so a cell whose
+#: kernel would raise is never decided here.
+_SCREEN_MAX_SCALE4 = 2.0**1000
+
+
+@np.errstate(all="ignore")  # overflow and NaN only reach uncertain cells
+def _screen(m):
+    """Certified verdicts for a stack of symmetric matrices ``(..., 4, 4)``.
+
+    Returns ``(certain, physical, code, boundary)``.  Where ``certain`` is
+    set, they equal what the kernels give: ``physical`` the verdict of
+    :func:`~cvrobust.covariance._physicality`, ``code`` (physical cells)
+    the class code of :func:`_corner_class`, and ``boundary`` the region
+    maps' flag, which for a certain cell is set only by a corner inside
+    the zero band.  Elsewhere they mean nothing and the cell needs the
+    kernels.  The screen evaluates closed-form invariants and decides a
+    cell only when their roundoff, bounded by ``_INVARIANT_ROUNDOFF`` and
+    ``_CORNER_ROUNDOFF``, cannot move it across a threshold.
+
+    Physicality without ``eigvalsh``.  Where ``V > 0`` (certified by its
+    leading minors), Williamson's theorem gives ``V = S^T D S`` with ``S``
+    symplectic and ``D = diag(nu-, nu-, nu+, nu+)``, so
+    ``V + i*Omega = S^T (D + i*Omega) S``, whose middle factor has smallest
+    eigenvalue ``nu- - 1``.  As ``D >= nu- I``, ``S^T S <= V/nu-`` and
+    ``||S||^2 = ||S^-1||^2 <= lambda_max(V)/nu- <= n/nu-`` with
+    ``n = ||V||_inf``.  Hence
+
+    * ``nu- >= 1``: ``lambda_min(V + i*Omega) >= (nu- - 1) nu-/n``;
+    * ``nu- < 1``: ``lambda_min(V + i*Omega) <= (nu- - 1) nu-/n``.
+
+    The invariants ``delta = nu-^2 + nu+^2 = det a1 + det a2 + 2 det c`` and
+    ``dc = (nu-^2 - 1)(nu+^2 - 1) = 1 + det V - delta`` (Serafini,
+    Illuminati, De Siena, J. Phys. B 37, L21 (2004)) give
+    ``nu- - 1 = dc/((nu+^2 - 1)(nu- + 1))``.  If ``dc > 0`` and
+    ``det V > 1``, both ``nu`` exceed 1, ``nu-/(nu- + 1) >= 1/2`` and
+    ``nu+^2 - 1 <= delta - 2``, so
+    ``lambda_min >= dc/(2 (delta - 2) n)``.  If ``dc < 0``, ``nu- < 1 < nu+``,
+    ``nu- + 1 <= 2``, ``nu+^2 - 1 <= delta - 1`` and
+    ``nu- = sqrt(det V)/nu+ >= sqrt(det V/delta)``, so
+    ``lambda_min <= dc sqrt(det V/delta)/(2 (delta - 1) n)``.  A cell is
+    physical (unphysical) and off the boundary when the lower (upper) bound,
+    taken at the roundoff-widened invariants, clears the kernel's tolerance
+    plus the error of ``eigvalsh`` itself; the margin of
+    ``_EIGVALSH_ROUNDOFF`` also absorbs the few roundings of the bound.  Pure states, whose ``dc``
+    vanishes, are never decided.
+
+    Corners.  ``w_ppt`` and ``gamma11``, ``gamma11 + gamma12`` and
+    ``gamma11 + gamma21`` are the polynomials of
+    :func:`~cvrobust.witnesses._gamma_set` written out elementwise
+    (``J2 M J2`` is a signed permutation of ``M``).  The class of a
+    physical cell is certain when every corner is farther than
+    ``_CORNER_ROUNDOFF * _scale**4`` from each threshold it is compared
+    with: 0 for ``w_ppt`` and the band edges ``+-band`` for all four.
+
+    Non-finite values are never certain.
+    """
+    # Entries first, so that every entry and reduction below runs over
+    # contiguous cells.
+    v = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+    v00, v01, v02, v03 = v[0]
+    v11, v12, v13 = v[1, 1:]
+    v22, v23, v33 = v[2, 2], v[2, 3], v[3, 3]
+    # 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair.
+    t01 = v00 * v11 - v01 * v01
+    t02 = v00 * v12 - v02 * v01
+    t03 = v00 * v13 - v03 * v01
+    t12 = v01 * v12 - v02 * v11
+    t13 = v01 * v13 - v03 * v11
+    det_c = v02 * v13 - v03 * v12
+    b02 = v02 * v23 - v22 * v03
+    b03 = v02 * v33 - v23 * v03
+    b12 = v12 * v23 - v22 * v13
+    b13 = v12 * v33 - v23 * v13
+    det_a2 = v22 * v33 - v23 * v23
+    det_v = (
+        t01 * det_a2 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + det_c * det_c
+    )
+    minor3 = v02 * t12 - v12 * t02 + v22 * t01
+    delta = t01 + det_a2 + 2.0 * det_c
+    dc = 1.0 + det_v - delta
+
+    magnitude = np.abs(v)
+    scale = np.maximum(1.0, magnitude.max(axis=(0, 1)))  # _scale(m)
+    n = magnitude.sum(axis=1).max(axis=0)  # ||V||_inf
+    scale4 = scale**4
+    err2 = _INVARIANT_ROUNDOFF * scale * scale
+    err4 = _INVARIANT_ROUNDOFF * scale4
+    margin = _physicality_tol(scale) + _EIGVALSH_ROUNDOFF * (n + 1.0)
+    delta_hi = delta + err2
+    positive = (
+        (scale4 < _SCREEN_MAX_SCALE4)
+        & (v00 > 0.0)
+        & (t01 > err2)
+        & (minor3 > _INVARIANT_ROUNDOFF * scale**3)
+        & (det_v > err4)
+    )
+    physical = (
+        positive & (det_v - err4 > 1.0) & (dc - err4 > 2.0 * margin * (delta_hi - 2.0) * n)
+    )
+    unphysical = positive & (
+        (-dc - err4) * np.sqrt((det_v - err4) / delta_hi)
+        > 2.0 * margin * (delta_hi - 1.0) * n
+    )
+
+    sigma1 = v00 + v11 - 2.0
+    sigma2 = v22 + v33 - 2.0
+    # Squared norms of the columns and rows of c.
+    col0, col1 = v02 * v02 + v12 * v12, v03 * v03 + v13 * v13
+    row0, row1 = v02 * v02 + v03 * v03, v12 * v12 + v13 * v13
+    # tr(c J (a2 - I) J c^T) and tr(c^T J (a1 - I) J c)
+    lambda2 = 2.0 * v23 * (v02 * v03 + v12 * v13) - (v33 - 1.0) * col0 - (v22 - 1.0) * col1
+    lambda1 = 2.0 * v01 * (v02 * v12 + v03 * v13) - (v11 - 1.0) * row0 - (v00 - 1.0) * row1
+    w_full = sigma1 * sigma2 - (col0 + col1) + 2.0 * det_c
+    corners = (
+        1.0 + det_v + 2.0 * det_c - t01 - det_a2,
+        w_full,
+        w_full + sigma1 * (det_a2 - 1.0 - sigma2) + lambda2,
+        w_full + sigma2 * (t01 - 1.0 - sigma1) + lambda1,
+    )
+    band = _band_at(scale)
+    err = _CORNER_ROUNDOFF * scale4
+    clear = np.abs(corners[0]) > err
+    for w in corners:
+        clear &= (np.abs(w - band) > err) & (np.abs(w + band) > err)
+    code, flags = _class_code(corners, band)
+    boundary = physical & np.any(flags, axis=0)
+    return unphysical | (physical & clear), physical, code, boundary
 
 
 def classify(v) -> RobustnessReport:
@@ -303,9 +467,10 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
     Minimizes ``max(w_full, w_ch1, w_ch2)`` of ``S V S^T`` over the six
     rotation-squeeze-rotation parameters with a Nelder-Mead simplex (initial
     scale 0.1), restarting from up to 8 seeded random points, and returns the
-    first transform achieving a negative objective.  Entanglement is
-    untouched: ``S V S^T`` has the symplectic spectrum of ``V``.  Returns
-    ``None`` when the evaluation budget is exhausted; ``budget < 1``,
+    first transform achieving a negative objective whose ``S V S^T`` passes
+    the admissibility gate.  Entanglement is untouched: ``S V S^T`` has the
+    symplectic spectrum of ``V``.  Returns ``None`` when the evaluation
+    budget is exhausted; ``budget < 1``,
     ``seed < 0`` and unphysical input raise :class:`ValidationError`.
     """
     if budget < 1 or seed < 0:
@@ -329,7 +494,7 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
         mat = s.matrix()
         return _corner_objective(mat @ base @ mat.T)
 
-    rng = np.random.default_rng(seed)
+    rng = None
     spent = 0
     restarts = 8
     for attempt in range(1 + restarts):
@@ -338,6 +503,8 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
         if attempt == 0:
             x0 = np.zeros(6)
         else:
+            if rng is None:
+                rng = np.random.default_rng(seed)
             x0 = np.concatenate(
                 [
                     rng.uniform(-math.pi, math.pi, 1),
@@ -356,6 +523,10 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
             s = LocalSymplectic(*(float(p) for p in result.x))
             mat = s.matrix()
             v_out = CovMatrix(mat @ base @ mat.T)
+            if not _physicality(v_out.matrix)[0]:
+                # Roundoff of the congruence, at the input's scale, can
+                # exceed the tolerance at the output's: try the next restart.
+                continue
             return RobustifyResult(
                 s=s, v_out=v_out, objective=result.fun, evaluations=spent
             )

@@ -51,7 +51,12 @@ _BAND_COEFF = 1e-10
 
 def _band(m: np.ndarray):
     """:func:`boundary_band` over a stack of matrices ``(..., 4, 4)``."""
-    return _BAND_COEFF * _scale(m) ** 2
+    return _band_at(_scale(m))
+
+
+def _band_at(scale):
+    """The zero band at tolerance unit ``scale`` (``_scale`` of the matrix)."""
+    return _BAND_COEFF * scale**2
 
 
 def boundary_band(v) -> float:

@@ -21,6 +21,10 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
+from cvrobust.covariance import _physicality
+from cvrobust.families import _REGIONS, _grid_chunks
+from cvrobust.robustness import _CLASSES, _corner_class
+from cvrobust.witnesses import _band, _gamma_set
 
 I4 = np.eye(4)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -202,6 +206,42 @@ def reference_region_labels(x, y, cell):
             labels[i, j] = REGION_OF_LABEL[report.cls.label]
             boundary[i, j] = bool(report.boundary_flags)
     return labels, boundary
+
+
+def reference_chunk_verdicts(m: np.ndarray):
+    """Region codes and boundary flags of a stack ``(N, 4, 4)`` by the kernels alone.
+
+    The region maps' chunk body without the certified screen: every cell
+    goes through ``_physicality`` and the physical ones through
+    ``_gamma_set``, ``_band`` and ``_corner_class``.  Codes index
+    ``_CLASSES``; ``len(_CLASSES)`` marks an unphysical cell.
+    """
+    physical, flagged = _physicality(m)
+    code = np.full(physical.shape, len(_CLASSES))
+    if physical.any():
+        m = m[physical]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, band = _gamma_set(m), _band(m)
+        cls, corner_flags = _corner_class(g, band)
+        code[physical] = cls
+        flagged[physical] = np.any(corner_flags, axis=0)
+    return code, flagged
+
+
+def reference_region_map(x, y, matrices):
+    """Labels and boundary flags of a region map, every cell through the kernels.
+
+    ``matrices(xs, ys)`` builds the stack of a chunk of cells, as in
+    ``families._region_map``.
+    """
+    codes = np.empty(x.size * y.size, dtype=np.intp)
+    boundary = np.empty(x.size * y.size, dtype=bool)
+    for cells, i, j in _grid_chunks(x.size, y.size):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m = matrices(x[i], y[j])
+        codes[cells], boundary[cells] = reference_chunk_verdicts(m)
+    shape = (x.size, y.size)
+    return _REGIONS[codes].reshape(shape), boundary.reshape(shape)
 
 
 def strict_json(text: str):

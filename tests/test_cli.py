@@ -131,6 +131,19 @@ class TestBadArguments:
         err = capsys.readouterr().err
         assert err == f"error: {named} must be finite and nonnegative, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--t1", "0.5", "--alpha-db-per-km", "nan"], "--alpha-db-per-km"),
+            (["--scenario", "single-channel"], "--scenario"),
+        ],
+        ids=["alpha-without-length", "scenario-without-length"],
+    )
+    def test_link_flag_without_length_is_named(self, args, named, cm_d_file, capsys):
+        assert run(["attenuate", cm_d_file, *args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {named} needs --length1-km or --length2-km\n"
+
     def test_bad_alpha_variable_is_named(self, cm_d_file, capsys, monkeypatch):
         monkeypatch.setenv("CVROBUST_ALPHA_DB_PER_KM", "nan")
         assert run(["attenuate", cm_d_file, "--length2-km", "10"]) == 1
@@ -441,6 +454,18 @@ class TestRandomAndRobustify:
     def test_robustify_separable_fails(self, tmp_path, capsys):
         path = write_state(tmp_path / "c.json", CM_C)
         assert run(["robustify", path]) == 1
+
+    def test_robustify_output_passes_the_gate_on_squeezed_pure_state(self, tmp_path):
+        # The first simplex hit's S V S^T has lambda_min(V + i*Omega) = -1.6e-9
+        # against a tolerance of 1e-9; the first restart gives a gate-passing
+        # one after 285 evaluations.
+        state, out = tmp_path / "s.json", tmp_path / "rob.json"
+        args = ["--seed", "3204453", "--nu-min", "1", "--nu-max", "1", "--squeeze-max", "9"]
+        assert run(["random", *args, "-o", str(state)]) == 0
+        assert run(["robustify", str(state), "-o", str(out)]) == 0
+        data = strict_json(out.read_text())
+        assert data["found"] is True
+        assert data["class_out"] == "FullyRobust"
 
 
 class TestDeterminism:

@@ -45,6 +45,25 @@ class TestStartup:
         assert "dataclasses" not in loaded
         assert layer_modules() <= loaded
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_package_import_restores_collector(self, enabled):
+        setup = "gc.enable()" if enabled else "gc.disable()"
+        done = python("-c", f"import gc; {setup}; import cvrobust; print(gc.isenabled())")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(enabled)
+
+    def test_robustify_without_restart_skips_numpy_random(self, tmp_path):
+        state = tmp_path / "cm_e.json"
+        state.write_text(state_file_text(CM_E, "CM_E"))
+        code = (
+            "import sys; from cvrobust.cli import main;\n"
+            f"code = main(['robustify', {str(state)!r}, '-o', {str(tmp_path / 'out.json')!r}]);\n"
+            "print(code, 'numpy.random' in sys.modules)"
+        )
+        done = python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False"]
+
     def test_main_leaves_collector_alone(self, tmp_path):
         before = gc.get_freeze_count()
         assert main(["random", "--seed", "1", "-o", str(tmp_path / "state.json")]) == 0

@@ -1,0 +1,201 @@
+"""The region maps' certified screen against the kernels it stands in for.
+
+Wherever ``robustness._screen`` calls a cell certain, its physicality
+verdict, boundary flag and class must be those of ``_physicality`` and
+``_corner_class``; a region map must equal its all-kernel reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cvrobust import ValidationError, region_map_correlations, region_map_epr
+from cvrobust.covariance import _physicality
+from cvrobust.families import _cell_centers, _epr_moments, _symmetric_modes_stack
+from cvrobust.robustness import _CLASSES, _screen
+from helpers import HIGHLY_SQUEEZED, reference_chunk_verdicts, reference_region_map
+
+UNPHYSICAL = len(_CLASSES)
+GRIDS = [1, 7, 33, 101]
+MAPS_PER_GRID = 75
+
+
+def correlation_cells(dq, dp):
+    return lambda cp, cq: _symmetric_modes_stack(dq, dp, cq * dq, cp * dp)
+
+
+def epr_cells(mu_minus, mu_plus):
+    return lambda x, y: _symmetric_modes_stack(*_epr_moments(mu_minus, mu_plus, x, y))
+
+
+def correlations(dq, dp, grid):
+    return region_map_correlations(dq, dp, grid), correlation_cells(dq, dp)
+
+
+def epr(mu_minus, mu_plus, grid, q_plus_max=5.0, p_minus_max=5.0):
+    region = region_map_epr(mu_minus, mu_plus, grid, q_plus_max, p_minus_max)
+    return region, epr_cells(mu_minus, mu_plus)
+
+
+def assert_map_matches_kernels(region, matrices):
+    labels, boundary = reference_region_map(region.x, region.y, matrices)
+    assert np.array_equal(region.labels, labels)
+    assert np.array_equal(region.boundary, boundary)
+
+
+def random_map_specs(grid):
+    rng = np.random.default_rng(grid)
+    specs = []
+    for _ in range(MAPS_PER_GRID):
+        if rng.random() < 0.5:
+            specs.append((correlations, *np.exp(rng.uniform(0.0, 4.0, 2))))
+        else:
+            specs.append((epr, *rng.uniform(0.01, 1.0, 2), grid, *rng.uniform(0.5, 20.0, 2)))
+    return specs
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_screened_maps_equal_all_kernel_path(grid):
+    for kind, a, b, *rest in random_map_specs(grid):
+        region, matrices = kind(float(a), float(b), *(rest or [grid]))
+        assert_map_matches_kernels(region, matrices)
+
+
+EDGE_MAPS = {
+    "vacuum-variances": (correlations, 1.0, 1.0),
+    "dq-1e6": (correlations, 1e6, 1.0),
+    "dp-1e6": (correlations, 1.0, 1e6),
+    "both-1e6": (correlations, 1e6, 1e6),
+    "pure": (epr, 1.0, 1.0),
+    "mu-plus-1": (epr, 0.3, 1.0),
+    "mu-minus-1": (epr, 1.0, 0.3),
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("name", sorted(EDGE_MAPS))
+def test_edge_maps_equal_all_kernel_path(name, grid):
+    kind, a, b = EDGE_MAPS[name]
+    assert_map_matches_kernels(*kind(a, b, grid))
+
+
+def random_stack(rng, n, nu_min, nu_max, squeeze_max):
+    """``n`` states ``S^T diag(nu1, nu1, nu2, nu2) S`` as ``random_physical_state`` builds them."""
+
+    def rotation(a):
+        c, s = np.cos(a), np.sin(a)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+    def squeeze(r):
+        out = np.zeros((n, 2, 2))
+        out[:, 0, 0], out[:, 1, 1] = np.exp(r), np.exp(-r)
+        return out
+
+    nu = rng.uniform(nu_min, nu_max, (2, n))
+    theta1, phi1, theta2, phi2, mix = rng.uniform(-math.pi, math.pi, (5, n))
+    r1, r2 = rng.uniform(-squeeze_max, squeeze_max, (2, n))
+    local = np.zeros((n, 4, 4))
+    local[:, :2, :2] = rotation(theta1) @ squeeze(r1) @ rotation(phi1)
+    local[:, 2:, 2:] = rotation(theta2) @ squeeze(r2) @ rotation(phi2)
+    mixer = np.zeros((n, 4, 4))
+    c, s = np.cos(mix), np.sin(mix)
+    for k in range(4):
+        mixer[:, k, k] = c
+    for k in range(2):
+        mixer[:, k, k + 2], mixer[:, k + 2, k] = s, -s
+    sym = local @ mixer
+    diag = np.zeros((n, 4, 4))
+    for k in range(4):
+        diag[:, k, k] = nu[k // 2]
+    v = np.swapaxes(sym, -1, -2) @ diag @ sym
+    return 0.5 * (v + np.swapaxes(v, -1, -2))  # symmetrized as CovMatrix does
+
+
+def state_groups():
+    """108 000 states: the default range, then pure and mixed at squeeze 1 to 13, plain and scaled."""
+    rng = np.random.default_rng(2004)
+    yield "default", random_stack(rng, 4000, 1.0, 2.5, 1.0)
+    for squeeze_max in range(1, 14):
+        for kind, nu_max in (("pure", 1.0), ("mixed", 2.5)):
+            m = random_stack(rng, 2000, 1.0, nu_max, float(squeeze_max))
+            yield f"{kind}-{squeeze_max}", m
+            yield f"{kind}-{squeeze_max}-scaled", m * rng.uniform(0.5, 1.2, (len(m), 1, 1))
+
+
+def test_screen_decisions_equal_kernels_on_random_states():
+    total = 0
+    for name, m in state_groups():
+        certain, physical, code, boundary = _screen(m)
+        ref_code, ref_boundary = reference_chunk_verdicts(m)
+        assert np.array_equal(physical[certain], ref_code[certain] != UNPHYSICAL), name
+        assert np.array_equal(boundary[certain], ref_boundary[certain]), name
+        assert np.array_equal(np.where(physical, code, UNPHYSICAL)[certain], ref_code[certain]), name
+        if name.startswith("pure") and not name.endswith("scaled"):
+            assert not certain.any(), name
+        if name in ("default", "mixed-1", "mixed-2", "mixed-3"):
+            assert certain.mean() > 0.99, name
+        total += len(m)
+    assert total >= 100_000
+
+
+def screen_one(m):
+    return bool(_screen(np.asarray(m, dtype=float)[None])[0][0])
+
+
+@pytest.mark.parametrize(
+    "m, physical, boundary",
+    [
+        (np.diag([1e7, 5e-8, 1.0, 1.0]), True, True),
+        (np.diag([-1.0, 1.0, 1.0, 1.0]), False, False),
+        (np.eye(4), True, True),
+        (HIGHLY_SQUEEZED.matrix, True, True),
+        (_symmetric_modes_stack(math.cosh(6.0), math.cosh(6.0), math.sinh(6.0),
+                                -math.sinh(6.0)), True, True),
+    ],
+    ids=["boundary-diag", "not-positive", "vacuum", "pure-squeezed", "pure-two-mode-r3"],
+)
+def test_pinned_states_fall_back_to_kernels(m, physical, boundary):
+    assert not screen_one(m)
+    assert tuple(map(bool, _physicality(m))) == (physical, boundary)
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_screen_leaves_scales_near_overflow_to_the_kernels():
+    assert not screen_one(np.diag([1e76] * 4))
+
+
+@pytest.mark.parametrize("variance", [1e70, 1e75, 1e76, 10**76.5, 1e77, 1e78, 1e80])
+def test_overflow_still_raises_from_the_kernel(variance):
+    centers = _cell_centers(-1.0, 1.0, 5)
+    region = outcome(lambda: region_map_correlations(variance, variance, 5))
+    reference = outcome(
+        lambda: reference_region_map(centers, centers, correlation_cells(variance, variance))
+    )
+    if isinstance(reference, str):
+        assert region == reference
+        assert "not finite" in reference
+    else:
+        assert np.array_equal(region.labels, reference[0])
+        assert np.array_equal(region.boundary, reference[1])
+
+
+@pytest.mark.parametrize(
+    "matrices, lo, hi",
+    [
+        (correlation_cells(2.55, 1.80), -1.0, 1.0),
+        (epr_cells(0.7267, 0.4529), 0.0, 5.0),
+    ],
+    ids=["correlations", "epr"],
+)
+def test_benchmark_maps_fall_back_on_few_cells(matrices, lo, hi):
+    centers = _cell_centers(lo, hi, 101)
+    x, y = np.meshgrid(centers, centers, indexing="ij")
+    certain = _screen(matrices(x.ravel(), y.ravel()))[0]
+    assert (~certain).mean() <= 0.05
