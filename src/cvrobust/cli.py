@@ -126,11 +126,12 @@ def read_state_file(path: str) -> tuple[CovMatrix, str]:
         not isinstance(matrix, list)
         or len(matrix) != 4
         or any(not isinstance(row, list) or len(row) != 4 for row in matrix)
+        or any(type(x) not in (int, float) for row in matrix for x in row)
     ):
         raise ValidationError(f"{path}: matrix must be 4 rows of 4 numbers")
     try:
         cov = CovMatrix(np.array(matrix, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}")
     label = data.get("label", "")
     if not isinstance(label, str):

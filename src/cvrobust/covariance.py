@@ -62,10 +62,6 @@ J2.setflags(write=False)
 OMEGA = np.block([[J2, np.zeros((2, 2))], [np.zeros((2, 2)), J2]])
 OMEGA.setflags(write=False)
 
-_I4 = np.eye(4)
-_I4.setflags(write=False)
-
-
 class CovMatrix:
     """A 4x4 real symmetric covariance matrix in ``(q1, p1, q2, p2)`` ordering.
 

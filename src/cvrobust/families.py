@@ -498,12 +498,15 @@ def random_physical_state(seed: int, params: RandomStateParams | None = None) ->
 
     ``S`` composes a per-mode rotation-squeeze-rotation with a beam-splitter
     mixing angle; the symplectic eigenvalues ``nu_j >= 1`` are drawn from
-    the configured range, so the output is physical by construction.
+    the configured range, so the output is physical by construction.  The
+    draws are those of numpy's ``default_rng(seed)``.
     """
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
+    from ._pcg64 import default_rng  # only seeded commands compile the stream
+
     p = params or RandomStateParams()
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     nu1, nu2 = rng.uniform(p.nu_min, p.nu_max, 2)
     theta1, phi1, theta2, phi2, mix = rng.uniform(-math.pi, math.pi, 5)
     r1, r2 = rng.uniform(-p.squeeze_max, p.squeeze_max, 2)

@@ -504,17 +504,11 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
             x0 = np.zeros(6)
         else:
             if rng is None:
-                rng = np.random.default_rng(seed)
-            x0 = np.concatenate(
-                [
-                    rng.uniform(-math.pi, math.pi, 1),
-                    rng.uniform(-1.0, 1.0, 1),
-                    rng.uniform(-math.pi, math.pi, 1),
-                    rng.uniform(-math.pi, math.pi, 1),
-                    rng.uniform(-1.0, 1.0, 1),
-                    rng.uniform(-math.pi, math.pi, 1),
-                ]
-            )
+                from ._pcg64 import default_rng
+
+                rng = default_rng(seed)
+            bounds = (math.pi, 1.0, math.pi, math.pi, 1.0, math.pi)
+            x0 = np.array([rng.uniform(-b, b, 1)[0] for b in bounds])
         result = nelder_mead(
             objective, x0, step=0.1, max_evals=budget - spent, target=0.0
         )

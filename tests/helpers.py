@@ -6,6 +6,7 @@ direct matrix congruence, so they can vouch for the closed-form paths.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
-from cvrobust.covariance import _physicality
+from cvrobust.covariance import _physicality, beam_splitter, rotation2, squeeze2
 from cvrobust.families import _REGIONS, _grid_chunks
 from cvrobust.robustness import _CLASSES, _corner_class
 from cvrobust.witnesses import _band, _gamma_set
@@ -130,6 +131,21 @@ def oracle_attenuated_ppt_grid(m: np.ndarray, ts: np.ndarray) -> np.ndarray:
     det_a2 = w[..., 2, 2] * w[..., 3, 3] - w[..., 2, 3] * w[..., 3, 2]
     det_c = w[..., 0, 2] * w[..., 1, 3] - w[..., 0, 3] * w[..., 1, 2]
     return 1.0 + det_v + 2.0 * det_c - det_a1 - det_a2
+
+
+def reference_random_physical_state(seed: int, params: RandomStateParams | None = None):
+    """``random_physical_state`` with its draws taken from numpy's own generator."""
+    p = params or RandomStateParams()
+    rng = np.random.default_rng(seed)
+    nu1, nu2 = rng.uniform(p.nu_min, p.nu_max, 2)
+    theta1, phi1, theta2, phi2, mix = rng.uniform(-math.pi, math.pi, 5)
+    r1, r2 = rng.uniform(-p.squeeze_max, p.squeeze_max, 2)
+    local = np.zeros((4, 4))
+    local[:2, :2] = rotation2(theta1) @ squeeze2(r1) @ rotation2(phi1)
+    local[2:, 2:] = rotation2(theta2) @ squeeze2(r2) @ rotation2(phi2)
+    s = local @ beam_splitter(mix)
+    diag = np.diag([nu1, nu1, nu2, nu2])
+    return CovMatrix(s.T @ diag @ s)
 
 
 def random_states(n: int, start_seed: int = 0, params: RandomStateParams | None = None):

@@ -69,6 +69,23 @@ class TestStateFiles:
         assert run(["validate", str(bad)]) == 1
         assert "asymmetric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["2.55", True, None], ids=["string", "bool", "null"])
+    def test_non_numeric_entry_rejected(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.json"
+        data = strict_json(state_file_text(CM_D, "x"))
+        data["matrix"][0][0] = entry
+        bad.write_text(json.dumps(data))
+        assert run(["validate", str(bad)]) == 1
+        assert "matrix must be 4 rows of 4 numbers" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        data = strict_json(state_file_text(CM_D, "x"))
+        data["matrix"][0][0] = 10**400
+        bad.write_text(json.dumps(data))
+        assert run(["validate", str(bad)]) == 1
+        assert "too large" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert run(["validate", "/nonexistent/state.json"]) == 1
 

@@ -28,6 +28,10 @@ def python(*args):
     )
 
 
+#: A pure, strongly squeezed state on which ``robustify`` needs its restarts.
+SQUEEZED_PIN = ["random", "--seed", "3204453", "--nu-min", "1", "--nu-max", "1", "--squeeze-max", "9"]
+
+
 def layer_modules() -> set[str]:
     """The cvrobust modules whose functions ``bench/tracer.py`` wraps."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
@@ -52,17 +56,29 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == str(enabled)
 
-    def test_robustify_without_restart_skips_numpy_random(self, tmp_path):
-        state = tmp_path / "cm_e.json"
-        state.write_text(state_file_text(CM_E, "CM_E"))
+    @pytest.mark.parametrize(
+        "commands, evaluations",
+        [
+            ([["robustify", "CM_E", "-o", "OUT"]], 9),
+            ([["random", "--seed", "7", "-o", "OUT"]], None),
+            ([SQUEEZED_PIN + ["-o", "STATE"], ["robustify", "STATE", "-o", "OUT"]], 285),
+        ],
+        ids=["robustify-no-restart", "random", "random-then-restarting-robustify"],
+    )
+    def test_seeded_commands_skip_numpy_random(self, commands, evaluations, tmp_path):
+        paths = {name: tmp_path / f"{name}.json" for name in ("CM_E", "STATE", "OUT")}
+        paths["CM_E"].write_text(state_file_text(CM_E, "CM_E"))
+        argvs = [[str(paths.get(a, a)) for a in argv] for argv in commands]
         code = (
             "import sys; from cvrobust.cli import main;\n"
-            f"code = main(['robustify', {str(state)!r}, '-o', {str(tmp_path / 'out.json')!r}]);\n"
-            "print(code, 'numpy.random' in sys.modules)"
+            f"codes = [main(argv) for argv in {argvs!r}];\n"
+            "print(*codes, 'numpy.random' in sys.modules)"
         )
         done = python("-c", code)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "False"]
+        assert done.stdout.split() == ["0"] * len(commands) + ["False"]
+        if evaluations is not None:
+            assert json.loads(paths["OUT"].read_text())["evaluations"] == evaluations
 
     def test_main_leaves_collector_alone(self, tmp_path):
         before = gc.get_freeze_count()

@@ -27,7 +27,7 @@ from cvrobust import (
     region_map_epr,
     validate_physicality,
 )
-from helpers import CM_B, CM_D, random_states
+from helpers import CM_B, CM_D, random_states, reference_random_physical_state
 
 
 class TestBuild:
@@ -355,6 +355,17 @@ class TestRandomPhysicalState:
         a = random_physical_state(123)
         b = random_physical_state(123)
         assert np.array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize(
+        "params",
+        [None, RandomStateParams(squeeze_max=9.0), RandomStateParams(squeeze_max=11.0)],
+        ids=["default", "squeeze_max=9", "squeeze_max=11"],
+    )
+    def test_bit_identical_to_numpy_draws(self, params):
+        for seed in range(200):
+            got = random_physical_state(seed, params).matrix
+            want = reference_random_physical_state(seed, params).matrix
+            assert got.tobytes() == want.tobytes(), seed
 
     def test_always_physical(self):
         for seed in range(300):
