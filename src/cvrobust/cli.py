@@ -76,13 +76,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+#: Characters encoded and written at a time, so that writing a grid's CSV
+#: never holds a second, encoded copy of it.
+_WRITE_SLICE = 1 << 16
+
+
+def _write_slices(handle, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        handle.write(text[start : start + _WRITE_SLICE])
+
+
 def write_atomic(path: str, text: str) -> None:
     """Write text to ``path`` via a temporary file and rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvrobust-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            _write_slices(handle, text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -94,7 +104,7 @@ def write_atomic(path: str, text: str) -> None:
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
     else:
         write_atomic(path, text)
 
@@ -241,17 +251,19 @@ def _cmd_scan(args) -> int:
         raise ValidationError("scan grid must be at least 2")
     g = _checked_gamma(cov)
     ts = np.linspace(0.0, 1.0, args.grid)
-    t_text = [_fmt(t) for t in ts]
-    lines = ["t1,t2,w_ppt_attenuated,w_reduced"]
+    t_text = [repr(t) for t in ts.tolist()]
+    pieces = ["t1,t2,w_ppt_attenuated,w_reduced\n"]
     for _, i, j in _grid_chunks(ts.size, ts.size):
         t1, t2 = ts[i], ts[j]
         w_att = _ppt(_attenuate_stack(cov.matrix, t1, t2))
         w_red = _reduced(g, t1, t2)
-        lines += [
-            f"{t_text[a]},{t_text[b]},{_fmt(x)},{_fmt(y)}"
-            for a, b, x, y in zip(i.tolist(), j.tolist(), w_att.tolist(), w_red.tolist())
-        ]
-    _emit("\n".join(lines) + "\n", args.output)
+        pieces.append(
+            "".join(
+                f"{t_text[a]},{t_text[b]},{x!r},{y!r}\n"
+                for a, b, x, y in zip(i.tolist(), j.tolist(), w_att.tolist(), w_red.tolist())
+            )
+        )
+    _emit("".join(pieces), args.output)
     return 0
 
 
@@ -337,15 +349,17 @@ def _cmd_map(args) -> int:
             q_plus_max=args.q_plus_max,
             p_minus_max=args.p_minus_max,
         )
-    y_text = [_fmt(y) for y in region.y]
-    lines = [f"{region.x_name},{region.y_name},label,boundary"]
-    for x, labels, flags in zip(region.x, region.labels.tolist(), region.boundary.tolist()):
-        x_text = _fmt(x)
-        lines += [
-            f"{x_text},{y},{label},{'1' if flag else '0'}"
-            for y, label, flag in zip(y_text, labels, flags)
-        ]
-    _emit("\n".join(lines) + "\n", args.output)
+    y_text = [repr(y) for y in region.y.tolist()]
+    pieces = [f"{region.x_name},{region.y_name},label,boundary\n"]
+    rows = zip(region.x.tolist(), region.labels.tolist(), region.boundary.tolist())
+    for x, labels, flags in rows:
+        pieces.append(
+            "".join(
+                f"{x!r},{y},{label},{'1' if flag else '0'}\n"
+                for y, label, flag in zip(y_text, labels, flags)
+            )
+        )
+    _emit("".join(pieces), args.output)
     return 0
 
 

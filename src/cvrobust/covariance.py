@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._exact import physicality
 from .errors import ValidationError
 
 __all__ = [
@@ -49,11 +50,15 @@ SYMMETRY_RTOL = 1e-9
 #: Absolute floor of the tolerance on the smallest eigenvalue of ``V + i*Omega``.
 PHYSICALITY_TOL = 1e-9
 
-#: Roundoff part of that tolerance, per unit of ``_scale``.  On pure states,
-#: whose exact eigenvalue is 0, the largest computed ``-lambda_min`` was
-#: 6.4 eps*max|V| over 100000 random pure states (``squeeze_max`` 3 to 13)
-#: and 4.7 over pure two-mode squeezed states (``r`` up to 12); 32 leaves a
-#: margin of five.  A violation smaller than this cannot be told from roundoff.
+#: Roundoff part of that tolerance, per unit of ``_scale``.  The test is
+#: evaluated exactly, so the tolerance guards against the rounding of the
+#: data, not of the test: rounding the entries moves ``lambda_min`` by at most
+#: ``||dV||_2 <= 2 eps*max|V|``.  On stored pure states, whose eigenvalue
+#: is 0 before rounding, the exact ``-lambda_min`` was at most 1.34
+#: eps*max|V| over 11000 random pure states (``squeeze_max`` 3 to 13) and
+#: 1.46 over pure two-mode squeezed states (``r`` up to 12); 32 keeps the
+#: margin of the former float test.  A violation smaller than this cannot be
+#: told from roundoff.
 _PHYSICALITY_ROUNDOFF = 32 * np.finfo(float).eps
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -61,6 +66,10 @@ J2.setflags(write=False)
 
 OMEGA = np.block([[J2, np.zeros((2, 2))], [np.zeros((2, 2)), J2]])
 OMEGA.setflags(write=False)
+
+#: Row and column indices of the ten upper-triangle entries, row by row.
+_UPPER_ROWS, _UPPER_COLS = np.triu_indices(4)
+
 
 class CovMatrix:
     """A 4x4 real symmetric covariance matrix in ``(q1, p1, q2, p2)`` ordering.
@@ -223,14 +232,22 @@ class PhysicalityDiagnosis(NamedTuple):
 def _physicality(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(physical, boundary)`` verdicts over a stack of matrices ``(..., 4, 4)``.
 
-    The kernel of :func:`validate_physicality`, shared with the region maps.
+    The kernel of :func:`validate_physicality`, shared with the region maps:
+    ``lambda_min(V + i*Omega) >= -tol`` and ``|lambda_min| <= tol``, decided
+    exactly from the signs of the characteristic polynomial's coefficients
+    by :func:`cvrobust._exact.physicality` on each matrix's upper triangle.
     ``V >= 0`` needs no test of its own: for real unit ``x``,
     ``x^T V x = x^H (V + i*Omega) x``, so the smallest eigenvalue of ``V`` is
     at least that of ``V + i*Omega``.
     """
-    min_eig = np.linalg.eigvalsh(m + 1j * OMEGA)[..., 0]
+    upper = m[..., _UPPER_ROWS, _UPPER_COLS]
     tol = _physicality_tol(_scale(m))
-    return min_eig >= -tol, np.abs(min_eig) <= tol
+    verdicts = [
+        physicality(v, t)
+        for v, t in zip(upper.reshape(-1, 10).tolist(), np.ravel(tol).tolist())
+    ]
+    out = np.array(verdicts, dtype=bool).reshape(upper.shape[:-1] + (2,))
+    return out[..., 0], out[..., 1]
 
 
 def _physicality_tol(scale):
@@ -252,12 +269,16 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
     The package's one physicality verdict: the smallest eigenvalue of the
     Hermitian matrix ``V + i*Omega`` must be ``>= -tol`` with
     ``tol = max(1e-9, 32 * eps * max(1, max|V|))``: an absolute floor,
-    widened only where the eigenvalue roundoff, about ``eps * max|V|``,
-    approaches it.  Unlike the quartic for ``nu_minus``, this stays
-    accurate for pure states, whose double root at ``nu = 1`` turns
-    determinant roundoff into eigenvalue noise.  ``nu`` is reported from
-    :func:`symplectic_spectrum`; it and ``det_condition`` are not finite
-    only when the determinants overflow.
+    widened only where the rounding of the entries, which moves the
+    eigenvalue by up to ``2 * eps * max|V|``, approaches it.  The test is
+    evaluated exactly, in integers over the entries' common power-of-two
+    denominator (:mod:`cvrobust._exact`), so no verdict or ``boundary``
+    flag (``|lambda_min| <= tol``) depends on LAPACK's roundoff.  Unlike the
+    quartic for ``nu_minus``, it stays exact for pure states, whose double
+    root at ``nu = 1`` turns determinant roundoff into eigenvalue noise.
+    ``nu`` is reported from :func:`symplectic_spectrum`; it and
+    ``det_condition`` are float values, not finite only when the
+    determinants overflow.
 
     Never raises for symmetric input.
     """

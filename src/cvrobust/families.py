@@ -478,6 +478,14 @@ def region_map_epr(
     )
 
 
+#: Largest ``nu_max * e^(2 squeeze_max)`` a random state may reach.  The
+#: state's ``S`` has ``||S||_2 <= e^squeeze_max``, so every entry of
+#: ``S^T D S``, and each of the four terms it sums, is at most
+#: ``nu_max * e^(2 squeeze_max)``; the sum and the symmetrization
+#: ``V + V^T`` then stay below ``8 * 2**1020 = 2**1023``, inside float range.
+_MAX_RANDOM_ENTRY = 2.0**1020
+
+
 class RandomStateParams(Record):
     """Sampling ranges for random physical states."""
 
@@ -490,6 +498,11 @@ class RandomStateParams(Record):
             raise ValidationError("require 1 <= nu_min <= nu_max")
         if squeeze_max < 0.0:
             raise ValidationError("squeeze_max must be nonnegative")
+        if math.log(nu_max) + 2.0 * squeeze_max > math.log(_MAX_RANDOM_ENTRY):
+            raise ValidationError(
+                "random state entries would leave float range: "
+                "require nu_max*exp(2*squeeze_max) <= 2**1020"
+            )
         self._init(nu_min, nu_max, squeeze_max)
 
 

@@ -254,10 +254,12 @@ _INVARIANT_ROUNDOFF = 512 * _EPS
 #: whose a priori bound is far looser than its measured error.
 _CORNER_ROUNDOFF = 4096 * _EPS
 
-#: Error bound of ``eigvalsh``'s smallest eigenvalue of ``V + i*Omega``, per
-#: unit of ``||V||_inf + 1``.  The largest error measured against 50-digit
-#: arithmetic was 2.2 on 4500 of the same states; 256 leaves a margin of 100.
-_EIGVALSH_ROUNDOFF = 256 * _EPS
+#: Margin of the screen's physicality bounds over the exact test's
+#: tolerance, per unit of ``||V||_inf + 1``.  It absorbs the few roundings of
+#: the bounds themselves, taken at the roundoff-widened invariants; the test
+#: they stand in for is exact.  Its value, sized when that test was a float
+#: eigenvalue, is kept so that the screen decides the same cells.
+_BOUND_ROUNDOFF = 256 * _EPS
 
 #: Largest ``_scale**4`` the screen decides.  The kernels' quartic
 #: intermediates stay below 64*_scale**4, far from overflow, so a cell whose
@@ -279,7 +281,7 @@ def _screen(m):
     cell only when their roundoff, bounded by ``_INVARIANT_ROUNDOFF`` and
     ``_CORNER_ROUNDOFF``, cannot move it across a threshold.
 
-    Physicality without ``eigvalsh``.  Where ``V > 0`` (certified by its
+    Physicality from the invariants alone.  Where ``V > 0`` (certified by its
     leading minors), Williamson's theorem gives ``V = S^T D S`` with ``S``
     symplectic and ``D = diag(nu-, nu-, nu+, nu+)``, so
     ``V + i*Omega = S^T (D + i*Omega) S``, whose middle factor has smallest
@@ -302,9 +304,8 @@ def _screen(m):
     ``lambda_min <= dc sqrt(det V/delta)/(2 (delta - 1) n)``.  A cell is
     physical (unphysical) and off the boundary when the lower (upper) bound,
     taken at the roundoff-widened invariants, clears the kernel's tolerance
-    plus the error of ``eigvalsh`` itself; the margin of
-    ``_EIGVALSH_ROUNDOFF`` also absorbs the few roundings of the bound.  Pure states, whose ``dc``
-    vanishes, are never decided.
+    by the margin ``_BOUND_ROUNDOFF``, which absorbs the few roundings of
+    the bound.  Pure states, whose ``dc`` vanishes, are never decided.
 
     Corners.  ``w_ppt`` and ``gamma11``, ``gamma11 + gamma12`` and
     ``gamma11 + gamma21`` are the polynomials of
@@ -347,7 +348,7 @@ def _screen(m):
     scale4 = scale**4
     err2 = _INVARIANT_ROUNDOFF * scale * scale
     err4 = _INVARIANT_ROUNDOFF * scale4
-    margin = _physicality_tol(scale) + _EIGVALSH_ROUNDOFF * (n + 1.0)
+    margin = _physicality_tol(scale) + _BOUND_ROUNDOFF * (n + 1.0)
     delta_hi = delta + err2
     positive = (
         (scale4 < _SCREEN_MAX_SCALE4)

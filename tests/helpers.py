@@ -5,8 +5,10 @@ spectra come from dense eigendecompositions and attenuated witnesses from
 direct matrix congruence, so they can vouch for the closed-form paths.
 """
 
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,6 +104,54 @@ def reference_physicality(m: np.ndarray):
     physical = (min_eig_v >= -tol) & (min_eig_unc >= -tol)
     boundary = (np.abs(min_eig_v) <= tol) | (np.abs(min_eig_unc) <= tol)
     return physical, boundary
+
+
+def _principal_minor_sums(h):
+    """``e1 .. e4`` of a 4x4 matrix of Gaussian rationals ``(re, im)``.
+
+    Each ``e_k`` sums the ``k x k`` principal minors, each expanded over
+    the permutations of its rows; the sums of a Hermitian matrix are real.
+    """
+    sums = []
+    for k in range(1, 5):
+        total = [Fraction(0), Fraction(0)]
+        for rows in itertools.combinations(range(4), k):
+            for cols in itertools.permutations(rows):
+                inversions = sum(a > b for a, b in itertools.combinations(cols, 2))
+                re, im = Fraction(1), Fraction(0)
+                for r, c in zip(rows, cols):
+                    a, b = h[r][c]
+                    re, im = re * a - im * b, re * b + im * a
+                total[0] += -re if inversions % 2 else re
+                total[1] += -im if inversions % 2 else im
+        assert total[1] == 0
+        sums.append(total[0])
+    return sums
+
+
+def exact_reference_physicality(m: np.ndarray) -> tuple[bool, bool]:
+    """``(physical, boundary)`` of one symmetric matrix in exact rationals.
+
+    Every eigenvalue of the Hermitian ``V + i*Omega + s*I`` is ``>= 0``
+    exactly when all four sums of its principal minors are, and ``> 0``
+    when all are positive.  With ``tol = max(1e-9, 32*eps*max(1, max|V|))``,
+    ``physical`` is the first at ``s = tol`` and ``boundary`` is
+    ``physical`` without the second at ``s = -tol``.
+    """
+    eps = np.finfo(float).eps
+    tol = Fraction(max(1e-9, 32 * eps * max(1.0, float(np.abs(m).max()))))
+
+    def sums(shift):
+        h = [
+            [(Fraction(float(x)), Fraction(int(w))) for x, w in zip(row, omega_row)]
+            for row, omega_row in zip(m, OMEGA)
+        ]
+        for i in range(4):
+            h[i][i] = (h[i][i][0] + shift, h[i][i][1])
+        return _principal_minor_sums(h)
+
+    physical = min(sums(tol)) >= 0
+    return physical, physical and min(sums(-tol)) <= 0
 
 
 def oracle_attenuate(m: np.ndarray, t1: float, t2: float) -> np.ndarray:

@@ -110,6 +110,8 @@ class TestBadArguments:
             ["map", "epr", "--mu-minus", "0.7267", "--mu-plus", "0.4529", "--grid", "-1"],
             ["random", "--seed", "1", "--squeeze-max", "inf"],
             ["random", "--seed", "1", "--nu-max", "inf"],
+            ["random", "--seed", "1", "--squeeze-max", "1e200"],
+            ["random", "--seed", "1", "--nu-max", "1e308"],
             ["robustify", "STATE", "--budget", "-5"],
             ["robustify", "STATE", "--budget", "0"],
             ["random", "--seed", "-1"],
@@ -122,7 +124,8 @@ class TestBadArguments:
             ["attenuate", "STATE", "--length2-km", "-1"],
         ],
         ids=["contour-samples", "map-correlations-grid", "map-epr-grid",
-             "random-squeeze-max", "random-nu-max", "robustify-budget-negative",
+             "random-squeeze-max", "random-nu-max", "random-squeeze-max-overflow",
+             "random-nu-max-overflow", "robustify-budget-negative",
              "robustify-budget-zero", "random-seed", "robustify-seed",
              "pure-squeezed-overflow", "from-squeezing-overflow",
              "attenuate-alpha-nan", "attenuate-length-nan", "attenuate-length-inf",
@@ -497,6 +500,25 @@ class TestDeterminism:
         assert run(["scan", cm_d_file, "--grid", "5", "-o", str(a)]) == 0
         assert run(["scan", cm_d_file, "--grid", "5", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["scan", "STATE", "--grid", "101"],
+            ["map", "correlations", "--dq", "2.55", "--dp", "1.80", "--grid", "101"],
+        ],
+        ids=["scan", "map"],
+    )
+    def test_stdout_equals_file(self, args, tmp_path, cm_d_file, capsys):
+        # Both outputs are written in slices; a grid CSV spans several.
+        args = [cm_d_file if a == "STATE" else a for a in args]
+        out = tmp_path / "out.csv"
+        assert run([*args, "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert run(args) == 0
+        text = capsys.readouterr().out
+        assert len(text) > 4 * 65536
+        assert out.read_text() == text
 
     def test_overwrite_existing_output(self, tmp_path, cm_d_file):
         out = tmp_path / "report.json"
