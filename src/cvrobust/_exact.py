@@ -1,12 +1,13 @@
-"""Exact evaluation of the physicality test, in stdlib integers.
+"""Exact witness invariants of a symmetric 4x4 matrix, in stdlib integers.
 
-Every float is ``p/2^k``, so scaling the entries of a matrix and its
-tolerance by their common denominator ``D = 2^K`` turns them into integers,
-and an invariant of degree ``k`` into an integer over ``D^k``.  Its sign is
-then decided without rounding.
+Every float is ``p/2^k``, so scaling the ten upper-triangle entries by their
+common denominator ``D = 2^K`` turns them into integers, and an invariant of
+degree ``k`` into an integer over ``D^k``.  Its sign is then decided, and
+its value rounded once (CPython's ``int / int`` is correctly rounded),
+without intermediate roundoff.
 
-The test is ``lambda_min(V + i*Omega) >= -tol``.  For a Hermitian ``H`` the
-characteristic polynomial ``x^4 - e1 x^3 + e2 x^2 - e3 x + e4`` has real
+Physicality is ``lambda_min(V + i*Omega) >= -tol``.  For a Hermitian ``H``
+the characteristic polynomial ``x^4 - e1 x^3 + e2 x^2 - e3 x + e4`` has real
 roots, and ``e_k``, the sum of the ``k x k`` principal minors of ``H``, is
 the ``k``-th elementary symmetric function of them.  So every eigenvalue is
 ``>= 0`` exactly when every ``e_k >= 0``, and ``> 0`` exactly when every
@@ -21,54 +22,192 @@ those of ``W`` less the entries ``Omega`` adds:
 The shift ``W = V + s*I`` moves them by ``e_k(H + s) =
 sum_j C(4 - j, k - j) s^(k - j) e_j(H)``, so the invariants of ``V`` serve
 both shifts, ``+tol`` for the verdict and ``-tol`` for the boundary flag.
+
+The witness invariants are the polynomials of the Gamma decomposition with
+``V = [[a1, c], [c^T, a2]]``, ``sigma_j = tr a_j - 2`` and
+``impurity_j = det a_j - 1``:
+
+* ``lambda1 = tr(c^T J (a1 - I) J c)``, ``lambda2 = tr(c J (a2 - I) J c^T)``,
+  ``lambda_c = tr(c^T c)`` and ``lambda4 = tr(a1 J c J a2 J c^T J)``, where
+  ``J M J = -adj(M)^T`` for a 2x2 ``M``;
+* ``gamma11 = sigma1 sigma2 - lambda_c + 2 det c``,
+  ``gamma12 = sigma1 (impurity2 - sigma2) + lambda2``,
+  ``gamma21 = sigma2 (impurity1 - sigma1) + lambda1`` and
+  ``gamma22 = det(V - I)``, which is the PPT witness
+  ``1 + det V + 2 det c - det a1 - det a2`` less the other three;
+* ``eta = gamma12 + gamma21 + sigma1 sigma2 + det a1 + det a2 - lambda_c - 1``.
+
+A value is reported as ``(numerator, denominator)``; :func:`ratio` rounds it.
 """
 
 from __future__ import annotations
 
+_INF = float("inf")
 
-def physicality(upper, tol: float) -> tuple[bool, bool]:
-    """``(physical, boundary)`` of a symmetric 4x4 ``V``, evaluated exactly.
+
+def ratio(num: int, den: int) -> float:
+    """``num / den`` correctly rounded, or an infinity of its sign where it overflows."""
+    try:
+        return num / den
+    except OverflowError:
+        return _INF if num > 0 else -_INF
+
+
+def at_most(bound: float):
+    """The exact test ``(num, den) -> num / den <= bound`` for ``den > 0``."""
+    if bound == _INF:
+        return lambda num, den: True
+    n, d = bound.as_integer_ratio()
+    return lambda num, den: num * d <= n * den
+
+
+class Matrix:
+    """A symmetric 4x4 matrix as integers over its entries' common denominator.
 
     ``upper`` holds the ten finite upper-triangle entries row by row,
-    ``v00, v01, v02, v03, v11, v12, v13, v22, v23, v33``.  ``physical`` is
-    ``lambda_min(V + i*Omega) >= -tol`` and ``boundary`` is
-    ``|lambda_min| <= tol``, which can hold only on physical ``V``.
+    ``v00, v01, v02, v03, v11, v12, v13, v22, v23, v33``.  The determinants
+    that physicality and the witnesses share are formed once.
     """
-    ratios = [x.as_integer_ratio() for x in upper]
-    ratios.append(tol.as_integer_ratio())
-    one = max(q for _, q in ratios)  # D: each denominator is a power of two
-    a, p, q, r, b, s, t, c, u, d, shift = [n * (one // k) for n, k in ratios]
-    # Diagonal a, b, c, d; v01 = p, v02 = q, v03 = r, v12 = s, v13 = t, v23 = u.
-    p2, q2, r2, s2, t2, u2 = p * p, q * q, r * r, s * s, t * t, u * u
-    det_a1 = a * b - p2
-    det_a2 = c * d - u2
-    det_c = q * t - r * s
-    trace = a + b + c + d
-    one2 = one * one
-    e2 = det_a1 + det_a2 + (a + b) * (c + d) - q2 - r2 - s2 - t2 - 2 * one2
-    e3 = (
-        (c + d) * det_a1
-        + (a + b) * det_a2
-        + 2 * (p * (q * s + r * t) + u * (q * r + s * t))
-        - a * (s2 + t2)
-        - b * (q2 + r2)
-        - c * (r2 + t2)
-        - d * (q2 + s2)
-        - one2 * trace
-    )
-    # det V by Laplace expansion over the 2x2 minors of rows (0, 1) and (2, 3).
-    det_v = (
-        det_a1 * det_a2
-        - (a * s - q * p) * (s * d - u * t)
-        + (a * t - r * p) * (s * u - c * t)
-        + (p * s - q * b) * (q * d - u * r)
-        - (p * t - r * b) * (q * u - c * r)
-        + det_c * det_c
-    )
-    e4 = det_v + one2 * (one2 - det_a1 - det_a2 - 2 * det_c)
-    invariants = (trace, e2, e3, e4)
-    physical = min(_shifted(invariants, shift)) >= 0
-    return physical, physical and min(_shifted(invariants, -shift)) <= 0
+
+    __slots__ = ("one", "entries", "det_a1", "det_a2", "det_c", "det_v")
+
+    def __init__(self, upper):
+        nums, dens = zip(*map(float.as_integer_ratio, upper))
+        one = self.one = max(dens)  # D: each denominator is a power of two
+        # Diagonal a, b, c, d; v01 = p, v02 = q, v03 = r, v12 = s, v13 = t, v23 = u.
+        self.entries = [n * (one // k) for n, k in zip(nums, dens)]
+        a, p, q, r, b, s, t, c, u, d = self.entries
+        det_a1 = self.det_a1 = a * b - p * p
+        det_a2 = self.det_a2 = c * d - u * u
+        det_c = self.det_c = q * t - r * s
+        # det V by Laplace expansion over the 2x2 minors of rows (0, 1) and (2, 3).
+        self.det_v = (
+            det_a1 * det_a2
+            - (a * s - q * p) * (s * d - u * t)
+            + (a * t - r * p) * (s * u - c * t)
+            + (p * s - q * b) * (q * d - u * r)
+            - (p * t - r * b) * (q * u - c * r)
+            + det_c * det_c
+        )
+
+    def physicality(self, tol: float) -> tuple[bool, bool]:
+        """``(physical, boundary)``: ``lambda_min(V + i*Omega) >= -tol`` and ``|lambda_min| <= tol``.
+
+        ``boundary`` can hold only on a physical ``V``.
+        """
+        a, p, q, r, b, s, t, c, u, d = self.entries
+        one = self.one
+        det_a1, det_a2 = self.det_a1, self.det_a2
+        p2, q2, r2, s2, t2, u2 = p * p, q * q, r * r, s * s, t * t, u * u
+        trace = a + b + c + d
+        one2 = one * one
+        e2 = det_a1 + det_a2 + (a + b) * (c + d) - q2 - r2 - s2 - t2 - 2 * one2
+        e3 = (
+            (c + d) * det_a1
+            + (a + b) * det_a2
+            + 2 * (p * (q * s + r * t) + u * (q * r + s * t))
+            - a * (s2 + t2)
+            - b * (q2 + r2)
+            - c * (r2 + t2)
+            - d * (q2 + s2)
+            - one2 * trace
+        )
+        e4 = self.det_v + one2 * (one2 - det_a1 - det_a2 - 2 * self.det_c)
+        invariants = (trace, e2, e3, e4)
+        # Bring the tolerance to the same denominator, lifting the invariants
+        # of degree k by f^k when its own denominator is the larger.
+        shift, den = tol.as_integer_ratio()
+        if den > one:
+            f = den // one
+            f2 = f * f
+            invariants = (trace * f, e2 * f2, e3 * f2 * f, e4 * f2 * f2)
+        else:
+            shift *= one // den
+        physical = min(_shifted(invariants, shift)) >= 0
+        return physical, physical and min(_shifted(invariants, -shift)) <= 0
+
+    def _parts(self):
+        """Numerators of ``sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21``.
+
+        Their denominators are ``D`` for the ``sigma_j``, ``D^2`` for ``lambda_c``
+        and ``gamma11``, and ``D^3`` for the rest.
+        """
+        a, p, q, r, b, s, t, c, u, d = self.entries
+        one = self.one
+        one2 = one * one
+        sigma1 = a + b - 2 * one
+        sigma2 = c + d - 2 * one
+        # Squared norms of the rows and columns of c.
+        row0, row1 = q * q + r * r, s * s + t * t
+        col0, col1 = q * q + s * s, r * r + t * t
+        lambda1 = 2 * p * (q * s + r * t) - (b - one) * row0 - (a - one) * row1
+        lambda2 = 2 * u * (q * r + s * t) - (d - one) * col0 - (c - one) * col1
+        lambda_c = row0 + row1
+        gamma11 = sigma1 * sigma2 - lambda_c + 2 * self.det_c
+        gamma12 = sigma1 * (self.det_a2 - one2 - one * sigma2) + lambda2
+        gamma21 = sigma2 * (self.det_a1 - one2 - one * sigma1) + lambda1
+        return sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21
+
+    def w_ppt(self) -> int:
+        """PPT witness ``1 + det V + 2 det c - det a1 - det a2``, over ``D^4``."""
+        one2 = self.one * self.one
+        return self.det_v + one2 * (one2 + 2 * self.det_c - self.det_a1 - self.det_a2)
+
+    def corners(self):
+        """``w_ppt, w_full, w_ch1, w_ch2`` as ``(numerator, denominator)`` pairs."""
+        one = self.one
+        one2 = one * one
+        one3 = one2 * one
+        gamma11, gamma12, gamma21 = self._parts()[5:]
+        return (
+            (self.w_ppt(), one2 * one2),
+            (gamma11, one2),
+            (one * gamma11 + gamma12, one3),
+            (one * gamma11 + gamma21, one3),
+        )
+
+    def gamma_set(self):
+        """The 13 fields of ``GammaSet``, in field order, as ``(numerator, denominator)`` pairs."""
+        a, p, q, r, b, s, t, c, u, d = self.entries
+        one = self.one
+        one2 = one * one
+        one3 = one2 * one
+        sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21 = self._parts()
+        gamma22 = self.w_ppt() - one * (gamma12 + gamma21) - one2 * gamma11
+        # tr(a1 adj(c)^T a2 adj(c)) with adj(c) = [[t, -r], [-s, q]].
+        x00, x01, x10, x11 = a * t - p * r, p * q - a * s, p * t - b * r, b * q - p * s
+        y00, y01, y10, y11 = c * t - u * s, u * q - c * r, u * t - d * s, d * q - u * r
+        lambda4 = x00 * y00 + x01 * y10 + x10 * y01 + x11 * y11
+        eta = (
+            gamma12
+            + gamma21
+            + one * (sigma1 * sigma2 + self.det_a1 + self.det_a2 - lambda_c)
+            - one3
+        )
+        return (
+            (gamma11, one2),
+            (gamma12, one3),
+            (gamma21, one3),
+            (gamma22, one2 * one2),
+            (lambda1, one3),
+            (lambda2, one3),
+            (lambda_c, one2),
+            (lambda4, one2 * one2),
+            (eta, one3),
+            (sigma1, one),
+            (sigma2, one),
+            (self.det_a1 - one2, one2),
+            (self.det_a2 - one2, one2),
+        )
+
+    def delta(self, det_c_sign: int = 1) -> int:
+        """``det a1 + det a2 + 2 det c``, over ``D^2``; ``det_c_sign=-1`` partially transposes."""
+        return self.det_a1 + self.det_a2 + 2 * det_c_sign * self.det_c
+
+    def det_condition(self) -> int:
+        """``1 + det V - 2 det c - det a1 - det a2``, over ``D^4``."""
+        one2 = self.one * self.one
+        return self.det_v + one2 * (one2 - 2 * self.det_c - self.det_a1 - self.det_a2)
 
 
 def _shifted(invariants, s):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._exact import physicality
+from ._exact import Matrix, ratio
 from .errors import ValidationError
 
 __all__ = [
@@ -59,7 +59,7 @@ PHYSICALITY_TOL = 1e-9
 #: 1.46 over pure two-mode squeezed states (``r`` up to 12); 32 keeps the
 #: margin of the former float test.  A violation smaller than this cannot be
 #: told from roundoff.
-_PHYSICALITY_ROUNDOFF = 32 * np.finfo(float).eps
+_PHYSICALITY_ROUNDOFF = 32 * float(np.finfo(float).eps)
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J2.setflags(write=False)
@@ -131,11 +131,6 @@ def _scale(m: np.ndarray):
     return np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
 
 
-def _det2(m: np.ndarray):
-    """Determinants of 2x2 blocks over any leading batch axes."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
 class Blocks(NamedTuple):
     """The 2x2 decomposition ``V = [[a1, c], [c^T, a2]]``.
 
@@ -175,9 +170,12 @@ class SymplecticSpectrum(NamedTuple):
     nu_plus: float
 
 
-def _spectrum_from_invariants(delta: float, det_v: float) -> SymplecticSpectrum:
+def _spectrum(x: Matrix, det_c_sign: int = 1) -> SymplecticSpectrum:
     # nu^2 are the roots of x^2 - delta*x + det_v = 0, real and nonnegative
     # for V > 0 by Williamson's theorem; roundoff below zero is clamped.
+    one2 = x.one * x.one
+    delta = ratio(x.delta(det_c_sign), one2)
+    det_v = ratio(x.det_v, one2 * one2)
     root = math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))
     return SymplecticSpectrum(
         nu_minus=math.sqrt(max(0.5 * (delta - root), 0.0)),
@@ -196,20 +194,16 @@ def symplectic_spectrum(v, partial_transpose_mode: int | None = None) -> Symplec
 
     A partially transposed ``nu_minus < 1`` certifies entanglement.
 
-    The spectrum reports and does not judge physicality: roots that
-    roundoff or an unphysical ``V`` push below 0 are clamped at 0, and
-    determinants that overflow give NaN.
+    ``delta`` and ``det V`` are evaluated exactly (:mod:`cvrobust._exact`)
+    and rounded once; ``nu`` takes float square roots of those two
+    correctly rounded values.  The spectrum reports and does not judge
+    physicality: roots that roundoff or an unphysical ``V`` push below 0
+    are clamped at 0, and determinants that overflow give NaN.
     """
     if partial_transpose_mode not in (None, 1, 2):
         raise ValueError("partial_transpose_mode must be 1 or 2")
-    cov = _as_cov(v)
-    b = blocks(cov)
-    det_c = float(_det2(b.c))
-    if partial_transpose_mode is not None:
-        det_c = -det_c
-    delta = float(_det2(b.a1)) + float(_det2(b.a2)) + 2.0 * det_c
-    det_v = float(np.linalg.det(cov.matrix))
-    return _spectrum_from_invariants(delta, det_v)
+    x = _exact_matrix(_as_cov(v).matrix)
+    return _spectrum(x, 1 if partial_transpose_mode is None else -1)
 
 
 class PhysicalityDiagnosis(NamedTuple):
@@ -229,24 +223,34 @@ class PhysicalityDiagnosis(NamedTuple):
     boundary: bool
 
 
+def _exact_stack(m: np.ndarray):
+    """``(Matrix, tol)`` of each matrix of a stack ``(..., 4, 4)``, in C order.
+
+    ``Matrix`` is the matrix in exact integers (:mod:`cvrobust._exact`) and
+    ``tol`` the tolerance of :func:`_physicality` on it.
+    """
+    upper = m[..., _UPPER_ROWS, _UPPER_COLS].reshape(-1, 10).tolist()
+    tol = np.ravel(_physicality_tol(_scale(m))).tolist()
+    return zip(map(Matrix, upper), tol)
+
+
+def _exact_matrix(m: np.ndarray) -> Matrix:
+    """One 4x4 matrix in exact integers."""
+    return Matrix(m[_UPPER_ROWS, _UPPER_COLS].tolist())
+
+
 def _physicality(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(physical, boundary)`` verdicts over a stack of matrices ``(..., 4, 4)``.
 
     The kernel of :func:`validate_physicality`, shared with the region maps:
     ``lambda_min(V + i*Omega) >= -tol`` and ``|lambda_min| <= tol``, decided
     exactly from the signs of the characteristic polynomial's coefficients
-    by :func:`cvrobust._exact.physicality` on each matrix's upper triangle.
-    ``V >= 0`` needs no test of its own: for real unit ``x``,
-    ``x^T V x = x^H (V + i*Omega) x``, so the smallest eigenvalue of ``V`` is
-    at least that of ``V + i*Omega``.
+    by :meth:`cvrobust._exact.Matrix.physicality`.  ``V >= 0`` needs no test
+    of its own: for real unit ``x``, ``x^T V x = x^H (V + i*Omega) x``, so
+    the smallest eigenvalue of ``V`` is at least that of ``V + i*Omega``.
     """
-    upper = m[..., _UPPER_ROWS, _UPPER_COLS]
-    tol = _physicality_tol(_scale(m))
-    verdicts = [
-        physicality(v, t)
-        for v, t in zip(upper.reshape(-1, 10).tolist(), np.ravel(tol).tolist())
-    ]
-    out = np.array(verdicts, dtype=bool).reshape(upper.shape[:-1] + (2,))
+    verdicts = [x.physicality(tol) for x, tol in _exact_stack(m)]
+    out = np.array(verdicts, dtype=bool).reshape(m.shape[:-2] + (2,))
     return out[..., 0], out[..., 1]
 
 
@@ -255,11 +259,18 @@ def _physicality_tol(scale):
     return np.maximum(PHYSICALITY_TOL, _PHYSICALITY_ROUNDOFF * scale)
 
 
+def _exact_physical(cov: CovMatrix) -> Matrix:
+    """The admissibility gate on ``cov``, returning its matrix in exact integers."""
+    ((x, tol),) = _exact_stack(cov.matrix)
+    if not x.physicality(tol)[0]:
+        raise ValidationError("unphysical state (uncertainty bound V + i*Omega >= 0 violated)")
+    return x
+
+
 def _require_physical(v) -> CovMatrix:
     """The admissibility gate: ``v`` as a :class:`CovMatrix` if physical, else raise."""
     cov = _as_cov(v)
-    if not _physicality(cov.matrix)[0]:
-        raise ValidationError("unphysical state (uncertainty bound V + i*Omega >= 0 violated)")
+    _exact_physical(cov)
     return cov
 
 
@@ -273,30 +284,23 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
     eigenvalue by up to ``2 * eps * max|V|``, approaches it.  The test is
     evaluated exactly, in integers over the entries' common power-of-two
     denominator (:mod:`cvrobust._exact`), so no verdict or ``boundary``
-    flag (``|lambda_min| <= tol``) depends on LAPACK's roundoff.  Unlike the
+    flag (``|lambda_min| <= tol``) depends on roundoff.  Unlike the
     quartic for ``nu_minus``, it stays exact for pure states, whose double
     root at ``nu = 1`` turns determinant roundoff into eigenvalue noise.
-    ``nu`` is reported from :func:`symplectic_spectrum`; it and
-    ``det_condition`` are float values, not finite only when the
+    ``det_condition`` is the exact value rounded once; ``nu`` takes float
+    square roots of the correctly rounded ``delta`` and ``det V`` (see
+    :func:`symplectic_spectrum`).  Both are not finite only when the
     determinants overflow.
 
     Never raises for symmetric input.
     """
-    cov = _as_cov(v)
-    m = cov.matrix
-    physical, boundary = _physicality(m)
-    # Determinants of entries above about 1e77 overflow to inf or NaN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        det_v = float(np.linalg.det(m))
-        det_condition = float(
-            det_v + 1.0 - 2.0 * _det2(m[:2, 2:]) - _det2(m[:2, :2]) - _det2(m[2:, 2:])
-        )
-        nu = symplectic_spectrum(cov)
+    ((x, tol),) = _exact_stack(_as_cov(v).matrix)
+    physical, boundary = x.physicality(tol)
     return PhysicalityDiagnosis(
-        physical=bool(physical),
-        nu=nu,
-        det_condition=det_condition,
-        boundary=bool(boundary),
+        physical=physical,
+        nu=_spectrum(x),
+        det_condition=ratio(x.det_condition(), x.one**4),
+        boundary=boundary,
     )
 
 
@@ -319,19 +323,16 @@ class Purities(NamedTuple):
 def purities(v) -> Purities:
     """Purities ``mu = (det V)^-1/2``, ``mu_j = (det a_j)^-1/2`` and noise terms.
 
-    Raises for unphysical ``v``; a purity is NaN where roundoff makes its determinant ``<= 0``.
+    Each determinant and noise term is evaluated exactly and rounded once.
+    Raises for unphysical ``v``; a purity is NaN where its determinant is
+    ``<= 0``, which the tolerance admits only for large ``max|V|``.
     """
-    cov = _require_physical(v)
-    b = blocks(cov)
-    det_a1, det_a2 = float(_det2(b.a1)), float(_det2(b.a2))
-    dets = (float(np.linalg.det(cov.matrix)), det_a1, det_a2)
-    return Purities(
-        *(d**-0.5 if d > 0.0 else math.nan for d in dets),
-        sigma1=float(np.trace(b.a1)) - 2.0,
-        sigma2=float(np.trace(b.a2)) - 2.0,
-        impurity1=det_a1 - 1.0,
-        impurity2=det_a2 - 1.0,
-    )
+    x = _exact_physical(_as_cov(v))
+    one2 = x.one * x.one
+    dets = (ratio(x.det_v, one2 * one2), ratio(x.det_a1, one2), ratio(x.det_a2, one2))
+    # The last four Gamma-set fields: sigma1, sigma2, impurity1, impurity2.
+    noise = [ratio(n, d) for n, d in x.gamma_set()[9:]]
+    return Purities(*(d**-0.5 if d > 0.0 else math.nan for d in dets), *noise)
 
 
 def rotation2(theta: float) -> np.ndarray:

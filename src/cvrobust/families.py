@@ -27,7 +27,6 @@ from .covariance import (
     SYMMETRY_RTOL,
     CovMatrix,
     _as_cov,
-    _physicality,
     _require_physical,
     _scale,
     beam_splitter,
@@ -36,8 +35,7 @@ from .covariance import (
     squeeze2,
 )
 from .errors import ValidationError
-from .robustness import _CLASSES, _corner_class, _screen
-from .witnesses import _band, _gamma_set
+from .robustness import _CLASSES, _UNPHYSICAL, _screen, _verdicts
 
 __all__ = [
     "FullySymmetric",
@@ -320,11 +318,10 @@ UNPHYSICAL = "unphysical"
 _REGIONS = np.array(
     [_REGION_OF_LABEL[cls.label] for cls in _CLASSES] + [UNPHYSICAL], dtype=object
 )
-_UNPHYSICAL_CODE = len(_CLASSES)
 
 #: Cells evaluated per batch by the grid commands (region maps and scans).
-#: It bounds the kernels' temporaries (the complex uncertainty matrices take
-#: 256 bytes a cell) whatever the grid size.
+#: It bounds the temporaries of the screen and of the attenuated stacks
+#: whatever the grid size.
 GRID_CHUNK = 1024
 
 
@@ -356,20 +353,6 @@ def _grid_chunks(nx: int, ny: int):
         yield cells, i, j
 
 
-def _kernel_verdicts(m):
-    """Region codes and boundary flags of a stack ``(..., 4, 4)`` by the shared kernels."""
-    physical, flagged = _physicality(m)
-    code = np.full(physical.shape, _UNPHYSICAL_CODE)
-    if physical.any():
-        m = m[physical]
-        with np.errstate(over="ignore", invalid="ignore"):
-            g, band = _gamma_set(m), _band(m)
-        cls, corner_flags = _corner_class(g, band)
-        code[physical] = cls
-        flagged[physical] = np.any(corner_flags, axis=0)
-    return code, flagged
-
-
 def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
     """Classify every cell ``(x[i], y[j])``; ``matrices(xs, ys)`` builds their stack.
 
@@ -379,7 +362,7 @@ def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
     boundary, a physical one when a corner witness lies in the zero band.
     The certified screen of :mod:`cvrobust.robustness` decides most cells
     from closed-form invariants; only the cells it leaves open go through
-    the kernels, so every verdict is the kernels' own.
+    the exact kernel of ``classify``, so every verdict is that kernel's own.
     """
     codes = np.empty(x.size * y.size, dtype=np.intp)
     boundary = np.empty(x.size * y.size, dtype=bool)
@@ -389,10 +372,10 @@ def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
         if not np.isfinite(m).all():
             raise ValidationError("covariance matrix contains non-finite entries")
         certain, physical, cls, flagged = _screen(m)
-        code = np.where(physical, cls, _UNPHYSICAL_CODE)
+        code = np.where(physical, cls, _UNPHYSICAL)
         if not certain.all():
             rest = ~certain
-            code[rest], flagged[rest] = _kernel_verdicts(m[rest])
+            code[rest], flagged[rest] = _verdicts(m[rest])
         codes[cells] = code
         boundary[cells] = flagged
     shape = (x.size, y.size)

@@ -23,18 +23,32 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._exact import Matrix, at_most, ratio
 from ._record import Record
 from .covariance import (
     CovMatrix,
     LocalSymplectic,
     _as_cov,
+    _exact_matrix,
+    _exact_physical,
+    _exact_stack,
     _physicality,
     _physicality_tol,
-    _require_physical,
 )
 from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
-from .witnesses import GammaSet, _band, _band_at, _reduced, boundary_band, gamma_coefficients
+from .witnesses import (
+    GammaSet,
+    _band,
+    _band_at,
+    _finite,
+    _gamma_of,
+    _laplace,
+    _ppt_of,
+    _reduced,
+    boundary_band,
+    gamma_coefficients,
+)
 
 __all__ = [
     "RobustnessClass",
@@ -147,14 +161,12 @@ def channel_robustness_witness(v, mode: int) -> float:
     ``mode=1`` returns ``gamma11 + gamma12`` (channel 1 lossy, channel 2
     lossless); ``mode=2`` returns ``gamma11 + gamma21``.  Nonpositive values
     (for an entangled state) mean losses on that channel alone never
-    disentangle.
+    disentangle.  The sum is evaluated exactly and rounded once.
     """
-    g = gamma_coefficients(v)
-    if mode == 1:
-        return g.w_ch1
-    if mode == 2:
-        return g.w_ch2
-    raise ValueError(f"mode must be 1 or 2, got {mode!r}")
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode!r}")
+    corners = _exact_matrix(_as_cov(v).matrix).corners()
+    return _finite(ratio(n, d) for n, d in corners)[1 + mode]
 
 
 def critical_transmittance(v, mode: int) -> float | None:
@@ -175,7 +187,7 @@ def critical_transmittance(v, mode: int) -> float | None:
     return report.t1_critical if mode == 1 else report.t2_critical
 
 
-#: Robustness classes indexed by the codes of :func:`_corner_class`.
+#: Robustness classes indexed by the codes of :func:`_class_code`.
 _CLASSES = (
     SEPARABLE,
     FRAGILE,
@@ -185,56 +197,76 @@ _CLASSES = (
     FULLY_ROBUST,
 )
 
+#: The code of an unphysical matrix in :func:`_verdicts`.
+_UNPHYSICAL = len(_CLASSES)
+
 _CORNERS = ("w_ppt", "w_full", "w_ch1", "w_ch2")
-
-
-def _finite_corners(g: GammaSet):
-    """The corners of ``g`` in ``_CORNERS`` order, checked to be finite.
-
-    Raises :class:`ValidationError` when one is not, as when the quartic
-    witness polynomial overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        corners = (g.w_ppt, g.w_full, g.w_ch1, g.w_ch2)
-    if not np.isfinite(corners).all():
-        raise ValidationError(
-            "witness values are not finite: the covariance entries are too "
-            "large to evaluate the quartic witness"
-        )
-    return corners
 
 
 def _checked_gamma(v) -> GammaSet:
     """:func:`gamma_coefficients` of a physical ``v`` with finite corners, else raise."""
-    cov = _require_physical(v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = gamma_coefficients(cov)
-    _finite_corners(g)
-    return g
+    x = _exact_physical(_as_cov(v))
+    _finite(ratio(n, d) for n, d in x.corners())
+    return _gamma_of(x)
 
 
-def _corner_class(g: GammaSet, band):
-    """Corner-sign class decision, for one Gamma set or a stack of them.
-
-    ``g`` holds floats or arrays of one batch shape and ``band`` the matching
-    zero-band half-widths.  Returns the class codes (indices into
-    ``_CLASSES``) and, per corner in ``_CORNERS`` order, whether its value
-    lies inside the band.  Corners within the band count as nonpositive.
-    Raises :class:`ValidationError` when a corner is not finite.
-    """
-    return _class_code(_finite_corners(g), band)
+def _code(entangled, r1, r2, rf):
+    """Class code from the corner decisions: ``w_ppt < 0`` and robust on 1, 2, full loss."""
+    # Separable 0; entangled: 1 + (robust on 1) + 2*(robust on 2), and 5 when
+    # also robust at full loss, following the order of _CLASSES.
+    return entangled * (1 + r1 + 2 * r2 + (rf & r1 & r2))
 
 
 def _class_code(corners, band):
-    """:func:`_corner_class` on corner values in ``_CORNERS`` order."""
+    """Corner-sign class decision on float corners, one set or stacks of them.
+
+    ``corners`` holds ``w_ppt, w_full, w_ch1, w_ch2`` and ``band`` the zero-band
+    half-widths.  Returns the class codes (indices into ``_CLASSES``) and,
+    per corner, whether its value lies inside the band.  Corners within the
+    band count as nonpositive.
+    """
     w_ppt, w_full, w_ch1, w_ch2 = corners
-    r1 = w_ch1 <= band
-    r2 = w_ch2 <= band
-    rf = w_full <= band
-    # Separable 0; entangled: 1 + (robust on 1) + 2*(robust on 2), and 5 when
-    # also robust at full loss, following the order of _CLASSES.
-    code = (w_ppt < 0.0) * (1 + r1 + 2 * r2 + (rf & r1 & r2))
+    code = _code(w_ppt < 0.0, w_ch1 <= band, w_ch2 <= band, w_full <= band)
     return code, tuple(abs(w) <= band for w in corners)
+
+
+def _exact_class(x: Matrix, band: float):
+    """:func:`_class_code` on the exact corners of a physical matrix.
+
+    Returns the corners as ``(numerator, denominator)`` pairs, their values
+    rounded once, the class code and the per-corner band flags.  Raises
+    :class:`ValidationError` when a rounded corner is not finite.
+    """
+    corners = x.corners()
+    values = _finite([ratio(n, d) for n, d in corners])
+    (ppt, _), full, ch1, ch2 = corners
+    within = at_most(band)
+    code = _code(ppt < 0, within(*ch1), within(*ch2), within(*full))
+    flags = tuple([within(abs(n), d) for n, d in corners])
+    return corners, values, code, flags
+
+
+def _verdicts(m):
+    """Class codes and boundary flags of a stack ``(N, 4, 4)``, cell by cell, exactly.
+
+    Each cell gets the verdicts of ``validate_physicality`` and ``classify``
+    on its matrix: the code ``_UNPHYSICAL`` and the physicality boundary
+    flag when it is unphysical, else its class code and whether a corner
+    lies in the zero band.
+    """
+    with np.errstate(over="ignore"):  # an infinite band flags every corner
+        bands = np.ravel(_band(m)).tolist()
+    codes, flags = [], []
+    for (x, tol), band in zip(_exact_stack(m), bands):
+        physical, boundary = x.physicality(tol)
+        if physical:
+            _, _, code, corner_flags = _exact_class(x, band)
+            codes.append(code)
+            flags.append(any(corner_flags))
+        else:
+            codes.append(_UNPHYSICAL)
+            flags.append(boundary)
+    return np.array(codes, dtype=np.intp), np.array(flags, dtype=bool)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -248,10 +280,11 @@ _EPS = float(np.finfo(float).eps)
 #: covers the a priori bound four times over.
 _INVARIANT_ROUNDOFF = 512 * _EPS
 
-#: Roundoff bound of one corner witness, screen and kernel errors together,
-#: per unit of ``_scale**4``.  The largest sum measured on the same states
-#: was 4.2; 4096 leaves room for the kernel's LU determinant ``det(V - I)``,
-#: whose a priori bound is far looser than its measured error.
+#: Roundoff bound of one of the screen's corner witnesses against its exact
+#: value, per unit of ``_scale**4``.  The largest error measured on the same
+#: states, with that of the former float kernel added, was 4.2.  The value
+#: 4096, sized when the screen stood in for that kernel and its LU
+#: determinant, is kept, so that the screen decides the same cells.
 _CORNER_ROUNDOFF = 4096 * _EPS
 
 #: Margin of the screen's physicality bounds over the exact test's
@@ -261,9 +294,9 @@ _CORNER_ROUNDOFF = 4096 * _EPS
 #: eigenvalue, is kept so that the screen decides the same cells.
 _BOUND_ROUNDOFF = 256 * _EPS
 
-#: Largest ``_scale**4`` the screen decides.  The kernels' quartic
-#: intermediates stay below 64*_scale**4, far from overflow, so a cell whose
-#: kernel would raise is never decided here.
+#: Largest ``_scale**4`` the screen decides.  The quartic witnesses stay
+#: below 64*_scale**4, far from overflow, so a cell whose exact corners would
+#: not round to finite values is never decided here.
 _SCREEN_MAX_SCALE4 = 2.0**1000
 
 
@@ -272,14 +305,15 @@ def _screen(m):
     """Certified verdicts for a stack of symmetric matrices ``(..., 4, 4)``.
 
     Returns ``(certain, physical, code, boundary)``.  Where ``certain`` is
-    set, they equal what the kernels give: ``physical`` the verdict of
-    :func:`~cvrobust.covariance._physicality`, ``code`` (physical cells)
-    the class code of :func:`_corner_class`, and ``boundary`` the region
-    maps' flag, which for a certain cell is set only by a corner inside
-    the zero band.  Elsewhere they mean nothing and the cell needs the
-    kernels.  The screen evaluates closed-form invariants and decides a
-    cell only when their roundoff, bounded by ``_INVARIANT_ROUNDOFF`` and
-    ``_CORNER_ROUNDOFF``, cannot move it across a threshold.
+    set, they equal what the exact kernel of :func:`_verdicts` gives:
+    ``physical`` the verdict of :func:`~cvrobust.covariance._physicality`,
+    ``code`` (physical cells) the class code of :func:`_exact_class`, and
+    ``boundary`` the region maps' flag, which for a certain cell is set only
+    by a corner inside the zero band.  Elsewhere they mean nothing and the
+    cell needs the exact kernel.  The screen evaluates closed-form
+    invariants in floats and decides a cell only when their roundoff,
+    bounded by ``_INVARIANT_ROUNDOFF`` and ``_CORNER_ROUNDOFF``, cannot move
+    it across a threshold.
 
     Physicality from the invariants alone.  Where ``V > 0`` (certified by its
     leading minors), Williamson's theorem gives ``V = S^T D S`` with ``S``
@@ -308,9 +342,8 @@ def _screen(m):
     the bound.  Pure states, whose ``dc`` vanishes, are never decided.
 
     Corners.  ``w_ppt`` and ``gamma11``, ``gamma11 + gamma12`` and
-    ``gamma11 + gamma21`` are the polynomials of
-    :func:`~cvrobust.witnesses._gamma_set` written out elementwise
-    (``J2 M J2`` is a signed permutation of ``M``).  The class of a
+    ``gamma11 + gamma21`` are the polynomials of :mod:`cvrobust._exact`
+    evaluated in floats.  The class of a
     physical cell is certain when every corner is farther than
     ``_CORNER_ROUNDOFF * _scale**4`` from each threshold it is compared
     with: 0 for ``w_ppt`` and the band edges ``+-band`` for all four.
@@ -323,21 +356,7 @@ def _screen(m):
     v00, v01, v02, v03 = v[0]
     v11, v12, v13 = v[1, 1:]
     v22, v23, v33 = v[2, 2], v[2, 3], v[3, 3]
-    # 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair.
-    t01 = v00 * v11 - v01 * v01
-    t02 = v00 * v12 - v02 * v01
-    t03 = v00 * v13 - v03 * v01
-    t12 = v01 * v12 - v02 * v11
-    t13 = v01 * v13 - v03 * v11
-    det_c = v02 * v13 - v03 * v12
-    b02 = v02 * v23 - v22 * v03
-    b03 = v02 * v33 - v23 * v03
-    b12 = v12 * v23 - v22 * v13
-    b13 = v12 * v33 - v23 * v13
-    det_a2 = v22 * v33 - v23 * v23
-    det_v = (
-        t01 * det_a2 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + det_c * det_c
-    )
+    t01, t02, t12, det_c, det_a2, det_v = _laplace(v)
     minor3 = v02 * t12 - v12 * t02 + v22 * t01
     delta = t01 + det_a2 + 2.0 * det_c
     dc = 1.0 + det_v - delta
@@ -375,7 +394,7 @@ def _screen(m):
     lambda1 = 2.0 * v01 * (v02 * v12 + v03 * v13) - (v11 - 1.0) * row0 - (v00 - 1.0) * row1
     w_full = sigma1 * sigma2 - (col0 + col1) + 2.0 * det_c
     corners = (
-        1.0 + det_v + 2.0 * det_c - t01 - det_a2,
+        _ppt_of(t01, det_a2, det_c, det_v),
         w_full,
         w_full + sigma1 * (det_a2 - 1.0 - sigma2) + lambda2,
         w_full + sigma2 * (t01 - 1.0 - sigma1) + lambda1,
@@ -399,27 +418,26 @@ def classify(v) -> RobustnessReport:
     overflowing witnesses raise :class:`ValidationError`.
     """
     cov = _as_cov(v)
-    g = _checked_gamma(cov)
+    x = _exact_physical(cov)
     with np.errstate(over="ignore"):  # an infinite band flags every corner
         band = boundary_band(cov)
-    code, flagged = _corner_class(g, band)
+    corners, values, code, flags = _exact_class(x, band)
+    ppt, ppt_den = corners[0]
 
-    def t_crit(w):
-        if g.w_ppt < -band and w > band:
-            return w / (w - g.w_ppt)
-        return None
+    within = at_most(band)
+
+    def t_crit(w, den):
+        # w_ppt < -band and w > band: T_c = w/(w - w_ppt), rounded once.
+        if within(-ppt, ppt_den) or within(w, den):
+            return None
+        return ratio(w * ppt_den, w * ppt_den - ppt * den)
 
     return RobustnessReport(
-        w_ppt=g.w_ppt,
-        w_full=g.w_full,
-        w_ch1=g.w_ch1,
-        w_ch2=g.w_ch2,
-        t1_critical=t_crit(g.w_ch1),
-        t2_critical=t_crit(g.w_ch2),
+        *values,
+        t1_critical=t_crit(*corners[2]),
+        t2_critical=t_crit(*corners[3]),
         cls=_CLASSES[code],
-        boundary_flags=frozenset(
-            name for name, flag in zip(_CORNERS, flagged) if flag
-        ),
+        boundary_flags=frozenset(name for name, flag in zip(_CORNERS, flags) if flag),
     )
 
 
@@ -458,8 +476,8 @@ class RobustifyResult(NamedTuple):
 
 def _corner_objective(m: np.ndarray) -> float:
     # max of the three robustness corners; < 0 means fully robust.
-    g = gamma_coefficients(CovMatrix(m))
-    return max(g.w_full, g.w_ch1, g.w_ch2)
+    corners = _exact_matrix(CovMatrix(m).matrix).corners()[1:]
+    return max(ratio(n, d) for n, d in corners)
 
 
 def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:

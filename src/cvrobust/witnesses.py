@@ -11,10 +11,11 @@ with a reduced witness bilinear in the transmittances,
     W_R(T1, T2) = Gamma11 + T1*Gamma21 + T2*Gamma12 + T1*T2*Gamma22,
 
 whose coefficients are local-rotation invariants of the input state.  This
-module computes the witnesses and the Gamma decomposition.  The private
-kernels (``_ppt``, ``_gamma_set``, ``_band``) evaluate them over a stack of
-matrices ``(..., 4, 4)`` for the grid commands; the public functions are
-their one-matrix calls.
+module computes the witnesses and the Gamma decomposition.  The Gamma
+coefficients are evaluated exactly (:mod:`cvrobust._exact`) and each is
+rounded once.  The PPT witness is a float determinant; ``_ppt`` and
+``_band`` evaluate it and the zero band over a stack of matrices
+``(..., 4, 4)`` for the grid commands.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._exact import Matrix, ratio
 from ._record import Record
 from .channel import Transmittance
-from .covariance import J2, _as_cov, _det2, _scale, blocks
+from .covariance import _as_cov, _exact_matrix, _scale, blocks
+from .errors import ValidationError
 
 __all__ = [
     "boundary_band",
@@ -150,21 +153,53 @@ def minimized_duan(v) -> MinimizedDuan:
     return MinimizedDuan(w_m=w_m, a_opt=a_opt)
 
 
+def _laplace(v):
+    """Determinant invariants of an entries-first stack ``v[i, j, ...]`` of symmetric matrices.
+
+    Returns ``det a1``, the 2x2 minors ``t02`` and ``t12`` of rows (0, 1)
+    with columns (0, 2) and (1, 2), ``det c``, ``det a2`` and ``det V``, the
+    last by Laplace expansion over the 2x2 minors of rows (0, 1) and
+    (2, 3).  Elementwise, so each matrix gets the bits of a one-matrix call.
+    """
+    v00, v01, v02, v03 = v[0]
+    v11, v12, v13 = v[1, 1:]
+    v22, v23, v33 = v[2, 2], v[2, 3], v[3, 3]
+    # 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair.
+    t01 = v00 * v11 - v01 * v01
+    t02 = v00 * v12 - v02 * v01
+    t03 = v00 * v13 - v03 * v01
+    t12 = v01 * v12 - v02 * v11
+    t13 = v01 * v13 - v03 * v11
+    det_c = v02 * v13 - v03 * v12
+    b02 = v02 * v23 - v22 * v03
+    b03 = v02 * v33 - v23 * v03
+    b12 = v12 * v23 - v22 * v13
+    b13 = v12 * v33 - v23 * v13
+    det_a2 = v22 * v33 - v23 * v23
+    det_v = (
+        t01 * det_a2 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + det_c * det_c
+    )
+    return t01, t02, t12, det_c, det_a2, det_v
+
+
+def _ppt_of(det_a1, det_a2, det_c, det_v):
+    """The PPT witness from its determinant invariants."""
+    return 1.0 + det_v + 2.0 * det_c - det_a1 - det_a2
+
+
 def _ppt(m: np.ndarray):
     """:func:`ppt_witness` over a stack of matrices ``(..., 4, 4)``."""
-    return (
-        1.0
-        + np.linalg.det(m)
-        + 2.0 * _det2(m[..., :2, 2:])
-        - _det2(m[..., :2, :2])
-        - _det2(m[..., 2:, 2:])
-    )
+    det_a1, _, _, det_c, det_a2, det_v = _laplace(np.moveaxis(m, (-2, -1), (0, 1)))
+    return _ppt_of(det_a1, det_a2, det_c, det_v)
 
 
 def ppt_witness(v) -> float:
     """PPT witness ``1 + det V + 2 det c - det a1 - det a2``.
 
     Negative iff the Gaussian state is entangled; nonnegative iff separable.
+    A float evaluation, independent of the exact Gamma coefficients, so that
+    ``ppt_witness(attenuate(v, t)) = t1 * t2 * reduced_witness(g, t)`` checks
+    one against the other.
     """
     return float(_ppt(_as_cov(v).matrix))
 
@@ -175,9 +210,10 @@ class GammaSet(Record):
     The four ``gamma_ij`` multiply ``T1^(i-1) T2^(j-1)`` in the reduced
     witness; their sum equals the PPT witness of the source state and
     ``gamma22 = det(V - I)``.  The remaining fields are the auxiliary
-    invariants entering the decomposition.  The fields are floats, or arrays
-    of one batch shape from the grid kernel; ``vars(g)`` maps each field
-    name to its value, in field order.
+    invariants entering the decomposition.  The fields are floats only, each
+    an exact value rounded once by :func:`gamma_coefficients`; the corner
+    properties below add rounded fields.  ``vars(g)`` maps each field name
+    to its value, in field order.
     """
 
     _fields = (
@@ -215,73 +251,33 @@ class GammaSet(Record):
         return self.gamma11 + self.gamma21
 
 
-def _trace2(m: np.ndarray):
-    """Traces of 2x2 blocks over any leading batch axes."""
-    return np.trace(m, axis1=-2, axis2=-1)
+def _finite(values) -> tuple:
+    """``values`` as a tuple, checked to be finite.
 
-
-def _gamma_set(m: np.ndarray) -> GammaSet:
-    """:func:`gamma_coefficients` over a stack ``(..., 4, 4)``; fields are arrays.
-
-    The 2x2 products run as stacked ``matmul`` in the scalar evaluation
-    order, so each cell gets the same bits as a one-matrix call.
+    Raises :class:`ValidationError` when one is not, as when rounding an
+    exact quartic witness overflows.
     """
-    a1 = m[..., :2, :2]
-    a2 = m[..., 2:, 2:]
-    c = m[..., :2, 2:]
-    c_t = np.swapaxes(c, -1, -2)
-    i2 = np.eye(2)
+    values = tuple(values)
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(
+            "witness values are not finite: the covariance entries are too "
+            "large to evaluate the quartic witness"
+        )
+    return values
 
-    sigma1 = _trace2(a1) - 2.0
-    sigma2 = _trace2(a2) - 2.0
-    det_a1 = _det2(a1)
-    det_a2 = _det2(a2)
-    impurity1 = det_a1 - 1.0
-    impurity2 = det_a2 - 1.0
-    det_c = _det2(c)
 
-    lambda1 = _trace2(c_t @ J2 @ (a1 - i2) @ J2 @ c)
-    lambda2 = _trace2(c @ J2 @ (a2 - i2) @ J2 @ c_t)
-    lambda_c = _trace2(c_t @ c)
-    lambda4 = _trace2(a1 @ J2 @ c @ J2 @ a2 @ J2 @ c_t @ J2)
-    eta = (
-        sigma1 * (impurity2 - sigma2)
-        + sigma2 * (impurity1 - sigma1)
-        + sigma1 * sigma2
-        + det_a1
-        + det_a2
-        + lambda1
-        + lambda2
-        - lambda_c
-        - 1.0
-    )
-
-    gamma22 = np.linalg.det(m - np.eye(4))
-    gamma12 = sigma1 * (impurity2 - sigma2) + lambda2
-    gamma21 = sigma2 * (impurity1 - sigma1) + lambda1
-    gamma11 = sigma1 * sigma2 - lambda_c + 2.0 * det_c
-
-    return GammaSet(
-        gamma11=gamma11,
-        gamma12=gamma12,
-        gamma21=gamma21,
-        gamma22=gamma22,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        lambda_c=lambda_c,
-        lambda4=lambda4,
-        eta=eta,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        impurity1=impurity1,
-        impurity2=impurity2,
-    )
+def _gamma_of(x: Matrix) -> GammaSet:
+    """The Gamma set of an exact matrix, each field rounded once."""
+    return GammaSet(*_finite(ratio(n, d) for n, d in x.gamma_set()))
 
 
 def gamma_coefficients(v) -> GammaSet:
-    """Decompose the attenuated PPT witness into its Gamma coefficients."""
-    g = _gamma_set(_as_cov(v).matrix)
-    return GammaSet(**{name: float(x) for name, x in vars(g).items()})
+    """Decompose the attenuated PPT witness into its Gamma coefficients.
+
+    Each coefficient is evaluated exactly and rounded once; a value whose
+    rounding overflows raises :class:`ValidationError`.
+    """
+    return _gamma_of(_exact_matrix(_as_cov(v).matrix))
 
 
 def _reduced(g: GammaSet, t1, t2):

@@ -24,10 +24,9 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
-from cvrobust.covariance import _physicality, beam_splitter, rotation2, squeeze2
+from cvrobust.covariance import beam_splitter, rotation2, squeeze2
 from cvrobust.families import _REGIONS, _grid_chunks
-from cvrobust.robustness import _CLASSES, _corner_class
-from cvrobust.witnesses import _band, _gamma_set
+from cvrobust.robustness import _verdicts
 
 I4 = np.eye(4)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -154,6 +153,115 @@ def exact_reference_physicality(m: np.ndarray) -> tuple[bool, bool]:
     return physical, physical and min(sums(-tol)) <= 0
 
 
+def _det(rows):
+    """Determinant of a square matrix of rationals by permutation expansion."""
+    n = len(rows)
+    total = Fraction(0)
+    for cols in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(cols, 2))
+        term = Fraction(1)
+        for r, c in enumerate(cols):
+            term *= rows[r][c]
+        total += -term if inversions % 2 else term
+    return total
+
+
+def _mul(*factors):
+    """Product of 2x2 matrices of rationals, left to right."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = [[sum(out[i][k] * f[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    return out
+
+
+def _trace(x):
+    return x[0][0] + x[1][1]
+
+
+def _transpose(x):
+    return [[x[0][0], x[1][0]], [x[0][1], x[1][1]]]
+
+
+def _minus_identity(x):
+    return [[x[0][0] - 1, x[0][1]], [x[1][0], x[1][1] - 1]]
+
+
+def exact_reference_witnesses(m: np.ndarray) -> dict:
+    """The Gamma set, ``det V``, ``delta``, ``det_condition`` and the corners of one matrix, exactly.
+
+    Follows the definitions, not the package's integer scaling: each entry
+    becomes a ``Fraction``, the ``lambda`` traces are products of 2x2 blocks
+    with ``J``, ``gamma22 = det(V - I)`` and ``det V`` are permutation
+    expansions, and the corners are ``w_ppt = 1 + det V + 2 det c - det a1 -
+    det a2``, ``w_full = gamma11``, ``w_ch1 = gamma11 + gamma12`` and
+    ``w_ch2 = gamma11 + gamma21``.
+    """
+    v = [[Fraction(float(x)) for x in row] for row in m]
+    a1 = [row[:2] for row in v[:2]]
+    a2 = [row[2:] for row in v[2:]]
+    c = [row[2:] for row in v[:2]]
+    c_t = _transpose(c)
+    j = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
+    det_a1, det_a2, det_c = _det(a1), _det(a2), _det(c)
+    sigma1, sigma2 = _trace(a1) - 2, _trace(a2) - 2
+    impurity1, impurity2 = det_a1 - 1, det_a2 - 1
+    lambda1 = _trace(_mul(c_t, j, _minus_identity(a1), j, c))
+    lambda2 = _trace(_mul(c, j, _minus_identity(a2), j, c_t))
+    lambda_c = _trace(_mul(c_t, c))
+    lambda4 = _trace(_mul(a1, j, c, j, a2, j, c_t, j))
+    det_v = _det(v)
+    out = {
+        "gamma11": sigma1 * sigma2 - lambda_c + 2 * det_c,
+        "gamma12": sigma1 * (impurity2 - sigma2) + lambda2,
+        "gamma21": sigma2 * (impurity1 - sigma1) + lambda1,
+        "gamma22": _det([[x - (i == k) for k, x in enumerate(row)] for i, row in enumerate(v)]),
+        "lambda1": lambda1,
+        "lambda2": lambda2,
+        "lambda_c": lambda_c,
+        "lambda4": lambda4,
+        "eta": sigma1 * (impurity2 - sigma2)
+        + sigma2 * (impurity1 - sigma1)
+        + sigma1 * sigma2
+        + det_a1
+        + det_a2
+        + lambda1
+        + lambda2
+        - lambda_c
+        - 1,
+        "sigma1": sigma1,
+        "sigma2": sigma2,
+        "impurity1": impurity1,
+        "impurity2": impurity2,
+        "det_v": det_v,
+        "delta": det_a1 + det_a2 + 2 * det_c,
+        "det_condition": 1 + det_v - 2 * det_c - det_a1 - det_a2,
+        "w_ppt": 1 + det_v + 2 * det_c - det_a1 - det_a2,
+    }
+    out["w_full"] = out["gamma11"]
+    out["w_ch1"] = out["gamma11"] + out["gamma12"]
+    out["w_ch2"] = out["gamma11"] + out["gamma21"]
+    return out
+
+
+def exact_reference_class(m: np.ndarray, band: float):
+    """``(label, robust_mode, boundary_flags)`` from the exact corners and the float ``band``.
+
+    The decision chain of the paper: ``w_ppt >= 0`` is separable; a corner
+    at most ``band`` counts as robust; ``|w| <= band`` flags the corner.
+    """
+    w = exact_reference_witnesses(m)
+    band = Fraction(band)
+    flags = {name for name in ("w_ppt", "w_full", "w_ch1", "w_ch2") if abs(w[name]) <= band}
+    if not w["w_ppt"] < 0:
+        return "Separable", None, flags
+    r1, r2, rf = w["w_ch1"] <= band, w["w_ch2"] <= band, w["w_full"] <= band
+    if r1 and r2:
+        return ("FullyRobust" if rf else "PartiallyRobustSymmetric"), None, flags
+    if r1 or r2:
+        return "PartiallyRobustAsymmetric", 1 if r1 else 2, flags
+    return "Fragile", None, flags
+
+
 def oracle_attenuate(m: np.ndarray, t1: float, t2: float) -> np.ndarray:
     l = np.diag(np.repeat([np.sqrt(t1), np.sqrt(t2)], 2))
     return l @ (m - I4) @ l + I4
@@ -274,38 +382,20 @@ def reference_region_labels(x, y, cell):
     return labels, boundary
 
 
-def reference_chunk_verdicts(m: np.ndarray):
-    """Region codes and boundary flags of a stack ``(N, 4, 4)`` by the kernels alone.
+def reference_region_map(x, y, matrices):
+    """Labels and boundary flags of a region map, every cell through the exact kernel.
 
     The region maps' chunk body without the certified screen: every cell
-    goes through ``_physicality`` and the physical ones through
-    ``_gamma_set``, ``_band`` and ``_corner_class``.  Codes index
-    ``_CLASSES``; ``len(_CLASSES)`` marks an unphysical cell.
-    """
-    physical, flagged = _physicality(m)
-    code = np.full(physical.shape, len(_CLASSES))
-    if physical.any():
-        m = m[physical]
-        with np.errstate(over="ignore", invalid="ignore"):
-            g, band = _gamma_set(m), _band(m)
-        cls, corner_flags = _corner_class(g, band)
-        code[physical] = cls
-        flagged[physical] = np.any(corner_flags, axis=0)
-    return code, flagged
-
-
-def reference_region_map(x, y, matrices):
-    """Labels and boundary flags of a region map, every cell through the kernels.
-
-    ``matrices(xs, ys)`` builds the stack of a chunk of cells, as in
-    ``families._region_map``.
+    goes through ``robustness._verdicts``, the per-cell exact verdict that
+    ``classify`` uses.  ``matrices(xs, ys)`` builds the stack of a chunk of
+    cells, as in ``families._region_map``.
     """
     codes = np.empty(x.size * y.size, dtype=np.intp)
     boundary = np.empty(x.size * y.size, dtype=bool)
     for cells, i, j in _grid_chunks(x.size, y.size):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             m = matrices(x[i], y[j])
-        codes[cells], boundary[cells] = reference_chunk_verdicts(m)
+        codes[cells], boundary[cells] = _verdicts(m)
     shape = (x.size, y.size)
     return _REGIONS[codes].reshape(shape), boundary.reshape(shape)
 

@@ -7,7 +7,7 @@ import pytest
 
 from cvrobust import CovMatrix, attenuate, classify, ppt_witness, region_map_correlations
 from cvrobust.cli import main, read_state_file, state_file_text
-from helpers import CM_B, CM_C, CM_D, eq19_matrix, strict_json
+from helpers import CM_B, CM_C, CM_D, eq19_matrix, exact_reference_witnesses, strict_json
 
 
 def run(args):
@@ -270,16 +270,28 @@ class TestClassify:
             assert run(["classify", str(state), "-o", str(out)]) == 0, f"seed {seed}"
             strict_json(out.read_text())
 
-    @pytest.mark.parametrize("seed", [5, 9])
-    def test_roundoff_purity_is_null(self, seed, tmp_path):
-        # Pure states whose float det V roundoff leaves <= 0; physical all the same.
+    def classify_pure_state(self, seed, tmp_path):
+        """The ``purities.mu`` of ``classify`` and the exact det V of a pure state at s = 11."""
         state = tmp_path / "sq.json"
         args = ["random", "--seed", str(seed), "--nu-min", "1", "--nu-max", "1",
                 "--squeeze-max", "11", "-o", str(state)]
         assert run(args) == 0
         out = tmp_path / "report.json"
         assert run(["classify", str(state), "-o", str(out)]) == 0
-        assert strict_json(out.read_text())["purities"]["mu"] is None
+        det_v = exact_reference_witnesses(read_state_file(str(state))[0].matrix)["det_v"]
+        return strict_json(out.read_text())["purities"]["mu"], det_v
+
+    @pytest.mark.parametrize("seed", [9])
+    def test_roundoff_purity_is_null(self, seed, tmp_path):
+        # A pure state whose rounded entries leave det V <= 0; physical all the same.
+        mu, det_v = self.classify_pure_state(seed, tmp_path)
+        assert det_v <= 0
+        assert mu is None
+
+    def test_exact_purity_is_a_number(self, tmp_path):
+        # The float det V (LU) of seed 5 rounds to <= 0; exactly, it is positive.
+        mu, det_v = self.classify_pure_state(5, tmp_path)
+        assert mu == float(det_v) ** -0.5
 
 
 class TestScan:
@@ -476,11 +488,11 @@ class TestRandomAndRobustify:
         assert run(["robustify", path]) == 1
 
     def test_robustify_output_passes_the_gate_on_squeezed_pure_state(self, tmp_path):
-        # The first simplex hit's S V S^T has lambda_min(V + i*Omega) = -1.6e-9
+        # The first simplex hit's S V S^T has lambda_min(V + i*Omega) = -1.37e-9
         # against a tolerance of 1e-9; the first restart gives a gate-passing
-        # one after 285 evaluations.
+        # one after 309 evaluations.
         state, out = tmp_path / "s.json", tmp_path / "rob.json"
-        args = ["--seed", "3204453", "--nu-min", "1", "--nu-max", "1", "--squeeze-max", "9"]
+        args = ["--seed", "25", "--nu-min", "1", "--nu-max", "1", "--squeeze-max", "9"]
         assert run(["random", *args, "-o", str(state)]) == 0
         assert run(["robustify", str(state), "-o", str(out)]) == 0
         data = strict_json(out.read_text())

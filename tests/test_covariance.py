@@ -24,6 +24,7 @@ from helpers import (
     HIGHLY_SQUEEZED,
     OMEGA,
     eq19_matrix,
+    exact_reference_witnesses,
     oracle_min_uncertainty_eigenvalue,
     oracle_partial_transpose,
     oracle_symplectic_eigenvalues,
@@ -239,11 +240,20 @@ class TestPurities:
             purities(eq19_matrix(2.54))
 
     def test_roundoff_determinant_gives_nan_purity(self):
-        # A pure state whose float det V roundoff leaves <= 0: physical, mu undefined.
+        # A pure state whose rounded entries leave det V <= 0: physical, mu undefined.
+        v = random_physical_state(9, RandomStateParams(1.0, 1.0, 11.0))
+        assert validate_physicality(v).physical
+        assert exact_reference_witnesses(v.matrix)["det_v"] <= 0
+        assert np.isnan(purities(v).mu)
+
+    def test_exact_determinant_gives_finite_purity(self):
+        # A pure state whose float det V (LU) rounds to <= 0; the exact det V
+        # of the stored entries is positive, so mu is a number.
         v = random_physical_state(5, RandomStateParams(1.0, 1.0, 11.0))
         assert validate_physicality(v).physical
         assert np.linalg.det(v.matrix) <= 0.0
-        assert np.isnan(purities(v).mu)
+        det_v = exact_reference_witnesses(v.matrix)["det_v"]
+        assert purities(v).mu == float(det_v) ** -0.5
 
 
 class TestLocalSymplectic:

@@ -29,7 +29,7 @@ def python(*args):
 
 
 #: A pure, strongly squeezed state on which ``robustify`` needs its restarts.
-SQUEEZED_PIN = ["random", "--seed", "3204453", "--nu-min", "1", "--nu-max", "1", "--squeeze-max", "9"]
+SQUEEZED_PIN = ["random", "--seed", "25", "--nu-min", "1", "--nu-max", "1", "--squeeze-max", "9"]
 
 
 def layer_modules() -> set[str]:
@@ -56,12 +56,25 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == str(enabled)
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
+    def test_package_import_keeps_freeze_count(self, frozen):
+        code = (
+            "import gc; gc.enable()\n"
+            f"if {frozen}: gc.freeze()\n"
+            "before = gc.get_freeze_count()\n"
+            "import cvrobust\n"
+            "print(gc.isenabled(), gc.get_freeze_count() == before, before > 0)"
+        )
+        done = python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "True", str(frozen)]
+
     @pytest.mark.parametrize(
         "commands, evaluations",
         [
             ([["robustify", "CM_E", "-o", "OUT"]], 9),
             ([["random", "--seed", "7", "-o", "OUT"]], None),
-            ([SQUEEZED_PIN + ["-o", "STATE"], ["robustify", "STATE", "-o", "OUT"]], 285),
+            ([SQUEEZED_PIN + ["-o", "STATE"], ["robustify", "STATE", "-o", "OUT"]], 309),
         ],
         ids=["robustify-no-restart", "random", "random-then-restarting-robustify"],
     )

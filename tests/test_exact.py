@@ -1,19 +1,38 @@
-"""The exact physicality test against an independent rational reference.
+"""The exact kernel against independent rational references.
 
-``covariance._physicality`` decides ``lambda_min(V + i*Omega) >= -tol`` and
-the boundary flag in integers (``cvrobust._exact``); the reference in
-``helpers`` expands every principal minor over Gaussian rationals.  The
-commands that read a state or build a map must not need LAPACK's
-eigensolver.
+``cvrobust._exact`` decides physicality (``lambda_min(V + i*Omega) >= -tol``
+and the boundary flag) and evaluates every witness invariant in integers
+over the entries' common power-of-two denominator.  The references in
+``helpers`` expand every principal minor over Gaussian rationals and follow
+the Gamma definitions in ``fractions``.  The commands that read a state or
+build a map must need neither LAPACK's eigensolver nor its determinant.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cvrobust import RandomStateParams, random_physical_state
+from cvrobust import (
+    RandomStateParams,
+    boundary_band,
+    classify,
+    gamma_coefficients,
+    random_physical_state,
+    validate_physicality,
+)
 from cvrobust.cli import main, state_file_text
-from cvrobust.covariance import _physicality
-from helpers import CM_B, CM_D, exact_reference_physicality
+from cvrobust.covariance import _exact_matrix, _physicality
+from helpers import (
+    CM_A,
+    CM_B,
+    CM_D,
+    CM_E,
+    HIGHLY_SQUEEZED,
+    exact_reference_class,
+    exact_reference_physicality,
+    exact_reference_witnesses,
+)
 
 #: Scalings that keep a pure state within the tolerance (1 +- 3e-10), move
 #: it to about the tolerance edge (1 - 1e-9) and far beyond it (0.9).
@@ -54,6 +73,78 @@ def test_pure_state_just_inside_the_tolerance_is_physical():
     assert tuple(map(bool, _physicality(m))) == (True, True)
 
 
+GAMMA_FIELDS = (
+    "gamma11", "gamma12", "gamma21", "gamma22", "lambda1", "lambda2", "lambda_c",
+    "lambda4", "eta", "sigma1", "sigma2", "impurity1", "impurity2",
+)
+CORNERS = ("w_ppt", "w_full", "w_ch1", "w_ch2")
+
+
+def witness_states():
+    """Pure and mixed random states at ``squeeze_max`` 1 to 13, and the fixtures."""
+    out = [CM_A, CM_B, CM_D, CM_E, HIGHLY_SQUEEZED]
+    for squeeze_max in range(1, 14):
+        for nu_max in (1.0, 2.5):
+            params = RandomStateParams(1.0, nu_max, float(squeeze_max))
+            out += [random_physical_state(seed, params) for seed in range(4)]
+    return out
+
+
+def test_witness_invariants_equal_exact_reference():
+    for k, v in enumerate(witness_states()):
+        ref = exact_reference_witnesses(v.matrix)
+        x = _exact_matrix(v.matrix)
+        one2 = x.one * x.one
+        exact = dict(zip(GAMMA_FIELDS, x.gamma_set()))
+        exact.update(zip(CORNERS, x.corners()))
+        exact["det_v"] = (x.det_v, one2 * one2)
+        exact["delta"] = (x.delta(), one2)
+        exact["det_condition"] = (x.det_condition(), one2 * one2)
+        for name, (num, den) in exact.items():
+            assert num / den == float(ref[name]), (k, name)
+        rounded = {**vars(gamma_coefficients(v)), **classify(v)._asdict()}
+        for name in GAMMA_FIELDS + CORNERS:
+            assert rounded[name] == float(ref[name]), (k, name)
+        assert validate_physicality(v).det_condition == float(ref["det_condition"]), k
+
+
+@pytest.mark.parametrize("squeeze_max", [3, 5, 7, 9, 11])
+def test_classify_equals_exact_reference(squeeze_max):
+    for nu_max, seeds in ((1.0, 60), (2.5, 20)):
+        for seed in range(seeds):
+            v = random_physical_state(seed, RandomStateParams(1.0, nu_max, squeeze_max))
+            report = classify(v)
+            band = boundary_band(v)
+            label, mode, flags = exact_reference_class(v.matrix, band)
+            assert (report.cls.label, report.cls.robust_mode) == (label, mode), (nu_max, seed)
+            assert report.boundary_flags == flags, (nu_max, seed)
+            ref = exact_reference_witnesses(v.matrix)
+            for name, t_crit in (("w_ch1", report.t1_critical), ("w_ch2", report.t2_critical)):
+                w = ref[name]
+                if ref["w_ppt"] < -Fraction(band) and w > Fraction(band):
+                    assert t_crit == float(w / (w - ref["w_ppt"])), (nu_max, seed, name)
+                else:
+                    assert t_crit is None, (nu_max, seed, name)
+
+
+@pytest.mark.parametrize(
+    "nu_max, seed, label",
+    [
+        # A float kernel gave PartiallyRobustAsymmetric(robust_mode=2), unflagged:
+        # the float w_ch1 of seed 160 was +8.6e9 against an exact -6.0e9.
+        (1.0, 160, "FullyRobust"),
+        (1.0, 287, "PartiallyRobustSymmetric"),
+        # A float w_ppt >= 0 made this mixed state Separable, unflagged.
+        (2.5, 102, "PartiallyRobustSymmetric"),
+    ],
+)
+def test_strongly_squeezed_states_get_exact_class(nu_max, seed, label):
+    v = random_physical_state(seed, RandomStateParams(1.0, nu_max, 11.0))
+    report = classify(v)
+    assert exact_reference_class(v.matrix, boundary_band(v)) == (label, None, set())
+    assert (report.cls.label, report.boundary_flags) == (label, frozenset())
+
+
 COMMANDS = {
     "validate": ["validate", "STATE"],
     "classify": ["classify", "STATE"],
@@ -67,11 +158,13 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("name", COMMANDS)
-def test_commands_run_without_eigvalsh(name, tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("numpy.linalg.eigvalsh called")
+def test_commands_run_without_lapack(name, tmp_path, monkeypatch):
+    for function in ("eigvalsh", "det"):
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        def refuse(*args, function=function, **kwargs):
+            raise AssertionError(f"numpy.linalg.{function} called")
+
+        monkeypatch.setattr(np.linalg, function, refuse)
     files = {"STATE": (CM_D, "cm_d.json"), "FRAGILE": (CM_B, "cm_b.json")}
     argv = []
     for arg in COMMANDS[name]:

@@ -12,7 +12,6 @@ from cvrobust import (
     PARTIALLY_ROBUST_SYMMETRIC,
     SEPARABLE,
     CovMatrix,
-    GammaSet,
     RandomStateParams,
     ValidationError,
     attenuate,
@@ -28,8 +27,7 @@ from cvrobust import (
 from cvrobust.cli import main, state_file_text
 from cvrobust.covariance import _physicality
 from cvrobust.families import GRID_CHUNK
-from cvrobust.robustness import _CLASSES, _corner_class
-from cvrobust.witnesses import _gamma_set
+from cvrobust.robustness import _CLASSES, _class_code
 from helpers import (
     CM_A,
     CM_B,
@@ -121,18 +119,8 @@ def test_corner_class_matches_decision_chain_on_every_sign_pattern():
     # +-0.25 lie inside the band 0.5, +-1 outside; the sums stay exact.
     values = [-1.0, -0.25, 0.25, 1.0]
     corners = np.array(list(itertools.product(values, repeat=4)))
-    w_ppt, w_full, w_ch1, w_ch2 = corners.T
-    unused = ["lambda1", "lambda2", "lambda_c", "lambda4", "eta"]
-    unused += ["sigma1", "sigma2", "impurity1", "impurity2"]
-    g = GammaSet(
-        gamma11=w_full,
-        gamma12=w_ch1 - w_full,
-        gamma21=w_ch2 - w_full,
-        gamma22=w_ppt - w_ch1 - w_ch2 + w_full,
-        **dict.fromkeys(unused, np.zeros(len(corners))),
-    )
     band = np.full(len(corners), 0.5)
-    codes, flags = _corner_class(g, band)
+    codes, flags = _class_code(tuple(corners.T), band)
     for k, row in enumerate(corners):
         assert _CLASSES[codes[k]] == reference_class(*row, 0.5), row
         assert [f[k] for f in flags] == [abs(w) <= 0.5 for w in row]
@@ -149,20 +137,6 @@ def test_map_memory_does_not_scale_with_chunked_cells():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-
-
-def test_batched_gamma_set_is_bit_identical_to_scalar():
-    states = (
-        [CovMatrix.vacuum(), CovMatrix(np.diag([2.0, 3.0, 1.5, 1.0])), CM_A, CM_E]
-        + random_states(200)
-        + random_states(50, params=RandomStateParams(1.0, 1.0, 6.0))
-    )
-    stack = np.array([v.matrix for v in states])
-    batched = vars(_gamma_set(stack))
-    for k, v in enumerate(states):
-        for name, value in vars(gamma_coefficients(v)).items():
-            # repr also tells the zero signs apart, as the CLI output does
-            assert repr(float(batched[name][k])) == repr(value), (k, name)
 
 
 def test_non_finite_witness_rejected_by_classify():

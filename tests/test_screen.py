@@ -1,8 +1,9 @@
 """The region maps' certified screen against the kernels it stands in for.
 
 Wherever ``robustness._screen`` calls a cell certain, its physicality
-verdict, boundary flag and class must be those of ``_physicality`` and
-``_corner_class``; a region map must equal its all-kernel reference.
+verdict, boundary flag and class must be those of the exact per-cell
+kernel (``robustness._verdicts``); a region map must equal its all-kernel
+reference.
 """
 
 import math
@@ -13,8 +14,8 @@ import pytest
 from cvrobust import ValidationError, region_map_correlations, region_map_epr
 from cvrobust.covariance import _physicality
 from cvrobust.families import _cell_centers, _epr_moments, _symmetric_modes_stack
-from cvrobust.robustness import _CLASSES, _screen
-from helpers import HIGHLY_SQUEEZED, reference_chunk_verdicts, reference_region_map
+from cvrobust.robustness import _CLASSES, _screen, _verdicts
+from helpers import HIGHLY_SQUEEZED, reference_region_map
 
 UNPHYSICAL = len(_CLASSES)
 GRIDS = [1, 7, 33, 101]
@@ -127,7 +128,7 @@ def test_screen_decisions_equal_kernels_on_random_states():
     total = 0
     for name, m in state_groups():
         certain, physical, code, boundary = _screen(m)
-        ref_code, ref_boundary = reference_chunk_verdicts(m)
+        ref_code, ref_boundary = _verdicts(m)
         assert np.array_equal(physical[certain], ref_code[certain] != UNPHYSICAL), name
         assert np.array_equal(boundary[certain], ref_boundary[certain]), name
         assert np.array_equal(np.where(physical, code, UNPHYSICAL)[certain], ref_code[certain]), name
