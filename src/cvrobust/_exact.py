@@ -1,4 +1,4 @@
-"""Exact witness invariants of a symmetric 4x4 matrix, in stdlib integers.
+"""Witness invariants of a symmetric 4x4 matrix, exact in stdlib integers.
 
 Every float is ``p/2^k``, so scaling the ten upper-triangle entries by their
 common denominator ``D = 2^K`` turns them into integers, and an invariant of
@@ -37,6 +37,16 @@ The witness invariants are the polynomials of the Gamma decomposition with
   ``1 + det V + 2 det c - det a1 - det a2`` less the other three;
 * ``eta = gamma12 + gamma21 + sigma1 sigma2 + det a1 + det a2 - lambda_c - 1``.
 
+The witness polynomials are written once, as the module functions
+:func:`_laplace`, :func:`_w_ppt`, :func:`_parts` and :func:`_corners` of the
+ten entries and a unit ``one``, homogeneous so that the unit stands for 1.
+:class:`Matrix` calls them on its integers with ``one = D``, for
+``classify``, the Gamma set and every map cell the screen leaves open.
+``robustness._screen`` and ``witnesses._ppt`` (``ppt_witness`` and
+``scan``'s attenuated witness) call them on entries-first float arrays with
+``one = 1``, where each ``one * x`` is an exact multiply.  Only the integer
+evaluation is exact; the screen bounds the roundoff of the float one.
+
 A value is reported as ``(numerator, denominator)``; :func:`ratio` rounds it.
 """
 
@@ -61,6 +71,72 @@ def at_most(bound: float):
     return lambda num, den: num * d <= n * den
 
 
+def _laplace(v00, v01, v02, v03, v11, v12, v13, v22, v23, v33):
+    """Determinant invariants of a symmetric 4x4 matrix from its upper triangle.
+
+    Returns ``det a1``, the 2x2 minors ``t02`` and ``t12`` of rows (0, 1)
+    with columns (0, 2) and (1, 2), ``det c``, ``det a2`` and ``det V``, the
+    last by Laplace expansion over the 2x2 minors of rows (0, 1) and
+    (2, 3).  Homogeneous of degrees 2 and 4, so the unit does not enter.
+    """
+    # 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair.
+    t01 = v00 * v11 - v01 * v01
+    t02 = v00 * v12 - v02 * v01
+    t03 = v00 * v13 - v03 * v01
+    t12 = v01 * v12 - v02 * v11
+    t13 = v01 * v13 - v03 * v11
+    det_c = v02 * v13 - v03 * v12
+    b02 = v02 * v23 - v22 * v03
+    b03 = v02 * v33 - v23 * v03
+    b12 = v12 * v23 - v22 * v13
+    b13 = v12 * v33 - v23 * v13
+    det_a2 = v22 * v33 - v23 * v23
+    det_v = (
+        t01 * det_a2 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + det_c * det_c
+    )
+    return t01, t02, t12, det_c, det_a2, det_v
+
+
+def _w_ppt(one, det_a1, det_a2, det_c, det_v):
+    """PPT witness ``1 + det V + 2 det c - det a1 - det a2``, over ``one^4``."""
+    one2 = one * one
+    return one2 * one2 + det_v + 2 * one2 * det_c - one2 * det_a1 - one2 * det_a2
+
+
+def _parts(one, upper, det_a1, det_a2, det_c):
+    """``sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21``.
+
+    Over ``one`` for the ``sigma_j``, ``one^2`` for ``lambda_c`` and
+    ``gamma11``, and ``one^3`` for the rest.
+    """
+    # Diagonal a, b, c, d; v01 = p, v02 = q, v03 = r, v12 = s, v13 = t, v23 = u.
+    a, p, q, r, b, s, t, c, u, d = upper
+    one2 = one * one
+    sigma1 = a + b - 2 * one
+    sigma2 = c + d - 2 * one
+    # Squared norms of the rows and columns of c.
+    row0, row1 = q * q + r * r, s * s + t * t
+    col0, col1 = q * q + s * s, r * r + t * t
+    lambda1 = 2 * p * (q * s + r * t) - (b - one) * row0 - (a - one) * row1
+    lambda2 = 2 * u * (q * r + s * t) - (d - one) * col0 - (c - one) * col1
+    lambda_c = col0 + col1
+    gamma11 = sigma1 * sigma2 - lambda_c + 2 * det_c
+    gamma12 = sigma1 * (det_a2 - one2 - one * sigma2) + lambda2
+    gamma21 = sigma2 * (det_a1 - one2 - one * sigma1) + lambda1
+    return sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21
+
+
+def _corners(one, upper, det_a1, det_a2, det_c, det_v):
+    """``w_ppt, w_full, w_ch1, w_ch2``, over ``one^4``, ``one^2``, ``one^3`` and ``one^3``."""
+    gamma11, gamma12, gamma21 = _parts(one, upper, det_a1, det_a2, det_c)[5:]
+    return (
+        _w_ppt(one, det_a1, det_a2, det_c, det_v),
+        gamma11,
+        one * gamma11 + gamma12,
+        one * gamma11 + gamma21,
+    )
+
+
 class Matrix:
     """A symmetric 4x4 matrix as integers over its entries' common denominator.
 
@@ -74,21 +150,9 @@ class Matrix:
     def __init__(self, upper):
         nums, dens = zip(*map(float.as_integer_ratio, upper))
         one = self.one = max(dens)  # D: each denominator is a power of two
-        # Diagonal a, b, c, d; v01 = p, v02 = q, v03 = r, v12 = s, v13 = t, v23 = u.
-        self.entries = [n * (one // k) for n, k in zip(nums, dens)]
-        a, p, q, r, b, s, t, c, u, d = self.entries
-        det_a1 = self.det_a1 = a * b - p * p
-        det_a2 = self.det_a2 = c * d - u * u
-        det_c = self.det_c = q * t - r * s
-        # det V by Laplace expansion over the 2x2 minors of rows (0, 1) and (2, 3).
-        self.det_v = (
-            det_a1 * det_a2
-            - (a * s - q * p) * (s * d - u * t)
-            + (a * t - r * p) * (s * u - c * t)
-            + (p * s - q * b) * (q * d - u * r)
-            - (p * t - r * b) * (q * u - c * r)
-            + det_c * det_c
-        )
+        bits = one.bit_length()
+        self.entries = [n << (bits - k.bit_length()) for n, k in zip(nums, dens)]  # n * (D // k)
+        self.det_a1, _, _, self.det_c, self.det_a2, self.det_v = _laplace(*self.entries)
 
     def physicality(self, tol: float) -> tuple[bool, bool]:
         """``(physical, boundary)``: ``lambda_min(V + i*Omega) >= -tol`` and ``|lambda_min| <= tol``.
@@ -98,7 +162,7 @@ class Matrix:
         a, p, q, r, b, s, t, c, u, d = self.entries
         one = self.one
         det_a1, det_a2 = self.det_a1, self.det_a2
-        p2, q2, r2, s2, t2, u2 = p * p, q * q, r * r, s * s, t * t, u * u
+        q2, r2, s2, t2 = q * q, r * r, s * s, t * t
         trace = a + b + c + d
         one2 = one * one
         e2 = det_a1 + det_a2 + (a + b) * (c + d) - q2 - r2 - s2 - t2 - 2 * one2
@@ -112,7 +176,7 @@ class Matrix:
             - d * (q2 + s2)
             - one2 * trace
         )
-        e4 = self.det_v + one2 * (one2 - det_a1 - det_a2 - 2 * self.det_c)
+        e4 = self.det_condition()  # det W + 1 - det a1 - det a2 - 2 det c at W = V
         invariants = (trace, e2, e3, e4)
         # Bring the tolerance to the same denominator, lifting the invariants
         # of degree k by f^k when its own denominator is the larger.
@@ -126,45 +190,15 @@ class Matrix:
         physical = min(_shifted(invariants, shift)) >= 0
         return physical, physical and min(_shifted(invariants, -shift)) <= 0
 
-    def _parts(self):
-        """Numerators of ``sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21``.
-
-        Their denominators are ``D`` for the ``sigma_j``, ``D^2`` for ``lambda_c``
-        and ``gamma11``, and ``D^3`` for the rest.
-        """
-        a, p, q, r, b, s, t, c, u, d = self.entries
-        one = self.one
-        one2 = one * one
-        sigma1 = a + b - 2 * one
-        sigma2 = c + d - 2 * one
-        # Squared norms of the rows and columns of c.
-        row0, row1 = q * q + r * r, s * s + t * t
-        col0, col1 = q * q + s * s, r * r + t * t
-        lambda1 = 2 * p * (q * s + r * t) - (b - one) * row0 - (a - one) * row1
-        lambda2 = 2 * u * (q * r + s * t) - (d - one) * col0 - (c - one) * col1
-        lambda_c = row0 + row1
-        gamma11 = sigma1 * sigma2 - lambda_c + 2 * self.det_c
-        gamma12 = sigma1 * (self.det_a2 - one2 - one * sigma2) + lambda2
-        gamma21 = sigma2 * (self.det_a1 - one2 - one * sigma1) + lambda1
-        return sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21
-
-    def w_ppt(self) -> int:
-        """PPT witness ``1 + det V + 2 det c - det a1 - det a2``, over ``D^4``."""
-        one2 = self.one * self.one
-        return self.det_v + one2 * (one2 + 2 * self.det_c - self.det_a1 - self.det_a2)
-
     def corners(self):
         """``w_ppt, w_full, w_ch1, w_ch2`` as ``(numerator, denominator)`` pairs."""
         one = self.one
         one2 = one * one
         one3 = one2 * one
-        gamma11, gamma12, gamma21 = self._parts()[5:]
-        return (
-            (self.w_ppt(), one2 * one2),
-            (gamma11, one2),
-            (one * gamma11 + gamma12, one3),
-            (one * gamma11 + gamma21, one3),
+        w_ppt, w_full, w_ch1, w_ch2 = _corners(
+            one, self.entries, self.det_a1, self.det_a2, self.det_c, self.det_v
         )
+        return (w_ppt, one2 * one2), (w_full, one2), (w_ch1, one3), (w_ch2, one3)
 
     def gamma_set(self):
         """The 13 fields of ``GammaSet``, in field order, as ``(numerator, denominator)`` pairs."""
@@ -172,18 +206,17 @@ class Matrix:
         one = self.one
         one2 = one * one
         one3 = one2 * one
-        sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21 = self._parts()
-        gamma22 = self.w_ppt() - one * (gamma12 + gamma21) - one2 * gamma11
+        det_a1, det_a2, det_c = self.det_a1, self.det_a2, self.det_c
+        sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21 = _parts(
+            one, self.entries, det_a1, det_a2, det_c
+        )
+        w_ppt = _w_ppt(one, det_a1, det_a2, det_c, self.det_v)
+        gamma22 = w_ppt - one * (gamma12 + gamma21) - one2 * gamma11
         # tr(a1 adj(c)^T a2 adj(c)) with adj(c) = [[t, -r], [-s, q]].
         x00, x01, x10, x11 = a * t - p * r, p * q - a * s, p * t - b * r, b * q - p * s
         y00, y01, y10, y11 = c * t - u * s, u * q - c * r, u * t - d * s, d * q - u * r
         lambda4 = x00 * y00 + x01 * y10 + x10 * y01 + x11 * y11
-        eta = (
-            gamma12
-            + gamma21
-            + one * (sigma1 * sigma2 + self.det_a1 + self.det_a2 - lambda_c)
-            - one3
-        )
+        eta = gamma12 + gamma21 + one * (sigma1 * sigma2 + det_a1 + det_a2 - lambda_c) - one3
         return (
             (gamma11, one2),
             (gamma12, one3),
@@ -196,8 +229,8 @@ class Matrix:
             (eta, one3),
             (sigma1, one),
             (sigma2, one),
-            (self.det_a1 - one2, one2),
-            (self.det_a2 - one2, one2),
+            (det_a1 - one2, one2),
+            (det_a2 - one2, one2),
         )
 
     def delta(self, det_c_sign: int = 1) -> int:

@@ -227,11 +227,16 @@ def _exact_stack(m: np.ndarray):
     """``(Matrix, tol)`` of each matrix of a stack ``(..., 4, 4)``, in C order.
 
     ``Matrix`` is the matrix in exact integers (:mod:`cvrobust._exact`) and
-    ``tol`` the tolerance of :func:`_physicality` on it.
+    ``tol`` the tolerance of :func:`validate_physicality` on it.
     """
     upper = m[..., _UPPER_ROWS, _UPPER_COLS].reshape(-1, 10).tolist()
     tol = np.ravel(_physicality_tol(_scale(m))).tolist()
     return zip(map(Matrix, upper), tol)
+
+
+def _upper(v) -> list:
+    """The ten upper-triangle entries of an entries-first stack ``v[i, j, ...]``, as views."""
+    return [v[i, j] for i, j in zip(_UPPER_ROWS.tolist(), _UPPER_COLS.tolist())]
 
 
 def _exact_matrix(m: np.ndarray) -> Matrix:
@@ -239,23 +244,8 @@ def _exact_matrix(m: np.ndarray) -> Matrix:
     return Matrix(m[_UPPER_ROWS, _UPPER_COLS].tolist())
 
 
-def _physicality(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(physical, boundary)`` verdicts over a stack of matrices ``(..., 4, 4)``.
-
-    The kernel of :func:`validate_physicality`, shared with the region maps:
-    ``lambda_min(V + i*Omega) >= -tol`` and ``|lambda_min| <= tol``, decided
-    exactly from the signs of the characteristic polynomial's coefficients
-    by :meth:`cvrobust._exact.Matrix.physicality`.  ``V >= 0`` needs no test
-    of its own: for real unit ``x``, ``x^T V x = x^H (V + i*Omega) x``, so
-    the smallest eigenvalue of ``V`` is at least that of ``V + i*Omega``.
-    """
-    verdicts = [x.physicality(tol) for x, tol in _exact_stack(m)]
-    out = np.array(verdicts, dtype=bool).reshape(m.shape[:-2] + (2,))
-    return out[..., 0], out[..., 1]
-
-
 def _physicality_tol(scale):
-    """The tolerance of :func:`_physicality` on ``lambda_min`` at ``_scale`` ``scale``."""
+    """The tolerance of :func:`validate_physicality` on ``lambda_min`` at ``_scale`` ``scale``."""
     return np.maximum(PHYSICALITY_TOL, _PHYSICALITY_ROUNDOFF * scale)
 
 
@@ -290,7 +280,9 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
     ``det_condition`` is the exact value rounded once; ``nu`` takes float
     square roots of the correctly rounded ``delta`` and ``det V`` (see
     :func:`symplectic_spectrum`).  Both are not finite only when the
-    determinants overflow.
+    determinants overflow.  ``V >= 0`` needs no test of its own: for real
+    unit ``x``, ``x^T V x = x^H (V + i*Omega) x``, so the smallest
+    eigenvalue of ``V`` is at least that of ``V + i*Omega``.
 
     Never raises for symmetric input.
     """

@@ -228,8 +228,11 @@ _F_Q_PLUS = np.array([1.0, 0.0, 1.0, 0.0]) / _ROOT2
 
 
 def epr_summary(v) -> EprSummary:
-    """EPR-quadrature variances, partial purities and the four witnesses."""
-    m = _as_cov(v).matrix
+    """EPR-quadrature variances, partial purities and the four witnesses.
+
+    Raises :class:`ValidationError` for unphysical ``v``.
+    """
+    m = _require_physical(v).matrix
     var_p_minus = float(_F_P_MINUS @ m @ _F_P_MINUS)
     var_p_plus = float(_F_P_PLUS @ m @ _F_P_PLUS)
     var_q_minus = float(_F_Q_MINUS @ m @ _F_Q_MINUS)
@@ -265,6 +268,7 @@ def epr_partial_witness(v) -> float:
 
     ``w_sum * w_prod_bar + w_prod * w_sum_bar``; shares its sign with the
     channel robustness witnesses, which coincide for symmetric modes.
+    Raises :class:`ValidationError` for other forms and unphysical ``v``.
     """
     cov = _as_cov(v)
     if not _is_symmetric_mode_form(cov):

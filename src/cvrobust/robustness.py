@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._exact import Matrix, at_most, ratio
+from ._exact import Matrix, _corners, _laplace, at_most, ratio
 from ._record import Record
 from .covariance import (
     CovMatrix,
@@ -32,8 +32,9 @@ from .covariance import (
     _exact_matrix,
     _exact_physical,
     _exact_stack,
-    _physicality,
     _physicality_tol,
+    _upper,
+    validate_physicality,
 )
 from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
@@ -43,8 +44,6 @@ from .witnesses import (
     _band_at,
     _finite,
     _gamma_of,
-    _laplace,
-    _ppt_of,
     _reduced,
     boundary_band,
     gamma_coefficients,
@@ -274,16 +273,18 @@ _EPS = float(np.finfo(float).eps)
 #: Roundoff bound of the screen's determinant invariants, per unit of
 #: ``_scale**k`` for an invariant of degree ``k``.  A priori each of the six
 #: minor products of the Laplace expansion of ``det V`` errs by at most
-#: 10 eps*_scale**4 and their sum by 60 more.  The largest error measured
-#: against exact rational evaluation was 2.5, on random states (pure, mixed
-#: and scaled by 0.5 to 1.2, ``squeeze_max`` 1 to 13) and map cells; 512
-#: covers the a priori bound four times over.
+#: 10 eps*_scale**4 and their sum by 60 more.  The largest error of the
+#: shared determinants measured against their exact values was 2.55, on
+#: random states (pure, mixed and scaled by 0.5 to 1.2, ``squeeze_max`` 1 to
+#: 13) and map cells; 512 covers the a priori bound four times over.
 _INVARIANT_ROUNDOFF = 512 * _EPS
 
 #: Roundoff bound of one of the screen's corner witnesses against its exact
-#: value, per unit of ``_scale**4``.  The largest error measured on the same
-#: states, with that of the former float kernel added, was 4.2.  The value
-#: 4096, sized when the screen stood in for that kernel and its LU
+#: value, per unit of ``_scale**4``.  The float and the exact corners are the
+#: same polynomials of :mod:`cvrobust._exact`; the largest gap measured was
+#: 2.03 on the same random states (108 000) and 2.44 on the cells of the two
+#: benchmark maps (``tests/test_screen.py`` checks both bounds).  The value
+#: 4096, sized when the screen stood in for a float kernel with an LU
 #: determinant, is kept, so that the screen decides the same cells.
 _CORNER_ROUNDOFF = 4096 * _EPS
 
@@ -306,7 +307,7 @@ def _screen(m):
 
     Returns ``(certain, physical, code, boundary)``.  Where ``certain`` is
     set, they equal what the exact kernel of :func:`_verdicts` gives:
-    ``physical`` the verdict of :func:`~cvrobust.covariance._physicality`,
+    ``physical`` the verdict of :func:`~cvrobust.covariance.validate_physicality`,
     ``code`` (physical cells) the class code of :func:`_exact_class`, and
     ``boundary`` the region maps' flag, which for a certain cell is set only
     by a corner inside the zero band.  Elsewhere they mean nothing and the
@@ -341,10 +342,12 @@ def _screen(m):
     by the margin ``_BOUND_ROUNDOFF``, which absorbs the few roundings of
     the bound.  Pure states, whose ``dc`` vanishes, are never decided.
 
-    Corners.  ``w_ppt`` and ``gamma11``, ``gamma11 + gamma12`` and
-    ``gamma11 + gamma21`` are the polynomials of :mod:`cvrobust._exact`
-    evaluated in floats.  The class of a
-    physical cell is certain when every corner is farther than
+    Corners.  The four corners ``w_ppt``, ``gamma11``,
+    ``gamma11 + gamma12`` and ``gamma11 + gamma21``, and the determinants
+    above, come from the functions of :mod:`cvrobust._exact`
+    (``_laplace`` and ``_corners``) called on the float entries with unit
+    1; the exact kernel calls the same functions on its integers.  The
+    class of a physical cell is certain when every corner is farther than
     ``_CORNER_ROUNDOFF * _scale**4`` from each threshold it is compared
     with: 0 for ``w_ppt`` and the band edges ``+-band`` for all four.
 
@@ -353,10 +356,9 @@ def _screen(m):
     # Entries first, so that every entry and reduction below runs over
     # contiguous cells.
     v = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
-    v00, v01, v02, v03 = v[0]
-    v11, v12, v13 = v[1, 1:]
-    v22, v23, v33 = v[2, 2], v[2, 3], v[3, 3]
-    t01, t02, t12, det_c, det_a2, det_v = _laplace(v)
+    upper = _upper(v)
+    v00, v02, v12, v22 = v[0, 0], v[0, 2], v[1, 2], v[2, 2]
+    t01, t02, t12, det_c, det_a2, det_v = _laplace(*upper)
     minor3 = v02 * t12 - v12 * t02 + v22 * t01
     delta = t01 + det_a2 + 2.0 * det_c
     dc = 1.0 + det_v - delta
@@ -384,21 +386,7 @@ def _screen(m):
         > 2.0 * margin * (delta_hi - 1.0) * n
     )
 
-    sigma1 = v00 + v11 - 2.0
-    sigma2 = v22 + v33 - 2.0
-    # Squared norms of the columns and rows of c.
-    col0, col1 = v02 * v02 + v12 * v12, v03 * v03 + v13 * v13
-    row0, row1 = v02 * v02 + v03 * v03, v12 * v12 + v13 * v13
-    # tr(c J (a2 - I) J c^T) and tr(c^T J (a1 - I) J c)
-    lambda2 = 2.0 * v23 * (v02 * v03 + v12 * v13) - (v33 - 1.0) * col0 - (v22 - 1.0) * col1
-    lambda1 = 2.0 * v01 * (v02 * v12 + v03 * v13) - (v11 - 1.0) * row0 - (v00 - 1.0) * row1
-    w_full = sigma1 * sigma2 - (col0 + col1) + 2.0 * det_c
-    corners = (
-        _ppt_of(t01, det_a2, det_c, det_v),
-        w_full,
-        w_full + sigma1 * (det_a2 - 1.0 - sigma2) + lambda2,
-        w_full + sigma2 * (t01 - 1.0 - sigma1) + lambda1,
-    )
+    corners = _corners(1, upper, t01, det_a2, det_c, det_v)
     band = _band_at(scale)
     err = _CORNER_ROUNDOFF * scale4
     clear = np.abs(corners[0]) > err
@@ -536,7 +524,7 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
             s = LocalSymplectic(*(float(p) for p in result.x))
             mat = s.matrix()
             v_out = CovMatrix(mat @ base @ mat.T)
-            if not _physicality(v_out.matrix)[0]:
+            if not validate_physicality(v_out).physical:
                 # Roundoff of the congruence, at the input's scale, can
                 # exceed the tolerance at the output's: try the next restart.
                 continue

@@ -11,11 +11,13 @@ with a reduced witness bilinear in the transmittances,
     W_R(T1, T2) = Gamma11 + T1*Gamma21 + T2*Gamma12 + T1*T2*Gamma22,
 
 whose coefficients are local-rotation invariants of the input state.  This
-module computes the witnesses and the Gamma decomposition.  The Gamma
-coefficients are evaluated exactly (:mod:`cvrobust._exact`) and each is
-rounded once.  The PPT witness is a float determinant; ``_ppt`` and
-``_band`` evaluate it and the zero band over a stack of matrices
-``(..., 4, 4)`` for the grid commands.
+module computes the witnesses and the Gamma decomposition, both from the
+polynomials of :mod:`cvrobust._exact`.  The Gamma coefficients evaluate
+them on the matrix's exact integers and round each value once.  The PPT
+witness (``_ppt``, behind :func:`ppt_witness` and ``scan``'s attenuated
+witness) evaluates the same Laplace expansion on float arrays, elementwise
+over a stack of matrices ``(..., 4, 4)``; ``_band`` gives the zero band
+over such a stack.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._exact import Matrix, ratio
+from ._exact import Matrix, _laplace, _w_ppt, ratio
 from ._record import Record
 from .channel import Transmittance
-from .covariance import _as_cov, _exact_matrix, _scale, blocks
+from .covariance import _as_cov, _exact_matrix, _scale, _upper, blocks
 from .errors import ValidationError
 
 __all__ = [
@@ -153,51 +155,22 @@ def minimized_duan(v) -> MinimizedDuan:
     return MinimizedDuan(w_m=w_m, a_opt=a_opt)
 
 
-def _laplace(v):
-    """Determinant invariants of an entries-first stack ``v[i, j, ...]`` of symmetric matrices.
-
-    Returns ``det a1``, the 2x2 minors ``t02`` and ``t12`` of rows (0, 1)
-    with columns (0, 2) and (1, 2), ``det c``, ``det a2`` and ``det V``, the
-    last by Laplace expansion over the 2x2 minors of rows (0, 1) and
-    (2, 3).  Elementwise, so each matrix gets the bits of a one-matrix call.
-    """
-    v00, v01, v02, v03 = v[0]
-    v11, v12, v13 = v[1, 1:]
-    v22, v23, v33 = v[2, 2], v[2, 3], v[3, 3]
-    # 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair.
-    t01 = v00 * v11 - v01 * v01
-    t02 = v00 * v12 - v02 * v01
-    t03 = v00 * v13 - v03 * v01
-    t12 = v01 * v12 - v02 * v11
-    t13 = v01 * v13 - v03 * v11
-    det_c = v02 * v13 - v03 * v12
-    b02 = v02 * v23 - v22 * v03
-    b03 = v02 * v33 - v23 * v03
-    b12 = v12 * v23 - v22 * v13
-    b13 = v12 * v33 - v23 * v13
-    det_a2 = v22 * v33 - v23 * v23
-    det_v = (
-        t01 * det_a2 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + det_c * det_c
-    )
-    return t01, t02, t12, det_c, det_a2, det_v
-
-
-def _ppt_of(det_a1, det_a2, det_c, det_v):
-    """The PPT witness from its determinant invariants."""
-    return 1.0 + det_v + 2.0 * det_c - det_a1 - det_a2
-
-
 def _ppt(m: np.ndarray):
-    """:func:`ppt_witness` over a stack of matrices ``(..., 4, 4)``."""
-    det_a1, _, _, det_c, det_a2, det_v = _laplace(np.moveaxis(m, (-2, -1), (0, 1)))
-    return _ppt_of(det_a1, det_a2, det_c, det_v)
+    """:func:`ppt_witness` over a stack of matrices ``(..., 4, 4)``.
+
+    Elementwise, so each matrix gets the bits of a one-matrix call.
+    """
+    upper = _upper(np.moveaxis(m, (-2, -1), (0, 1)))
+    det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
+    return _w_ppt(1, det_a1, det_a2, det_c, det_v)
 
 
 def ppt_witness(v) -> float:
     """PPT witness ``1 + det V + 2 det c - det a1 - det a2``.
 
     Negative iff the Gaussian state is entangled; nonnegative iff separable.
-    A float evaluation, independent of the exact Gamma coefficients, so that
+    The polynomial of :mod:`cvrobust._exact` evaluated in floats, independent
+    of the exact Gamma coefficients, so that
     ``ppt_witness(attenuate(v, t)) = t1 * t2 * reduced_witness(g, t)`` checks
     one against the other.
     """

@@ -24,7 +24,7 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
-from cvrobust.covariance import beam_splitter, rotation2, squeeze2
+from cvrobust.covariance import _exact_stack, beam_splitter, rotation2, squeeze2
 from cvrobust.families import _REGIONS, _grid_chunks
 from cvrobust.robustness import _verdicts
 
@@ -103,6 +103,13 @@ def reference_physicality(m: np.ndarray):
     physical = (min_eig_v >= -tol) & (min_eig_unc >= -tol)
     boundary = (np.abs(min_eig_v) <= tol) | (np.abs(min_eig_unc) <= tol)
     return physical, boundary
+
+
+def kernel_physicality(m: np.ndarray):
+    """``(physical, boundary)`` of ``validate_physicality``'s exact test over a stack ``(..., 4, 4)``."""
+    verdicts = [x.physicality(tol) for x, tol in _exact_stack(m)]
+    out = np.array(verdicts, dtype=bool).reshape(m.shape[:-2] + (2,))
+    return out[..., 0], out[..., 1]
 
 
 def _principal_minor_sums(h):

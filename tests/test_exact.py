@@ -22,7 +22,7 @@ from cvrobust import (
     validate_physicality,
 )
 from cvrobust.cli import main, state_file_text
-from cvrobust.covariance import _exact_matrix, _physicality
+from cvrobust.covariance import _exact_matrix
 from helpers import (
     CM_A,
     CM_B,
@@ -32,6 +32,7 @@ from helpers import (
     exact_reference_class,
     exact_reference_physicality,
     exact_reference_witnesses,
+    kernel_physicality,
 )
 
 #: Scalings that keep a pure state within the tolerance (1 +- 3e-10), move
@@ -58,7 +59,7 @@ def ensemble():
 
 def test_physicality_equals_exact_reference():
     matrices = ensemble()
-    physical, boundary = _physicality(np.array(matrices))
+    physical, boundary = kernel_physicality(np.array(matrices))
     verdicts = list(zip(physical.tolist(), boundary.tolist()))
     assert verdicts == [exact_reference_physicality(m) for m in matrices]
     # Every outcome occurs, so the agreement is not vacuous.
@@ -70,7 +71,8 @@ def test_pure_state_just_inside_the_tolerance_is_physical():
     # -tol = -1e-9; exactly, it lies within the tolerance.
     m = random_physical_state(87, RandomStateParams(1.0, 1.0, 13.0)).matrix * (1.0 - 1e-9)
     assert exact_reference_physicality(m) == (True, True)
-    assert tuple(map(bool, _physicality(m))) == (True, True)
+    d = validate_physicality(m)
+    assert (d.physical, d.boundary) == (True, True)
 
 
 GAMMA_FIELDS = (

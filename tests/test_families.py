@@ -194,6 +194,14 @@ class TestEprSummary:
                 full_robustness_witness(v), rel=1e-12, abs=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "m", [np.zeros((4, 4)), np.diag([0.5, 0.5, 1.0, 1.0])], ids=["zeros", "sub-vacuum"]
+    )
+    def test_unphysical_input_rejected(self, m):
+        # zeros divided by a zero variance product; diag(.5, .5, 1, 1) gave purities.
+        with pytest.raises(ValidationError, match="unphysical"):
+            epr_summary(m)
+
     def test_heisenberg_exclusion(self):
         # the paired product (and sum) witnesses are never both negative
         for v in random_states(10_000):
@@ -250,6 +258,11 @@ class TestEprPartialWitness:
         v = build(SymmetricModes(dq=1.2, dp=1.1, c_q=0.05, c_p=-0.05))
         assert ppt_witness(v) >= 0
         assert epr_partial_witness(v) >= 0
+
+    @pytest.mark.parametrize("m", [np.zeros((4, 4)), 0.5 * np.eye(4)], ids=["zeros", "sub-vacuum"])
+    def test_unphysical_symmetric_mode_input_rejected(self, m):
+        with pytest.raises(ValidationError, match="unphysical"):
+            epr_partial_witness(m)
 
     def test_non_symmetric_input_rejected(self):
         from helpers import CM_E

@@ -25,7 +25,6 @@ from cvrobust import (
     region_map_epr,
 )
 from cvrobust.cli import main, state_file_text
-from cvrobust.covariance import _physicality
 from cvrobust.families import GRID_CHUNK
 from cvrobust.robustness import _CLASSES, _class_code
 from helpers import (
@@ -36,6 +35,7 @@ from helpers import (
     CM_E,
     correlations_cell,
     epr_cell,
+    kernel_physicality,
     random_states,
     reference_physicality,
     reference_region_labels,
@@ -76,7 +76,7 @@ def test_physicality_kernel_matches_two_eigenvalue_verdict_on_maps(grid):
         (region_map_epr(MU_MINUS, MU_PLUS, grid), epr_cell(MU_MINUS, MU_PLUS)),
     ):
         m = np.array([[cell(x, y) for y in region.y] for x in region.x])
-        physical, boundary = _physicality(m)
+        physical, boundary = kernel_physicality(m)
         ref_physical, ref_boundary = reference_physicality(m)
         assert np.array_equal(physical, ref_physical)
         assert np.array_equal(boundary, ref_boundary)
@@ -85,7 +85,7 @@ def test_physicality_kernel_matches_two_eigenvalue_verdict_on_maps(grid):
 def test_physicality_kernel_matches_two_eigenvalue_verdict_on_states():
     fixtures = [CM_A, CM_B, CM_C, CM_D, CM_E]
     m = np.array([v.matrix for v in fixtures + random_states(300)])
-    physical, boundary = _physicality(m)
+    physical, boundary = kernel_physicality(m)
     ref_physical, ref_boundary = reference_physicality(m)
     assert np.array_equal(physical, ref_physical)
     assert np.array_equal(boundary, ref_boundary)

@@ -3,7 +3,9 @@
 Wherever ``robustness._screen`` calls a cell certain, its physicality
 verdict, boundary flag and class must be those of the exact per-cell
 kernel (``robustness._verdicts``); a region map must equal its all-kernel
-reference.
+reference.  The screen and the exact kernel evaluate the same polynomials
+of ``cvrobust._exact``, in floats and in integers; the gap between the two
+must stay within the screen's roundoff bounds.
 """
 
 import math
@@ -11,10 +13,22 @@ import math
 import numpy as np
 import pytest
 
-from cvrobust import ValidationError, region_map_correlations, region_map_epr
-from cvrobust.covariance import _physicality
+from cvrobust import (
+    ValidationError,
+    region_map_correlations,
+    region_map_epr,
+    validate_physicality,
+)
+from cvrobust._exact import _corners, _laplace
+from cvrobust.covariance import _exact_stack, _scale, _upper
 from cvrobust.families import _cell_centers, _epr_moments, _symmetric_modes_stack
-from cvrobust.robustness import _CLASSES, _screen, _verdicts
+from cvrobust.robustness import (
+    _CLASSES,
+    _CORNER_ROUNDOFF,
+    _INVARIANT_ROUNDOFF,
+    _screen,
+    _verdicts,
+)
 from helpers import HIGHLY_SQUEEZED, reference_region_map
 
 UNPHYSICAL = len(_CLASSES)
@@ -158,7 +172,8 @@ def screen_one(m):
 )
 def test_pinned_states_fall_back_to_kernels(m, physical, boundary):
     assert not screen_one(m)
-    assert tuple(map(bool, _physicality(m))) == (physical, boundary)
+    d = validate_physicality(m)
+    assert (d.physical, d.boundary) == (physical, boundary)
 
 
 def outcome(build):
@@ -200,3 +215,56 @@ def test_benchmark_maps_fall_back_on_few_cells(matrices, lo, hi):
     x, y = np.meshgrid(centers, centers, indexing="ij")
     certain = _screen(matrices(x.ravel(), y.ravel()))[0]
     assert (~certain).mean() <= 0.05
+
+
+#: Degrees of ``det a1``, ``t02``, ``t12``, ``det c``, ``det a2`` and ``det V``.
+LAPLACE_DEGREES = (2, 2, 2, 2, 2, 4)
+
+
+def roundoff(value, exact, unit):
+    """``|value - exact| / unit`` for a float ``value`` and an exact ``(num, den)``."""
+    n, d = value.as_integer_ratio()
+    num, den = exact
+    return abs(n * den - num * d) / (d * den) / unit
+
+
+def worst_roundoff(m):
+    """Largest float-minus-exact error of the shared invariants and of the corners.
+
+    The polynomials of ``cvrobust._exact`` are evaluated on the float stack
+    as the screen evaluates them, and on each matrix's integers as the exact
+    kernel does.  The errors are in units of ``_scale**k`` for the invariants
+    of degree ``k`` and of ``_scale**4`` for the corners.
+    """
+    upper = _upper(np.moveaxis(m, (-2, -1), (0, 1)))
+    dets = _laplace(*upper)
+    det_a1, _, _, det_c, det_a2, det_v = dets
+    corners = _corners(1, upper, det_a1, det_a2, det_c, det_v)
+    dets, corners = np.array(dets).T.tolist(), np.array(corners).T.tolist()
+    invariant_err = corner_err = 0.0
+    for k, ((x, _), scale) in enumerate(zip(_exact_stack(m), np.ravel(_scale(m)).tolist())):
+        exact = _laplace(*x.entries)
+        for value, num, degree in zip(dets[k], exact, LAPLACE_DEGREES):
+            err = roundoff(value, (num, x.one**degree), scale**degree)
+            invariant_err = max(invariant_err, err)
+        for value, pair in zip(corners[k], x.corners()):
+            corner_err = max(corner_err, roundoff(value, pair, scale**4))
+    return invariant_err, corner_err
+
+
+def benchmark_map_cells():
+    for matrices, lo, hi in (
+        (correlation_cells(2.55, 1.80), -1.0, 1.0),
+        (epr_cells(0.7267, 0.4529), 0.0, 5.0),
+    ):
+        centers = _cell_centers(lo, hi, 101)
+        x, y = np.meshgrid(centers, centers, indexing="ij")
+        yield matrices(x.ravel(), y.ravel())
+
+
+def test_float_polynomials_within_screen_roundoff_bounds():
+    stacks = [m[:300] for _, m in state_groups()] + list(benchmark_map_cells())
+    for m in stacks:
+        invariant_err, corner_err = worst_roundoff(m)
+        assert invariant_err <= _INVARIANT_ROUNDOFF
+        assert corner_err <= _CORNER_ROUNDOFF
