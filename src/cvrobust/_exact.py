@@ -38,14 +38,16 @@ The witness invariants are the polynomials of the Gamma decomposition with
 * ``eta = gamma12 + gamma21 + sigma1 sigma2 + det a1 + det a2 - lambda_c - 1``.
 
 The witness polynomials are written once, as the module functions
-:func:`_laplace`, :func:`_w_ppt`, :func:`_parts` and :func:`_corners` of the
-ten entries and a unit ``one``, homogeneous so that the unit stands for 1.
-:class:`Matrix` calls them on its integers with ``one = D``, for
-``classify``, the Gamma set and every map cell the screen leaves open.
-``robustness._screen`` and ``witnesses._ppt`` (``ppt_witness`` and
-``scan``'s attenuated witness) call them on entries-first float arrays with
-``one = 1``, where each ``one * x`` is an exact multiply.  Only the integer
-evaluation is exact; the screen bounds the roundoff of the float one.
+:func:`_laplace`, :func:`_uncertainty` (``e1 .. e4`` above), :func:`_w_ppt`,
+:func:`_parts` and :func:`_corners` of the ten entries and a unit ``one``,
+homogeneous so that the unit stands for 1.  :class:`Matrix` calls them on
+its integers with ``one = D``, for physicality, ``classify``, the Gamma set
+and every map cell the screen leaves open.  ``robustness._screen`` (the
+uncertainty invariants, shifted by ``+tol`` with :func:`_shifted`, and the
+corners) and ``witnesses._ppt`` (``ppt_witness`` and ``scan``'s attenuated
+witness) call them on entries-first float arrays with ``one = 1``, where
+each ``one * x`` is an exact multiply.  Only the integer evaluation is
+exact; the screen bounds the roundoff of the float one.
 
 A value is reported as ``(numerator, denominator)``; :func:`ratio` rounds it.
 """
@@ -95,6 +97,31 @@ def _laplace(v00, v01, v02, v03, v11, v12, v13, v22, v23, v33):
         t01 * det_a2 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + det_c * det_c
     )
     return t01, t02, t12, det_c, det_a2, det_v
+
+
+def _uncertainty(one, upper, det_a1, det_a2, det_c, det_v):
+    """``e1 .. e4`` of ``V + i*Omega``, over ``one``, ``one^2``, ``one^3`` and ``one^4``.
+
+    ``e_k`` is the sum of the ``k x k`` principal minors; ``e4`` is the
+    determinant condition ``1 + det V - 2 det c - det a1 - det a2``.
+    """
+    a, p, q, r, b, s, t, c, u, d = upper
+    one2 = one * one
+    q2, r2, s2, t2 = q * q, r * r, s * s, t * t
+    trace = a + b + c + d
+    e2 = det_a1 + det_a2 + (a + b) * (c + d) - q2 - r2 - s2 - t2 - 2 * one2
+    e3 = (
+        (c + d) * det_a1
+        + (a + b) * det_a2
+        + 2 * (p * (q * s + r * t) + u * (q * r + s * t))
+        - a * (s2 + t2)
+        - b * (q2 + r2)
+        - c * (r2 + t2)
+        - d * (q2 + s2)
+        - one2 * trace
+    )
+    e4 = det_v + one2 * (one2 - 2 * det_c - det_a1 - det_a2)
+    return trace, e2, e3, e4
 
 
 def _w_ppt(one, det_a1, det_a2, det_c, det_v):
@@ -159,32 +186,18 @@ class Matrix:
 
         ``boundary`` can hold only on a physical ``V``.
         """
-        a, p, q, r, b, s, t, c, u, d = self.entries
         one = self.one
-        det_a1, det_a2 = self.det_a1, self.det_a2
-        q2, r2, s2, t2 = q * q, r * r, s * s, t * t
-        trace = a + b + c + d
-        one2 = one * one
-        e2 = det_a1 + det_a2 + (a + b) * (c + d) - q2 - r2 - s2 - t2 - 2 * one2
-        e3 = (
-            (c + d) * det_a1
-            + (a + b) * det_a2
-            + 2 * (p * (q * s + r * t) + u * (q * r + s * t))
-            - a * (s2 + t2)
-            - b * (q2 + r2)
-            - c * (r2 + t2)
-            - d * (q2 + s2)
-            - one2 * trace
+        invariants = _uncertainty(
+            one, self.entries, self.det_a1, self.det_a2, self.det_c, self.det_v
         )
-        e4 = self.det_condition()  # det W + 1 - det a1 - det a2 - 2 det c at W = V
-        invariants = (trace, e2, e3, e4)
         # Bring the tolerance to the same denominator, lifting the invariants
         # of degree k by f^k when its own denominator is the larger.
         shift, den = tol.as_integer_ratio()
         if den > one:
             f = den // one
             f2 = f * f
-            invariants = (trace * f, e2 * f2, e3 * f2 * f, e4 * f2 * f2)
+            e1, e2, e3, e4 = invariants
+            invariants = (e1 * f, e2 * f2, e3 * f2 * f, e4 * f2 * f2)
         else:
             shift *= one // den
         physical = min(_shifted(invariants, shift)) >= 0
@@ -238,9 +251,10 @@ class Matrix:
         return self.det_a1 + self.det_a2 + 2 * det_c_sign * self.det_c
 
     def det_condition(self) -> int:
-        """``1 + det V - 2 det c - det a1 - det a2``, over ``D^4``."""
-        one2 = self.one * self.one
-        return self.det_v + one2 * (one2 - 2 * self.det_c - self.det_a1 - self.det_a2)
+        """``1 + det V - 2 det c - det a1 - det a2``, over ``D^4``: ``e4`` of ``V + i*Omega``."""
+        return _uncertainty(
+            self.one, self.entries, self.det_a1, self.det_a2, self.det_c, self.det_v
+        )[3]
 
 
 def _shifted(invariants, s):

@@ -361,11 +361,12 @@ def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
     """Classify every cell ``(x[i], y[j])``; ``matrices(xs, ys)`` builds their stack.
 
     Each cell gets the verdicts of ``validate_physicality`` and ``classify``
-    on its matrix, evaluated a chunk at a time.  An unphysical cell is
-    flagged ``boundary`` when it lies within tolerance of the physicality
-    boundary, a physical one when a corner witness lies in the zero band.
-    The certified screen of :mod:`cvrobust.robustness` decides most cells
-    from closed-form invariants; only the cells it leaves open go through
+    on its matrix, evaluated a chunk at a time.  A physical cell is flagged
+    ``boundary`` when a corner witness lies in the zero band; no unphysical
+    cell is flagged, and the physicality boundary flag of
+    ``validate_physicality`` is not carried over.  The certified screen of
+    :mod:`cvrobust.robustness` decides most cells from the exact kernel's
+    polynomials evaluated in floats; only the cells it leaves open go through
     the exact kernel of ``classify``, so every verdict is that kernel's own.
     """
     codes = np.empty(x.size * y.size, dtype=np.intp)

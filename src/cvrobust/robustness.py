@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._exact import Matrix, _corners, _laplace, at_most, ratio
+from ._exact import Matrix, _corners, _laplace, _shifted, _uncertainty, at_most, ratio
 from ._record import Record
 from .covariance import (
     CovMatrix,
@@ -249,51 +249,41 @@ def _verdicts(m):
     """Class codes and boundary flags of a stack ``(N, 4, 4)``, cell by cell, exactly.
 
     Each cell gets the verdicts of ``validate_physicality`` and ``classify``
-    on its matrix: the code ``_UNPHYSICAL`` and the physicality boundary
-    flag when it is unphysical, else its class code and whether a corner
-    lies in the zero band.
+    on its matrix: the code ``_UNPHYSICAL`` and no flag when it is
+    unphysical, else its class code and whether a corner lies in the zero
+    band.  The physicality boundary flag is not a map flag.
     """
     with np.errstate(over="ignore"):  # an infinite band flags every corner
         bands = np.ravel(_band(m)).tolist()
     codes, flags = [], []
     for (x, tol), band in zip(_exact_stack(m), bands):
-        physical, boundary = x.physicality(tol)
-        if physical:
+        if x.physicality(tol)[0]:
             _, _, code, corner_flags = _exact_class(x, band)
             codes.append(code)
             flags.append(any(corner_flags))
         else:
             codes.append(_UNPHYSICAL)
-            flags.append(boundary)
+            flags.append(False)
     return np.array(codes, dtype=np.intp), np.array(flags, dtype=bool)
 
 
 _EPS = float(np.finfo(float).eps)
 
-#: Roundoff bound of the screen's determinant invariants, per unit of
-#: ``_scale**k`` for an invariant of degree ``k``.  A priori each of the six
-#: minor products of the Laplace expansion of ``det V`` errs by at most
-#: 10 eps*_scale**4 and their sum by 60 more.  The largest error of the
-#: shared determinants measured against their exact values was 2.55, on
-#: random states (pure, mixed and scaled by 0.5 to 1.2, ``squeeze_max`` 1 to
-#: 13) and map cells; 512 covers the a priori bound four times over.
+#: Roundoff bound of the screen's float polynomials against their exact
+#: values, per unit of ``_scale**k`` for a polynomial of degree ``k``; the
+#: corners, of degrees 2 to 4, count as degree 4.  A chain of sums and
+#: products in which no term of the expanded result passes through more than
+#: ``d`` roundings errs by at most ``d*eps/2`` times the same chain evaluated
+#: on the absolute values with every sign ``+`` (Higham, Accuracy and
+#: Stability of Numerical Algorithms, sec. 3.1).  With entries at most
+#: ``_scale >= 1`` and the tolerance at most ``1e-9*_scale``, that gives, in
+#: eps: 120 for ``det V``; 8, 77, 196 and 231 for ``e1 .. e4`` shifted by
+#: ``+tol``; and 231, 84, 288 and 288 for the corners ``w_ppt``,
+#: ``w_full``, ``w_ch1`` and ``w_ch2``.  The largest errors measured on
+#: random states and map cells were 2.6 for the determinants, 10.7 for the
+#: shifted ``e_k`` and 2.4 for the corners; ``tests/test_screen.py`` checks
+#: both the derivation and the measurement.
 _INVARIANT_ROUNDOFF = 512 * _EPS
-
-#: Roundoff bound of one of the screen's corner witnesses against its exact
-#: value, per unit of ``_scale**4``.  The float and the exact corners are the
-#: same polynomials of :mod:`cvrobust._exact`; the largest gap measured was
-#: 2.03 on the same random states (108 000) and 2.44 on the cells of the two
-#: benchmark maps (``tests/test_screen.py`` checks both bounds).  The value
-#: 4096, sized when the screen stood in for a float kernel with an LU
-#: determinant, is kept, so that the screen decides the same cells.
-_CORNER_ROUNDOFF = 4096 * _EPS
-
-#: Margin of the screen's physicality bounds over the exact test's
-#: tolerance, per unit of ``||V||_inf + 1``.  It absorbs the few roundings of
-#: the bounds themselves, taken at the roundoff-widened invariants; the test
-#: they stand in for is exact.  Its value, sized when that test was a float
-#: eigenvalue, is kept so that the screen decides the same cells.
-_BOUND_ROUNDOFF = 256 * _EPS
 
 #: Largest ``_scale**4`` the screen decides.  The quartic witnesses stay
 #: below 64*_scale**4, far from overflow, so a cell whose exact corners would
@@ -311,45 +301,29 @@ def _screen(m):
     ``code`` (physical cells) the class code of :func:`_exact_class`, and
     ``boundary`` the region maps' flag, which for a certain cell is set only
     by a corner inside the zero band.  Elsewhere they mean nothing and the
-    cell needs the exact kernel.  The screen evaluates closed-form
-    invariants in floats and decides a cell only when their roundoff,
-    bounded by ``_INVARIANT_ROUNDOFF`` and ``_CORNER_ROUNDOFF``, cannot move
-    it across a threshold.
+    cell needs the exact kernel.  The screen evaluates the exact kernel's
+    polynomials in floats and decides a cell only when their roundoff,
+    bounded by ``_INVARIANT_ROUNDOFF``, cannot move it across a threshold.
 
-    Physicality from the invariants alone.  Where ``V > 0`` (certified by its
-    leading minors), Williamson's theorem gives ``V = S^T D S`` with ``S``
-    symplectic and ``D = diag(nu-, nu-, nu+, nu+)``, so
-    ``V + i*Omega = S^T (D + i*Omega) S``, whose middle factor has smallest
-    eigenvalue ``nu- - 1``.  As ``D >= nu- I``, ``S^T S <= V/nu-`` and
-    ``||S||^2 = ||S^-1||^2 <= lambda_max(V)/nu- <= n/nu-`` with
-    ``n = ||V||_inf``.  Hence
-
-    * ``nu- >= 1``: ``lambda_min(V + i*Omega) >= (nu- - 1) nu-/n``;
-    * ``nu- < 1``: ``lambda_min(V + i*Omega) <= (nu- - 1) nu-/n``.
-
-    The invariants ``delta = nu-^2 + nu+^2 = det a1 + det a2 + 2 det c`` and
-    ``dc = (nu-^2 - 1)(nu+^2 - 1) = 1 + det V - delta`` (Serafini,
-    Illuminati, De Siena, J. Phys. B 37, L21 (2004)) give
-    ``nu- - 1 = dc/((nu+^2 - 1)(nu- + 1))``.  If ``dc > 0`` and
-    ``det V > 1``, both ``nu`` exceed 1, ``nu-/(nu- + 1) >= 1/2`` and
-    ``nu+^2 - 1 <= delta - 2``, so
-    ``lambda_min >= dc/(2 (delta - 2) n)``.  If ``dc < 0``, ``nu- < 1 < nu+``,
-    ``nu- + 1 <= 2``, ``nu+^2 - 1 <= delta - 1`` and
-    ``nu- = sqrt(det V)/nu+ >= sqrt(det V/delta)``, so
-    ``lambda_min <= dc sqrt(det V/delta)/(2 (delta - 1) n)``.  A cell is
-    physical (unphysical) and off the boundary when the lower (upper) bound,
-    taken at the roundoff-widened invariants, clears the kernel's tolerance
-    by the margin ``_BOUND_ROUNDOFF``, which absorbs the few roundings of
-    the bound.  Pure states, whose ``dc`` vanishes, are never decided.
+    Physicality.  The exact kernel decides ``lambda_min(V + i*Omega) >= -tol``
+    from the signs of ``e1 .. e4`` of ``V + tol*I + i*Omega``
+    (:func:`cvrobust._exact._uncertainty`, shifted by ``+tol``); the screen
+    evaluates the same polynomials on the float entries.  A cell is physical
+    when every shifted ``e_k`` exceeds ``_INVARIANT_ROUNDOFF * _scale**k``
+    and unphysical when one lies below its negative.  Pure states, whose
+    ``e4`` vanishes, are never decided.  The map flags no unphysical cell and
+    flags a physical one only through its corners, so the ``-tol`` shift of
+    the boundary flag is not needed.
 
     Corners.  The four corners ``w_ppt``, ``gamma11``,
-    ``gamma11 + gamma12`` and ``gamma11 + gamma21``, and the determinants
-    above, come from the functions of :mod:`cvrobust._exact`
-    (``_laplace`` and ``_corners``) called on the float entries with unit
-    1; the exact kernel calls the same functions on its integers.  The
-    class of a physical cell is certain when every corner is farther than
-    ``_CORNER_ROUNDOFF * _scale**4`` from each threshold it is compared
-    with: 0 for ``w_ppt`` and the band edges ``+-band`` for all four.
+    ``gamma11 + gamma12`` and ``gamma11 + gamma21``, like the determinants
+    and ``e1 .. e4``, come from the functions of :mod:`cvrobust._exact`
+    (``_laplace``, ``_uncertainty`` and ``_corners``) called on the float
+    entries with unit 1; the exact kernel calls the same functions on its
+    integers.  The class of a physical cell is certain when every corner is
+    farther than ``_INVARIANT_ROUNDOFF * _scale**4`` from each threshold it
+    is compared with: 0 for ``w_ppt`` and the band edges ``+-band`` for all
+    four.
 
     Non-finite values are never certain.
     """
@@ -357,41 +331,19 @@ def _screen(m):
     # contiguous cells.
     v = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
     upper = _upper(v)
-    v00, v02, v12, v22 = v[0, 0], v[0, 2], v[1, 2], v[2, 2]
-    t01, t02, t12, det_c, det_a2, det_v = _laplace(*upper)
-    minor3 = v02 * t12 - v12 * t02 + v22 * t01
-    delta = t01 + det_a2 + 2.0 * det_c
-    dc = 1.0 + det_v - delta
+    det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
+    scale = np.maximum(1.0, np.abs(v).max(axis=(0, 1)))  # _scale(m)
+    err = [_INVARIANT_ROUNDOFF * scale**k for k in (1, 2, 3, 4)]
+    decidable = scale**4 < _SCREEN_MAX_SCALE4
+    e = _shifted(_uncertainty(1, upper, det_a1, det_a2, det_c, det_v), _physicality_tol(scale))
+    physical = decidable & np.all([e[k] > err[k] for k in range(4)], axis=0)
+    unphysical = decidable & np.any([e[k] < -err[k] for k in range(4)], axis=0)
 
-    magnitude = np.abs(v)
-    scale = np.maximum(1.0, magnitude.max(axis=(0, 1)))  # _scale(m)
-    n = magnitude.sum(axis=1).max(axis=0)  # ||V||_inf
-    scale4 = scale**4
-    err2 = _INVARIANT_ROUNDOFF * scale * scale
-    err4 = _INVARIANT_ROUNDOFF * scale4
-    margin = _physicality_tol(scale) + _BOUND_ROUNDOFF * (n + 1.0)
-    delta_hi = delta + err2
-    positive = (
-        (scale4 < _SCREEN_MAX_SCALE4)
-        & (v00 > 0.0)
-        & (t01 > err2)
-        & (minor3 > _INVARIANT_ROUNDOFF * scale**3)
-        & (det_v > err4)
-    )
-    physical = (
-        positive & (det_v - err4 > 1.0) & (dc - err4 > 2.0 * margin * (delta_hi - 2.0) * n)
-    )
-    unphysical = positive & (
-        (-dc - err4) * np.sqrt((det_v - err4) / delta_hi)
-        > 2.0 * margin * (delta_hi - 1.0) * n
-    )
-
-    corners = _corners(1, upper, t01, det_a2, det_c, det_v)
+    corners = _corners(1, upper, det_a1, det_a2, det_c, det_v)
     band = _band_at(scale)
-    err = _CORNER_ROUNDOFF * scale4
-    clear = np.abs(corners[0]) > err
+    clear = np.abs(corners[0]) > err[3]
     for w in corners:
-        clear &= (np.abs(w - band) > err) & (np.abs(w + band) > err)
+        clear &= (np.abs(w - band) > err[3]) & (np.abs(w + band) > err[3])
     code, flags = _class_code(corners, band)
     boundary = physical & np.any(flags, axis=0)
     return unphysical | (physical & clear), physical, code, boundary

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvrobust import CovMatrix, attenuate, classify, ppt_witness, region_map_correlations
+from cvrobust import cli
 from cvrobust.cli import main, read_state_file, state_file_text
 from helpers import CM_B, CM_C, CM_D, eq19_matrix, exact_reference_witnesses, strict_json
 
@@ -135,6 +136,18 @@ class TestBadArguments:
         assert run([cm_d_file if a == "STATE" else a for a in args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+    def test_out_of_memory_is_an_error_message(self, message, monkeypatch, capsys):
+        def allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        # Only the failure is simulated: a real allocation of that size could
+        # succeed lazily and then run for a very long time.
+        monkeypatch.setattr(cli, "region_map_correlations", allocate)
+        args = ["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "1000000"]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
 
     @pytest.mark.parametrize(
         "args, named",

@@ -301,6 +301,8 @@ class TestRegionMapCorrelations:
         assert (region.labels == "unphysical").any()
         # strongly opposed correlations near (+1, -1) violate uncertainty
         assert region.labels[-1, 0] == "unphysical"
+        # the physicality boundary flag holds only on physical matrices
+        assert not region.boundary[region.labels == "unphysical"].any()
 
     def test_variances_below_vacuum_rejected(self):
         with pytest.raises(ValidationError):

@@ -19,16 +19,10 @@ from cvrobust import (
     region_map_epr,
     validate_physicality,
 )
-from cvrobust._exact import _corners, _laplace
-from cvrobust.covariance import _exact_stack, _scale, _upper
+from cvrobust._exact import _corners, _laplace, _shifted, _uncertainty
+from cvrobust.covariance import _exact_stack, _physicality_tol, _scale, _upper
 from cvrobust.families import _cell_centers, _epr_moments, _symmetric_modes_stack
-from cvrobust.robustness import (
-    _CLASSES,
-    _CORNER_ROUNDOFF,
-    _INVARIANT_ROUNDOFF,
-    _screen,
-    _verdicts,
-)
+from cvrobust.robustness import _CLASSES, _EPS, _INVARIANT_ROUNDOFF, _screen, _verdicts
 from helpers import HIGHLY_SQUEEZED, reference_region_map
 
 UNPHYSICAL = len(_CLASSES)
@@ -162,18 +156,24 @@ def screen_one(m):
     "m, physical, boundary",
     [
         (np.diag([1e7, 5e-8, 1.0, 1.0]), True, True),
-        (np.diag([-1.0, 1.0, 1.0, 1.0]), False, False),
         (np.eye(4), True, True),
         (HIGHLY_SQUEEZED.matrix, True, True),
         (_symmetric_modes_stack(math.cosh(6.0), math.cosh(6.0), math.sinh(6.0),
                                 -math.sinh(6.0)), True, True),
     ],
-    ids=["boundary-diag", "not-positive", "vacuum", "pure-squeezed", "pure-two-mode-r3"],
+    ids=["boundary-diag", "vacuum", "pure-squeezed", "pure-two-mode-r3"],
 )
 def test_pinned_states_fall_back_to_kernels(m, physical, boundary):
     assert not screen_one(m)
     d = validate_physicality(m)
     assert (d.physical, d.boundary) == (physical, boundary)
+
+
+def test_screen_decides_a_matrix_that_is_not_positive_as_unphysical():
+    m = np.diag([-1.0, 1.0, 1.0, 1.0])
+    certain, physical = (x[0] for x in _screen(m[None])[:2])
+    assert certain and not physical
+    assert not validate_physicality(m).physical
 
 
 def outcome(build):
@@ -214,7 +214,7 @@ def test_benchmark_maps_fall_back_on_few_cells(matrices, lo, hi):
     centers = _cell_centers(lo, hi, 101)
     x, y = np.meshgrid(centers, centers, indexing="ij")
     certain = _screen(matrices(x.ravel(), y.ravel()))[0]
-    assert (~certain).mean() <= 0.05
+    assert certain.all()
 
 
 #: Degrees of ``det a1``, ``t02``, ``t12``, ``det c``, ``det a2`` and ``det V``.
@@ -228,28 +228,44 @@ def roundoff(value, exact, unit):
     return abs(n * den - num * d) / (d * den) / unit
 
 
+def exact_invariants(x, tol):
+    """``e1 .. e4`` of ``V + tol*I + i*Omega`` as ``(numerator, denominator)`` pairs."""
+    e = _uncertainty(x.one, x.entries, x.det_a1, x.det_a2, x.det_c, x.det_v)
+    num, den = tol.as_integer_ratio()
+    # Over the common denominator D*den of the entries and the tolerance.
+    lifted = [ek * den**k for k, ek in enumerate(e, 1)]
+    return [(n, (x.one * den) ** k) for k, n in enumerate(_shifted(lifted, num * x.one), 1)]
+
+
 def worst_roundoff(m):
-    """Largest float-minus-exact error of the shared invariants and of the corners.
+    """Largest float-minus-exact error of the determinants, of ``e1 .. e4`` and of the corners.
 
     The polynomials of ``cvrobust._exact`` are evaluated on the float stack
     as the screen evaluates them, and on each matrix's integers as the exact
-    kernel does.  The errors are in units of ``_scale**k`` for the invariants
-    of degree ``k`` and of ``_scale**4`` for the corners.
+    kernel does; ``e1 .. e4`` are those of ``V + i*Omega`` shifted by the
+    physicality tolerance ``+tol``.  The errors are in units of ``_scale**k``
+    for a polynomial of degree ``k`` and of ``_scale**4`` for the corners.
     """
     upper = _upper(np.moveaxis(m, (-2, -1), (0, 1)))
     dets = _laplace(*upper)
     det_a1, _, _, det_c, det_a2, det_v = dets
-    corners = _corners(1, upper, det_a1, det_a2, det_c, det_v)
-    dets, corners = np.array(dets).T.tolist(), np.array(corners).T.tolist()
-    invariant_err = corner_err = 0.0
-    for k, ((x, _), scale) in enumerate(zip(_exact_stack(m), np.ravel(_scale(m)).tolist())):
-        exact = _laplace(*x.entries)
-        for value, num, degree in zip(dets[k], exact, LAPLACE_DEGREES):
-            err = roundoff(value, (num, x.one**degree), scale**degree)
-            invariant_err = max(invariant_err, err)
-        for value, pair in zip(corners[k], x.corners()):
-            corner_err = max(corner_err, roundoff(value, pair, scale**4))
-    return invariant_err, corner_err
+    args = (det_a1, det_a2, det_c, det_v)
+    scales = _scale(m)
+    invariants = _shifted(_uncertainty(1, upper, *args), _physicality_tol(scales))
+    corners = _corners(1, upper, *args)
+    floats = [np.array(f).T.tolist() for f in (dets, invariants, corners)]
+    degrees = (LAPLACE_DEGREES, (1, 2, 3, 4), (4, 4, 4, 4))
+    worst = [0.0, 0.0, 0.0]
+    for k, ((x, tol), scale) in enumerate(zip(_exact_stack(m), np.ravel(scales).tolist())):
+        exact = (
+            [(n, x.one**d) for n, d in zip(_laplace(*x.entries), LAPLACE_DEGREES)],
+            exact_invariants(x, tol),
+            x.corners(),
+        )
+        for i in range(3):
+            for value, pair, degree in zip(floats[i][k], exact[i], degrees[i]):
+                worst[i] = max(worst[i], roundoff(value, pair, scale**degree))
+    return worst
 
 
 def benchmark_map_cells():
@@ -265,6 +281,49 @@ def benchmark_map_cells():
 def test_float_polynomials_within_screen_roundoff_bounds():
     stacks = [m[:300] for _, m in state_groups()] + list(benchmark_map_cells())
     for m in stacks:
-        invariant_err, corner_err = worst_roundoff(m)
-        assert invariant_err <= _INVARIANT_ROUNDOFF
-        assert corner_err <= _CORNER_ROUNDOFF
+        assert max(worst_roundoff(m)) <= _INVARIANT_ROUNDOFF
+
+
+class AbsChain:
+    """A float chain of sums and products, evaluated on absolute values with every sign ``+``.
+
+    ``roundings`` bounds the roundings that any one term of the expanded
+    result passes through: a sum adds one to the larger count of its
+    operands, a product one to their total.  Products with 1 and 2 are
+    exact.
+    """
+
+    def __init__(self, value, roundings=0):
+        self.value, self.roundings = value, roundings
+
+    def __add__(self, other):
+        other = other if isinstance(other, AbsChain) else AbsChain(abs(other))
+        return AbsChain(self.value + other.value, max(self.roundings, other.roundings) + 1)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, int) and other in (1, 2):
+            return AbsChain(self.value * other, self.roundings)
+        other = other if isinstance(other, AbsChain) else AbsChain(abs(other))
+        return AbsChain(self.value * other.value, self.roundings + other.roundings + 1)
+
+    __rmul__ = __mul__
+
+
+def test_a_priori_roundoff_within_screen_bound():
+    """Each float chain of the screen errs by at most ``gamma_d`` times its absolute chain.
+
+    A term of degree ``j`` grows like ``_scale**j <= _scale**k`` for a
+    chain of degree ``k`` (the corners count as 4), and the tolerance is at
+    most ``1e-9*_scale``, so the bound at entries of magnitude 1 holds per
+    unit of ``_scale**k`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1).
+    """
+    upper = [AbsChain(1.0) for _ in range(10)]
+    det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
+    args = (det_a1, det_a2, det_c, det_v)
+    invariants = _shifted(_uncertainty(1, upper, *args), AbsChain(1e-9))
+    for chain in (det_v, *invariants, *_corners(1, upper, *args)):
+        u = chain.roundings * _EPS / 2
+        assert u / (1 - u) * chain.value <= _INVARIANT_ROUNDOFF
