@@ -37,6 +37,10 @@ The witness invariants are the polynomials of the Gamma decomposition with
   ``1 + det V + 2 det c - det a1 - det a2`` less the other three;
 * ``eta = gamma12 + gamma21 + sigma1 sigma2 + det a1 + det a2 - lambda_c - 1``.
 
+The Duan variances at a float weight ``a = n/d`` are integers over
+``2 D n^2 d^2`` (:meth:`Matrix.duan_variances`), so they are rounded once
+too, with no dependence on how a BLAS kernel orders its sums.
+
 The witness polynomials are written once, as the module functions
 :func:`_laplace`, :func:`_uncertainty` (``e1 .. e4`` above), :func:`_w_ppt`,
 :func:`_parts` and :func:`_corners` of the ten entries and a unit ``one``,
@@ -172,7 +176,7 @@ class Matrix:
     that physicality and the witnesses share are formed once.
     """
 
-    __slots__ = ("one", "entries", "det_a1", "det_a2", "det_c", "det_v")
+    __slots__ = ("one", "entries", "det_a1", "det_a2", "det_c", "det_v", "_invariants")
 
     def __init__(self, upper):
         nums, dens = zip(*map(float.as_integer_ratio, upper))
@@ -180,26 +184,40 @@ class Matrix:
         bits = one.bit_length()
         self.entries = [n << (bits - k.bit_length()) for n, k in zip(nums, dens)]  # n * (D // k)
         self.det_a1, _, _, self.det_c, self.det_a2, self.det_v = _laplace(*self.entries)
+        self._invariants = None
 
-    def physicality(self, tol: float) -> tuple[bool, bool]:
-        """``(physical, boundary)``: ``lambda_min(V + i*Omega) >= -tol`` and ``|lambda_min| <= tol``.
+    def uncertainty(self):
+        """``e1 .. e4`` of ``V + i*Omega``, over ``D .. D^4``, evaluated once per matrix."""
+        if self._invariants is None:
+            self._invariants = _uncertainty(
+                self.one, self.entries, self.det_a1, self.det_a2, self.det_c, self.det_v
+            )
+        return self._invariants
 
-        ``boundary`` can hold only on a physical ``V``.
-        """
-        one = self.one
-        invariants = _uncertainty(
-            one, self.entries, self.det_a1, self.det_a2, self.det_c, self.det_v
-        )
-        # Bring the tolerance to the same denominator, lifting the invariants
-        # of degree k by f^k when its own denominator is the larger.
+    def _with_shift(self, tol: float):
+        """``e1 .. e4`` and ``tol`` as integers over one denominator."""
+        invariants = self.uncertainty()
+        # Lift the invariants of degree k by f^k when the tolerance's own
+        # denominator is the larger.
         shift, den = tol.as_integer_ratio()
-        if den > one:
-            f = den // one
+        if den > self.one:
+            f = den // self.one
             f2 = f * f
             e1, e2, e3, e4 = invariants
-            invariants = (e1 * f, e2 * f2, e3 * f2 * f, e4 * f2 * f2)
-        else:
-            shift *= one // den
+            return (e1 * f, e2 * f2, e3 * f2 * f, e4 * f2 * f2), shift
+        return invariants, shift * (self.one // den)
+
+    def physical(self, tol: float) -> bool:
+        """``lambda_min(V + i*Omega) >= -tol``."""
+        return min(_shifted(*self._with_shift(tol))) >= 0
+
+    def physicality(self, tol: float) -> tuple[bool, bool]:
+        """``(physical, boundary)``: :meth:`physical` and ``|lambda_min| <= tol``.
+
+        ``boundary`` can hold only on a physical ``V``; only this method
+        evaluates its ``-tol`` shift.
+        """
+        invariants, shift = self._with_shift(tol)
         physical = min(_shifted(invariants, shift)) >= 0
         return physical, physical and min(_shifted(invariants, -shift)) <= 0
 
@@ -252,9 +270,24 @@ class Matrix:
 
     def det_condition(self) -> int:
         """``1 + det V - 2 det c - det a1 - det a2``, over ``D^4``: ``e4`` of ``V + i*Omega``."""
-        return _uncertainty(
-            self.one, self.entries, self.det_a1, self.det_a2, self.det_c, self.det_v
-        )[3]
+        return self.uncertainty()[3]
+
+    def duan_variances(self, a: float):
+        """``var(u)`` and ``var(v)`` of the EPR operators at the signed weight ``a``.
+
+        ``var(u) = (a^2 v11 - 2 sgn(a) v13 + v33/a^2)/2`` and
+        ``var(v) = (a^2 v00 + 2 sgn(a) v02 + v22/a^2)/2``, with ``a^2`` the
+        exact square of the float ``a``, as ``(numerator, denominator)`` pairs.
+        """
+        n, d = a.as_integer_ratio()  # a = n/d: a^2 = n2/d2
+        n2, d2 = n * n, d * d
+        cross = 2 * n2 * d2 if n > 0 else -2 * n2 * d2
+        v00, _, v02, _, v11, _, v13, v22, _, v33 = self.entries
+        den = 2 * self.one * n2 * d2
+        return (
+            (n2 * n2 * v11 - cross * v13 + d2 * d2 * v33, den),
+            (n2 * n2 * v00 + cross * v02 + d2 * d2 * v22, den),
+        )
 
 
 def _shifted(invariants, s):

@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 import os
 
-import numpy as np
-
 from ._record import Record
-from .covariance import CovMatrix, _as_cov
+from .covariance import _UPPER, CovMatrix, _as_cov, _upper
 from .errors import ValidationError
 
 __all__ = [
@@ -131,16 +129,23 @@ def attenuate(v, t) -> CovMatrix:
     physical for every transmittance pair.
     """
     t = Transmittance.of(t)
-    return CovMatrix(_attenuate_stack(_as_cov(v).matrix, t.t1, t.t2))
+    a, p, q, r, b, s, u, c, w, d = _attenuated(
+        _upper(_as_cov(v)._rows), math.sqrt(t.t1), math.sqrt(t.t2)
+    )
+    return CovMatrix([[a, p, q, r], [p, b, s, u], [q, s, c, w], [r, u, w, d]])
 
 
-def _attenuate_stack(m: np.ndarray, t1, t2) -> np.ndarray:
-    """:func:`attenuate` of ``m`` for each pair of the broadcast ``t1``, ``t2``.
+def _attenuated(upper, l1, l2) -> list:
+    """The ten upper-triangle entries of ``L (V - I) L + I``, ``L = diag(l1, l1, l2, l2)``.
 
-    Returns the attenuated matrices with shape ``shape(t1 * t2) + (4, 4)``;
-    the transmittances are not range checked here.
+    Each is ``(l_i l_j) (v_ij - delta_ij) + delta_ij`` of the entries
+    ``upper`` and the square roots ``l1``, ``l2`` of the transmittances:
+    floats for :func:`attenuate`, arrays of transmittance pairs for
+    ``scan``, elementwise and so with the same bits.  The transmittances are
+    not range checked here.
     """
-    l1, l2 = np.broadcast_arrays(np.sqrt(t1), np.sqrt(t2))
-    diag = np.stack([l1, l1, l2, l2], axis=-1)
-    scale = diag[..., :, None] * diag[..., None, :]
-    return scale * (m - np.eye(4)) + np.eye(4)
+    ls = (l1, l1, l2, l2)
+    return [
+        (ls[i] * ls[j]) * (v - float(i == j)) + float(i == j)
+        for (i, j), v in zip(_UPPER, upper)
+    ]

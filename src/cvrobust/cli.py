@@ -22,13 +22,11 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import __version__
 from .channel import (
     LinkBudget,
     Transmittance,
-    _attenuate_stack,
+    _attenuated,
     _require_finite_nonnegative,
     attenuate,
     transmittance_from_link,
@@ -36,6 +34,7 @@ from .channel import (
 from .covariance import (
     CovMatrix,
     _require_physical,
+    _upper,
     purities,
     symplectic_spectrum,
     validate_physicality,
@@ -57,8 +56,8 @@ from .families import (
 from .robustness import (
     CHANNEL_WITNESS_NOTE,
     _checked_gamma,
+    _contour,
     classify,
-    esd_contour,
     robustify,
 )
 from .witnesses import (
@@ -140,7 +139,7 @@ def read_state_file(path: str) -> tuple[CovMatrix, str]:
     ):
         raise ValidationError(f"{path}: matrix must be 4 rows of 4 numbers")
     try:
-        cov = CovMatrix(np.array(matrix, dtype=float))
+        cov = CovMatrix(matrix)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}")
     label = data.get("label", "")
@@ -153,7 +152,7 @@ def state_file_text(v: CovMatrix, label: str) -> str:
     data = {
         "label": label,
         "ordering": CovMatrix.ORDERING,
-        "matrix": [[float(x) for x in row] for row in v.matrix],
+        "matrix": v.tolist(),
     }
     return json.dumps(data, indent=2) + "\n"
 
@@ -246,16 +245,19 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    import numpy as np
+
     cov, _ = read_state_file(args.input)
     if args.grid < 2:
         raise ValidationError("scan grid must be at least 2")
     g = _checked_gamma(cov)
     ts = np.linspace(0.0, 1.0, args.grid)
     t_text = [repr(t) for t in ts.tolist()]
+    upper = _upper(cov.tolist())
     pieces = ["t1,t2,w_ppt_attenuated,w_reduced\n"]
     for _, i, j in _grid_chunks(ts.size, ts.size):
         t1, t2 = ts[i], ts[j]
-        w_att = _ppt(_attenuate_stack(cov.matrix, t1, t2))
+        w_att = _ppt(_attenuated(upper, np.sqrt(t1), np.sqrt(t2)))
         w_red = _reduced(g, t1, t2)
         pieces.append(
             "".join(
@@ -269,8 +271,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_contour(args) -> int:
     cov, _ = read_state_file(args.input)
-    points = esd_contour(cov, samples=args.samples)
-    _emit(_csv_text(["t1", "t2"], [tuple(p) for p in points]), args.output)
+    _emit(_csv_text(["t1", "t2"], _contour(cov, args.samples)), args.output)
     return 0
 
 
@@ -393,7 +394,7 @@ def _cmd_robustify(args) -> int:
                 "phi2": result.s.phi2,
             },
             "class_out": after.cls.label,
-            "matrix": [[float(x) for x in row] for row in result.v_out.matrix],
+            "matrix": result.v_out.tolist(),
         }
     _emit(_json_text(data), args.output)
     return 0
@@ -523,14 +524,16 @@ def main(argv=None) -> int:
 def run() -> int:
     """Process entry of ``python -m cvrobust.cli`` and the ``cvrobust`` script.
 
-    Moves every object alive after import (numpy's and cvrobust's modules,
-    classes and constants) into the collector's permanent generation, then
-    runs :func:`main`.  Neither the collections during the command nor the
-    final one at interpreter exit walk those objects again.  In-process
-    callers use :func:`main`, which leaves the collector alone.
+    Runs :func:`main`, then moves every object still alive (the modules,
+    classes and constants of cvrobust and of numpy, which only some commands
+    import) into the collector's permanent generation, so that the final
+    collection at interpreter exit does not walk them.  In-process callers
+    use :func:`main`, which leaves the collector alone.
     """
-    gc.freeze()
-    return main()
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -17,9 +17,8 @@ All values are dimensionless noise powers relative to shot noise.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
-
-import numpy as np
 
 from ._exact import Matrix, ratio
 from .errors import ValidationError
@@ -59,62 +58,99 @@ PHYSICALITY_TOL = 1e-9
 #: 1.46 over pure two-mode squeezed states (``r`` up to 12); 32 keeps the
 #: margin of the former float test.  A violation smaller than this cannot be
 #: told from roundoff.
-_PHYSICALITY_ROUNDOFF = 32 * float(np.finfo(float).eps)
+_PHYSICALITY_ROUNDOFF = 32 * sys.float_info.epsilon
 
-J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-J2.setflags(write=False)
+#: Row and column of the ten upper-triangle entries, row by row.
+_UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+_UPPER_ROWS, _UPPER_COLS = zip(*_UPPER)
 
-OMEGA = np.block([[J2, np.zeros((2, 2))], [np.zeros((2, 2)), J2]])
-OMEGA.setflags(write=False)
 
-#: Row and column indices of the ten upper-triangle entries, row by row.
-_UPPER_ROWS, _UPPER_COLS = np.triu_indices(4)
+def __getattr__(name):
+    """``J2`` and ``OMEGA``, read-only arrays built on first access (PEP 562)."""
+    if name not in ("J2", "OMEGA"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), j2]])
+    j2.setflags(write=False)
+    omega.setflags(write=False)
+    globals().update(J2=j2, OMEGA=omega)
+    return globals()[name]
+
+
+def _float_rows(entries) -> list:
+    """``entries`` as four lists of four floats, as ``np.array(entries, dtype=float)`` converts them."""
+    try:
+        rows = [[float(x) for x in row] for row in entries]
+        if len(rows) == 4 and all(len(row) == 4 for row in rows):
+            return rows
+    except TypeError:
+        pass
+    # Another shape or nesting: numpy's conversion names its shape, or raises.
+    import numpy as np
+
+    m = np.array(entries, dtype=float)
+    if m.shape != (4, 4):
+        raise ValidationError(f"covariance matrix must be 4x4, got shape {m.shape}")
+    return m.tolist()
 
 
 class CovMatrix:
     """A 4x4 real symmetric covariance matrix in ``(q1, p1, q2, p2)`` ordering.
 
-    The constructor rejects matrices whose asymmetry exceeds
-    ``SYMMETRY_RTOL * max(1, max|V|)`` and then symmetrizes the input as
-    ``(V + V^T) / 2`` so that file round trips with last-digit noise are
-    accepted.  Instances are immutable.
+    The constructor converts the entries to floats, rejects matrices whose
+    asymmetry exceeds ``SYMMETRY_RTOL * max(1, max|V|)`` and then
+    symmetrizes the input as ``(V + V^T) / 2`` so that file round trips with
+    last-digit noise are accepted.  The 16 entries are kept as Python
+    floats, which the package's single-state analyses read without numpy;
+    the read-only array of :attr:`matrix` (and ``np.asarray``) is built on
+    first use.  Instances are immutable.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_rows", "_m")
 
     ORDERING = "q1,p1,q2,p2"
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=float)
-        if m.shape != (4, 4):
-            raise ValidationError(f"covariance matrix must be 4x4, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        rows = _float_rows(entries)
+        flat = [x for row in rows for x in row]
+        flat_t = [x for column in zip(*rows) for x in column]
+        if not all(map(math.isfinite, flat)):
             raise ValidationError("covariance matrix contains non-finite entries")
-        if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * _scale(m):
+        if max(abs(x - y) for x, y in zip(flat, flat_t)) > SYMMETRY_RTOL * _scale_of(flat):
             raise ValidationError("covariance matrix is asymmetric beyond tolerance")
-        m = 0.5 * (m + m.T)
-        m.setflags(write=False)
-        self._m = m
+        sym = [0.5 * (x + y) for x, y in zip(flat, flat_t)]
+        self._rows = (tuple(sym[0:4]), tuple(sym[4:8]), tuple(sym[8:12]), tuple(sym[12:16]))
+        self._m = None
 
     @classmethod
     def vacuum(cls) -> "CovMatrix":
         """Two-mode vacuum (identity covariance)."""
-        return cls(np.eye(4))
+        return cls([[float(i == j) for j in range(4)] for i in range(4)])
 
     @property
     def matrix(self) -> np.ndarray:
-        """The underlying 4x4 array (read-only view)."""
+        """The 4x4 array of the entries (read-only), built on first use."""
+        if self._m is None:
+            import numpy as np
+
+            m = np.array(self._rows)
+            m.setflags(write=False)
+            self._m = m
         return self._m
+
+    def tolist(self) -> list[list[float]]:
+        """The entries as four lists of four Python floats, row by row."""
+        return [list(row) for row in self._rows]
 
     def __array__(self, dtype=None, copy=None):
         if dtype is not None:
-            return self._m.astype(dtype)
-        return self._m
+            return self.matrix.astype(dtype)
+        return self.matrix
 
     def __repr__(self) -> str:
-        rows = "; ".join(
-            " ".join(repr(float(x)) for x in row) for row in self._m
-        )
+        rows = "; ".join(" ".join(map(repr, row)) for row in self._rows)
         return f"CovMatrix([{rows}])"
 
 
@@ -122,12 +158,19 @@ def _as_cov(v) -> CovMatrix:
     return v if isinstance(v, CovMatrix) else CovMatrix(v)
 
 
+def _scale_of(entries) -> float:
+    """The tolerance unit ``max(1, max|V|)`` of one matrix from its entries (floats)."""
+    return max(1.0, max(map(abs, entries)))
+
+
 def _scale(m: np.ndarray):
-    """The tolerance unit ``max(1, max|V|)`` over a stack of matrices ``(..., 4, 4)``.
+    """:func:`_scale_of` over a stack of matrices ``(..., 4, 4)``.
 
     Roundoff in a quantity of degree ``k`` in the entries grows like
     ``eps * max|V|**k``, so its tolerance is a constant times ``_scale**k``.
     """
+    import numpy as np
+
     return np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
 
 
@@ -160,6 +203,8 @@ def blocks(v) -> Blocks:
 
 def reassemble(b: Blocks) -> CovMatrix:
     """Rebuild the covariance matrix from its blocks (exact round trip)."""
+    import numpy as np
+
     return CovMatrix(np.block([[b.a1, b.c], [b.c.T, b.a2]]))
 
 
@@ -202,8 +247,7 @@ def symplectic_spectrum(v, partial_transpose_mode: int | None = None) -> Symplec
     """
     if partial_transpose_mode not in (None, 1, 2):
         raise ValueError("partial_transpose_mode must be 1 or 2")
-    x = _exact_matrix(_as_cov(v).matrix)
-    return _spectrum(x, 1 if partial_transpose_mode is None else -1)
+    return _spectrum(_exact_matrix(v), 1 if partial_transpose_mode is None else -1)
 
 
 class PhysicalityDiagnosis(NamedTuple):
@@ -223,36 +267,58 @@ class PhysicalityDiagnosis(NamedTuple):
     boundary: bool
 
 
-def _exact_stack(m: np.ndarray):
-    """``(Matrix, tol)`` of each matrix of a stack ``(..., 4, 4)``, in C order.
+def _upper(v) -> list:
+    """The ten upper-triangle entries ``v[i][j]``, row by row.
+
+    Of a :class:`CovMatrix`'s rows they are floats; of an entries-first
+    stack ``v[i, j, ...]`` they are views.
+    """
+    return [v[i][j] for i, j in _UPPER]
+
+
+def _exact_of(upper):
+    """``(Matrix, tol)`` of one matrix from its ten upper-triangle floats.
 
     ``Matrix`` is the matrix in exact integers (:mod:`cvrobust._exact`) and
     ``tol`` the tolerance of :func:`validate_physicality` on it.
     """
+    return Matrix(upper), _physicality_tol(_scale_of(upper))
+
+
+def _exact_stack(m: np.ndarray):
+    """:func:`_exact_of` of each matrix of a stack ``(..., 4, 4)``, in C order.
+
+    The tolerances are evaluated over the whole stack at once.
+    """
+    import numpy as np
+
     upper = m[..., _UPPER_ROWS, _UPPER_COLS].reshape(-1, 10).tolist()
     tol = np.ravel(_physicality_tol(_scale(m))).tolist()
     return zip(map(Matrix, upper), tol)
 
 
-def _upper(v) -> list:
-    """The ten upper-triangle entries of an entries-first stack ``v[i, j, ...]``, as views."""
-    return [v[i, j] for i, j in zip(_UPPER_ROWS.tolist(), _UPPER_COLS.tolist())]
-
-
-def _exact_matrix(m: np.ndarray) -> Matrix:
-    """One 4x4 matrix in exact integers."""
-    return Matrix(m[_UPPER_ROWS, _UPPER_COLS].tolist())
+def _exact_matrix(v) -> Matrix:
+    """``v``, anything :func:`_as_cov` accepts, in exact integers."""
+    return Matrix(_upper(_as_cov(v)._rows))
 
 
 def _physicality_tol(scale):
-    """The tolerance of :func:`validate_physicality` on ``lambda_min`` at ``_scale`` ``scale``."""
-    return np.maximum(PHYSICALITY_TOL, _PHYSICALITY_ROUNDOFF * scale)
+    """The tolerance of :func:`validate_physicality` on ``lambda_min`` at ``_scale`` ``scale``.
+
+    ``scale`` is a float, or an array in the map screen.
+    """
+    tol = _PHYSICALITY_ROUNDOFF * scale
+    if isinstance(tol, float):
+        return max(PHYSICALITY_TOL, tol)
+    import numpy as np
+
+    return np.maximum(PHYSICALITY_TOL, tol)
 
 
 def _exact_physical(cov: CovMatrix) -> Matrix:
     """The admissibility gate on ``cov``, returning its matrix in exact integers."""
-    ((x, tol),) = _exact_stack(cov.matrix)
-    if not x.physicality(tol)[0]:
+    x, tol = _exact_of(_upper(cov._rows))
+    if not x.physical(tol):
         raise ValidationError("unphysical state (uncertainty bound V + i*Omega >= 0 violated)")
     return x
 
@@ -286,7 +352,7 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
 
     Never raises for symmetric input.
     """
-    ((x, tol),) = _exact_stack(_as_cov(v).matrix)
+    x, tol = _exact_of(_upper(_as_cov(v)._rows))
     physical, boundary = x.physicality(tol)
     return PhysicalityDiagnosis(
         physical=physical,
@@ -329,17 +395,23 @@ def purities(v) -> Purities:
 
 def rotation2(theta: float) -> np.ndarray:
     """Single-mode phase-space rotation by ``theta`` radians."""
+    import numpy as np
+
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
 def squeeze2(r: float) -> np.ndarray:
     """Single-mode squeezer ``diag(e^r, e^-r)`` (q stretched for r > 0)."""
+    import numpy as np
+
     return np.array([[math.exp(r), 0.0], [0.0, math.exp(-r)]])
 
 
 def beam_splitter(angle: float) -> np.ndarray:
     """Two-mode beam-splitter symplectic mixing the modes by ``angle``."""
+    import numpy as np
+
     c, s = math.cos(angle), math.sin(angle)
     i2 = np.eye(2)
     return np.block([[c * i2, s * i2], [-s * i2, c * i2]])
@@ -379,6 +451,8 @@ class LocalSymplectic(NamedTuple):
 
     def matrix(self) -> np.ndarray:
         """The 4x4 block-diagonal symplectic matrix."""
+        import numpy as np
+
         s1, s2 = self.mode_matrices()
         out = np.zeros((4, 4))
         out[:2, :2] = s1

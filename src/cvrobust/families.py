@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Union
 
-import numpy as np
-
 from ._record import Record
 from .covariance import (
     SYMMETRY_RTOL,
@@ -117,6 +115,8 @@ def _reduce_to_sc(spec) -> FullySymmetric:
 
 
 def _family_matrix(spec: FamilySpec) -> np.ndarray:
+    import numpy as np
+
     if isinstance(spec, (FullySymmetricFromSqueezing, PureTwoModeSqueezed)):
         spec = _reduce_to_sc(spec)
     if isinstance(spec, FullySymmetric):
@@ -145,6 +145,8 @@ def _family_matrix(spec: FamilySpec) -> np.ndarray:
 
 def _symmetric_modes_stack(dq, dp, c_q, c_p) -> np.ndarray:
     """Symmetric-mode matrices for broadcast parameter arrays, shape ``(..., 4, 4)``."""
+    import numpy as np
+
     m = np.zeros(np.broadcast_shapes(*map(np.shape, (dq, dp, c_q, c_p))) + (4, 4))
     m[..., 0, 0] = m[..., 2, 2] = dq
     m[..., 1, 1] = m[..., 3, 3] = dp
@@ -220,23 +222,23 @@ class EprSummary(NamedTuple):
     w_prod_bar: float
 
 
-_ROOT2 = math.sqrt(2.0)
-_F_P_MINUS = np.array([0.0, 1.0, 0.0, -1.0]) / _ROOT2
-_F_P_PLUS = np.array([0.0, 1.0, 0.0, 1.0]) / _ROOT2
-_F_Q_MINUS = np.array([1.0, 0.0, -1.0, 0.0]) / _ROOT2
-_F_Q_PLUS = np.array([1.0, 0.0, 1.0, 0.0]) / _ROOT2
-
-
 def epr_summary(v) -> EprSummary:
     """EPR-quadrature variances, partial purities and the four witnesses.
 
     Raises :class:`ValidationError` for unphysical ``v``.
     """
+    import numpy as np
+
     m = _require_physical(v).matrix
-    var_p_minus = float(_F_P_MINUS @ m @ _F_P_MINUS)
-    var_p_plus = float(_F_P_PLUS @ m @ _F_P_PLUS)
-    var_q_minus = float(_F_Q_MINUS @ m @ _F_Q_MINUS)
-    var_q_plus = float(_F_Q_PLUS @ m @ _F_Q_PLUS)
+    root2 = math.sqrt(2.0)
+    f_p_minus = np.array([0.0, 1.0, 0.0, -1.0]) / root2
+    f_p_plus = np.array([0.0, 1.0, 0.0, 1.0]) / root2
+    f_q_minus = np.array([1.0, 0.0, -1.0, 0.0]) / root2
+    f_q_plus = np.array([1.0, 0.0, 1.0, 0.0]) / root2
+    var_p_minus = float(f_p_minus @ m @ f_p_minus)
+    var_p_plus = float(f_p_plus @ m @ f_p_plus)
+    var_q_minus = float(f_q_minus @ m @ f_q_minus)
+    var_q_plus = float(f_q_plus @ m @ f_q_plus)
     return EprSummary(
         var_p_minus=var_p_minus,
         var_p_plus=var_p_plus,
@@ -260,7 +262,7 @@ def _is_symmetric_mode_form(cov: CovMatrix) -> bool:
         and abs(b.c[0, 1]) <= tol
         and abs(b.c[1, 0]) <= tol
     )
-    return diagonal and bool(np.abs(b.a1 - b.a2).max() <= tol)
+    return diagonal and bool(abs(b.a1 - b.a2).max() <= tol)
 
 
 def epr_partial_witness(v) -> float:
@@ -319,9 +321,7 @@ _REGION_OF_LABEL = {
 UNPHYSICAL = "unphysical"
 
 #: Region code of each robustness class code, then of an unphysical cell.
-_REGIONS = np.array(
-    [_REGION_OF_LABEL[cls.label] for cls in _CLASSES] + [UNPHYSICAL], dtype=object
-)
+_REGIONS = tuple(_REGION_OF_LABEL[cls.label] for cls in _CLASSES) + (UNPHYSICAL,)
 
 #: Cells evaluated per batch by the grid commands (region maps and scans).
 #: It bounds the temporaries of the screen and of the attenuated stacks
@@ -351,6 +351,8 @@ def _grid_chunks(nx: int, ny: int):
     Yields ``(cells, i, j)``: the slice of flat cell indices and the row and
     column index of each cell in it.
     """
+    import numpy as np
+
     for start in range(0, nx * ny, GRID_CHUNK):
         cells = slice(start, min(start + GRID_CHUNK, nx * ny))
         i, j = np.divmod(np.arange(cells.start, cells.stop), ny)
@@ -369,6 +371,8 @@ def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
     polynomials evaluated in floats; only the cells it leaves open go through
     the exact kernel of ``classify``, so every verdict is that kernel's own.
     """
+    import numpy as np
+
     codes = np.empty(x.size * y.size, dtype=np.intp)
     boundary = np.empty(x.size * y.size, dtype=bool)
     for cells, i, j in _grid_chunks(x.size, y.size):
@@ -389,7 +393,7 @@ def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
         y_name=y_name,
         x=x,
         y=y,
-        labels=_REGIONS[codes].reshape(shape),
+        labels=np.array(_REGIONS, dtype=object)[codes].reshape(shape),
         boundary=boundary.reshape(shape),
     )
 
@@ -401,6 +405,8 @@ def _require_finite(**params) -> None:
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
+    import numpy as np
+
     width = (hi - lo) / n
     return lo + width * (np.arange(n) + 0.5)
 
@@ -504,6 +510,8 @@ def random_physical_state(seed: int, params: RandomStateParams | None = None) ->
     """
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
+    import numpy as np
+
     from ._pcg64 import default_rng  # only seeded commands compile the stream
 
     p = params or RandomStateParams()

@@ -19,9 +19,8 @@ same quantity by the transposed index.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
-
-import numpy as np
 
 from ._exact import Matrix, _corners, _laplace, _shifted, _uncertainty, at_most, ratio
 from ._record import Record
@@ -164,7 +163,7 @@ def channel_robustness_witness(v, mode: int) -> float:
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    corners = _exact_matrix(_as_cov(v).matrix).corners()
+    corners = _exact_matrix(v).corners()
     return _finite(ratio(n, d) for n, d in corners)[1 + mode]
 
 
@@ -251,13 +250,16 @@ def _verdicts(m):
     Each cell gets the verdicts of ``validate_physicality`` and ``classify``
     on its matrix: the code ``_UNPHYSICAL`` and no flag when it is
     unphysical, else its class code and whether a corner lies in the zero
-    band.  The physicality boundary flag is not a map flag.
+    band.  The physicality boundary flag is not a map flag, so its ``-tol``
+    shift is not evaluated.
     """
+    import numpy as np
+
     with np.errstate(over="ignore"):  # an infinite band flags every corner
         bands = np.ravel(_band(m)).tolist()
     codes, flags = [], []
     for (x, tol), band in zip(_exact_stack(m), bands):
-        if x.physicality(tol)[0]:
+        if x.physical(tol):
             _, _, code, corner_flags = _exact_class(x, band)
             codes.append(code)
             flags.append(any(corner_flags))
@@ -267,7 +269,7 @@ def _verdicts(m):
     return np.array(codes, dtype=np.intp), np.array(flags, dtype=bool)
 
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 #: Roundoff bound of the screen's float polynomials against their exact
 #: values, per unit of ``_scale**k`` for a polynomial of degree ``k``; the
@@ -291,7 +293,6 @@ _INVARIANT_ROUNDOFF = 512 * _EPS
 _SCREEN_MAX_SCALE4 = 2.0**1000
 
 
-@np.errstate(all="ignore")  # overflow and NaN only reach uncertain cells
 def _screen(m):
     """Certified verdicts for a stack of symmetric matrices ``(..., 4, 4)``.
 
@@ -327,26 +328,29 @@ def _screen(m):
 
     Non-finite values are never certain.
     """
-    # Entries first, so that every entry and reduction below runs over
-    # contiguous cells.
-    v = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
-    upper = _upper(v)
-    det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
-    scale = np.maximum(1.0, np.abs(v).max(axis=(0, 1)))  # _scale(m)
-    err = [_INVARIANT_ROUNDOFF * scale**k for k in (1, 2, 3, 4)]
-    decidable = scale**4 < _SCREEN_MAX_SCALE4
-    e = _shifted(_uncertainty(1, upper, det_a1, det_a2, det_c, det_v), _physicality_tol(scale))
-    physical = decidable & np.all([e[k] > err[k] for k in range(4)], axis=0)
-    unphysical = decidable & np.any([e[k] < -err[k] for k in range(4)], axis=0)
+    import numpy as np
 
-    corners = _corners(1, upper, det_a1, det_a2, det_c, det_v)
-    band = _band_at(scale)
-    clear = np.abs(corners[0]) > err[3]
-    for w in corners:
-        clear &= (np.abs(w - band) > err[3]) & (np.abs(w + band) > err[3])
-    code, flags = _class_code(corners, band)
-    boundary = physical & np.any(flags, axis=0)
-    return unphysical | (physical & clear), physical, code, boundary
+    with np.errstate(all="ignore"):  # overflow and NaN only reach uncertain cells
+        # Entries first, so that every entry and reduction below runs over
+        # contiguous cells.
+        v = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+        upper = _upper(v)
+        det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
+        scale = np.maximum(1.0, np.abs(v).max(axis=(0, 1)))  # _scale(m)
+        err = [_INVARIANT_ROUNDOFF * scale**k for k in (1, 2, 3, 4)]
+        decidable = scale**4 < _SCREEN_MAX_SCALE4
+        e = _shifted(_uncertainty(1, upper, det_a1, det_a2, det_c, det_v), _physicality_tol(scale))
+        physical = decidable & np.all([e[k] > err[k] for k in range(4)], axis=0)
+        unphysical = decidable & np.any([e[k] < -err[k] for k in range(4)], axis=0)
+
+        corners = _corners(1, upper, det_a1, det_a2, det_c, det_v)
+        band = _band_at(scale)
+        clear = np.abs(corners[0]) > err[3]
+        for w in corners:
+            clear &= (np.abs(w - band) > err[3]) & (np.abs(w + band) > err[3])
+        code, flags = _class_code(corners, band)
+        boundary = physical & np.any(flags, axis=0)
+        return unphysical | (physical & clear), physical, code, boundary
 
 
 def classify(v) -> RobustnessReport:
@@ -359,8 +363,7 @@ def classify(v) -> RobustnessReport:
     """
     cov = _as_cov(v)
     x = _exact_physical(cov)
-    with np.errstate(over="ignore"):  # an infinite band flags every corner
-        band = boundary_band(cov)
+    band = boundary_band(cov)  # an infinite band flags every corner
     corners, values, code, flags = _exact_class(x, band)
     ppt, ppt_den = corners[0]
 
@@ -388,21 +391,37 @@ def esd_contour(v, samples: int = 256) -> np.ndarray:
     ``W_R(t1, t2) = 0`` gives ``t2`` in closed form; a point is kept when
     ``t2`` lies in ``(0, 1]`` and its witness in the zero band of
     :func:`boundary_band`.  On the hyperbola's vertical asymptote the
-    quotient is infinite or NaN and drops out.  Returns an ``(n, 2)`` array
-    of ``(t1, t2)`` points, empty for fully robust states and when ``W_R``
-    vanishes identically.  Raises :class:`ValidationError` for unphysical
-    input and when the witness overflows.
+    denominator vanishes and the sample drops out.  Returns an ``(n, 2)``
+    array of ``(t1, t2)`` points, empty for fully robust states and when
+    ``W_R`` vanishes identically.  Raises :class:`ValidationError` for
+    unphysical input and when the witness overflows.
+    """
+    import numpy as np
+
+    return np.array(_contour(_as_cov(v), samples), dtype=float).reshape(-1, 2)
+
+
+def _contour(cov: CovMatrix, samples: int) -> list:
+    """The points of :func:`esd_contour` as a list of ``(t1, t2)`` float pairs.
+
+    The samples ``t1 = i * (1/samples)``, the last one 1, are those of
+    ``np.linspace(0, 1, samples + 1)[1:]``.
     """
     if samples < 1:
         raise ValidationError("samples must be positive")
-    cov = _as_cov(v)
     g = _checked_gamma(cov)
-    t1 = np.linspace(0.0, 1.0, samples + 1)[1:]
-    with np.errstate(all="ignore"):
-        t2 = -(g.gamma21 * t1 + g.gamma11) / (g.gamma22 * t1 + g.gamma12)
-        residual = np.abs(_reduced(g, t1, t2))
-        keep = (0.0 < t2) & (t2 <= 1.0) & (residual <= _band(cov.matrix))
-    return np.column_stack((t1[keep], t2[keep]))
+    band = boundary_band(cov)
+    step = 1.0 / samples
+    points = []
+    for i in range(1, samples + 1):
+        t1 = i * step if i < samples else 1.0
+        den = g.gamma22 * t1 + g.gamma12
+        if den == 0.0:
+            continue
+        t2 = -(g.gamma21 * t1 + g.gamma11) / den
+        if 0.0 < t2 <= 1.0 and abs(_reduced(g, t1, t2)) <= band:
+            points.append((t1, t2))
+    return points
 
 
 class RobustifyResult(NamedTuple):
@@ -416,7 +435,7 @@ class RobustifyResult(NamedTuple):
 
 def _corner_objective(m: np.ndarray) -> float:
     # max of the three robustness corners; < 0 means fully robust.
-    corners = _exact_matrix(CovMatrix(m).matrix).corners()[1:]
+    corners = _exact_matrix(m).corners()[1:]
     return max(ratio(n, d) for n, d in corners)
 
 
@@ -434,6 +453,8 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
     """
     if budget < 1 or seed < 0:
         raise ValidationError("robustify needs budget >= 1 and seed >= 0")
+    import numpy as np
+
     cov = _as_cov(v)
     report = classify(cov)
     if report.cls == SEPARABLE:

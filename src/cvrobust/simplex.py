@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = ["SimplexResult", "nelder_mead"]
 
 
@@ -36,6 +34,8 @@ def nelder_mead(
     when ``max_evals`` is exhausted, or as soon as a vertex with
     ``f < target`` is found (when a target is given).
     """
+    import numpy as np
+
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     evals = 0

@@ -12,12 +12,12 @@ with a reduced witness bilinear in the transmittances,
 
 whose coefficients are local-rotation invariants of the input state.  This
 module computes the witnesses and the Gamma decomposition, both from the
-polynomials of :mod:`cvrobust._exact`.  The Gamma coefficients evaluate
-them on the matrix's exact integers and round each value once.  The PPT
-witness (``_ppt``, behind :func:`ppt_witness` and ``scan``'s attenuated
-witness) evaluates the same Laplace expansion on float arrays, elementwise
-over a stack of matrices ``(..., 4, 4)``; ``_band`` gives the zero band
-over such a stack.
+polynomials of :mod:`cvrobust._exact`.  The Gamma coefficients and the
+Duan variances evaluate them on the matrix's exact integers and round each
+value once.  The PPT witness (``_ppt``, behind :func:`ppt_witness` and
+``scan``'s attenuated witness) evaluates the same Laplace expansion in
+floats, on one matrix's entries or elementwise over arrays of them;
+``_band`` gives the zero band over a stack of matrices ``(..., 4, 4)``.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from ._exact import Matrix, _laplace, _w_ppt, ratio
 from ._record import Record
 from .channel import Transmittance
-from .covariance import _as_cov, _exact_matrix, _scale, _upper, blocks
+from .covariance import _as_cov, _exact_matrix, _scale, _scale_of, _upper
 from .errors import ValidationError
 
 __all__ = [
@@ -60,17 +58,20 @@ def _band(m: np.ndarray):
 
 
 def _band_at(scale):
-    """The zero band at tolerance unit ``scale`` (``_scale`` of the matrix)."""
-    return _BAND_COEFF * scale**2
+    """The zero band at tolerance unit ``scale`` (``_scale`` of the matrix).
+
+    ``scale * scale`` overflows to infinity on floats as on arrays.
+    """
+    return _BAND_COEFF * (scale * scale)
 
 
 def boundary_band(v) -> float:
     """Half-width of the witness zero band for boundary flagging.
 
     Witness values are polynomial (up to quartic) in the covariance entries;
-    the band is ``1e-10 * max(1, max|V|)**2``.
+    the band is ``1e-10 * max(1, max|V|)**2``, infinite where that overflows.
     """
-    return float(_band(_as_cov(v).matrix))
+    return _band_at(_scale_of(_upper(_as_cov(v)._rows)))
 
 
 class DuanParameters(Record):
@@ -94,18 +95,17 @@ class DuanParameters(Record):
 
 
 def duan_parameters(v, a: float) -> DuanParameters:
-    """Collective-operator variances at the literal signed weight ``a``."""
+    """Collective-operator variances at the literal signed weight ``a``.
+
+    Each variance is evaluated exactly and rounded once
+    (:meth:`cvrobust._exact.Matrix.duan_variances`).
+    """
     if a == 0:
         raise ValueError("the EPR weight a must be nonzero")
-    m = _as_cov(v).matrix
-    mag = abs(a)
-    inv = 1.0 / a
-    root2 = math.sqrt(2.0)
-    fu = np.array([0.0, mag, 0.0, -inv]) / root2
-    fw = np.array([mag, 0.0, inv, 0.0]) / root2
-    return DuanParameters(
-        a=a, u_variance=float(fu @ m @ fu), v_variance=float(fw @ m @ fw)
-    )
+    if not math.isfinite(a):
+        raise ValueError("the EPR weight a must be finite")
+    (u_num, den), (v_num, _) = _exact_matrix(v).duan_variances(float(a))
+    return DuanParameters(a=a, u_variance=ratio(u_num, den), v_variance=ratio(v_num, den))
 
 
 def _duan_raw(v, a: float) -> float:
@@ -144,10 +144,10 @@ class MinimizedDuan(NamedTuple):
 def minimized_duan(v) -> MinimizedDuan:
     """Minimized variance witness ``w_m`` and the optimal EPR weight."""
     cov = _as_cov(v)
-    b = blocks(cov)
-    sigma1 = float(np.trace(b.a1)) - 2.0
-    sigma2 = float(np.trace(b.a2)) - 2.0
-    w_m = sigma1 * sigma2 - (b.c_p - b.c_q) ** 2
+    (v00, _, v02, _), (_, v11, _, v13), (_, _, v22, _), (_, _, _, v33) = cov._rows
+    sigma1 = (v00 + v11) - 2.0
+    sigma2 = (v22 + v33) - 2.0
+    w_m = sigma1 * sigma2 - (v13 - v02) ** 2
     if min(sigma1, sigma2) <= DEGENERATE_SIGMA_TOL:
         return MinimizedDuan(w_m=w_m, a_opt=None, degenerate=True)
     mag = (sigma2 / sigma1) ** 0.25
@@ -155,12 +155,11 @@ def minimized_duan(v) -> MinimizedDuan:
     return MinimizedDuan(w_m=w_m, a_opt=a_opt)
 
 
-def _ppt(m: np.ndarray):
-    """:func:`ppt_witness` over a stack of matrices ``(..., 4, 4)``.
+def _ppt(upper):
+    """:func:`ppt_witness` of the ten upper-triangle entries, floats or arrays.
 
-    Elementwise, so each matrix gets the bits of a one-matrix call.
+    Elementwise, so each matrix of an array gets the bits of a one-matrix call.
     """
-    upper = _upper(np.moveaxis(m, (-2, -1), (0, 1)))
     det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
     return _w_ppt(1, det_a1, det_a2, det_c, det_v)
 
@@ -174,7 +173,7 @@ def ppt_witness(v) -> float:
     ``ppt_witness(attenuate(v, t)) = t1 * t2 * reduced_witness(g, t)`` checks
     one against the other.
     """
-    return float(_ppt(_as_cov(v).matrix))
+    return _ppt(_upper(_as_cov(v)._rows))
 
 
 class GammaSet(Record):
@@ -250,7 +249,7 @@ def gamma_coefficients(v) -> GammaSet:
     Each coefficient is evaluated exactly and rounded once; a value whose
     rounding overflows raises :class:`ValidationError`.
     """
-    return _gamma_of(_exact_matrix(_as_cov(v).matrix))
+    return _gamma_of(_exact_matrix(v))
 
 
 def _reduced(g: GammaSet, t1, t2):

@@ -404,7 +404,7 @@ def reference_region_map(x, y, matrices):
             m = matrices(x[i], y[j])
         codes[cells], boundary[cells] = _verdicts(m)
     shape = (x.size, y.size)
-    return _REGIONS[codes].reshape(shape), boundary.reshape(shape)
+    return np.array(_REGIONS, dtype=object)[codes].reshape(shape), boundary.reshape(shape)
 
 
 def strict_json(text: str):

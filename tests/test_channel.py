@@ -6,6 +6,7 @@ import pytest
 from cvrobust import (
     LinkBudget,
     LocalSymplectic,
+    RandomStateParams,
     Transmittance,
     ValidationError,
     apply_local_symplectic,
@@ -17,7 +18,19 @@ from cvrobust import (
     transmittance_from_link,
     validate_physicality,
 )
+from cvrobust.channel import _attenuated
+from cvrobust.covariance import _upper
 from helpers import CM_D, CM_E, oracle_attenuated_ppt_grid, random_states
+
+#: Transmittance pairs of the bit-identity checks, the total-loss edge included.
+T_PAIRS = [(0.7, 0.4), (0.1, 1.0), (0.0, 0.35)]
+
+
+def numpy_attenuate(m: np.ndarray, t1: float, t2: float) -> np.ndarray:
+    """The former array form ``(l_i l_j) * (V - I) + I``, symmetrized like ``CovMatrix``."""
+    diag = np.sqrt(np.array([t1, t1, t2, t2]))
+    out = (diag[:, None] * diag[None, :]) * (m - np.eye(4)) + np.eye(4)
+    return 0.5 * (out + out.T)
 
 
 class TestTransmittance:
@@ -33,6 +46,25 @@ class TestTransmittance:
 
 
 class TestAttenuate:
+    @pytest.mark.parametrize("squeeze_max", [1.0, 3.0, 9.0])
+    def test_floats_equal_numpy_form_bitwise(self, squeeze_max):
+        params = RandomStateParams(1.0, 2.5 if squeeze_max < 9.0 else 1.0, squeeze_max)
+        for v in [CM_D, CM_E] + random_states(100, params=params):
+            for t1, t2 in T_PAIRS:
+                expected = numpy_attenuate(v.matrix, t1, t2)
+                assert attenuate(v, (t1, t2)).matrix.tobytes() == expected.tobytes()
+
+    def test_arrays_equal_floats_bitwise(self):
+        # scan evaluates the same entries over arrays of transmittance pairs.
+        ts = np.linspace(0.0, 1.0, 7)
+        t1, t2 = np.repeat(ts, ts.size), np.tile(ts, ts.size)
+        for v in [CM_D, CM_E] + random_states(20):
+            stacked = _attenuated(_upper(v.tolist()), np.sqrt(t1), np.sqrt(t2))
+            for k, pair in enumerate(zip(t1.tolist(), t2.tolist())):
+                one = _upper(attenuate(v, pair).tolist())
+                assert [float(x[k]) for x in stacked] == one
+                assert [repr(float(x[k])) for x in stacked] == list(map(repr, one))
+
     def test_identity(self):
         out = attenuate(CM_D, (1.0, 1.0))
         assert np.array_equal(out.matrix, CM_D.matrix)

@@ -32,6 +32,32 @@ def python(*args):
 SQUEEZED_PIN = ["random", "--seed", "25", "--nu-min", "1", "--nu-max", "1", "--squeeze-max", "9"]
 
 
+#: Commands that run without numpy, and commands that import it as they run.
+#: ``STATE`` and ``OUT`` stand for a state file and an output path.
+STDLIB_COMMANDS = {
+    "version": ["--version"],
+    "validate": ["validate", "STATE", "-o", "OUT"],
+    "classify": ["classify", "STATE", "-o", "OUT"],
+    "attenuate": ["attenuate", "STATE", "--t2", "0.4", "-o", "OUT"],
+    "contour": ["contour", "STATE", "-o", "OUT"],
+}
+NUMPY_COMMANDS = {
+    "scan": ["scan", "STATE", "--grid", "5", "-o", "OUT"],
+    "map": ["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "5", "-o", "OUT"],
+    "random": ["random", "--seed", "7", "-o", "OUT"],
+    "robustify": ["robustify", "STATE", "-o", "OUT"],
+    "family": ["family", "pure-squeezed", "--r", "1", "-o", "OUT"],
+}
+
+
+def command_argv(argv, tmp_path) -> list[str]:
+    """``argv`` with ``STATE`` (CM_E) and ``OUT`` replaced by paths under ``tmp_path``."""
+    state = tmp_path / "cm_e.json"
+    state.write_text(state_file_text(CM_E, "CM_E"))
+    paths = {"STATE": str(state), "OUT": str(tmp_path / "out")}
+    return [paths.get(a, a) for a in argv]
+
+
 def layer_modules() -> set[str]:
     """The cvrobust modules whose functions ``bench/tracer.py`` wraps."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
@@ -41,13 +67,34 @@ def layer_modules() -> set[str]:
 
 
 class TestStartup:
-    def test_cli_import_loads_layers_without_dataclasses(self):
+    def test_cli_import_loads_layers_but_not_numpy_or_dataclasses(self):
         code = "import json, sys, cvrobust.cli; print(json.dumps(sorted(sys.modules)))"
         done = python("-c", code)
         assert done.returncode == 0, done.stderr
         loaded = set(json.loads(done.stdout))
         assert "dataclasses" not in loaded
+        assert not any(name.split(".")[0] == "numpy" for name in loaded)
         assert layer_modules() <= loaded
+
+    @pytest.mark.parametrize("name", sorted(STDLIB_COMMANDS))
+    def test_single_state_commands_leave_numpy_unloaded(self, name, tmp_path):
+        argv = command_argv(STDLIB_COMMANDS[name], tmp_path)
+        code = (
+            "import sys; from cvrobust.cli import main\n"
+            f"try: code = main({argv!r})\n"
+            "except SystemExit as exc: code = exc.code\n"
+            "print(code, 'numpy' in sys.modules)"
+        )
+        done = python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-2:] == ["0", "False"]
+
+    @pytest.mark.parametrize("name", sorted(NUMPY_COMMANDS))
+    def test_numpy_commands_succeed(self, name, tmp_path):
+        argv = command_argv(NUMPY_COMMANDS[name], tmp_path)
+        done = python("-m", "cvrobust.cli", *argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "out").stat().st_size > 0
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_package_import_restores_collector(self, enabled):
@@ -98,15 +145,26 @@ class TestStartup:
         assert main(["random", "--seed", "1", "-o", str(tmp_path / "state.json")]) == 0
         assert gc.get_freeze_count() == before
 
-    def test_run_freezes_then_runs_main(self):
-        code = (
-            "import gc, sys; from cvrobust import cli; sys.argv[1:] = ['--version'];\n"
-            "try: cli.run()\n"
-            "except SystemExit as exc: print(exc.code, gc.get_freeze_count() > 0)"
-        )
-        done = python("-c", code)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 True"
+    def test_run_freezes_then_runs_main(self, tmp_path):
+        # run() freezes after main, so numpy, which a command may import,
+        # is frozen with everything else: no module namespace of cvrobust or
+        # numpy is left for the final collection at exit.
+        for argv in (["--version"], NUMPY_COMMANDS["random"]):
+            argv = command_argv(argv, tmp_path)
+            code = (
+                f"import gc, sys; from cvrobust import cli; sys.argv[1:] = {argv!r}\n"
+                "try: code = cli.run()\n"
+                "except SystemExit as exc: code = exc.code\n"
+                "tracked = {id(o) for o in gc.get_objects()}\n"
+                "spaces = [vars(m) for n, m in list(sys.modules.items())\n"
+                "          if n.split('.')[0] in ('cvrobust', 'numpy')]\n"
+                "print(code, gc.get_freeze_count() > 0, 'numpy' in sys.modules,\n"
+                "      any(id(d) in tracked for d in spaces))"
+            )
+            done = python("-c", code)
+            assert done.returncode == 0, done.stderr
+            numpy = argv[0] == "random"
+            assert done.stdout.splitlines()[-1] == f"0 True {numpy} False"
 
 
 def in_process(argv, capsys):

@@ -17,12 +17,16 @@ from cvrobust import (
     RandomStateParams,
     boundary_band,
     classify,
+    duan_parameters,
     gamma_coefficients,
+    minimized_duan,
     random_physical_state,
     validate_physicality,
 )
+from cvrobust import _exact
 from cvrobust.cli import main, state_file_text
 from cvrobust.covariance import _exact_matrix
+from cvrobust.robustness import _verdicts
 from helpers import (
     CM_A,
     CM_B,
@@ -108,6 +112,43 @@ def test_witness_invariants_equal_exact_reference():
         for name in GAMMA_FIELDS + CORNERS:
             assert rounded[name] == float(ref[name]), (k, name)
         assert validate_physicality(v).det_condition == float(ref["det_condition"]), k
+
+
+def test_duan_variances_equal_exact_reference():
+    for k, v in enumerate(witness_states()):
+        m = [[Fraction(x) for x in row] for row in v.tolist()]
+        weights = [1.0, -1.0, 0.37, -3.1, 1e-3]
+        a_opt = minimized_duan(v).a_opt
+        weights += [] if a_opt is None else [a_opt, -a_opt]
+        for a in weights:
+            a2, sign = Fraction(a) ** 2, 1 if a > 0 else -1
+            u = (a2 * m[1][1] - 2 * sign * m[1][3] + m[3][3] / a2) / 2
+            w = (a2 * m[0][0] + 2 * sign * m[0][2] + m[2][2] / a2) / 2
+            d = duan_parameters(v, a)
+            assert (d.u_variance, d.v_variance) == (float(u), float(w)), (k, a)
+
+
+def test_validate_evaluates_the_invariants_once(monkeypatch):
+    calls = []
+    original = _exact._uncertainty
+    monkeypatch.setattr(_exact, "_uncertainty", lambda *a: calls.append(1) or original(*a))
+    for v in (CM_A, CM_D, HIGHLY_SQUEEZED):
+        calls.clear()
+        validate_physicality(v)
+        assert len(calls) == 1
+
+
+def test_map_verdicts_skip_the_boundary_shift(monkeypatch):
+    # The map flags no physicality boundary: one +tol shift per matrix.
+    shifts = []
+    original = _exact._shifted
+    monkeypatch.setattr(_exact, "_shifted", lambda e, s: shifts.append(s) or original(e, s))
+    m = np.array([v.matrix for v in (CM_A, CM_D, HIGHLY_SQUEEZED)])
+    _verdicts(m)
+    assert len(shifts) == 3 and all(s > 0 for s in shifts)
+    shifts.clear()
+    assert validate_physicality(HIGHLY_SQUEEZED).physical
+    assert len(shifts) == 2
 
 
 @pytest.mark.parametrize("squeeze_max", [3, 5, 7, 9, 11])

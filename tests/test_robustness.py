@@ -276,6 +276,23 @@ class TestEsdContour:
                 reference_esd_contour(v, 256).tolist()
             )
 
+    @pytest.mark.parametrize("samples", [256, 7, 1])
+    def test_equals_numpy_closed_form_bitwise(self, samples):
+        # The former array form: np.linspace samples, and a zero denominator
+        # gives inf or NaN, which the range test drops.
+        states = [CM_A, CM_B, CM_C, CM_D, CM_E, HIGHLY_SQUEEZED]
+        states += random_states(100, params=RandomStateParams(1.0, 1.0, 3.0))
+        states += random_states(100)
+        for v in states:
+            g = gamma_coefficients(v)
+            t1 = np.linspace(0.0, 1.0, samples + 1)[1:]
+            with np.errstate(all="ignore"):
+                t2 = -(g.gamma21 * t1 + g.gamma11) / (g.gamma22 * t1 + g.gamma12)
+                residual = np.abs(g.gamma11 + t1 * g.gamma21 + t2 * g.gamma12 + t1 * t2 * g.gamma22)
+            keep = (0.0 < t2) & (t2 <= 1.0) & (residual <= boundary_band(v))
+            expected = np.column_stack((t1[keep], t2[keep]))
+            assert esd_contour(v, samples).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("diag", [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]])
     def test_vanishing_witness_is_empty(self, diag):
         v = CovMatrix(np.diag(diag))

@@ -1,20 +1,26 @@
 """Duan and PPT witnesses and the Gamma decomposition of the attenuated witness."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cvrobust import (
     CovMatrix,
     LocalSymplectic,
+    RandomStateParams,
     apply_local_symplectic,
     attenuate,
     blocks,
+    boundary_band,
     duan_witness,
     gamma_coefficients,
     minimized_duan,
     ppt_witness,
+    random_physical_state,
     reduced_witness,
 )
+from cvrobust.witnesses import _band
 from helpers import (
     CM_A,
     CM_B,
@@ -25,6 +31,20 @@ from helpers import (
     oracle_ppt,
     random_states,
 )
+
+
+class TestBoundaryBand:
+    @pytest.mark.parametrize("squeeze_max", [1.0, 3.0, 9.0])
+    def test_equals_stacked_band(self, squeeze_max):
+        # One formula, _BAND_COEFF * (scale * scale), for one state and for
+        # the map's stacks; seed 499 at squeeze_max 3 told C pow() from x*x.
+        params = RandomStateParams(1.0, 2.5, squeeze_max)
+        states = [CM_A, CM_D, HIGHLY_SQUEEZED, random_physical_state(499, params)]
+        for v in states + random_states(300, params=params):
+            assert boundary_band(v) == float(_band(v.matrix[None])[0])
+
+    def test_overflow_gives_infinite_band(self):
+        assert boundary_band(CovMatrix(np.diag([1e200] * 4))) == math.inf
 
 
 def duan_closed_form(v, a):
@@ -56,8 +76,9 @@ class TestDuanWitness:
             assert duan_witness(v, 1.0) < 0
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError):
-            duan_witness(CM_A, 0.0)
+        for a in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                duan_witness(CM_A, a)
 
     def test_parameters_expose_variances(self):
         from cvrobust import duan_parameters
