@@ -54,9 +54,19 @@ each ``one * x`` is an exact multiply.  Only the integer evaluation is
 exact; the screen bounds the roundoff of the float one.
 
 A value is reported as ``(numerator, denominator)``; :func:`ratio` rounds it.
+
+Congruences are exact the same way.  :func:`exact` holds a matrix of floats
+as ``(integer rows, D)``, :func:`product` multiplies two such matrices
+without roundoff (the denominators multiply), and :func:`congruence` forms
+``S V S^T`` from them and rounds each entry once.  The random states'
+``S^T diag(nu) S`` and every local symplectic transform (``robustify``,
+``apply_local_symplectic``) go through it, so no output bit depends on how
+a BLAS kernel orders its sums.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 _INF = float("inf")
 
@@ -75,6 +85,65 @@ def at_most(bound: float):
         return lambda num, den: True
     n, d = bound.as_integer_ratio()
     return lambda num, den: num * d <= n * den
+
+
+def _integers(values):
+    """``(integers, D)``: the floats ``values`` as integers over their common denominator ``D``."""
+    nums, dens = zip(*map(float.as_integer_ratio, values))
+    one = max(dens)  # D: each denominator is a power of two
+    bits = one.bit_length()
+    return [n << (bits - k.bit_length()) for n, k in zip(nums, dens)], one  # n * (D // k)
+
+
+def exact(rows):
+    """A matrix of finite floats, exactly, as ``(integer rows, D)``."""
+    width = len(rows[0])
+    flat, one = _integers([x for row in rows for x in row])
+    return [flat[i : i + width] for i in range(0, len(flat), width)], one
+
+
+def product(a, b):
+    """The product ``A B`` of exact matrices ``(integer rows, D)``, exactly."""
+    (a, a_one), (b, b_one) = a, b
+    columns = tuple(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a], a_one * b_one
+
+
+def _block(m, i: int, j: int):
+    """The entries ``a, b, c, d`` of the 2x2 block ``[[a, b], [c, d]]`` of ``m`` at ``(i, j)``."""
+    (a, b), (c, d) = m[i][j : j + 2], m[i + 1][j : j + 2]
+    return a, b, c, d
+
+
+def congruence(s, v):
+    """``S V S^T`` of exact 4x4 matrices with ``V`` symmetric, each entry rounded once.
+
+    Works on the 2x2 blocks of the two modes, ``(S V S^T)_IJ = sum_KL S_IK
+    V_KL S_JL^T``, over the nonzero blocks of ``S`` only: a mode-local ``S``
+    has one per block row, so its congruence is ``S_1 a1 S_1^T``,
+    ``S_1 c S_2^T`` and ``S_2 a2 S_2^T``.  Returns four rows of floats,
+    symmetric by construction: the upper triangle is evaluated and mirrored.
+    An entry beyond float range rounds to an infinity of its sign.
+    """
+    (s, s_one), (v, v_one) = s, v
+    nonzero = [[(k, m) for k in (0, 2) if any(m := _block(s, i, k))] for i in (0, 2)]
+    den = s_one * s_one * v_one
+    out = [[0.0] * 4 for _ in range(4)]
+    for i, j in ((0, 0), (0, 2), (2, 2)):
+        t = [0, 0, 0, 0]
+        for k, (a, b, c, d) in nonzero[i // 2]:
+            for l, (e, f, g, h) in nonzero[j // 2]:
+                w, x, y, z = _block(v, k, l)
+                # S_IK V_KL, then times S_JL^T.
+                p, q, r, u = a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z
+                t[0] += p * e + q * f
+                t[1] += p * g + q * h
+                t[2] += r * e + u * f
+                t[3] += r * g + u * h
+        for (row, col), n in zip(((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1)), t):
+            if row <= col:
+                out[row][col] = out[col][row] = ratio(n, den)
+    return out
 
 
 def _laplace(v00, v01, v02, v03, v11, v12, v13, v22, v23, v33):
@@ -179,10 +248,7 @@ class Matrix:
     __slots__ = ("one", "entries", "det_a1", "det_a2", "det_c", "det_v", "_invariants")
 
     def __init__(self, upper):
-        nums, dens = zip(*map(float.as_integer_ratio, upper))
-        one = self.one = max(dens)  # D: each denominator is a power of two
-        bits = one.bit_length()
-        self.entries = [n << (bits - k.bit_length()) for n, k in zip(nums, dens)]  # n * (D // k)
+        self.entries, self.one = _integers(upper)
         self.det_a1, _, _, self.det_c, self.det_a2, self.det_v = _laplace(*self.entries)
         self._invariants = None
 

@@ -20,7 +20,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from ._exact import Matrix, ratio
+from ._exact import Matrix, _integers, congruence, exact, ratio
 from .errors import ValidationError
 
 __all__ = [
@@ -393,6 +393,12 @@ def purities(v) -> Purities:
     return Purities(*(d**-0.5 if d > 0.0 else math.nan for d in dets), *noise)
 
 
+def _beam_splitter(angle: float) -> list:
+    """The rows of :func:`beam_splitter`."""
+    c, s = math.cos(angle), math.sin(angle)
+    return [[c, 0.0, s, 0.0], [0.0, c, 0.0, s], [-s, 0.0, c, 0.0], [0.0, -s, 0.0, c]]
+
+
 def rotation2(theta: float) -> np.ndarray:
     """Single-mode phase-space rotation by ``theta`` radians."""
     import numpy as np
@@ -412,9 +418,16 @@ def beam_splitter(angle: float) -> np.ndarray:
     """Two-mode beam-splitter symplectic mixing the modes by ``angle``."""
     import numpy as np
 
-    c, s = math.cos(angle), math.sin(angle)
-    i2 = np.eye(2)
-    return np.block([[c * i2, s * i2], [-s * i2, c * i2]])
+    return np.array(_beam_splitter(angle))
+
+
+def _mode(c1, s1, e, f, c2, s2):
+    """The rows of ``R(theta) Z(r) R(phi)``.
+
+    The arguments are ``cos theta, sin theta, e^r, e^-r, cos phi, sin phi``.
+    """
+    ce, sf, se, cf = c1 * e, s1 * f, s1 * e, c1 * f
+    return [ce * c2 - sf * s2, -ce * s2 - sf * c2], [se * c2 + cf * s2, cf * c2 - se * s2]
 
 
 class LocalSymplectic(NamedTuple):
@@ -422,7 +435,9 @@ class LocalSymplectic(NamedTuple):
 
     The induced 4x4 matrix is block diagonal over the two modes with
     ``S_j = R(theta_j) Z(r_j) R(phi_j)`` and satisfies
-    ``S Omega S^T = Omega``.
+    ``S Omega S^T = Omega``.  ``S`` is the exact product of the float
+    factors (:mod:`cvrobust._exact`); :meth:`matrix` and
+    :meth:`mode_matrices` round each of its entries once.
     """
 
     theta1: float = 0.0
@@ -444,27 +459,39 @@ class LocalSymplectic(NamedTuple):
     def squeeze(cls, r1: float, r2: float = 0.0) -> "LocalSymplectic":
         return cls(r1=r1, r2=r2)
 
+    def _exact(self):
+        """The 4x4 ``S`` as ``(integer rows, D^3)``, exact over its float factors.
+
+        The factors' twelve floats (cosines, sines and exponentials) are
+        integers over their common denominator ``D``, so each product
+        ``R Z R`` is an integer over ``D^3``.
+        """
+        factors = []
+        for theta, r, phi in (self[:3], self[3:]):
+            factors += (math.cos(theta), math.sin(theta), math.exp(r), math.exp(-r))
+            factors += (math.cos(phi), math.sin(phi))
+        ints, one = _integers(factors)
+        (a, b), (c, d) = _mode(*ints[:6])
+        (e, f), (g, h) = _mode(*ints[6:])
+        return [[a, b, 0, 0], [c, d, 0, 0], [0, 0, e, f], [0, 0, g, h]], one * one * one
+
     def mode_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        s1 = rotation2(self.theta1) @ squeeze2(self.r1) @ rotation2(self.phi1)
-        s2 = rotation2(self.theta2) @ squeeze2(self.r2) @ rotation2(self.phi2)
-        return s1, s2
+        """The 2x2 blocks ``S_1`` and ``S_2`` of :meth:`matrix`."""
+        m = self.matrix()
+        return m[:2, :2].copy(), m[2:, 2:].copy()
 
     def matrix(self) -> np.ndarray:
         """The 4x4 block-diagonal symplectic matrix."""
         import numpy as np
 
-        s1, s2 = self.mode_matrices()
-        out = np.zeros((4, 4))
-        out[:2, :2] = s1
-        out[2:, 2:] = s2
-        return out
+        rows, one = self._exact()
+        return np.array([[ratio(x, one) for x in row] for row in rows])
 
 
 def apply_local_symplectic(v, s: LocalSymplectic) -> CovMatrix:
     """Congruence transform ``S V S^T`` by a mode-local symplectic.
 
     Preserves the symplectic spectrum, hence the entanglement, of ``v``.
+    Each entry is the exact ``S V S^T`` of the float entries rounded once.
     """
-    cov = _as_cov(v)
-    mat = s.matrix()
-    return CovMatrix(mat @ cov.matrix @ mat.T)
+    return CovMatrix(congruence(s._exact(), exact(_as_cov(v).tolist())))

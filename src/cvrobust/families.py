@@ -20,17 +20,17 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Union
 
+from ._exact import congruence, exact, product, ratio
 from ._record import Record
 from .covariance import (
     SYMMETRY_RTOL,
     CovMatrix,
+    LocalSymplectic,
     _as_cov,
+    _beam_splitter,
+    _exact_physical,
     _require_physical,
-    _scale,
-    beam_splitter,
-    blocks,
-    rotation2,
-    squeeze2,
+    _scale_of,
 )
 from .errors import ValidationError
 from .robustness import _CLASSES, _UNPHYSICAL, _screen, _verdicts
@@ -114,32 +114,19 @@ def _reduce_to_sc(spec) -> FullySymmetric:
     return FullySymmetric(s=spec.nu * ch, c=spec.nu * sh)
 
 
-def _family_matrix(spec: FamilySpec) -> np.ndarray:
-    import numpy as np
-
+def _family_matrix(spec: FamilySpec) -> list:
+    """The entries of a family member, as four rows of four floats."""
     if isinstance(spec, (FullySymmetricFromSqueezing, PureTwoModeSqueezed)):
         spec = _reduce_to_sc(spec)
     if isinstance(spec, FullySymmetric):
         s, c = spec.s, spec.c
-        return np.array(
-            [
-                [s, 0.0, c, 0.0],
-                [0.0, s, 0.0, -c],
-                [c, 0.0, s, 0.0],
-                [0.0, -c, 0.0, s],
-            ]
-        )
+        return [[s, 0.0, c, 0.0], [0.0, s, 0.0, -c], [c, 0.0, s, 0.0], [0.0, -c, 0.0, s]]
     if isinstance(spec, SymmetricModes):
-        return _symmetric_modes_stack(spec.dq, spec.dp, spec.c_q, spec.c_p)
+        dq, dp, c_q, c_p = spec
+        return [[dq, 0.0, c_q, 0.0], [0.0, dp, 0.0, c_p], [c_q, 0.0, dq, 0.0], [0.0, c_p, 0.0, dp]]
     if isinstance(spec, StandardFormI):
-        return np.array(
-            [
-                [spec.s, 0.0, spec.c_q, 0.0],
-                [0.0, spec.s, 0.0, spec.c_p],
-                [spec.c_q, 0.0, spec.t, 0.0],
-                [0.0, spec.c_p, 0.0, spec.t],
-            ]
-        )
+        s, t, c_q, c_p = spec
+        return [[s, 0.0, c_q, 0.0], [0.0, s, 0.0, c_p], [c_q, 0.0, t, 0.0], [0.0, c_p, 0.0, t]]
     raise TypeError(f"unknown family spec {spec!r}")
 
 
@@ -225,20 +212,15 @@ class EprSummary(NamedTuple):
 def epr_summary(v) -> EprSummary:
     """EPR-quadrature variances, partial purities and the four witnesses.
 
-    Raises :class:`ValidationError` for unphysical ``v``.
+    The variances are the Duan variances of
+    :func:`~cvrobust.witnesses.duan_parameters` at ``a = +-1``, each exact
+    and rounded once: ``var(p_-)`` and ``var(q_+)`` at ``a = 1``,
+    ``var(p_+)`` and ``var(q_-)`` at ``a = -1``.  Raises
+    :class:`ValidationError` for unphysical ``v``.
     """
-    import numpy as np
-
-    m = _require_physical(v).matrix
-    root2 = math.sqrt(2.0)
-    f_p_minus = np.array([0.0, 1.0, 0.0, -1.0]) / root2
-    f_p_plus = np.array([0.0, 1.0, 0.0, 1.0]) / root2
-    f_q_minus = np.array([1.0, 0.0, -1.0, 0.0]) / root2
-    f_q_plus = np.array([1.0, 0.0, 1.0, 0.0]) / root2
-    var_p_minus = float(f_p_minus @ m @ f_p_minus)
-    var_p_plus = float(f_p_plus @ m @ f_p_plus)
-    var_q_minus = float(f_q_minus @ m @ f_q_minus)
-    var_q_plus = float(f_q_plus @ m @ f_q_plus)
+    x = _exact_physical(_as_cov(v))
+    var_p_minus, var_q_plus = (ratio(n, d) for n, d in x.duan_variances(1.0))
+    var_p_plus, var_q_minus = (ratio(n, d) for n, d in x.duan_variances(-1.0))
     return EprSummary(
         var_p_minus=var_p_minus,
         var_p_plus=var_p_plus,
@@ -254,15 +236,11 @@ def epr_summary(v) -> EprSummary:
 
 
 def _is_symmetric_mode_form(cov: CovMatrix) -> bool:
-    b = blocks(cov)
-    tol = SYMMETRY_RTOL * _scale(cov.matrix)
-    diagonal = (
-        abs(b.a1[0, 1]) <= tol
-        and abs(b.a2[0, 1]) <= tol
-        and abs(b.c[0, 1]) <= tol
-        and abs(b.c[1, 0]) <= tol
-    )
-    return diagonal and bool(abs(b.a1 - b.a2).max() <= tol)
+    (a, p, q, r), (_, b, s, t), (_, _, c, u), (_, _, _, d) = cov._rows
+    tol = SYMMETRY_RTOL * _scale_of([x for row in cov._rows for x in row])
+    # Diagonal a1, a2 and c, and a1 = a2.
+    diagonal = max(map(abs, (p, u, r, s))) <= tol
+    return diagonal and max(abs(a - c), abs(b - d), abs(p - u)) <= tol
 
 
 def epr_partial_witness(v) -> float:
@@ -473,10 +451,10 @@ def region_map_epr(
 
 
 #: Largest ``nu_max * e^(2 squeeze_max)`` a random state may reach.  The
-#: state's ``S`` has ``||S||_2 <= e^squeeze_max``, so every entry of
-#: ``S^T D S``, and each of the four terms it sums, is at most
-#: ``nu_max * e^(2 squeeze_max)``; the sum and the symmetrization
-#: ``V + V^T`` then stay below ``8 * 2**1020 = 2**1023``, inside float range.
+#: state's ``S`` has ``||S||_2 <= e^squeeze_max`` (up to the rounding of its
+#: float factors), so every exact entry of ``S^T D S`` is at most about
+#: ``nu_max * e^(2 squeeze_max)`` and rounds to a finite float, and the
+#: symmetrization ``V + V^T`` stays below ``2**1022``.
 _MAX_RANDOM_ENTRY = 2.0**1020
 
 
@@ -503,15 +481,17 @@ class RandomStateParams(Record):
 def random_physical_state(seed: int, params: RandomStateParams | None = None) -> CovMatrix:
     """Deterministic random physical state ``S^T diag(nu1,nu1,nu2,nu2) S`` for ``seed >= 0``.
 
-    ``S`` composes a per-mode rotation-squeeze-rotation with a beam-splitter
+    ``S`` composes a per-mode rotation-squeeze-rotation
+    (:class:`~cvrobust.covariance.LocalSymplectic`) with a beam-splitter
     mixing angle; the symplectic eigenvalues ``nu_j >= 1`` are drawn from
     the configured range, so the output is physical by construction.  The
-    draws are those of numpy's ``default_rng(seed)``.
+    draws are those of numpy's ``default_rng(seed)``, bit for bit
+    (:mod:`cvrobust._pcg64`); each entry is the exact ``S^T D S`` of the
+    float factors (``math.cos``, ``math.sin``, ``math.exp`` and the draws)
+    rounded once, so no numpy is loaded and no bit depends on a BLAS kernel.
     """
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
-    import numpy as np
-
     from ._pcg64 import default_rng  # only seeded commands compile the stream
 
     p = params or RandomStateParams()
@@ -519,9 +499,10 @@ def random_physical_state(seed: int, params: RandomStateParams | None = None) ->
     nu1, nu2 = rng.uniform(p.nu_min, p.nu_max, 2)
     theta1, phi1, theta2, phi2, mix = rng.uniform(-math.pi, math.pi, 5)
     r1, r2 = rng.uniform(-p.squeeze_max, p.squeeze_max, 2)
-    local = np.zeros((4, 4))
-    local[:2, :2] = rotation2(theta1) @ squeeze2(r1) @ rotation2(phi1)
-    local[2:, 2:] = rotation2(theta2) @ squeeze2(r2) @ rotation2(phi2)
-    s = local @ beam_splitter(mix)
-    diag = np.diag([nu1, nu1, nu2, nu2])
-    return CovMatrix(s.T @ diag @ s)
+    local = LocalSymplectic(theta1, r1, phi1, theta2, r2, phi2)._exact()
+    rows, one = product(local, exact(_beam_splitter(mix)))
+    s_t = [list(column) for column in zip(*rows)], one
+    nu = exact(
+        [[nu1, 0.0, 0.0, 0.0], [0.0, nu1, 0.0, 0.0], [0.0, 0.0, nu2, 0.0], [0.0, 0.0, 0.0, nu2]]
+    )
+    return CovMatrix(congruence(s_t, nu))

@@ -23,6 +23,7 @@ import sys
 from typing import NamedTuple
 
 from ._exact import Matrix, _corners, _laplace, _shifted, _uncertainty, at_most, ratio
+from ._exact import congruence, exact
 from ._record import Record
 from .covariance import (
     CovMatrix,
@@ -433,9 +434,10 @@ class RobustifyResult(NamedTuple):
     evaluations: int
 
 
-def _corner_objective(m: np.ndarray) -> float:
-    # max of the three robustness corners; < 0 means fully robust.
-    corners = _exact_matrix(m).corners()[1:]
+def _corner_objective(rows) -> float:
+    # max of the three robustness corners of the symmetric rows; < 0 means
+    # fully robust.
+    corners = Matrix(_upper(rows)).corners()[1:]
     return max(ratio(n, d) for n, d in corners)
 
 
@@ -446,15 +448,16 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
     rotation-squeeze-rotation parameters with a Nelder-Mead simplex (initial
     scale 0.1), restarting from up to 8 seeded random points, and returns the
     first transform achieving a negative objective whose ``S V S^T`` passes
-    the admissibility gate.  Entanglement is untouched: ``S V S^T`` has the
-    symplectic spectrum of ``V``.  Returns ``None`` when the evaluation
-    budget is exhausted; ``budget < 1``,
+    the admissibility gate.  ``S V S^T``, in the objective and in the
+    result, is :func:`~cvrobust.covariance.apply_local_symplectic`'s exact
+    congruence rounded once, so the search runs on the standard library
+    alone and its result does not depend on a BLAS kernel.  Entanglement is
+    untouched: ``S V S^T`` has the symplectic spectrum of ``V``.  Returns
+    ``None`` when the evaluation budget is exhausted; ``budget < 1``,
     ``seed < 0`` and unphysical input raise :class:`ValidationError`.
     """
     if budget < 1 or seed < 0:
         raise ValidationError("robustify needs budget >= 1 and seed >= 0")
-    import numpy as np
-
     cov = _as_cov(v)
     report = classify(cov)
     if report.cls == SEPARABLE:
@@ -467,12 +470,10 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
             evaluations=0,
         )
 
-    base = cov.matrix
+    base = exact(cov.tolist())
 
     def objective(x) -> float:
-        s = LocalSymplectic(*(float(p) for p in x))
-        mat = s.matrix()
-        return _corner_objective(mat @ base @ mat.T)
+        return _corner_objective(congruence(LocalSymplectic(*x)._exact(), base))
 
     rng = None
     spent = 0
@@ -481,25 +482,24 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
         if spent >= budget:
             break
         if attempt == 0:
-            x0 = np.zeros(6)
+            x0 = [0.0] * 6
         else:
             if rng is None:
                 from ._pcg64 import default_rng
 
                 rng = default_rng(seed)
             bounds = (math.pi, 1.0, math.pi, math.pi, 1.0, math.pi)
-            x0 = np.array([rng.uniform(-b, b, 1)[0] for b in bounds])
+            x0 = [rng.uniform(-b, b, 1)[0] for b in bounds]
         result = nelder_mead(
             objective, x0, step=0.1, max_evals=budget - spent, target=0.0
         )
         spent += result.evaluations
         if result.hit_target:
-            s = LocalSymplectic(*(float(p) for p in result.x))
-            mat = s.matrix()
-            v_out = CovMatrix(mat @ base @ mat.T)
+            s = LocalSymplectic(*result.x)
+            v_out = CovMatrix(congruence(s._exact(), base))
             if not validate_physicality(v_out).physical:
-                # Roundoff of the congruence, at the input's scale, can
-                # exceed the tolerance at the output's: try the next restart.
+                # The input's own lambda_min, inside the tolerance at its
+                # scale, can exceed it at the output's: try the next restart.
                 continue
             return RobustifyResult(
                 s=s, v_out=v_out, objective=result.fun, evaluations=spent

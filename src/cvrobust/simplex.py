@@ -1,8 +1,9 @@
 """Derivative-free Nelder-Mead simplex minimizer.
 
 Small, dependency-free and deterministic; used by the robustification
-search.  Supports early termination as soon as the objective drops below a
-target value.
+search.  Points are lists of floats, and every vertex operation is the same
+sequence of float operations on each coordinate.  Supports early
+termination as soon as the objective drops below a target value.
 """
 
 from __future__ import annotations
@@ -13,11 +14,16 @@ __all__ = ["SimplexResult", "nelder_mead"]
 
 
 class SimplexResult(NamedTuple):
-    x: np.ndarray
+    x: list[float]
     fun: float
     evaluations: int
     converged: bool
     hit_target: bool
+
+
+def _toward(a, b, t):
+    """The point ``a + t * (b - a)``, coordinate by coordinate."""
+    return [x + t * (y - x) for x, y in zip(a, b)]
 
 
 def nelder_mead(
@@ -30,14 +36,12 @@ def nelder_mead(
 ) -> SimplexResult:
     """Minimize ``f`` starting from ``x0`` with an axis-aligned initial simplex.
 
-    Stops when the simplex function values have collapsed to within ``ftol``,
-    when ``max_evals`` is exhausted, or as soon as a vertex with
-    ``f < target`` is found (when a target is given).
+    ``f`` is called on lists of floats, at most ``max_evals`` times.  Stops
+    when the simplex function values have collapsed to within ``ftol``, when
+    ``max_evals`` is exhausted, or as soon as a vertex with ``f < target`` is
+    found (when a target is given).  Ties between vertices keep their order.
     """
-    import numpy as np
-
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
+    x0 = [float(x) for x in x0]
     evals = 0
 
     def call(x):
@@ -45,80 +49,83 @@ def nelder_mead(
         evals += 1
         return float(f(x))
 
+    def hit(fx):
+        return target is not None and fx < target
+
+    def best():
+        k = min(range(len(values)), key=values.__getitem__)
+        return SimplexResult(points[k], values[k], evals, False, False)
+
     # Initial simplex: x0 plus one step along each coordinate.
-    points = [x0.copy()]
-    for i in range(n):
-        p = x0.copy()
-        p[i] += step
-        points.append(p)
+    points = [x0] + [[x + step if k == i else x for k, x in enumerate(x0)] for i in range(len(x0))]
     values = []
     for p in points:
         values.append(call(p))
-        if target is not None and values[-1] < target:
+        if hit(values[-1]):
             return SimplexResult(p, values[-1], evals, False, True)
         if evals >= max_evals:
-            k = int(np.argmin(values))
-            return SimplexResult(points[k], values[k], evals, False, False)
-
-    points = np.array(points)
-    values = np.array(values)
+            points = points[: len(values)]
+            return best()
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-
-    def accept(x, fx):
-        # Replace the worst vertex.
-        order = np.argsort(values)
-        points[order[-1]] = x
-        values[order[-1]] = fx
+    n = len(points) - 1
 
     while evals < max_evals:
-        order = np.argsort(values)
-        points[:] = points[order]
-        values[:] = values[order]
-        if target is not None and values[0] < target:
-            return SimplexResult(points[0].copy(), values[0], evals, False, True)
+        order = sorted(range(len(values)), key=values.__getitem__)
+        points = [points[k] for k in order]
+        values = [values[k] for k in order]
+        if hit(values[0]):
+            return SimplexResult(points[0], values[0], evals, False, True)
         if values[-1] - values[0] <= ftol * (1.0 + abs(values[0])):
-            return SimplexResult(points[0].copy(), values[0], evals, True, False)
+            return SimplexResult(points[0], values[0], evals, True, False)
 
-        centroid = points[:-1].mean(axis=0)
+        # The mean of every vertex but the worst, summed in vertex order.
+        centroid = list(points[0])
+        for p in points[1:-1]:
+            centroid = [c + x for c, x in zip(centroid, p)]
+        centroid = [c / n for c in centroid]
         worst = points[-1]
 
-        reflected = centroid + alpha * (centroid - worst)
+        reflected = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
         f_ref = call(reflected)
-        if target is not None and f_ref < target:
+        if hit(f_ref):
             return SimplexResult(reflected, f_ref, evals, False, True)
 
+        # Each accepted point replaces the worst vertex.
         if values[0] <= f_ref < values[-2]:
-            accept(reflected, f_ref)
+            points[-1], values[-1] = reflected, f_ref
             continue
         if f_ref < values[0]:
-            expanded = centroid + gamma * (reflected - centroid)
+            if evals >= max_evals:  # no evaluation left to try the expansion
+                points[-1], values[-1] = reflected, f_ref
+                break
+            expanded = _toward(centroid, reflected, gamma)
             f_exp = call(expanded)
-            if target is not None and f_exp < target:
+            if hit(f_exp):
                 return SimplexResult(expanded, f_exp, evals, False, True)
             if f_exp < f_ref:
-                accept(expanded, f_exp)
+                points[-1], values[-1] = expanded, f_exp
             else:
-                accept(reflected, f_ref)
+                points[-1], values[-1] = reflected, f_ref
             continue
 
-        contracted = centroid + rho * (worst - centroid)
+        if evals >= max_evals:
+            break
+        contracted = _toward(centroid, worst, rho)
         f_con = call(contracted)
-        if target is not None and f_con < target:
+        if hit(f_con):
             return SimplexResult(contracted, f_con, evals, False, True)
         if f_con < values[-1]:
-            accept(contracted, f_con)
+            points[-1], values[-1] = contracted, f_con
             continue
 
         # Shrink toward the best vertex.
-        best = points[0].copy()
         for i in range(1, len(points)):
-            points[i] = best + sigma * (points[i] - best)
+            points[i] = _toward(points[0], points[i], sigma)
             values[i] = call(points[i])
-            if target is not None and values[i] < target:
-                return SimplexResult(points[i].copy(), values[i], evals, False, True)
+            if hit(values[i]):
+                return SimplexResult(points[i], values[i], evals, False, True)
             if evals >= max_evals:
                 break
 
-    k = int(np.argmin(values))
-    return SimplexResult(points[k].copy(), values[k], evals, False, False)
+    return best()

@@ -24,7 +24,7 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
-from cvrobust.covariance import _exact_stack, beam_splitter, rotation2, squeeze2
+from cvrobust.covariance import _exact_stack
 from cvrobust.families import _REGIONS, _grid_chunks
 from cvrobust.robustness import _verdicts
 
@@ -299,18 +299,40 @@ def oracle_attenuated_ppt_grid(m: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def reference_random_physical_state(seed: int, params: RandomStateParams | None = None):
-    """``random_physical_state`` with its draws taken from numpy's own generator."""
+    """``random_physical_state`` from numpy's own draws, in exact rationals.
+
+    The draws come from ``np.random.default_rng``; the cosines, sines and
+    exponentials of them are floats, as in the package.  ``S^T D S`` is then
+    formed in ``Fraction`` arithmetic, by the definition, and each entry is
+    rounded once.
+    """
     p = params or RandomStateParams()
     rng = np.random.default_rng(seed)
-    nu1, nu2 = rng.uniform(p.nu_min, p.nu_max, 2)
-    theta1, phi1, theta2, phi2, mix = rng.uniform(-math.pi, math.pi, 5)
-    r1, r2 = rng.uniform(-p.squeeze_max, p.squeeze_max, 2)
-    local = np.zeros((4, 4))
-    local[:2, :2] = rotation2(theta1) @ squeeze2(r1) @ rotation2(phi1)
-    local[2:, 2:] = rotation2(theta2) @ squeeze2(r2) @ rotation2(phi2)
-    s = local @ beam_splitter(mix)
-    diag = np.diag([nu1, nu1, nu2, nu2])
-    return CovMatrix(s.T @ diag @ s)
+    nu1, nu2 = rng.uniform(p.nu_min, p.nu_max, 2).tolist()
+    theta1, phi1, theta2, phi2, mix = rng.uniform(-math.pi, math.pi, 5).tolist()
+    r1, r2 = rng.uniform(-p.squeeze_max, p.squeeze_max, 2).tolist()
+    zero = Fraction(0)
+
+    def rotation(t):
+        c, s = Fraction(math.cos(t)), Fraction(math.sin(t))
+        return [[c, -s], [s, c]]
+
+    def squeeze(r):
+        return [[Fraction(math.exp(r)), zero], [zero, Fraction(math.exp(-r))]]
+
+    s1 = _mul(rotation(theta1), squeeze(r1), rotation(phi1))
+    s2 = _mul(rotation(theta2), squeeze(r2), rotation(phi2))
+    local = [s1[0] + [zero, zero], s1[1] + [zero, zero], [zero, zero] + s2[0], [zero, zero] + s2[1]]
+    c, s = Fraction(math.cos(mix)), Fraction(math.sin(mix))
+    mixer = [[c, zero, s, zero], [zero, c, zero, s], [-s, zero, c, zero], [zero, -s, zero, c]]
+    sm = [[sum(local[i][k] * mixer[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+    nu = [Fraction(nu1)] * 2 + [Fraction(nu2)] * 2
+    return CovMatrix(
+        [
+            [float(sum(sm[k][i] * nu[k] * sm[k][j] for k in range(4))) for j in range(4)]
+            for i in range(4)
+        ]
+    )
 
 
 def random_states(n: int, start_seed: int = 0, params: RandomStateParams | None = None):

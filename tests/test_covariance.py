@@ -1,5 +1,8 @@
 """Covariance data model, physicality, spectra, purities, local symplectics."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from cvrobust import (
 )
 from helpers import (
     CM_D,
+    _mul,
     HIGHLY_SQUEEZED,
     OMEGA,
     eq19_matrix,
@@ -248,8 +252,8 @@ class TestPurities:
 
     def test_exact_determinant_gives_finite_purity(self):
         # A pure state whose float det V (LU) rounds to <= 0; the exact det V
-        # of the stored entries is positive, so mu is a number.
-        v = random_physical_state(5, RandomStateParams(1.0, 1.0, 11.0))
+        # of the stored entries is positive (193.2), so mu is a number.
+        v = random_physical_state(49, RandomStateParams(1.0, 1.0, 11.0))
         assert validate_physicality(v).physical
         assert np.linalg.det(v.matrix) <= 0.0
         det_v = exact_reference_witnesses(v.matrix)["det_v"]
@@ -263,6 +267,31 @@ class TestLocalSymplectic:
             s = LocalSymplectic(*rng.uniform(-2, 2, 6))
             mat = s.matrix()
             assert np.abs(mat @ OMEGA @ mat.T - OMEGA).max() < 1e-12
+
+    def test_congruence_is_exact_then_rounded_once(self):
+        # S_j = R(theta_j) Z(r_j) R(phi_j) of the float cosines, sines and
+        # exponentials, and S V S^T, in rationals: each entry rounded once.
+        def rotation(t):
+            c, s = Fraction(math.cos(t)), Fraction(math.sin(t))
+            return [[c, -s], [s, c]]
+
+        def squeeze(r):
+            return [[Fraction(math.exp(r)), Fraction(0)], [Fraction(0), Fraction(math.exp(-r))]]
+
+        rng = np.random.default_rng(13)
+        for v in random_states(50, params=RandomStateParams(squeeze_max=9.0)):
+            s = LocalSymplectic(*rng.uniform(-3, 3, 6).tolist())
+            modes = [_mul(rotation(t), squeeze(r), rotation(p)) for t, r, p in (s[:3], s[3:])]
+            zero = [Fraction(0)] * 2
+            full = [row + zero for row in modes[0]] + [zero + row for row in modes[1]]
+            m = [[Fraction(x) for x in row] for row in v.tolist()]
+            want = [
+                [float(sum(full[i][k] * m[k][l] * full[j][l] for k in range(4) for l in range(4)))
+                 for j in range(4)]
+                for i in range(4)
+            ]
+            assert apply_local_symplectic(v, s).tolist() == want
+            assert s.matrix().tolist() == [[float(x) for x in row] for row in full]
 
     def test_identity_fixed_point(self):
         out = apply_local_symplectic(CM_D, LocalSymplectic.identity())

@@ -1,5 +1,7 @@
 """State families, EPR parametrization, region maps, random state generator."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,24 @@ class TestEprSummary:
             )
 
     @pytest.mark.parametrize(
+        "params",
+        [None, RandomStateParams(squeeze_max=9.0), RandomStateParams(1.0, 1.0, 11.0)],
+        ids=["default", "squeeze_max=9", "pure-squeeze_max=11"],
+    )
+    def test_variances_are_exact_quadratic_forms(self, params):
+        # var(f) = f^T V f with f = (e_i +- e_j)/sqrt(2): (v_ii +- 2 v_ij + v_jj)/2
+        # in rationals, rounded once.
+        for seed, v in enumerate(random_states(100, params=params)):
+            m = [[Fraction(x) for x in row] for row in v.tolist()]
+
+            def var(i, j, sign):
+                return float((m[i][i] + sign * 2 * m[i][j] + m[j][j]) / 2)
+
+            e = epr_summary(v)
+            want = (var(1, 3, -1), var(1, 3, 1), var(0, 2, -1), var(0, 2, 1))
+            assert (e.var_p_minus, e.var_p_plus, e.var_q_minus, e.var_q_plus) == want, seed
+
+    @pytest.mark.parametrize(
         "m", [np.zeros((4, 4)), np.diag([0.5, 0.5, 1.0, 1.0])], ids=["zeros", "sub-vacuum"]
     )
     def test_unphysical_input_rejected(self, m):
@@ -377,10 +397,10 @@ class TestRandomPhysicalState:
         ids=["default", "squeeze_max=9", "squeeze_max=11"],
     )
     def test_bit_identical_to_numpy_draws(self, params):
+        # numpy's own draws, then S^T D S in exact rationals rounded once.
         for seed in range(200):
-            got = random_physical_state(seed, params).matrix
-            want = reference_random_physical_state(seed, params).matrix
-            assert got.tobytes() == want.tobytes(), seed
+            got = random_physical_state(seed, params).tolist()
+            assert got == reference_random_physical_state(seed, params).tolist(), seed
 
     def test_always_physical(self):
         for seed in range(300):
