@@ -48,10 +48,11 @@ homogeneous so that the unit stands for 1.  :class:`Matrix` calls them on
 its integers with ``one = D``, for physicality, ``classify``, the Gamma set
 and every map cell the screen leaves open.  ``robustness._screen`` (the
 uncertainty invariants, shifted by ``+tol`` with :func:`_shifted`, and the
-corners) and ``witnesses._ppt`` (``ppt_witness`` and ``scan``'s attenuated
-witness) call them on entries-first float arrays with ``one = 1``, where
-each ``one * x`` is an exact multiply.  Only the integer evaluation is
-exact; the screen bounds the roundoff of the float one.
+corners) calls them on entries-first float arrays, and ``ppt_witness`` and
+``scan``'s attenuated witness (:func:`_laplace` and :func:`_w_ppt`) on one
+matrix's floats, all with ``one = 1``, where each ``one * x`` is an exact
+multiply.  Only the integer evaluation is exact; the screen bounds the
+roundoff of the float one.
 
 A value is reported as ``(numerator, denominator)``; :func:`ratio` rounds it.
 

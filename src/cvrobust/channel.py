@@ -138,14 +138,24 @@ def attenuate(v, t) -> CovMatrix:
 def _attenuated(upper, l1, l2) -> list:
     """The ten upper-triangle entries of ``L (V - I) L + I``, ``L = diag(l1, l1, l2, l2)``.
 
-    Each is ``(l_i l_j) (v_ij - delta_ij) + delta_ij`` of the entries
-    ``upper`` and the square roots ``l1``, ``l2`` of the transmittances:
-    floats for :func:`attenuate`, arrays of transmittance pairs for
-    ``scan``, elementwise and so with the same bits.  The transmittances are
-    not range checked here.
+    Each is ``(l_i l_j) (v_ij - delta_ij) + delta_ij`` of the float entries
+    ``upper`` and the square roots ``l1``, ``l2`` of the transmittances.
+    ``scan`` takes the blocks ``a1`` and ``a2`` from here and forms ``c``'s
+    entries by the same rule, so each cell has :func:`attenuate`'s bits.
+    The transmittances are not range checked here.
     """
     ls = (l1, l1, l2, l2)
     return [
         (ls[i] * ls[j]) * (v - float(i == j)) + float(i == j)
         for (i, j), v in zip(_UPPER, upper)
     ]
+
+
+def _unit_samples(n: int) -> list:
+    """``n >= 2`` evenly spaced transmittances ``k * (1/(n - 1))``, the last one 1.
+
+    The values of ``np.linspace(0, 1, n)``, for the grid of ``scan`` and the
+    contour samples of ``robustness``.
+    """
+    step = 1.0 / (n - 1)
+    return [k * step for k in range(n - 1)] + [1.0]

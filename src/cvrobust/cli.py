@@ -23,11 +23,13 @@ import sys
 import tempfile
 
 from . import __version__
+from ._exact import _laplace, _w_ppt
 from .channel import (
     LinkBudget,
     Transmittance,
     _attenuated,
     _require_finite_nonnegative,
+    _unit_samples,
     attenuate,
     transmittance_from_link,
 )
@@ -47,7 +49,6 @@ from .families import (
     RandomStateParams,
     StandardFormI,
     SymmetricModes,
-    _grid_chunks,
     build,
     random_physical_state,
     region_map_correlations,
@@ -61,8 +62,6 @@ from .robustness import (
     robustify,
 )
 from .witnesses import (
-    _ppt,
-    _reduced,
     duan_witness,
     gamma_coefficients,
     minimized_duan,
@@ -245,26 +244,37 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    import numpy as np
-
     cov, _ = read_state_file(args.input)
     if args.grid < 2:
         raise ValidationError("scan grid must be at least 2")
     g = _checked_gamma(cov)
-    ts = np.linspace(0.0, 1.0, args.grid)
-    t_text = [repr(t) for t in ts.tolist()]
+    g22 = g.gamma22
     upper = _upper(cov.tolist())
+    _, _, q, r, _, s, u, _, _, _ = upper
+    ts = _unit_samples(args.grid)
+    ls = [math.sqrt(t) for t in ts]
+    # Per column: t2, its text, l2, a2's entries and t2 * gamma12.
+    columns = [
+        (t2, repr(t2), l2, *_attenuated(upper, l2, l2)[7:], t2 * g.gamma12)
+        for t2, l2 in zip(ts, ls)
+    ]
     pieces = ["t1,t2,w_ppt_attenuated,w_reduced\n"]
-    for _, i, j in _grid_chunks(ts.size, ts.size):
-        t1, t2 = ts[i], ts[j]
-        w_att = _ppt(_attenuated(upper, np.sqrt(t1), np.sqrt(t2)))
-        w_red = _reduced(g, t1, t2)
-        pieces.append(
-            "".join(
-                f"{t_text[a]},{t_text[b]},{x!r},{y!r}\n"
-                for a, b, x, y in zip(i.tolist(), j.tolist(), w_att.tolist(), w_red.tolist())
+    for t1, l1 in zip(ts, ls):
+        a00, a01, _, _, a11 = _attenuated(upper, l1, l1)[:5]
+        # _reduced's sum left to right: its first term is fixed along the row.
+        r0, t1_text = g.gamma11 + t1 * g.gamma21, repr(t1)
+        row = []
+        for t2, t2_text, l2, a22, a23, a33, t2_g12 in columns:
+            # c's entries by _attenuated's rule, (l1 l2) (v - 0) + 0.
+            l12 = l1 * l2
+            det_a1, _, _, det_c, det_a2, det_v = _laplace(
+                a00, a01, l12 * q + 0.0, l12 * r + 0.0,
+                a11, l12 * s + 0.0, l12 * u + 0.0, a22, a23, a33,
             )
-        )
+            w_att = _w_ppt(1, det_a1, det_a2, det_c, det_v)
+            w_red = r0 + t2_g12 + t1 * t2 * g22
+            row.append(f"{t1_text},{t2_text},{w_att!r},{w_red!r}\n")
+        pieces.append("".join(row))
     _emit("".join(pieces), args.output)
     return 0
 

@@ -301,9 +301,8 @@ UNPHYSICAL = "unphysical"
 #: Region code of each robustness class code, then of an unphysical cell.
 _REGIONS = tuple(_REGION_OF_LABEL[cls.label] for cls in _CLASSES) + (UNPHYSICAL,)
 
-#: Cells evaluated per batch by the grid commands (region maps and scans).
-#: It bounds the temporaries of the screen and of the attenuated stacks
-#: whatever the grid size.
+#: Cells evaluated per batch by the region maps.  It bounds the
+#: temporaries of the screen and of the matrix stacks whatever the grid size.
 GRID_CHUNK = 1024
 
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 from ._exact import Matrix, _corners, _laplace, _shifted, _uncertainty, at_most, ratio
 from ._exact import congruence, exact
 from ._record import Record
+from .channel import _unit_samples
 from .covariance import (
     CovMatrix,
     LocalSymplectic,
@@ -412,10 +413,8 @@ def _contour(cov: CovMatrix, samples: int) -> list:
         raise ValidationError("samples must be positive")
     g = _checked_gamma(cov)
     band = boundary_band(cov)
-    step = 1.0 / samples
     points = []
-    for i in range(1, samples + 1):
-        t1 = i * step if i < samples else 1.0
+    for t1 in _unit_samples(samples + 1)[1:]:
         den = g.gamma22 * t1 + g.gamma12
         if den == 0.0:
             continue

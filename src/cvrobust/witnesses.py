@@ -14,10 +14,9 @@ whose coefficients are local-rotation invariants of the input state.  This
 module computes the witnesses and the Gamma decomposition, both from the
 polynomials of :mod:`cvrobust._exact`.  The Gamma coefficients and the
 Duan variances evaluate them on the matrix's exact integers and round each
-value once.  The PPT witness (``_ppt``, behind :func:`ppt_witness` and
-``scan``'s attenuated witness) evaluates the same Laplace expansion in
-floats, on one matrix's entries or elementwise over arrays of them;
-``_band`` gives the zero band over a stack of matrices ``(..., 4, 4)``.
+value once.  :func:`ppt_witness`, like ``scan``'s attenuated witness,
+evaluates the same Laplace expansion in floats; ``_band`` gives the zero
+band over a stack of matrices ``(..., 4, 4)``.
 """
 
 from __future__ import annotations
@@ -155,15 +154,6 @@ def minimized_duan(v) -> MinimizedDuan:
     return MinimizedDuan(w_m=w_m, a_opt=a_opt)
 
 
-def _ppt(upper):
-    """:func:`ppt_witness` of the ten upper-triangle entries, floats or arrays.
-
-    Elementwise, so each matrix of an array gets the bits of a one-matrix call.
-    """
-    det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
-    return _w_ppt(1, det_a1, det_a2, det_c, det_v)
-
-
 def ppt_witness(v) -> float:
     """PPT witness ``1 + det V + 2 det c - det a1 - det a2``.
 
@@ -173,7 +163,8 @@ def ppt_witness(v) -> float:
     ``ppt_witness(attenuate(v, t)) = t1 * t2 * reduced_witness(g, t)`` checks
     one against the other.
     """
-    return _ppt(_upper(_as_cov(v)._rows))
+    det_a1, _, _, det_c, det_a2, det_v = _laplace(*_upper(_as_cov(v)._rows))
+    return _w_ppt(1, det_a1, det_a2, det_c, det_v)
 
 
 class GammaSet(Record):
@@ -253,7 +244,7 @@ def gamma_coefficients(v) -> GammaSet:
 
 
 def _reduced(g: GammaSet, t1, t2):
-    """Reduced witness at transmittances ``t1``, ``t2`` (floats or arrays)."""
+    """Reduced witness at transmittances ``t1``, ``t2``."""
     return g.gamma11 + t1 * g.gamma21 + t2 * g.gamma12 + t1 * t2 * g.gamma22
 
 

@@ -18,8 +18,6 @@ from cvrobust import (
     transmittance_from_link,
     validate_physicality,
 )
-from cvrobust.channel import _attenuated
-from cvrobust.covariance import _upper
 from helpers import CM_D, CM_E, oracle_attenuated_ppt_grid, random_states
 
 #: Transmittance pairs of the bit-identity checks, the total-loss edge included.
@@ -53,17 +51,6 @@ class TestAttenuate:
             for t1, t2 in T_PAIRS:
                 expected = numpy_attenuate(v.matrix, t1, t2)
                 assert attenuate(v, (t1, t2)).matrix.tobytes() == expected.tobytes()
-
-    def test_arrays_equal_floats_bitwise(self):
-        # scan evaluates the same entries over arrays of transmittance pairs.
-        ts = np.linspace(0.0, 1.0, 7)
-        t1, t2 = np.repeat(ts, ts.size), np.tile(ts, ts.size)
-        for v in [CM_D, CM_E] + random_states(20):
-            stacked = _attenuated(_upper(v.tolist()), np.sqrt(t1), np.sqrt(t2))
-            for k, pair in enumerate(zip(t1.tolist(), t2.tolist())):
-                one = _upper(attenuate(v, pair).tolist())
-                assert [float(x[k]) for x in stacked] == one
-                assert [repr(float(x[k])) for x in stacked] == list(map(repr, one))
 
     def test_identity(self):
         out = attenuate(CM_D, (1.0, 1.0))

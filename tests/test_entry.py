@@ -43,12 +43,12 @@ STDLIB_COMMANDS = {
     "classify": ["classify", "STATE", "-o", "OUT"],
     "attenuate": ["attenuate", "STATE", "--t2", "0.4", "-o", "OUT"],
     "contour": ["contour", "STATE", "-o", "OUT"],
+    "scan": ["scan", "STATE", "--grid", "5", "-o", "OUT"],
     "random": ["random", "--seed", "7", "-o", "OUT"],
     "robustify": ["robustify", "STATE", "-o", "OUT"],
     "family": ["family", "pure-squeezed", "--r", "1", "-o", "OUT"],
 }
 NUMPY_COMMANDS = {
-    "scan": ["scan", "STATE", "--grid", "5", "-o", "OUT"],
     "map": ["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "5", "-o", "OUT"],
 }
 
@@ -179,7 +179,7 @@ class TestStartup:
         # run() freezes after main, so numpy, which a command may import,
         # is frozen with everything else: no module namespace of cvrobust or
         # numpy is left for the final collection at exit.
-        for argv in (["--version"], NUMPY_COMMANDS["scan"]):
+        for argv in (["--version"], NUMPY_COMMANDS["map"]):
             argv = command_argv(argv, tmp_path)
             code = (
                 f"import gc, sys; from cvrobust import cli; sys.argv[1:] = {argv!r}\n"
@@ -193,7 +193,7 @@ class TestStartup:
             )
             done = python("-c", code)
             assert done.returncode == 0, done.stderr
-            numpy = argv[0] == "scan"
+            numpy = argv[0] == "map"
             assert done.stdout.splitlines()[-1] == f"0 True {numpy} False"
 
 

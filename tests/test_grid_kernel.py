@@ -152,21 +152,30 @@ SCAN_STATES = {
     "CM_D": CM_D,
     "CM_E": CM_E,
     **{f"random{s}": random_physical_state(s) for s in (0, 3, 11)},
+    **{f"squeeze3-{s}": random_physical_state(s, RandomStateParams(1.0, 2.5, 3.0)) for s in range(4)},
     "squeezed": random_physical_state(2, RandomStateParams(1.0, 1.0, 4.0)),
+    **{f"pure9-{s}": random_physical_state(s, RandomStateParams(1.0, 1.0, 9.0)) for s in range(3)},
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_STATES))
 def test_scan_rows_bit_identical_to_scalar_witnesses(tmp_path, name):
+    # Each row is the text of the np.linspace samples and of the public
+    # scalar witnesses there: what `scan` hoists out of its loops changes
+    # no bit.
     v = SCAN_STATES[name]
     path = tmp_path / "state.json"
     path.write_text(state_file_text(v, name))
-    out = tmp_path / "scan.csv"
-    assert main(["scan", str(path), "--grid", "33", "-o", str(out)]) == 0
-    rows = out.read_text().splitlines()[1:]
-    assert len(rows) == 33 * 33
     g = gamma_coefficients(v)
-    for row in rows:
-        t1, t2, w_att, w_red = map(float, row.split(","))
-        assert w_att == ppt_witness(attenuate(v, (t1, t2)))
-        assert w_red == reduced_witness(g, (t1, t2))
+    for grid in (2, 7, 33):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", str(path), "--grid", str(grid), "-o", str(out)]) == 0
+        ts = np.linspace(0.0, 1.0, grid).tolist()
+        expected = [
+            ",".join(
+                map(repr, (t1, t2, ppt_witness(attenuate(v, (t1, t2))), reduced_witness(g, (t1, t2))))
+            )
+            for t1 in ts
+            for t2 in ts
+        ]
+        assert out.read_text().splitlines()[1:] == expected
