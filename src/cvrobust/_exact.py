@@ -46,10 +46,10 @@ The witness polynomials are written once, as the module functions
 :func:`_parts` and :func:`_corners` of the ten entries and a unit ``one``,
 homogeneous so that the unit stands for 1.  :class:`Matrix` calls them on
 its integers with ``one = D``, for physicality, ``classify``, the Gamma set
-and every map cell the screen leaves open.  ``robustness._screen`` (the
-uncertainty invariants, shifted by ``+tol`` with :func:`_shifted`, and the
-corners) calls them on entries-first float arrays, and ``ppt_witness`` and
-``scan``'s attenuated witness (:func:`_laplace` and :func:`_w_ppt`) on one
+and every map cell the screen leaves open.  The region maps' screen,
+``robustness._screen`` (the uncertainty invariants, shifted by ``+tol``
+with :func:`_shifted`, and the corners), ``ppt_witness`` and ``scan``'s
+attenuated witness (:func:`_laplace` and :func:`_w_ppt`) call them on one
 matrix's floats, all with ``one = 1``, where each ``one * x`` is an exact
 multiply.  Only the integer evaluation is exact; the screen bounds the
 roundoff of the float one.

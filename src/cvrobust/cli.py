@@ -43,16 +43,17 @@ from .covariance import (
 )
 from .errors import ValidationError
 from .families import (
+    _REGIONS,
     FullySymmetric,
     FullySymmetricFromSqueezing,
     PureTwoModeSqueezed,
     RandomStateParams,
     StandardFormI,
     SymmetricModes,
+    _correlation_cells,
+    _epr_cells,
     build,
     random_physical_state,
-    region_map_correlations,
-    region_map_epr,
 )
 from .robustness import (
     CHANNEL_WITNESS_NOTE,
@@ -351,23 +352,19 @@ def _cmd_family(args) -> int:
 
 def _cmd_map(args) -> int:
     if args.which == "correlations":
-        region = region_map_correlations(dq=args.dq, dp=args.dp, grid=args.grid)
+        x_name, y_name, xs, ys, rows = _correlation_cells(args.dq, args.dp, args.grid)
     else:
-        region = region_map_epr(
-            mu_minus=args.mu_minus,
-            mu_plus=args.mu_plus,
-            grid=args.grid,
-            q_plus_max=args.q_plus_max,
-            p_minus_max=args.p_minus_max,
+        x_name, y_name, xs, ys, rows = _epr_cells(
+            args.mu_minus, args.mu_plus, args.grid, args.q_plus_max, args.p_minus_max
         )
-    y_text = [repr(y) for y in region.y.tolist()]
-    pieces = [f"{region.x_name},{region.y_name},label,boundary\n"]
-    rows = zip(region.x.tolist(), region.labels.tolist(), region.boundary.tolist())
-    for x, labels, flags in rows:
+    y_text = [repr(y) for y in ys]
+    pieces = [f"{x_name},{y_name},label,boundary\n"]
+    for x, row in zip(xs, rows):
+        x_text = repr(x)
         pieces.append(
             "".join(
-                f"{x!r},{y},{label},{'1' if flag else '0'}\n"
-                for y, label, flag in zip(y_text, labels, flags)
+                f"{x_text},{y},{_REGIONS[code]},{'1' if flag else '0'}\n"
+                for y, (code, flag) in zip(y_text, row)
             )
         )
     _emit("".join(pieces), args.output)
@@ -526,7 +523,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValidationError, OSError, MemoryError) as exc:
-        # numpy's MemoryError names the allocation; a bare one has no message
+        # a MemoryError may name the allocation; a bare one has no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
@@ -535,10 +532,10 @@ def run() -> int:
     """Process entry of ``python -m cvrobust.cli`` and the ``cvrobust`` script.
 
     Runs :func:`main`, then moves every object still alive (the modules,
-    classes and constants of cvrobust and of numpy, which only some commands
-    import) into the collector's permanent generation, so that the final
-    collection at interpreter exit does not walk them.  In-process callers
-    use :func:`main`, which leaves the collector alone.
+    classes and constants of cvrobust and of the standard library) into the
+    collector's permanent generation, so that the final collection at
+    interpreter exit does not walk them.  In-process callers use
+    :func:`main`, which leaves the collector alone.
     """
     try:
         return main()

@@ -9,7 +9,7 @@ Conventions used throughout the package:
   is positive semidefinite, equivalently when ``V`` is positive semidefinite
   and its smallest symplectic eigenvalue is >= 1;
 * tolerances are measured in the magnitude ``max(1, max|V|)`` of the input
-  (see ``_scale``).
+  (see ``_scale_of``).
 
 All values are dimensionless noise powers relative to shot noise.
 """
@@ -49,7 +49,7 @@ SYMMETRY_RTOL = 1e-9
 #: Absolute floor of the tolerance on the smallest eigenvalue of ``V + i*Omega``.
 PHYSICALITY_TOL = 1e-9
 
-#: Roundoff part of that tolerance, per unit of ``_scale``.  The test is
+#: Roundoff part of that tolerance, per unit of ``_scale_of``.  The test is
 #: evaluated exactly, so the tolerance guards against the rounding of the
 #: data, not of the test: rounding the entries moves ``lambda_min`` by at most
 #: ``||dV||_2 <= 2 eps*max|V|``.  On stored pure states, whose eigenvalue
@@ -62,7 +62,6 @@ _PHYSICALITY_ROUNDOFF = 32 * sys.float_info.epsilon
 
 #: Row and column of the ten upper-triangle entries, row by row.
 _UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
-_UPPER_ROWS, _UPPER_COLS = zip(*_UPPER)
 
 
 def __getattr__(name):
@@ -159,19 +158,13 @@ def _as_cov(v) -> CovMatrix:
 
 
 def _scale_of(entries) -> float:
-    """The tolerance unit ``max(1, max|V|)`` of one matrix from its entries (floats)."""
-    return max(1.0, max(map(abs, entries)))
-
-
-def _scale(m: np.ndarray):
-    """:func:`_scale_of` over a stack of matrices ``(..., 4, 4)``.
+    """The tolerance unit ``max(1, max|V|)`` of one matrix from its entries (floats).
 
     Roundoff in a quantity of degree ``k`` in the entries grows like
-    ``eps * max|V|**k``, so its tolerance is a constant times ``_scale**k``.
+    ``eps * max|V|**k``, so its tolerance is a constant times the unit's
+    ``k``-th power.
     """
-    import numpy as np
-
-    return np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    return max(1.0, max(map(abs, entries)))
 
 
 class Blocks(NamedTuple):
@@ -268,11 +261,7 @@ class PhysicalityDiagnosis(NamedTuple):
 
 
 def _upper(v) -> list:
-    """The ten upper-triangle entries ``v[i][j]``, row by row.
-
-    Of a :class:`CovMatrix`'s rows they are floats; of an entries-first
-    stack ``v[i, j, ...]`` they are views.
-    """
+    """The ten upper-triangle entries ``v[i][j]`` of four rows, row by row."""
     return [v[i][j] for i, j in _UPPER]
 
 
@@ -285,34 +274,14 @@ def _exact_of(upper):
     return Matrix(upper), _physicality_tol(_scale_of(upper))
 
 
-def _exact_stack(m: np.ndarray):
-    """:func:`_exact_of` of each matrix of a stack ``(..., 4, 4)``, in C order.
-
-    The tolerances are evaluated over the whole stack at once.
-    """
-    import numpy as np
-
-    upper = m[..., _UPPER_ROWS, _UPPER_COLS].reshape(-1, 10).tolist()
-    tol = np.ravel(_physicality_tol(_scale(m))).tolist()
-    return zip(map(Matrix, upper), tol)
-
-
 def _exact_matrix(v) -> Matrix:
     """``v``, anything :func:`_as_cov` accepts, in exact integers."""
     return Matrix(_upper(_as_cov(v)._rows))
 
 
-def _physicality_tol(scale):
-    """The tolerance of :func:`validate_physicality` on ``lambda_min`` at ``_scale`` ``scale``.
-
-    ``scale`` is a float, or an array in the map screen.
-    """
-    tol = _PHYSICALITY_ROUNDOFF * scale
-    if isinstance(tol, float):
-        return max(PHYSICALITY_TOL, tol)
-    import numpy as np
-
-    return np.maximum(PHYSICALITY_TOL, tol)
+def _physicality_tol(scale: float) -> float:
+    """The tolerance of :func:`validate_physicality` on ``lambda_min`` at unit ``scale``."""
+    return max(PHYSICALITY_TOL, _PHYSICALITY_ROUNDOFF * scale)
 
 
 def _exact_physical(cov: CovMatrix) -> Matrix:

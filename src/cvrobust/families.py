@@ -33,7 +33,7 @@ from .covariance import (
     _scale_of,
 )
 from .errors import ValidationError
-from .robustness import _CLASSES, _UNPHYSICAL, _screen, _verdicts
+from .robustness import _CLASSES, _map_verdict
 
 __all__ = [
     "FullySymmetric",
@@ -130,16 +130,9 @@ def _family_matrix(spec: FamilySpec) -> list:
     raise TypeError(f"unknown family spec {spec!r}")
 
 
-def _symmetric_modes_stack(dq, dp, c_q, c_p) -> np.ndarray:
-    """Symmetric-mode matrices for broadcast parameter arrays, shape ``(..., 4, 4)``."""
-    import numpy as np
-
-    m = np.zeros(np.broadcast_shapes(*map(np.shape, (dq, dp, c_q, c_p))) + (4, 4))
-    m[..., 0, 0] = m[..., 2, 2] = dq
-    m[..., 1, 1] = m[..., 3, 3] = dp
-    m[..., 0, 2] = m[..., 2, 0] = c_q
-    m[..., 1, 3] = m[..., 3, 1] = c_p
-    return m
+def _symmetric_modes_upper(dq, dp, c_q, c_p) -> tuple:
+    """The ten upper-triangle entries of a :class:`SymmetricModes` matrix, row by row."""
+    return (dq, 0.0, c_q, 0.0, dp, 0.0, c_p, dq, 0.0, dp)
 
 
 def build(spec: FamilySpec) -> CovMatrix:
@@ -272,13 +265,23 @@ def epr_state(
         raise ValidationError("partial purities must lie in (0, 1]")
     if q_plus_var <= 0.0 or p_minus_var <= 0.0:
         raise ValidationError("EPR variances must be positive")
-    return SymmetricModes(*_epr_moments(mu_minus, mu_plus, q_plus_var, p_minus_var))
+    p_plus_var = _conjugate_variance(mu_plus, q_plus_var)
+    q_minus_var = _conjugate_variance(mu_minus, p_minus_var)
+    return SymmetricModes(*_epr_moments(q_plus_var, p_plus_var, p_minus_var, q_minus_var))
 
 
-def _epr_moments(mu_minus, mu_plus, q_plus_var, p_minus_var):
-    """``(dq, dp, c_q, c_p)`` of :func:`epr_state`; the variances may be arrays."""
-    q_minus_var = 1.0 / (mu_minus**2 * p_minus_var)
-    p_plus_var = 1.0 / (mu_plus**2 * q_plus_var)
+def _conjugate_variance(mu: float, variance: float) -> float:
+    """``1/(mu^2 variance)``, the EPR variance that partial purity ``mu`` pairs with ``variance``.
+
+    Infinite where it leaves float range, also where ``mu^2 variance``
+    underflows to 0.
+    """
+    den = mu**2 * variance
+    return 1.0 / den if den else math.inf
+
+
+def _epr_moments(q_plus_var, p_plus_var, p_minus_var, q_minus_var):
+    """``(dq, dp, c_q, c_p)`` of the symmetric-mode state with these EPR variances."""
     return (
         0.5 * (q_plus_var + q_minus_var),
         0.5 * (p_plus_var + p_minus_var),
@@ -301,11 +304,6 @@ UNPHYSICAL = "unphysical"
 #: Region code of each robustness class code, then of an unphysical cell.
 _REGIONS = tuple(_REGION_OF_LABEL[cls.label] for cls in _CLASSES) + (UNPHYSICAL,)
 
-#: Cells evaluated per batch by the region maps.  It bounds the
-#: temporaries of the screen and of the matrix stacks whatever the grid size.
-GRID_CHUNK = 1024
-
-
 class RegionMap(NamedTuple):
     """Labeled grid of robustness regions.
 
@@ -322,96 +320,105 @@ class RegionMap(NamedTuple):
     boundary: np.ndarray
 
 
-def _grid_chunks(nx: int, ny: int):
-    """The ``nx x ny`` cells in row-major batches of ``GRID_CHUNK``.
-
-    Yields ``(cells, i, j)``: the slice of flat cell indices and the row and
-    column index of each cell in it.
-    """
-    import numpy as np
-
-    for start in range(0, nx * ny, GRID_CHUNK):
-        cells = slice(start, min(start + GRID_CHUNK, nx * ny))
-        i, j = np.divmod(np.arange(cells.start, cells.stop), ny)
-        yield cells, i, j
-
-
-def _region_map(x_name, y_name, x, y, matrices) -> RegionMap:
-    """Classify every cell ``(x[i], y[j])``; ``matrices(xs, ys)`` builds their stack.
-
-    Each cell gets the verdicts of ``validate_physicality`` and ``classify``
-    on its matrix, evaluated a chunk at a time.  A physical cell is flagged
-    ``boundary`` when a corner witness lies in the zero band; no unphysical
-    cell is flagged, and the physicality boundary flag of
-    ``validate_physicality`` is not carried over.  The certified screen of
-    :mod:`cvrobust.robustness` decides most cells from the exact kernel's
-    polynomials evaluated in floats; only the cells it leaves open go through
-    the exact kernel of ``classify``, so every verdict is that kernel's own.
-    """
-    import numpy as np
-
-    codes = np.empty(x.size * y.size, dtype=np.intp)
-    boundary = np.empty(x.size * y.size, dtype=bool)
-    for cells, i, j in _grid_chunks(x.size, y.size):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            m = matrices(x[i], y[j])
-        if not np.isfinite(m).all():
-            raise ValidationError("covariance matrix contains non-finite entries")
-        certain, physical, cls, flagged = _screen(m)
-        code = np.where(physical, cls, _UNPHYSICAL)
-        if not certain.all():
-            rest = ~certain
-            code[rest], flagged[rest] = _verdicts(m[rest])
-        codes[cells] = code
-        boundary[cells] = flagged
-    shape = (x.size, y.size)
-    return RegionMap(
-        x_name=x_name,
-        y_name=y_name,
-        x=x,
-        y=y,
-        labels=np.array(_REGIONS, dtype=object)[codes].reshape(shape),
-        boundary=boundary.reshape(shape),
-    )
-
-
 def _require_finite(**params) -> None:
     bad = [name for name, value in params.items() if not math.isfinite(value)]
     if bad:
         raise ValidationError(f"map parameters must be finite: {', '.join(bad)}")
 
 
-def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
-    import numpy as np
-
+def _cell_centers(lo: float, hi: float, n: int) -> list:
+    """The centers of ``n`` equal cells partitioning ``[lo, hi]``."""
     width = (hi - lo) / n
-    return lo + width * (np.arange(n) + 0.5)
+    return [lo + width * (k + 0.5) for k in range(n)]
 
 
-def region_map_correlations(dq: float, dp: float, grid: int) -> RegionMap:
-    """Robustness regions over normalized correlations for symmetric modes.
+def _correlation_cells(dq: float, dp: float, grid: int):
+    """The axes and verdict rows of :func:`region_map_correlations`, as lists.
 
-    The axes are ``cbar_p = c_p/dp`` and ``cbar_q = c_q/dq``, sampled at the
-    centers of a ``grid x grid`` partition of ``[-1, 1]^2``.  The cells are
-    classified in batches of ``GRID_CHUNK``, so memory beyond the returned
-    arrays does not grow with ``grid``; each label equals that of
-    ``classify`` on the cell's ``SymmetricModes`` matrix, or
-    ``"unphysical"`` where ``validate_physicality`` rejects it.
+    Returns ``(x_name, y_name, x, y, rows)``: the axis names, the cell
+    centers of each axis and an iterator over the rows.  Row ``i`` is the
+    list of ``(code, boundary)`` verdicts of the cells ``(x[i], y[j])``
+    (``robustness._map_verdict``, with the codes indexing ``_REGIONS``).
+    The cells are evaluated one row at a time as the rows are read, so
+    memory does not grow with ``grid``; the arguments are checked at the
+    call.
     """
     _require_finite(dq=dq, dp=dp)
     if dq < 1.0 or dp < 1.0:
         raise ValidationError("variances must be at least the vacuum level 1")
     if grid < 1:
         raise ValidationError("grid must be positive")
-    cbar_p = _cell_centers(-1.0, 1.0, grid)
-    cbar_q = _cell_centers(-1.0, 1.0, grid)
-    return _region_map(
-        "cbar_p",
-        "cbar_q",
-        cbar_p,
-        cbar_q,
-        lambda cp, cq: _symmetric_modes_stack(dq, dp, cq * dq, cp * dp),
+    cbar = _cell_centers(-1.0, 1.0, grid)
+    c_qs = [cbar_q * dq for cbar_q in cbar]
+
+    def rows():
+        for cbar_p in cbar:
+            c_p = cbar_p * dp
+            yield [_map_verdict(_symmetric_modes_upper(dq, dp, c_q, c_p)) for c_q in c_qs]
+
+    return "cbar_p", "cbar_q", cbar, cbar, rows()
+
+
+def _epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max):
+    """The axes and verdict rows of :func:`region_map_epr`, as in :func:`_correlation_cells`.
+
+    ``p_plus = 1/(mu_plus^2 q_plus)`` is evaluated once per row and
+    ``q_minus = 1/(mu_minus^2 p_minus)`` once per column, each as
+    :func:`epr_state` evaluates it.
+    """
+    _require_finite(
+        mu_minus=mu_minus, mu_plus=mu_plus, q_plus_max=q_plus_max, p_minus_max=p_minus_max
     )
+    if not (0.0 < mu_minus <= 1.0 and 0.0 < mu_plus <= 1.0):
+        raise ValidationError("partial purities must lie in (0, 1]")
+    if grid < 1:
+        raise ValidationError("grid must be positive")
+    q_plus = _cell_centers(0.0, q_plus_max, grid)
+    p_minus = _cell_centers(0.0, p_minus_max, grid)
+    if min(q_plus) <= 0.0 or min(p_minus) <= 0.0:
+        raise ValidationError("EPR variances must be positive")
+    columns = [(y, _conjugate_variance(mu_minus, y)) for y in p_minus]
+
+    def rows():
+        for x in q_plus:
+            p_plus = _conjugate_variance(mu_plus, x)
+            yield [
+                _map_verdict(_symmetric_modes_upper(*_epr_moments(x, p_plus, y, q_minus)))
+                for y, q_minus in columns
+            ]
+
+    return "q_plus_var", "p_minus_var", q_plus, p_minus, rows()
+
+
+def _region_map(x_name, y_name, x, y, rows) -> RegionMap:
+    """The :class:`RegionMap` of a map's lists, converted to numpy arrays row by row."""
+    import numpy as np
+
+    labels = np.empty((len(x), len(y)), dtype=object)
+    boundary = np.empty((len(x), len(y)), dtype=bool)
+    for i, row in enumerate(rows):
+        labels[i] = [_REGIONS[code] for code, _ in row]
+        boundary[i] = [flag for _, flag in row]
+    return RegionMap(x_name, y_name, np.array(x), np.array(y), labels, boundary)
+
+
+def region_map_correlations(dq: float, dp: float, grid: int) -> RegionMap:
+    """Robustness regions over normalized correlations for symmetric modes.
+
+    The axes are ``cbar_p = c_p/dp`` and ``cbar_q = c_q/dq``, sampled at the
+    centers of a ``grid x grid`` partition of ``[-1, 1]^2``.  Each label
+    equals that of ``classify`` on the cell's ``SymmetricModes`` matrix, or
+    ``"unphysical"`` where ``validate_physicality`` rejects it.  A physical
+    cell is flagged ``boundary`` when a corner witness lies in the zero
+    band; no unphysical cell is flagged, and the physicality boundary flag
+    of ``validate_physicality`` is not carried over.  The cells are
+    classified one at a time, so memory beyond the returned arrays does not
+    grow with ``grid``: the certified screen of :mod:`cvrobust.robustness`
+    decides most of them from the exact kernel's polynomials evaluated in
+    floats, and the others go through the exact kernel of ``classify``, so
+    every verdict is that kernel's own.
+    """
+    return _region_map(*_correlation_cells(dq, dp, grid))
 
 
 def region_map_epr(
@@ -425,28 +432,11 @@ def region_map_epr(
 
     The axes are the collective variances ``q_plus`` and ``p_minus`` sampled
     at cell centers of ``(0, q_plus_max] x (0, p_minus_max]``; the conjugate
-    variances are fixed by the purities.  Cells are classified in batches
-    as in :func:`region_map_correlations`; each label equals that of
-    ``classify`` on the cell's :func:`epr_state` matrix.
+    variances are fixed by the purities.  Cells are classified as in
+    :func:`region_map_correlations`; each label equals that of ``classify``
+    on the cell's :func:`epr_state` matrix.
     """
-    _require_finite(
-        mu_minus=mu_minus, mu_plus=mu_plus, q_plus_max=q_plus_max, p_minus_max=p_minus_max
-    )
-    if not (0.0 < mu_minus <= 1.0 and 0.0 < mu_plus <= 1.0):
-        raise ValidationError("partial purities must lie in (0, 1]")
-    if grid < 1:
-        raise ValidationError("grid must be positive")
-    q_plus = _cell_centers(0.0, q_plus_max, grid)
-    p_minus = _cell_centers(0.0, p_minus_max, grid)
-    if (q_plus <= 0.0).any() or (p_minus <= 0.0).any():
-        raise ValidationError("EPR variances must be positive")
-    return _region_map(
-        "q_plus_var",
-        "p_minus_var",
-        q_plus,
-        p_minus,
-        lambda x, y: _symmetric_modes_stack(*_epr_moments(mu_minus, mu_plus, x, y)),
-    )
+    return _region_map(*_epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max))
 
 
 #: Largest ``nu_max * e^(2 squeeze_max)`` a random state may reach.  The

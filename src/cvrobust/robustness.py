@@ -32,8 +32,8 @@ from .covariance import (
     _as_cov,
     _exact_matrix,
     _exact_physical,
-    _exact_stack,
     _physicality_tol,
+    _scale_of,
     _upper,
     validate_physicality,
 )
@@ -41,7 +41,6 @@ from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
 from .witnesses import (
     GammaSet,
-    _band,
     _band_at,
     _finite,
     _gamma_of,
@@ -197,7 +196,7 @@ _CLASSES = (
     FULLY_ROBUST,
 )
 
-#: The code of an unphysical matrix in :func:`_verdicts`.
+#: The code of an unphysical matrix in the region maps' verdicts.
 _UNPHYSICAL = len(_CLASSES)
 
 _CORNERS = ("w_ppt", "w_full", "w_ch1", "w_ch2")
@@ -218,10 +217,10 @@ def _code(entangled, r1, r2, rf):
 
 
 def _class_code(corners, band):
-    """Corner-sign class decision on float corners, one set or stacks of them.
+    """Corner-sign class decision on one matrix's float corners.
 
     ``corners`` holds ``w_ppt, w_full, w_ch1, w_ch2`` and ``band`` the zero-band
-    half-widths.  Returns the class codes (indices into ``_CLASSES``) and,
+    half-width.  Returns the class code (an index into ``_CLASSES``) and,
     per corner, whether its value lies inside the band.  Corners within the
     band count as nonpositive.
     """
@@ -246,73 +245,47 @@ def _exact_class(x: Matrix, band: float):
     return corners, values, code, flags
 
 
-def _verdicts(m):
-    """Class codes and boundary flags of a stack ``(N, 4, 4)``, cell by cell, exactly.
-
-    Each cell gets the verdicts of ``validate_physicality`` and ``classify``
-    on its matrix: the code ``_UNPHYSICAL`` and no flag when it is
-    unphysical, else its class code and whether a corner lies in the zero
-    band.  The physicality boundary flag is not a map flag, so its ``-tol``
-    shift is not evaluated.
-    """
-    import numpy as np
-
-    with np.errstate(over="ignore"):  # an infinite band flags every corner
-        bands = np.ravel(_band(m)).tolist()
-    codes, flags = [], []
-    for (x, tol), band in zip(_exact_stack(m), bands):
-        if x.physical(tol):
-            _, _, code, corner_flags = _exact_class(x, band)
-            codes.append(code)
-            flags.append(any(corner_flags))
-        else:
-            codes.append(_UNPHYSICAL)
-            flags.append(False)
-    return np.array(codes, dtype=np.intp), np.array(flags, dtype=bool)
-
-
 _EPS = sys.float_info.epsilon
 
 #: Roundoff bound of the screen's float polynomials against their exact
-#: values, per unit of ``_scale**k`` for a polynomial of degree ``k``; the
-#: corners, of degrees 2 to 4, count as degree 4.  A chain of sums and
-#: products in which no term of the expanded result passes through more than
-#: ``d`` roundings errs by at most ``d*eps/2`` times the same chain evaluated
-#: on the absolute values with every sign ``+`` (Higham, Accuracy and
-#: Stability of Numerical Algorithms, sec. 3.1).  With entries at most
-#: ``_scale >= 1`` and the tolerance at most ``1e-9*_scale``, that gives, in
-#: eps: 120 for ``det V``; 8, 77, 196 and 231 for ``e1 .. e4`` shifted by
-#: ``+tol``; and 231, 84, 288 and 288 for the corners ``w_ppt``,
-#: ``w_full``, ``w_ch1`` and ``w_ch2``.  The largest errors measured on
-#: random states and map cells were 2.6 for the determinants, 10.7 for the
-#: shifted ``e_k`` and 2.4 for the corners; ``tests/test_screen.py`` checks
-#: both the derivation and the measurement.
+#: values, per unit of ``scale**k`` for a polynomial of degree ``k``, with
+#: ``scale = max(1, max|V|)``; the corners, of degrees 2 to 4, count as
+#: degree 4.  A chain of sums and products in which no term of the expanded
+#: result passes through more than ``d`` roundings errs by at most
+#: ``d*eps/2`` times the same chain evaluated on the absolute values with
+#: every sign ``+`` (Higham, Accuracy and Stability of Numerical Algorithms,
+#: sec. 3.1).  With entries at most ``scale >= 1`` and the tolerance at most
+#: ``1e-9*scale``, that gives, in eps: 120 for ``det V``; 8, 77, 196 and 231
+#: for ``e1 .. e4`` shifted by ``+tol``; and 231, 84, 288 and 288 for the
+#: corners ``w_ppt``, ``w_full``, ``w_ch1`` and ``w_ch2``.  The largest
+#: errors measured on random states and map cells were 2.6 for the
+#: determinants, 10.7 for the shifted ``e_k`` and 2.4 for the corners;
+#: ``tests/test_screen.py`` checks both the derivation and the measurement.
 _INVARIANT_ROUNDOFF = 512 * _EPS
 
-#: Largest ``_scale**4`` the screen decides.  The quartic witnesses stay
-#: below 64*_scale**4, far from overflow, so a cell whose exact corners would
+#: Largest ``scale**4`` the screen decides.  The quartic witnesses stay
+#: below 64*scale**4, far from overflow, so a cell whose exact corners would
 #: not round to finite values is never decided here.
 _SCREEN_MAX_SCALE4 = 2.0**1000
 
 
-def _screen(m):
-    """Certified verdicts for a stack of symmetric matrices ``(..., 4, 4)``.
+def _screen(upper, scale: float):
+    """Certified map verdict of one symmetric matrix, or ``None`` when uncertain.
 
-    Returns ``(certain, physical, code, boundary)``.  Where ``certain`` is
-    set, they equal what the exact kernel of :func:`_verdicts` gives:
-    ``physical`` the verdict of :func:`~cvrobust.covariance.validate_physicality`,
-    ``code`` (physical cells) the class code of :func:`_exact_class`, and
-    ``boundary`` the region maps' flag, which for a certain cell is set only
-    by a corner inside the zero band.  Elsewhere they mean nothing and the
-    cell needs the exact kernel.  The screen evaluates the exact kernel's
-    polynomials in floats and decides a cell only when their roundoff,
-    bounded by ``_INVARIANT_ROUNDOFF``, cannot move it across a threshold.
+    ``upper`` holds the ten finite upper-triangle floats and ``scale`` is
+    ``max(1, max|V|)``.  A verdict ``(code, boundary)`` equals that of the
+    exact kernel, :func:`_exact_verdict`: the code ``_UNPHYSICAL`` and no
+    flag where :func:`~cvrobust.covariance.validate_physicality` rejects the
+    matrix, else the class code of :func:`_exact_class` and whether a corner
+    lies in the zero band.  The screen evaluates the exact kernel's
+    polynomials in floats and decides only when their roundoff, bounded by
+    ``_INVARIANT_ROUNDOFF``, cannot move the matrix across a threshold.
 
     Physicality.  The exact kernel decides ``lambda_min(V + i*Omega) >= -tol``
     from the signs of ``e1 .. e4`` of ``V + tol*I + i*Omega``
     (:func:`cvrobust._exact._uncertainty`, shifted by ``+tol``); the screen
-    evaluates the same polynomials on the float entries.  A cell is physical
-    when every shifted ``e_k`` exceeds ``_INVARIANT_ROUNDOFF * _scale**k``
+    evaluates the same polynomials on the floats.  The matrix is physical
+    when every shifted ``e_k`` exceeds ``_INVARIANT_ROUNDOFF * scale**k``
     and unphysical when one lies below its negative.  Pure states, whose
     ``e4`` vanishes, are never decided.  The map flags no unphysical cell and
     flags a physical one only through its corners, so the ``-tol`` shift of
@@ -321,38 +294,67 @@ def _screen(m):
     Corners.  The four corners ``w_ppt``, ``gamma11``,
     ``gamma11 + gamma12`` and ``gamma11 + gamma21``, like the determinants
     and ``e1 .. e4``, come from the functions of :mod:`cvrobust._exact`
-    (``_laplace``, ``_uncertainty`` and ``_corners``) called on the float
-    entries with unit 1; the exact kernel calls the same functions on its
-    integers.  The class of a physical cell is certain when every corner is
-    farther than ``_INVARIANT_ROUNDOFF * _scale**4`` from each threshold it
-    is compared with: 0 for ``w_ppt`` and the band edges ``+-band`` for all
-    four.
-
-    Non-finite values are never certain.
+    (``_laplace``, ``_uncertainty`` and ``_corners``) called on the floats
+    with unit 1; the exact kernel calls the same functions on its integers.
+    The class of a physical matrix is certain when every corner is farther
+    than ``_INVARIANT_ROUNDOFF * scale**4`` from each threshold it is
+    compared with: 0 for ``w_ppt`` and the band edges ``+-band`` for all
+    four.  Scales whose fourth power reaches ``_SCREEN_MAX_SCALE4`` are
+    never decided.
     """
-    import numpy as np
+    scale2 = scale * scale
+    scale4 = scale2 * scale2  # a product: it overflows to inf where a power would raise
+    if not scale4 < _SCREEN_MAX_SCALE4:
+        return None
+    err1, err2 = _INVARIANT_ROUNDOFF * scale, _INVARIANT_ROUNDOFF * scale2
+    err3, err4 = _INVARIANT_ROUNDOFF * (scale2 * scale), _INVARIANT_ROUNDOFF * scale4
+    det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
+    e1, e2, e3, e4 = _shifted(
+        _uncertainty(1, upper, det_a1, det_a2, det_c, det_v), _physicality_tol(scale)
+    )
+    if e1 < -err1 or e2 < -err2 or e3 < -err3 or e4 < -err4:
+        return _UNPHYSICAL, False
+    if not (e1 > err1 and e2 > err2 and e3 > err3 and e4 > err4):
+        return None
+    corners = _corners(1, upper, det_a1, det_a2, det_c, det_v)
+    band = _band_at(scale)
+    if not abs(corners[0]) > err4:
+        return None
+    for w in corners:
+        if not (abs(w - band) > err4 and abs(w + band) > err4):
+            return None
+    code, flags = _class_code(corners, band)
+    return code, any(flags)
 
-    with np.errstate(all="ignore"):  # overflow and NaN only reach uncertain cells
-        # Entries first, so that every entry and reduction below runs over
-        # contiguous cells.
-        v = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
-        upper = _upper(v)
-        det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
-        scale = np.maximum(1.0, np.abs(v).max(axis=(0, 1)))  # _scale(m)
-        err = [_INVARIANT_ROUNDOFF * scale**k for k in (1, 2, 3, 4)]
-        decidable = scale**4 < _SCREEN_MAX_SCALE4
-        e = _shifted(_uncertainty(1, upper, det_a1, det_a2, det_c, det_v), _physicality_tol(scale))
-        physical = decidable & np.all([e[k] > err[k] for k in range(4)], axis=0)
-        unphysical = decidable & np.any([e[k] < -err[k] for k in range(4)], axis=0)
 
-        corners = _corners(1, upper, det_a1, det_a2, det_c, det_v)
-        band = _band_at(scale)
-        clear = np.abs(corners[0]) > err[3]
-        for w in corners:
-            clear &= (np.abs(w - band) > err[3]) & (np.abs(w + band) > err[3])
-        code, flags = _class_code(corners, band)
-        boundary = physical & np.any(flags, axis=0)
-        return unphysical | (physical & clear), physical, code, boundary
+def _exact_verdict(upper, scale: float):
+    """Map verdict ``(code, boundary)`` of one symmetric matrix, exactly.
+
+    ``upper`` and ``scale`` are those of :func:`_screen`.  The verdicts of
+    ``validate_physicality`` and ``classify`` on the matrix: the code
+    ``_UNPHYSICAL`` and no flag when it is unphysical, else its class code
+    and whether a corner lies in the zero band.  The physicality boundary
+    flag is not a map flag, so its ``-tol`` shift is not evaluated.  Raises
+    :class:`ValidationError` when a rounded corner is not finite.
+    """
+    x = Matrix(upper)
+    if not x.physical(_physicality_tol(scale)):
+        return _UNPHYSICAL, False
+    _, _, code, flags = _exact_class(x, _band_at(scale))
+    return code, any(flags)
+
+
+def _map_verdict(upper):
+    """The region maps' verdict ``(code, boundary)`` of one cell's ten upper-triangle floats.
+
+    :func:`_screen` decides most cells; the rest go through
+    :func:`_exact_verdict`, so every verdict is that of the exact kernel.
+    Raises :class:`ValidationError` for non-finite entries.
+    """
+    scale = _scale_of(upper)
+    if not scale < math.inf:
+        raise ValidationError("covariance matrix contains non-finite entries")
+    return _screen(upper, scale) or _exact_verdict(upper, scale)
 
 
 def classify(v) -> RobustnessReport:

@@ -15,8 +15,9 @@ module computes the witnesses and the Gamma decomposition, both from the
 polynomials of :mod:`cvrobust._exact`.  The Gamma coefficients and the
 Duan variances evaluate them on the matrix's exact integers and round each
 value once.  :func:`ppt_witness`, like ``scan``'s attenuated witness,
-evaluates the same Laplace expansion in floats; ``_band`` gives the zero
-band over a stack of matrices ``(..., 4, 4)``.
+evaluates the same Laplace expansion on one matrix's floats, and
+``_band_at`` gives the zero band that ``classify`` and the region maps'
+cells share.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 from ._exact import Matrix, _laplace, _w_ppt, ratio
 from ._record import Record
 from .channel import Transmittance
-from .covariance import _as_cov, _exact_matrix, _scale, _scale_of, _upper
+from .covariance import _as_cov, _exact_matrix, _scale_of, _upper
 from .errors import ValidationError
 
 __all__ = [
@@ -51,15 +52,10 @@ DEGENERATE_SIGMA_TOL = 1e-9
 _BAND_COEFF = 1e-10
 
 
-def _band(m: np.ndarray):
-    """:func:`boundary_band` over a stack of matrices ``(..., 4, 4)``."""
-    return _band_at(_scale(m))
+def _band_at(scale: float) -> float:
+    """The zero band at tolerance unit ``scale`` (``_scale_of`` of the matrix).
 
-
-def _band_at(scale):
-    """The zero band at tolerance unit ``scale`` (``_scale`` of the matrix).
-
-    ``scale * scale`` overflows to infinity on floats as on arrays.
+    ``scale * scale`` overflows to infinity, where a power would raise.
     """
     return _BAND_COEFF * (scale * scale)
 

@@ -24,9 +24,9 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
-from cvrobust.covariance import _exact_stack
-from cvrobust.families import _REGIONS, _grid_chunks
-from cvrobust.robustness import _verdicts
+from cvrobust.covariance import _exact_of, _scale_of, _upper
+from cvrobust.families import _REGIONS
+from cvrobust.robustness import _exact_verdict
 
 I4 = np.eye(4)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -107,7 +107,8 @@ def reference_physicality(m: np.ndarray):
 
 def kernel_physicality(m: np.ndarray):
     """``(physical, boundary)`` of ``validate_physicality``'s exact test over a stack ``(..., 4, 4)``."""
-    verdicts = [x.physicality(tol) for x, tol in _exact_stack(m)]
+    cells = (_exact_of(_upper(rows)) for rows in m.reshape(-1, 4, 4).tolist())
+    verdicts = [x.physicality(tol) for x, tol in cells]
     out = np.array(verdicts, dtype=bool).reshape(m.shape[:-2] + (2,))
     return out[..., 0], out[..., 1]
 
@@ -411,22 +412,21 @@ def reference_region_labels(x, y, cell):
     return labels, boundary
 
 
-def reference_region_map(x, y, matrices):
+def reference_region_map(x, y, cell):
     """Labels and boundary flags of a region map, every cell through the exact kernel.
 
-    The region maps' chunk body without the certified screen: every cell
-    goes through ``robustness._verdicts``, the per-cell exact verdict that
-    ``classify`` uses.  ``matrices(xs, ys)`` builds the stack of a chunk of
-    cells, as in ``families._region_map``.
+    The region maps without the certified screen: every cell goes through
+    ``robustness._exact_verdict``, the per-cell exact verdict that
+    ``classify`` uses.  ``cell(x, y)`` gives the ten upper-triangle entries
+    of the cell's matrix, as the region maps build them.
     """
-    codes = np.empty(x.size * y.size, dtype=np.intp)
-    boundary = np.empty(x.size * y.size, dtype=bool)
-    for cells, i, j in _grid_chunks(x.size, y.size):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            m = matrices(x[i], y[j])
-        codes[cells], boundary[cells] = _verdicts(m)
-    shape = (x.size, y.size)
-    return np.array(_REGIONS, dtype=object)[codes].reshape(shape), boundary.reshape(shape)
+    ys = list(map(float, y))
+    verdicts = [
+        [_exact_verdict(upper, _scale_of(upper)) for upper in (cell(xi, yj) for yj in ys)]
+        for xi in map(float, x)
+    ]
+    labels = np.array([[_REGIONS[code] for code, _ in row] for row in verdicts], dtype=object)
+    return labels, np.array([[flag for _, flag in row] for row in verdicts], dtype=bool)
 
 
 def strict_json(text: str):

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from cvrobust import CovMatrix, attenuate, classify, ppt_witness, region_map_correlations
+from cvrobust import (
+    CovMatrix,
+    attenuate,
+    classify,
+    ppt_witness,
+    region_map_correlations,
+    region_map_epr,
+)
 from cvrobust import cli
 from cvrobust.cli import main, read_state_file, state_file_text
 from helpers import CM_B, CM_C, CM_D, eq19_matrix, exact_reference_witnesses, strict_json
@@ -123,6 +130,9 @@ class TestBadArguments:
             ["attenuate", "STATE", "--length2-km", "nan"],
             ["attenuate", "STATE", "--length1-km", "inf", "--alpha-db-per-km", "0"],
             ["attenuate", "STATE", "--length2-km", "-1"],
+            ["map", "epr", "--mu-minus", "1e-200", "--mu-plus", "0.5", "--grid", "2"],
+            ["map", "epr", "--mu-minus", "0.5", "--mu-plus", "0.5", "--grid", "2",
+             "--q-plus-max", "1e-320"],
         ],
         ids=["contour-samples", "map-correlations-grid", "map-epr-grid",
              "random-squeeze-max", "random-nu-max", "random-squeeze-max-overflow",
@@ -130,7 +140,8 @@ class TestBadArguments:
              "robustify-budget-zero", "random-seed", "robustify-seed",
              "pure-squeezed-overflow", "from-squeezing-overflow",
              "attenuate-alpha-nan", "attenuate-length-nan", "attenuate-length-inf",
-             "attenuate-length-negative"],
+             "attenuate-length-negative", "map-epr-purity-underflow",
+             "map-epr-variance-overflow"],
     )
     def test_error_message_without_traceback(self, args, cm_d_file, capsys):
         assert run([cm_d_file if a == "STATE" else a for a in args]) == 1
@@ -144,7 +155,7 @@ class TestBadArguments:
 
         # Only the failure is simulated: a real allocation of that size could
         # succeed lazily and then run for a very long time.
-        monkeypatch.setattr(cli, "region_map_correlations", allocate)
+        monkeypatch.setattr(cli, "_correlation_cells", allocate)
         args = ["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "1000000"]
         assert run(args) == 1
         assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
@@ -465,12 +476,20 @@ class TestMap:
         assert run(args) == 1
         assert "not finite" in capsys.readouterr().err
 
-    def test_csv_matches_region_map(self, tmp_path):
+    @pytest.mark.parametrize(
+        "args, region_map",
+        [
+            (["correlations", "--dq", "2.55", "--dp", "1.80"],
+             lambda: region_map_correlations(2.55, 1.80, 5)),
+            (["epr", "--mu-minus", "0.7267", "--mu-plus", "0.4529"],
+             lambda: region_map_epr(0.7267, 0.4529, 5)),
+        ],
+        ids=["correlations", "epr"],
+    )
+    def test_csv_matches_region_map(self, args, region_map, tmp_path):
         out = tmp_path / "map.csv"
-        args = ["map", "correlations", "--dq", "2.55", "--dp", "1.80",
-                "--grid", "5", "-o", str(out)]
-        assert run(args) == 0
-        region = region_map_correlations(2.55, 1.80, 5)
+        assert run(["map", *args, "--grid", "5", "-o", str(out)]) == 0
+        region = region_map()
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         expected = [
             [repr(float(x)), repr(float(y)), region.labels[i, j], str(int(region.boundary[i, j]))]

@@ -25,8 +25,8 @@ from cvrobust import (
 )
 from cvrobust import _exact
 from cvrobust.cli import main, state_file_text
-from cvrobust.covariance import _exact_matrix
-from cvrobust.robustness import _verdicts
+from cvrobust.covariance import _exact_matrix, _scale_of, _upper
+from cvrobust.robustness import _exact_verdict
 from helpers import (
     CM_A,
     CM_B,
@@ -139,12 +139,14 @@ def test_validate_evaluates_the_invariants_once(monkeypatch):
 
 
 def test_map_verdicts_skip_the_boundary_shift(monkeypatch):
-    # The map flags no physicality boundary: one +tol shift per matrix.
+    # The map flags no physicality boundary: the exact fallback of a map
+    # cell makes one +tol shift.
     shifts = []
     original = _exact._shifted
     monkeypatch.setattr(_exact, "_shifted", lambda e, s: shifts.append(s) or original(e, s))
-    m = np.array([v.matrix for v in (CM_A, CM_D, HIGHLY_SQUEEZED)])
-    _verdicts(m)
+    for v in (CM_A, CM_D, HIGHLY_SQUEEZED):
+        upper = _upper(v.tolist())
+        _exact_verdict(upper, _scale_of(upper))
     assert len(shifts) == 3 and all(s > 0 for s in shifts)
     shifts.clear()
     assert validate_physicality(HIGHLY_SQUEEZED).physical

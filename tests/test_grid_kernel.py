@@ -25,7 +25,6 @@ from cvrobust import (
     region_map_epr,
 )
 from cvrobust.cli import main, state_file_text
-from cvrobust.families import GRID_CHUNK
 from cvrobust.robustness import _CLASSES, _class_code
 from helpers import (
     CM_A,
@@ -44,12 +43,7 @@ from helpers import (
 DQ, DP = 2.55, 1.80
 MU_MINUS, MU_PLUS = 0.7267, 0.4529
 
-# 33 x 33 = 1089 cells straddles one chunk boundary.
 GRIDS = [1, 7, 33]
-
-
-def test_chunk_straddled_by_largest_grid():
-    assert GRIDS[-1] ** 2 > GRID_CHUNK
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -118,12 +112,10 @@ def reference_class(w_ppt, w_full, w_ch1, w_ch2, band):
 def test_corner_class_matches_decision_chain_on_every_sign_pattern():
     # +-0.25 lie inside the band 0.5, +-1 outside; the sums stay exact.
     values = [-1.0, -0.25, 0.25, 1.0]
-    corners = np.array(list(itertools.product(values, repeat=4)))
-    band = np.full(len(corners), 0.5)
-    codes, flags = _class_code(tuple(corners.T), band)
-    for k, row in enumerate(corners):
-        assert _CLASSES[codes[k]] == reference_class(*row, 0.5), row
-        assert [f[k] for f in flags] == [abs(w) <= 0.5 for w in row]
+    for corners in itertools.product(values, repeat=4):
+        code, flags = _class_code(corners, 0.5)
+        assert _CLASSES[code] == reference_class(*corners, 0.5), corners
+        assert list(flags) == [abs(w) <= 0.5 for w in corners]
 
 
 def test_map_memory_does_not_scale_with_chunked_cells():

@@ -1,8 +1,8 @@
 """The region maps' certified screen against the kernels it stands in for.
 
-Wherever ``robustness._screen`` calls a cell certain, its physicality
-verdict, boundary flag and class must be those of the exact per-cell
-kernel (``robustness._verdicts``); a region map must equal its all-kernel
+Wherever ``robustness._screen`` decides a cell, its verdict (physicality,
+class and boundary flag) must be that of the exact per-cell kernel
+(``robustness._exact_verdict``); a region map must equal its all-kernel
 reference.  The screen and the exact kernel evaluate the same polynomials
 of ``cvrobust._exact``, in floats and in integers; the gap between the two
 must stay within the screen's roundoff bounds.
@@ -15,15 +15,16 @@ import pytest
 
 from cvrobust import (
     ValidationError,
+    epr_state,
     region_map_correlations,
     region_map_epr,
     validate_physicality,
 )
-from cvrobust._exact import _corners, _laplace, _shifted, _uncertainty
-from cvrobust.covariance import _exact_stack, _physicality_tol, _scale, _upper
-from cvrobust.families import _cell_centers, _epr_moments, _symmetric_modes_stack
-from cvrobust.robustness import _CLASSES, _EPS, _INVARIANT_ROUNDOFF, _screen, _verdicts
-from helpers import HIGHLY_SQUEEZED, reference_region_map
+from cvrobust._exact import Matrix, _corners, _laplace, _shifted, _uncertainty
+from cvrobust.covariance import _physicality_tol, _scale_of, _upper
+from cvrobust.families import _cell_centers, _symmetric_modes_upper
+from cvrobust.robustness import _CLASSES, _EPS, _INVARIANT_ROUNDOFF, _exact_verdict, _screen
+from helpers import HIGHLY_SQUEEZED, reference_region_map, symmetric_modes_matrix
 
 UNPHYSICAL = len(_CLASSES)
 GRIDS = [1, 7, 33, 101]
@@ -31,11 +32,11 @@ MAPS_PER_GRID = 75
 
 
 def correlation_cells(dq, dp):
-    return lambda cp, cq: _symmetric_modes_stack(dq, dp, cq * dq, cp * dp)
+    return lambda cp, cq: _symmetric_modes_upper(dq, dp, cq * dq, cp * dp)
 
 
 def epr_cells(mu_minus, mu_plus):
-    return lambda x, y: _symmetric_modes_stack(*_epr_moments(mu_minus, mu_plus, x, y))
+    return lambda x, y: _symmetric_modes_upper(*epr_state(mu_minus, mu_plus, x, y))
 
 
 def correlations(dq, dp, grid):
@@ -47,8 +48,8 @@ def epr(mu_minus, mu_plus, grid, q_plus_max=5.0, p_minus_max=5.0):
     return region, epr_cells(mu_minus, mu_plus)
 
 
-def assert_map_matches_kernels(region, matrices):
-    labels, boundary = reference_region_map(region.x, region.y, matrices)
+def assert_map_matches_kernels(region, cell):
+    labels, boundary = reference_region_map(region.x, region.y, cell)
     assert np.array_equal(region.labels, labels)
     assert np.array_equal(region.boundary, boundary)
 
@@ -58,17 +59,17 @@ def random_map_specs(grid):
     specs = []
     for _ in range(MAPS_PER_GRID):
         if rng.random() < 0.5:
-            specs.append((correlations, *np.exp(rng.uniform(0.0, 4.0, 2))))
+            specs.append((correlations, *np.exp(rng.uniform(0.0, 4.0, 2)).tolist(), grid))
         else:
-            specs.append((epr, *rng.uniform(0.01, 1.0, 2), grid, *rng.uniform(0.5, 20.0, 2)))
+            mu_minus, mu_plus = rng.uniform(0.01, 1.0, 2).tolist()
+            specs.append((epr, mu_minus, mu_plus, grid, *rng.uniform(0.5, 20.0, 2).tolist()))
     return specs
 
 
 @pytest.mark.parametrize("grid", GRIDS)
 def test_screened_maps_equal_all_kernel_path(grid):
-    for kind, a, b, *rest in random_map_specs(grid):
-        region, matrices = kind(float(a), float(b), *(rest or [grid]))
-        assert_map_matches_kernels(region, matrices)
+    for kind, *args in random_map_specs(grid):
+        assert_map_matches_kernels(*kind(*args))
 
 
 EDGE_MAPS = {
@@ -132,24 +133,34 @@ def state_groups():
             yield f"{kind}-{squeeze_max}-scaled", m * rng.uniform(0.5, 1.2, (len(m), 1, 1))
 
 
+def uppers(m):
+    """The ten upper-triangle floats of each matrix of a stack ``(N, 4, 4)``."""
+    return [_upper(rows) for rows in m.tolist()]
+
+
+def screen(upper):
+    return _screen(upper, _scale_of(upper))
+
+
 def test_screen_decisions_equal_kernels_on_random_states():
     total = 0
     for name, m in state_groups():
-        certain, physical, code, boundary = _screen(m)
-        ref_code, ref_boundary = _verdicts(m)
-        assert np.array_equal(physical[certain], ref_code[certain] != UNPHYSICAL), name
-        assert np.array_equal(boundary[certain], ref_boundary[certain]), name
-        assert np.array_equal(np.where(physical, code, UNPHYSICAL)[certain], ref_code[certain]), name
+        decided = 0
+        for upper in uppers(m):
+            verdict = screen(upper)
+            if verdict is not None:
+                assert verdict == _exact_verdict(upper, _scale_of(upper)), name
+                decided += 1
         if name.startswith("pure") and not name.endswith("scaled"):
-            assert not certain.any(), name
+            assert decided == 0, name
         if name in ("default", "mixed-1", "mixed-2", "mixed-3"):
-            assert certain.mean() > 0.99, name
+            assert decided > 0.99 * len(m), name
         total += len(m)
     assert total >= 100_000
 
 
 def screen_one(m):
-    return bool(_screen(np.asarray(m, dtype=float)[None])[0][0])
+    return screen(_upper(np.asarray(m, dtype=float).tolist())) is not None
 
 
 @pytest.mark.parametrize(
@@ -158,7 +169,7 @@ def screen_one(m):
         (np.diag([1e7, 5e-8, 1.0, 1.0]), True, True),
         (np.eye(4), True, True),
         (HIGHLY_SQUEEZED.matrix, True, True),
-        (_symmetric_modes_stack(math.cosh(6.0), math.cosh(6.0), math.sinh(6.0),
+        (symmetric_modes_matrix(math.cosh(6.0), math.cosh(6.0), math.sinh(6.0),
                                 -math.sinh(6.0)), True, True),
     ],
     ids=["boundary-diag", "vacuum", "pure-squeezed", "pure-two-mode-r3"],
@@ -171,8 +182,7 @@ def test_pinned_states_fall_back_to_kernels(m, physical, boundary):
 
 def test_screen_decides_a_matrix_that_is_not_positive_as_unphysical():
     m = np.diag([-1.0, 1.0, 1.0, 1.0])
-    certain, physical = (x[0] for x in _screen(m[None])[:2])
-    assert certain and not physical
+    assert screen(_upper(m.tolist())) == (UNPHYSICAL, False)
     assert not validate_physicality(m).physical
 
 
@@ -202,19 +212,23 @@ def test_overflow_still_raises_from_the_kernel(variance):
         assert np.array_equal(region.boundary, reference[1])
 
 
-@pytest.mark.parametrize(
-    "matrices, lo, hi",
-    [
-        (correlation_cells(2.55, 1.80), -1.0, 1.0),
-        (epr_cells(0.7267, 0.4529), 0.0, 5.0),
-    ],
-    ids=["correlations", "epr"],
-)
-def test_benchmark_maps_fall_back_on_few_cells(matrices, lo, hi):
+#: The benchmark's two maps at grid 101: cell entries and axis range.
+BENCHMARK_MAPS = {
+    "correlations": (correlation_cells(2.55, 1.80), -1.0, 1.0),
+    "epr": (epr_cells(0.7267, 0.4529), 0.0, 5.0),
+}
+
+
+def benchmark_map_cells(name):
+    """The ten upper-triangle floats of every cell of one of the benchmark's maps."""
+    cell, lo, hi = BENCHMARK_MAPS[name]
     centers = _cell_centers(lo, hi, 101)
-    x, y = np.meshgrid(centers, centers, indexing="ij")
-    certain = _screen(matrices(x.ravel(), y.ravel()))[0]
-    assert certain.all()
+    return [cell(x, y) for x in centers for y in centers]
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_MAPS))
+def test_benchmark_maps_fall_back_on_few_cells(name):
+    assert all(screen(upper) is not None for upper in benchmark_map_cells(name))
 
 
 #: Degrees of ``det a1``, ``t02``, ``t12``, ``det c``, ``det a2`` and ``det V``.
@@ -237,51 +251,41 @@ def exact_invariants(x, tol):
     return [(n, (x.one * den) ** k) for k, n in enumerate(_shifted(lifted, num * x.one), 1)]
 
 
-def worst_roundoff(m):
+def worst_roundoff(cells):
     """Largest float-minus-exact error of the determinants, of ``e1 .. e4`` and of the corners.
 
-    The polynomials of ``cvrobust._exact`` are evaluated on the float stack
-    as the screen evaluates them, and on each matrix's integers as the exact
+    The polynomials of ``cvrobust._exact`` are evaluated on each cell's ten
+    floats as the screen evaluates them, and on its integers as the exact
     kernel does; ``e1 .. e4`` are those of ``V + i*Omega`` shifted by the
-    physicality tolerance ``+tol``.  The errors are in units of ``_scale**k``
-    for a polynomial of degree ``k`` and of ``_scale**4`` for the corners.
+    physicality tolerance ``+tol``.  The errors are in units of ``scale**k``
+    for a polynomial of degree ``k`` and of ``scale**4`` for the corners.
     """
-    upper = _upper(np.moveaxis(m, (-2, -1), (0, 1)))
-    dets = _laplace(*upper)
-    det_a1, _, _, det_c, det_a2, det_v = dets
-    args = (det_a1, det_a2, det_c, det_v)
-    scales = _scale(m)
-    invariants = _shifted(_uncertainty(1, upper, *args), _physicality_tol(scales))
-    corners = _corners(1, upper, *args)
-    floats = [np.array(f).T.tolist() for f in (dets, invariants, corners)]
     degrees = (LAPLACE_DEGREES, (1, 2, 3, 4), (4, 4, 4, 4))
     worst = [0.0, 0.0, 0.0]
-    for k, ((x, tol), scale) in enumerate(zip(_exact_stack(m), np.ravel(scales).tolist())):
+    for upper in cells:
+        scale = _scale_of(upper)
+        tol = _physicality_tol(scale)
+        dets = _laplace(*upper)
+        det_a1, _, _, det_c, det_a2, det_v = dets
+        args = (det_a1, det_a2, det_c, det_v)
+        floats = (dets, _shifted(_uncertainty(1, upper, *args), tol), _corners(1, upper, *args))
+        x = Matrix(upper)
         exact = (
             [(n, x.one**d) for n, d in zip(_laplace(*x.entries), LAPLACE_DEGREES)],
             exact_invariants(x, tol),
             x.corners(),
         )
         for i in range(3):
-            for value, pair, degree in zip(floats[i][k], exact[i], degrees[i]):
+            for value, pair, degree in zip(floats[i], exact[i], degrees[i]):
                 worst[i] = max(worst[i], roundoff(value, pair, scale**degree))
     return worst
 
 
-def benchmark_map_cells():
-    for matrices, lo, hi in (
-        (correlation_cells(2.55, 1.80), -1.0, 1.0),
-        (epr_cells(0.7267, 0.4529), 0.0, 5.0),
-    ):
-        centers = _cell_centers(lo, hi, 101)
-        x, y = np.meshgrid(centers, centers, indexing="ij")
-        yield matrices(x.ravel(), y.ravel())
-
-
 def test_float_polynomials_within_screen_roundoff_bounds():
-    stacks = [m[:300] for _, m in state_groups()] + list(benchmark_map_cells())
-    for m in stacks:
-        assert max(worst_roundoff(m)) <= _INVARIANT_ROUNDOFF
+    cells = [uppers(m[:300]) for _, m in state_groups()]
+    cells += [benchmark_map_cells(name) for name in BENCHMARK_MAPS]
+    for group in cells:
+        assert max(worst_roundoff(group)) <= _INVARIANT_ROUNDOFF
 
 
 class AbsChain:

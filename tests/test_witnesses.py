@@ -8,7 +8,6 @@ import pytest
 from cvrobust import (
     CovMatrix,
     LocalSymplectic,
-    RandomStateParams,
     apply_local_symplectic,
     attenuate,
     blocks,
@@ -17,10 +16,8 @@ from cvrobust import (
     gamma_coefficients,
     minimized_duan,
     ppt_witness,
-    random_physical_state,
     reduced_witness,
 )
-from cvrobust.witnesses import _band
 from helpers import (
     CM_A,
     CM_B,
@@ -34,15 +31,6 @@ from helpers import (
 
 
 class TestBoundaryBand:
-    @pytest.mark.parametrize("squeeze_max", [1.0, 3.0, 9.0])
-    def test_equals_stacked_band(self, squeeze_max):
-        # One formula, _BAND_COEFF * (scale * scale), for one state and for
-        # the map's stacks; seed 499 at squeeze_max 3 told C pow() from x*x.
-        params = RandomStateParams(1.0, 2.5, squeeze_max)
-        states = [CM_A, CM_D, HIGHLY_SQUEEZED, random_physical_state(499, params)]
-        for v in states + random_states(300, params=params):
-            assert boundary_band(v) == float(_band(v.matrix[None])[0])
-
     def test_overflow_gives_infinite_band(self):
         assert boundary_band(CovMatrix(np.diag([1e200] * 4))) == math.inf
 
