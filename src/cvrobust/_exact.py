@@ -45,14 +45,13 @@ The witness polynomials are written once, as the module functions
 :func:`_laplace`, :func:`_uncertainty` (``e1 .. e4`` above), :func:`_w_ppt`,
 :func:`_parts` and :func:`_corners` of the ten entries and a unit ``one``,
 homogeneous so that the unit stands for 1.  :class:`Matrix` calls them on
-its integers with ``one = D``, for physicality, ``classify``, the Gamma set
-and every map cell the screen leaves open.  The region maps' screen,
-``robustness._screen`` (the uncertainty invariants, shifted by ``+tol``
-with :func:`_shifted`, and the corners), ``ppt_witness`` and ``scan``'s
-attenuated witness (:func:`_laplace` and :func:`_w_ppt`) call them on one
-matrix's floats, all with ``one = 1``, where each ``one * x`` is an exact
-multiply.  Only the integer evaluation is exact; the screen bounds the
-roundoff of the float one.
+its integers with ``one = D``, for physicality, ``classify`` and the Gamma
+set.  ``ppt_witness`` and ``scan``'s attenuated witness (:func:`_laplace`
+and :func:`_w_ppt`) call them on one matrix's floats with ``one = 1``,
+where each ``one * x`` is an exact multiply.  The region maps need no
+:class:`Matrix`: their symmetric-mode cells are decided exactly from the
+EPR variances (``robustness._map_verdict``), over the same kind of common
+denominator (:func:`_integers`).
 
 A value is reported as ``(numerator, denominator)``; :func:`ratio` rounds it.
 

@@ -86,12 +86,19 @@ def _write_slices(handle, text: str) -> None:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write text to ``path`` via a temporary file and rename."""
+    """Write text to ``path`` via a temporary file and rename.
+
+    The file gets the mode ``open`` would give a new file, ``0o666`` less
+    the umask, not the temporary file's ``0o600``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvrobust-")
     try:
         with os.fdopen(fd, "w") as handle:
             _write_slices(handle, text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Union
 
-from ._exact import congruence, exact, product, ratio
+from ._exact import _integers, at_most, congruence, exact, product, ratio
 from ._record import Record
 from .covariance import (
     SYMMETRY_RTOL,
@@ -29,11 +29,13 @@ from .covariance import (
     _as_cov,
     _beam_splitter,
     _exact_physical,
+    _physicality_tol,
     _require_physical,
     _scale_of,
 )
 from .errors import ValidationError
 from .robustness import _CLASSES, _map_verdict
+from .witnesses import _band_at
 
 __all__ = [
     "FullySymmetric",
@@ -130,11 +132,6 @@ def _family_matrix(spec: FamilySpec) -> list:
     raise TypeError(f"unknown family spec {spec!r}")
 
 
-def _symmetric_modes_upper(dq, dp, c_q, c_p) -> tuple:
-    """The ten upper-triangle entries of a :class:`SymmetricModes` matrix, row by row."""
-    return (dq, 0.0, c_q, 0.0, dp, 0.0, c_p, dq, 0.0, dp)
-
-
 def build(spec: FamilySpec) -> CovMatrix:
     """Construct the covariance matrix of a family member.
 
@@ -187,7 +184,8 @@ class EprSummary(NamedTuple):
 
     ``w_sum``/``w_prod`` pair the squeezed combination ``(p_-, q_+)``;
     the barred partners pair ``(p_+, q_-)``.  On symmetric-mode states
-    ``w_ppt = w_prod * w_prod_bar`` and ``w_full = w_sum * w_sum_bar``.
+    ``w_ppt = w_prod * w_prod_bar``, ``w_full = w_sum * w_sum_bar`` and
+    ``w_ch1 = w_ch2 = (w_sum * w_prod_bar + w_prod * w_sum_bar) / 2``.
     """
 
     var_p_minus: float
@@ -239,8 +237,8 @@ def _is_symmetric_mode_form(cov: CovMatrix) -> bool:
 def epr_partial_witness(v) -> float:
     """Single-channel robustness witness in EPR form (symmetric modes only).
 
-    ``w_sum * w_prod_bar + w_prod * w_sum_bar``; shares its sign with the
-    channel robustness witnesses, which coincide for symmetric modes.
+    ``w_sum * w_prod_bar + w_prod * w_sum_bar``, which is twice the channel
+    robustness witness ``w_ch1 = w_ch2`` of symmetric modes.
     Raises :class:`ValidationError` for other forms and unphysical ``v``.
     """
     cov = _as_cov(v)
@@ -341,22 +339,46 @@ def _correlation_cells(dq: float, dp: float, grid: int):
     (``robustness._map_verdict``, with the codes indexing ``_REGIONS``).
     The cells are evaluated one row at a time as the rows are read, so
     memory does not grow with ``grid``; the arguments are checked at the
-    call.
+    call.  Every cell has the tolerance unit ``max(1, dq, dp)``, since
+    ``|c_q| <= dq`` and ``|c_p| <= dp``, so the variances, correlations and
+    tolerance become integers over one denominator once per map, and the
+    EPR variances are summed once per row and once per column.
     """
     _require_finite(dq=dq, dp=dp)
     if dq < 1.0 or dp < 1.0:
         raise ValidationError("variances must be at least the vacuum level 1")
     if grid < 1:
         raise ValidationError("grid must be positive")
+    dq, dp = float(dq), float(dp)
     cbar = _cell_centers(-1.0, 1.0, grid)
-    c_qs = [cbar_q * dq for cbar_q in cbar]
+    scale = max(dq, dp)
+    correlations = [cbar_q * dq for cbar_q in cbar] + [cbar_p * dp for cbar_p in cbar]
+    (dq, dp, tol, *c), one = _integers([dq, dp, _physicality_tol(scale), *correlations])
+    within = at_most(_band_at(scale))
+    columns = [(dq + c_q, dq - c_q) for c_q in c[:grid]]
 
     def rows():
-        for cbar_p in cbar:
-            c_p = cbar_p * dp
-            yield [_map_verdict(_symmetric_modes_upper(dq, dp, c_q, c_p)) for c_q in c_qs]
+        for c_p in c[grid:]:
+            p_plus, p_minus = dp + c_p, dp - c_p
+            yield [
+                _map_verdict(q_plus, q_minus, p_plus, p_minus, one, tol, within)
+                for q_plus, q_minus in columns
+            ]
 
     return "cbar_p", "cbar_q", cbar, cbar, rows()
+
+
+def _cell_verdict(dq, dp, c_q, c_p):
+    """``robustness._map_verdict`` of the :class:`SymmetricModes` cell ``(dq, dp, c_q, c_p)``.
+
+    Raises :class:`ValidationError` for non-finite entries.
+    """
+    scale = _scale_of((dq, c_q, dp, c_p))
+    if not scale < math.inf:
+        raise ValidationError("covariance matrix contains non-finite entries")
+    (dq, dp, c_q, c_p, tol), one = _integers((dq, dp, c_q, c_p, _physicality_tol(scale)))
+    within = at_most(_band_at(scale))
+    return _map_verdict(dq + c_q, dq - c_q, dp + c_p, dp - c_p, one, tol, within)
 
 
 def _epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max):
@@ -364,7 +386,8 @@ def _epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max):
 
     ``p_plus = 1/(mu_plus^2 q_plus)`` is evaluated once per row and
     ``q_minus = 1/(mu_minus^2 p_minus)`` once per column, each as
-    :func:`epr_state` evaluates it.
+    :func:`epr_state` evaluates it.  Each cell's moments are rounded as
+    :func:`epr_state` rounds them, so its integers are formed per cell.
     """
     _require_finite(
         mu_minus=mu_minus, mu_plus=mu_plus, q_plus_max=q_plus_max, p_minus_max=p_minus_max
@@ -383,8 +406,7 @@ def _epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max):
         for x in q_plus:
             p_plus = _conjugate_variance(mu_plus, x)
             yield [
-                _map_verdict(_symmetric_modes_upper(*_epr_moments(x, p_plus, y, q_minus)))
-                for y, q_minus in columns
+                _cell_verdict(*_epr_moments(x, p_plus, y, q_minus)) for y, q_minus in columns
             ]
 
     return "q_plus_var", "p_minus_var", q_plus, p_minus, rows()
@@ -413,10 +435,9 @@ def region_map_correlations(dq: float, dp: float, grid: int) -> RegionMap:
     band; no unphysical cell is flagged, and the physicality boundary flag
     of ``validate_physicality`` is not carried over.  The cells are
     classified one at a time, so memory beyond the returned arrays does not
-    grow with ``grid``: the certified screen of :mod:`cvrobust.robustness`
-    decides most of them from the exact kernel's polynomials evaluated in
-    floats, and the others go through the exact kernel of ``classify``, so
-    every verdict is that kernel's own.
+    grow with ``grid``, each exactly and in closed form from its EPR
+    variances ``dq +- c_q`` and ``dp +- c_p`` (``robustness._map_verdict``),
+    so every verdict is that of the exact kernel of ``classify``.
     """
     return _region_map(*_correlation_cells(dq, dp, grid))
 

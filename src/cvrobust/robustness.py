@@ -19,11 +19,9 @@ same quantity by the transposed index.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
-from ._exact import Matrix, _corners, _laplace, _shifted, _uncertainty, at_most, ratio
-from ._exact import congruence, exact
+from ._exact import Matrix, at_most, congruence, exact, ratio
 from ._record import Record
 from .channel import _unit_samples
 from .covariance import (
@@ -32,8 +30,6 @@ from .covariance import (
     _as_cov,
     _exact_matrix,
     _exact_physical,
-    _physicality_tol,
-    _scale_of,
     _upper,
     validate_physicality,
 )
@@ -41,7 +37,6 @@ from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
 from .witnesses import (
     GammaSet,
-    _band_at,
     _finite,
     _gamma_of,
     _reduced,
@@ -186,7 +181,7 @@ def critical_transmittance(v, mode: int) -> float | None:
     return report.t1_critical if mode == 1 else report.t2_critical
 
 
-#: Robustness classes indexed by the codes of :func:`_class_code`.
+#: Robustness classes indexed by the codes of :func:`_code`.
 _CLASSES = (
     SEPARABLE,
     FRAGILE,
@@ -216,24 +211,13 @@ def _code(entangled, r1, r2, rf):
     return entangled * (1 + r1 + 2 * r2 + (rf & r1 & r2))
 
 
-def _class_code(corners, band):
-    """Corner-sign class decision on one matrix's float corners.
-
-    ``corners`` holds ``w_ppt, w_full, w_ch1, w_ch2`` and ``band`` the zero-band
-    half-width.  Returns the class code (an index into ``_CLASSES``) and,
-    per corner, whether its value lies inside the band.  Corners within the
-    band count as nonpositive.
-    """
-    w_ppt, w_full, w_ch1, w_ch2 = corners
-    code = _code(w_ppt < 0.0, w_ch1 <= band, w_ch2 <= band, w_full <= band)
-    return code, tuple(abs(w) <= band for w in corners)
-
-
 def _exact_class(x: Matrix, band: float):
-    """:func:`_class_code` on the exact corners of a physical matrix.
+    """The class decision on the exact corners of a physical matrix.
 
     Returns the corners as ``(numerator, denominator)`` pairs, their values
-    rounded once, the class code and the per-corner band flags.  Raises
+    rounded once, the class code (an index into ``_CLASSES``) and, per
+    corner, whether it lies in the zero band of half-width ``band``.
+    Corners within the band count as nonpositive.  Raises
     :class:`ValidationError` when a rounded corner is not finite.
     """
     corners = x.corners()
@@ -245,116 +229,42 @@ def _exact_class(x: Matrix, band: float):
     return corners, values, code, flags
 
 
-_EPS = sys.float_info.epsilon
+def _map_verdict(q_plus, q_minus, p_plus, p_minus, one, tol, within):
+    """The region maps' verdict ``(code, boundary)`` of one symmetric-mode cell, exactly.
 
-#: Roundoff bound of the screen's float polynomials against their exact
-#: values, per unit of ``scale**k`` for a polynomial of degree ``k``, with
-#: ``scale = max(1, max|V|)``; the corners, of degrees 2 to 4, count as
-#: degree 4.  A chain of sums and products in which no term of the expanded
-#: result passes through more than ``d`` roundings errs by at most
-#: ``d*eps/2`` times the same chain evaluated on the absolute values with
-#: every sign ``+`` (Higham, Accuracy and Stability of Numerical Algorithms,
-#: sec. 3.1).  With entries at most ``scale >= 1`` and the tolerance at most
-#: ``1e-9*scale``, that gives, in eps: 120 for ``det V``; 8, 77, 196 and 231
-#: for ``e1 .. e4`` shifted by ``+tol``; and 231, 84, 288 and 288 for the
-#: corners ``w_ppt``, ``w_full``, ``w_ch1`` and ``w_ch2``.  The largest
-#: errors measured on random states and map cells were 2.6 for the
-#: determinants, 10.7 for the shifted ``e_k`` and 2.4 for the corners;
-#: ``tests/test_screen.py`` checks both the derivation and the measurement.
-_INVARIANT_ROUNDOFF = 512 * _EPS
-
-#: Largest ``scale**4`` the screen decides.  The quartic witnesses stay
-#: below 64*scale**4, far from overflow, so a cell whose exact corners would
-#: not round to finite values is never decided here.
-_SCREEN_MAX_SCALE4 = 2.0**1000
-
-
-def _screen(upper, scale: float):
-    """Certified map verdict of one symmetric matrix, or ``None`` when uncertain.
-
-    ``upper`` holds the ten finite upper-triangle floats and ``scale`` is
-    ``max(1, max|V|)``.  A verdict ``(code, boundary)`` equals that of the
-    exact kernel, :func:`_exact_verdict`: the code ``_UNPHYSICAL`` and no
-    flag where :func:`~cvrobust.covariance.validate_physicality` rejects the
-    matrix, else the class code of :func:`_exact_class` and whether a corner
-    lies in the zero band.  The screen evaluates the exact kernel's
-    polynomials in floats and decides only when their roundoff, bounded by
-    ``_INVARIANT_ROUNDOFF``, cannot move the matrix across a threshold.
-
-    Physicality.  The exact kernel decides ``lambda_min(V + i*Omega) >= -tol``
-    from the signs of ``e1 .. e4`` of ``V + tol*I + i*Omega``
-    (:func:`cvrobust._exact._uncertainty`, shifted by ``+tol``); the screen
-    evaluates the same polynomials on the floats.  The matrix is physical
-    when every shifted ``e_k`` exceeds ``_INVARIANT_ROUNDOFF * scale**k``
-    and unphysical when one lies below its negative.  Pure states, whose
-    ``e4`` vanishes, are never decided.  The map flags no unphysical cell and
-    flags a physical one only through its corners, so the ``-tol`` shift of
-    the boundary flag is not needed.
-
-    Corners.  The four corners ``w_ppt``, ``gamma11``,
-    ``gamma11 + gamma12`` and ``gamma11 + gamma21``, like the determinants
-    and ``e1 .. e4``, come from the functions of :mod:`cvrobust._exact`
-    (``_laplace``, ``_uncertainty`` and ``_corners``) called on the floats
-    with unit 1; the exact kernel calls the same functions on its integers.
-    The class of a physical matrix is certain when every corner is farther
-    than ``_INVARIANT_ROUNDOFF * scale**4`` from each threshold it is
-    compared with: 0 for ``w_ppt`` and the band edges ``+-band`` for all
-    four.  Scales whose fourth power reaches ``_SCREEN_MAX_SCALE4`` are
-    never decided.
-    """
-    scale2 = scale * scale
-    scale4 = scale2 * scale2  # a product: it overflows to inf where a power would raise
-    if not scale4 < _SCREEN_MAX_SCALE4:
-        return None
-    err1, err2 = _INVARIANT_ROUNDOFF * scale, _INVARIANT_ROUNDOFF * scale2
-    err3, err4 = _INVARIANT_ROUNDOFF * (scale2 * scale), _INVARIANT_ROUNDOFF * scale4
-    det_a1, _, _, det_c, det_a2, det_v = _laplace(*upper)
-    e1, e2, e3, e4 = _shifted(
-        _uncertainty(1, upper, det_a1, det_a2, det_c, det_v), _physicality_tol(scale)
-    )
-    if e1 < -err1 or e2 < -err2 or e3 < -err3 or e4 < -err4:
-        return _UNPHYSICAL, False
-    if not (e1 > err1 and e2 > err2 and e3 > err3 and e4 > err4):
-        return None
-    corners = _corners(1, upper, det_a1, det_a2, det_c, det_v)
-    band = _band_at(scale)
-    if not abs(corners[0]) > err4:
-        return None
-    for w in corners:
-        if not (abs(w - band) > err4 and abs(w + band) > err4):
-            return None
-    code, flags = _class_code(corners, band)
-    return code, any(flags)
-
-
-def _exact_verdict(upper, scale: float):
-    """Map verdict ``(code, boundary)`` of one symmetric matrix, exactly.
-
-    ``upper`` and ``scale`` are those of :func:`_screen`.  The verdicts of
-    ``validate_physicality`` and ``classify`` on the matrix: the code
-    ``_UNPHYSICAL`` and no flag when it is unphysical, else its class code
-    and whether a corner lies in the zero band.  The physicality boundary
-    flag is not a map flag, so its ``-tol`` shift is not evaluated.  Raises
+    The cell ``a1 = a2 = diag(dq, dp)``, ``c = diag(c_q, c_p)`` enters by
+    its EPR variances ``q_pm = dq +- c_q`` and ``p_pm = dp +- c_p`` and the
+    physicality tolerance ``tol``, all integers over ``one``; ``within`` is
+    ``at_most(band)`` for the cell's zero band.  The verdicts are those of
+    ``validate_physicality`` and ``classify`` on the cell's matrix: the
+    code ``_UNPHYSICAL`` and no flag when it is unphysical, else its class
+    code and whether a corner lies in the zero band.  Raises
     :class:`ValidationError` when a rounded corner is not finite.
+
+    A balanced beam splitter is orthogonal and symplectic, and it takes
+    ``V + i*Omega`` to the one-mode blocks ``diag(q, p) + i*J`` of
+    ``(q_+, p_+)`` and ``(q_-, p_-)``.  So ``lambda_min(V + i*Omega) >= -tol``
+    holds exactly when, for both, ``q + p + 2 tol >= 0`` and
+    ``(q + tol)(p + tol) >= 1``.  The corners are those of
+    :class:`~cvrobust.families.EprSummary`'s witnesses:
+    ``w_ppt = w_prod * w_prod_bar``, ``w_full = w_sum * w_sum_bar`` and
+    ``w_ch1 = w_ch2 = (w_sum * w_prod_bar + w_prod * w_sum_bar) / 2``.
     """
-    x = Matrix(upper)
-    if not x.physical(_physicality_tol(scale)):
-        return _UNPHYSICAL, False
-    _, _, code, flags = _exact_class(x, _band_at(scale))
-    return code, any(flags)
-
-
-def _map_verdict(upper):
-    """The region maps' verdict ``(code, boundary)`` of one cell's ten upper-triangle floats.
-
-    :func:`_screen` decides most cells; the rest go through
-    :func:`_exact_verdict`, so every verdict is that of the exact kernel.
-    Raises :class:`ValidationError` for non-finite entries.
-    """
-    scale = _scale_of(upper)
-    if not scale < math.inf:
-        raise ValidationError("covariance matrix contains non-finite entries")
-    return _screen(upper, scale) or _exact_verdict(upper, scale)
+    one2 = one * one
+    for q, p in ((q_plus, p_plus), (q_minus, p_minus)):
+        q, p = q + tol, p + tol
+        if q + p < 0 or q * p < one2:
+            return _UNPHYSICAL, False
+    prod, prod_bar = p_minus * q_plus - one2, p_plus * q_minus - one2
+    two = 2 * one
+    w_sum, w_sum_bar = p_minus + q_plus - two, p_plus + q_minus - two
+    ppt, ppt_den = prod * prod_bar, one2 * one2
+    full, ch, ch_den = w_sum * w_sum_bar, w_sum * prod_bar + prod * w_sum_bar, two * one2
+    _finite([ratio(ppt, ppt_den), ratio(full, one2), ratio(ch, ch_den)])
+    robust = within(ch, ch_den)
+    code = _code(ppt < 0, robust, robust, within(full, one2))
+    boundary = within(abs(ppt), ppt_den) or within(abs(full), one2) or within(abs(ch), ch_den)
+    return code, boundary
 
 
 def classify(v) -> RobustnessReport:

@@ -24,9 +24,11 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
-from cvrobust.covariance import _exact_of, _scale_of, _upper
+from cvrobust._exact import Matrix
+from cvrobust.covariance import _exact_of, _physicality_tol, _scale_of, _upper
 from cvrobust.families import _REGIONS
-from cvrobust.robustness import _exact_verdict
+from cvrobust.robustness import _UNPHYSICAL, _exact_class
+from cvrobust.witnesses import _band_at
 
 I4 = np.eye(4)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -412,17 +414,41 @@ def reference_region_labels(x, y, cell):
     return labels, boundary
 
 
-def reference_region_map(x, y, cell):
-    """Labels and boundary flags of a region map, every cell through the exact kernel.
+def symmetric_modes_upper(dq, dp, c_q, c_p) -> tuple:
+    """The ten upper-triangle entries of a ``SymmetricModes`` matrix, row by row."""
+    return (dq, 0.0, c_q, 0.0, dp, 0.0, c_p, dq, 0.0, dp)
 
-    The region maps without the certified screen: every cell goes through
-    ``robustness._exact_verdict``, the per-cell exact verdict that
-    ``classify`` uses.  ``cell(x, y)`` gives the ten upper-triangle entries
-    of the cell's matrix, as the region maps build them.
+
+def exact_verdict(upper):
+    """Map verdict ``(code, boundary)`` of one symmetric matrix through ``_exact.Matrix``.
+
+    ``upper`` holds the ten finite upper-triangle floats.  The verdicts of
+    ``validate_physicality`` and ``classify`` on the general 4x4 kernel:
+    the code ``_UNPHYSICAL`` and no flag when the matrix is unphysical,
+    else its class code and whether a corner lies in the zero band.  The
+    physicality boundary flag is not a map flag, so its ``-tol`` shift is
+    not evaluated.  Raises ``ValidationError`` when a rounded corner is not
+    finite.
+    """
+    scale = _scale_of(upper)
+    x = Matrix(upper)
+    if not x.physical(_physicality_tol(scale)):
+        return _UNPHYSICAL, False
+    _, _, code, flags = _exact_class(x, _band_at(scale))
+    return code, any(flags)
+
+
+def reference_region_map(x, y, cell):
+    """Labels and boundary flags of a region map, every cell through ``_exact.Matrix``.
+
+    The oracle of the region maps' closed form: every cell goes through
+    :func:`exact_verdict`, the general exact kernel that ``classify`` uses.
+    ``cell(x, y)`` gives the ten upper-triangle entries of the cell's
+    matrix, as the region maps build them.
     """
     ys = list(map(float, y))
     verdicts = [
-        [_exact_verdict(upper, _scale_of(upper)) for upper in (cell(xi, yj) for yj in ys)]
+        [exact_verdict(upper) for upper in (cell(xi, yj) for yj in ys)]
         for xi in map(float, x)
     ]
     labels = np.array([[_REGIONS[code] for code, _ in row] for row in verdicts], dtype=object)

@@ -1,6 +1,8 @@
 """Command-line interface: file formats, subcommands, exit codes, determinism."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -570,3 +572,16 @@ class TestDeterminism:
         out.write_text("stale")
         assert run(["validate", cm_d_file, "-o", str(out)]) == 0
         assert strict_json(out.read_text())["physical"] is True
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_output_file_mode_follows_umask(self, umask, tmp_path):
+        out = tmp_path / "m.csv"
+        previous = os.umask(umask)
+        try:
+            assert run(["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "3",
+                        "-o", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask

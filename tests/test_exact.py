@@ -21,12 +21,13 @@ from cvrobust import (
     gamma_coefficients,
     minimized_duan,
     random_physical_state,
+    region_map_correlations,
+    region_map_epr,
     validate_physicality,
 )
 from cvrobust import _exact
 from cvrobust.cli import main, state_file_text
-from cvrobust.covariance import _exact_matrix, _scale_of, _upper
-from cvrobust.robustness import _exact_verdict
+from cvrobust.covariance import _exact_matrix
 from helpers import (
     CM_A,
     CM_B,
@@ -139,18 +140,19 @@ def test_validate_evaluates_the_invariants_once(monkeypatch):
 
 
 def test_map_verdicts_skip_the_boundary_shift(monkeypatch):
-    # The map flags no physicality boundary: the exact fallback of a map
-    # cell makes one +tol shift.
-    shifts = []
-    original = _exact._shifted
-    monkeypatch.setattr(_exact, "_shifted", lambda e, s: shifts.append(s) or original(e, s))
-    for v in (CM_A, CM_D, HIGHLY_SQUEEZED):
-        upper = _upper(v.tolist())
-        _exact_verdict(upper, _scale_of(upper))
-    assert len(shifts) == 3 and all(s > 0 for s in shifts)
-    shifts.clear()
+    # Map cells are decided in closed form on their EPR variances: no cell
+    # builds the general matrix or shifts its uncertainty invariants.
+    matrices, shifts = [], []
+    original_init, original_shifted = _exact.Matrix.__init__, _exact._shifted
+    monkeypatch.setattr(
+        _exact.Matrix, "__init__", lambda x, upper: matrices.append(1) or original_init(x, upper)
+    )
+    monkeypatch.setattr(_exact, "_shifted", lambda e, s: shifts.append(s) or original_shifted(e, s))
+    region_map_correlations(2.55, 1.80, 9)
+    region_map_epr(1.0, 1.0, 9)
+    assert matrices == [] and shifts == []
     assert validate_physicality(HIGHLY_SQUEEZED).physical
-    assert len(shifts) == 2
+    assert len(matrices) == 1 and len(shifts) == 2
 
 
 @pytest.mark.parametrize("squeeze_max", [3, 5, 7, 9, 11])

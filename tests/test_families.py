@@ -274,6 +274,13 @@ class TestEprPartialWitness:
                 continue
             assert np.sign(w_epr) == np.sign(w_ch)
 
+    def test_is_twice_channel_witness_random(self):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            v = build_symmetric(rng)
+            w_ch = channel_robustness_witness(v, 1)
+            assert epr_partial_witness(v) == pytest.approx(2.0 * w_ch, rel=1e-9, abs=1e-9)
+
     def test_separable_symmetric_state_nonnegative(self):
         v = build(SymmetricModes(dq=1.2, dp=1.1, c_q=0.05, c_p=-0.05))
         assert ppt_witness(v) >= 0
