@@ -2,26 +2,22 @@
 
 Every float is ``p/2^k``, so scaling the ten upper-triangle entries by their
 common denominator ``D = 2^K`` turns them into integers, and an invariant of
-degree ``k`` into an integer over ``D^k``.  Its sign is then decided, and
-its value rounded once (CPython's ``int / int`` is correctly rounded),
-without intermediate roundoff.
+degree ``k`` into an integer over ``D^k``: its sign is decided, and its
+value rounded once (CPython's ``int / int`` is correctly rounded), without
+intermediate roundoff.  A value is reported as ``(numerator, denominator)``;
+:func:`ratio` rounds it.
 
-Physicality is ``lambda_min(V + i*Omega) >= -tol``.  For a Hermitian ``H``
-the characteristic polynomial ``x^4 - e1 x^3 + e2 x^2 - e3 x + e4`` has real
-roots, and ``e_k``, the sum of the ``k x k`` principal minors of ``H``, is
-the ``k``-th elementary symmetric function of them.  So every eigenvalue is
-``>= 0`` exactly when every ``e_k >= 0``, and ``> 0`` exactly when every
-``e_k > 0``.  Of ``H = W + i*Omega`` with real symmetric ``W`` the four are
-those of ``W`` less the entries ``Omega`` adds:
-
-* ``e1 = tr W``;
-* ``e2 = e2(W) - 2``;
-* ``e3 = e3(W) - tr W``;
-* ``e4 = det W + 1 - det a1 - det a2 - 2 det c`` over ``W``'s 2x2 blocks.
-
-The shift ``W = V + s*I`` moves them by ``e_k(H + s) =
-sum_j C(4 - j, k - j) s^(k - j) e_j(H)``, so the invariants of ``V`` serve
-both shifts, ``+tol`` for the verdict and ``-tol`` for the boundary flag.
+Physicality is ``lambda_min(V + i*Omega) >= -tol``.  The characteristic
+polynomial ``x^4 - e1 x^3 + e2 x^2 - e3 x + e4`` of a Hermitian ``H`` has
+real roots, and ``e_k``, the sum of its ``k x k`` principal minors, is their
+``k``-th elementary symmetric function, so every eigenvalue is ``>= 0``
+(``> 0``) exactly when every ``e_k`` is.  Of ``H = W + i*Omega`` with real
+symmetric ``W`` they are ``e1 = tr W``, ``e2 = e2(W) - 2``,
+``e3 = e3(W) - tr W`` and ``e4 = det W + 1 - det a1 - det a2 - 2 det c``
+over ``W``'s 2x2 blocks.  The shift ``W = V + s*I`` moves them by
+``e_k(H + s) = sum_j C(4 - j, k - j) s^(k - j) e_j(H)``, so the invariants
+of ``V`` serve both shifts, ``+tol`` for the verdict and ``-tol`` for the
+boundary flag.
 
 The witness invariants are the polynomials of the Gamma decomposition with
 ``V = [[a1, c], [c^T, a2]]``, ``sigma_j = tr a_j - 2`` and
@@ -46,14 +42,11 @@ The witness polynomials are written once, as the module functions
 :func:`_parts` and :func:`_corners` of the ten entries and a unit ``one``,
 homogeneous so that the unit stands for 1.  :class:`Matrix` calls them on
 its integers with ``one = D``, for physicality, ``classify`` and the Gamma
-set.  ``ppt_witness`` and ``scan``'s attenuated witness (:func:`_laplace`
-and :func:`_w_ppt`) call them on one matrix's floats with ``one = 1``,
-where each ``one * x`` is an exact multiply.  The region maps need no
-:class:`Matrix`: their symmetric-mode cells are decided exactly from the
-EPR variances (``robustness._map_verdict``), over the same kind of common
-denominator (:func:`_integers`).
-
-A value is reported as ``(numerator, denominator)``; :func:`ratio` rounds it.
+set; ``ppt_witness`` and ``scan``'s attenuated witness call :func:`_laplace`
+and :func:`_w_ppt` on one matrix's floats with ``one = 1``.  The region maps
+need no :class:`Matrix`: ``robustness._map_row`` decides their
+symmetric-mode cells exactly from the EPR variances, integers over one
+power-of-two denominator per map (:func:`_integers`).
 
 Congruences are exact the same way.  :func:`exact` holds a matrix of floats
 as ``(integer rows, D)``, :func:`product` multiplies two such matrices

@@ -155,17 +155,12 @@ def read_state_file(path: str) -> tuple[CovMatrix, str]:
     return cov, label
 
 
-def state_file_text(v: CovMatrix, label: str) -> str:
-    data = {
-        "label": label,
-        "ordering": CovMatrix.ORDERING,
-        "matrix": v.tolist(),
-    }
-    return json.dumps(data, indent=2) + "\n"
-
-
 def _json_text(data) -> str:
     return json.dumps(data, indent=2) + "\n"
+
+
+def state_file_text(v: CovMatrix, label: str) -> str:
+    return _json_text({"label": label, "ordering": CovMatrix.ORDERING, "matrix": v.tolist()})
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -218,21 +213,7 @@ def _cmd_classify(args) -> int:
             "a_opt": duan.a_opt,
             "degenerate_duan": duan.degenerate,
         },
-        "gamma": {
-            "gamma11": g.gamma11,
-            "gamma12": g.gamma12,
-            "gamma21": g.gamma21,
-            "gamma22": g.gamma22,
-            "lambda1": g.lambda1,
-            "lambda2": g.lambda2,
-            "lambda_c": g.lambda_c,
-            "lambda4": g.lambda4,
-            "eta": g.eta,
-            "sigma1": g.sigma1,
-            "sigma2": g.sigma2,
-            "impurity1": g.impurity1,
-            "impurity2": g.impurity2,
-        },
+        "gamma": vars(g),
         "symplectic": {
             "nu_minus": nu.nu_minus,
             "nu_plus": nu.nu_plus,

@@ -18,24 +18,25 @@ The EPR parametrization uses the collective quadratures
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, sub
 from typing import NamedTuple, Union
 
-from ._exact import _integers, at_most, congruence, exact, product, ratio
+from ._exact import _integers, congruence, exact, product, ratio
 from ._record import Record
 from .covariance import (
+    PHYSICALITY_TOL,
     SYMMETRY_RTOL,
     CovMatrix,
     LocalSymplectic,
     _as_cov,
     _beam_splitter,
     _exact_physical,
-    _physicality_tol,
     _require_physical,
     _scale_of,
 )
 from .errors import ValidationError
-from .robustness import _CLASSES, _map_verdict
-from .witnesses import _band_at
+from .robustness import _map_row
 
 __all__ = [
     "FullySymmetric",
@@ -288,19 +289,11 @@ def _epr_moments(q_plus_var, p_plus_var, p_minus_var, q_minus_var):
     )
 
 
-#: Region codes used by the maps.
-_REGION_OF_LABEL = {
-    "FullyRobust": "I",
-    "PartiallyRobustSymmetric": "II",
-    "PartiallyRobustAsymmetric": "II",
-    "Fragile": "III",
-    "Separable": "IV",
-}
-
 UNPHYSICAL = "unphysical"
 
-#: Region code of each robustness class code, then of an unphysical cell.
-_REGIONS = tuple(_REGION_OF_LABEL[cls.label] for cls in _CLASSES) + (UNPHYSICAL,)
+#: Region of each class code (``robustness._CLASSES``: separable, fragile, partially
+#: robust on channel 1, on 2, on both, fully robust), then of an unphysical cell.
+_REGIONS = ("IV", "III", "II", "II", "II", "I", UNPHYSICAL)
 
 class RegionMap(NamedTuple):
     """Labeled grid of robustness regions.
@@ -326,6 +319,8 @@ def _require_finite(**params) -> None:
 
 def _cell_centers(lo: float, hi: float, n: int) -> list:
     """The centers of ``n`` equal cells partitioning ``[lo, hi]``."""
+    if n < 1:
+        raise ValidationError("grid must be positive")
     width = (hi - lo) / n
     return [lo + width * (k + 0.5) for k in range(n)]
 
@@ -334,80 +329,79 @@ def _correlation_cells(dq: float, dp: float, grid: int):
     """The axes and verdict rows of :func:`region_map_correlations`, as lists.
 
     Returns ``(x_name, y_name, x, y, rows)``: the axis names, the cell
-    centers of each axis and an iterator over the rows.  Row ``i`` is the
-    list of ``(code, boundary)`` verdicts of the cells ``(x[i], y[j])``
-    (``robustness._map_verdict``, with the codes indexing ``_REGIONS``).
-    The cells are evaluated one row at a time as the rows are read, so
-    memory does not grow with ``grid``; the arguments are checked at the
-    call.  Every cell has the tolerance unit ``max(1, dq, dp)``, since
-    ``|c_q| <= dq`` and ``|c_p| <= dp``, so the variances, correlations and
-    tolerance become integers over one denominator once per map, and the
-    EPR variances are summed once per row and once per column.
+    centers of each axis and an iterator over the rows, each the list of
+    ``robustness._map_row`` verdicts ``(code, boundary)`` of the cells
+    ``(x[i], y[j])`` (the codes index ``_REGIONS``).  A row is decided as it
+    is read, so memory does not grow with ``grid``; the arguments are
+    checked at the call.  The entries become integers over one denominator
+    per map, the EPR variances are summed once per row and once per column,
+    and every cell has the tolerance unit ``max(1, dq, dp)``, since
+    ``|c_q| <= dq`` and ``|c_p| <= dp``.
     """
     _require_finite(dq=dq, dp=dp)
     if dq < 1.0 or dp < 1.0:
         raise ValidationError("variances must be at least the vacuum level 1")
-    if grid < 1:
-        raise ValidationError("grid must be positive")
     dq, dp = float(dq), float(dp)
     cbar = _cell_centers(-1.0, 1.0, grid)
     scale = max(dq, dp)
     correlations = [cbar_q * dq for cbar_q in cbar] + [cbar_p * dp for cbar_p in cbar]
-    (dq, dp, tol, *c), one = _integers([dq, dp, _physicality_tol(scale), *correlations])
-    within = at_most(_band_at(scale))
-    columns = [(dq + c_q, dq - c_q) for c_q in c[:grid]]
+    # PHYSICALITY_TOL puts its denominator 2^82 in one, as _map_row needs.
+    (dq, dp, _, *c), one = _integers([dq, dp, PHYSICALITY_TOL, *correlations])
+    q_plus, q_minus = [dq + c_q for c_q in c[:grid]], [dq - c_q for c_q in c[:grid]]
+    scales = repeat(scale)
 
     def rows():
         for c_p in c[grid:]:
-            p_plus, p_minus = dp + c_p, dp - c_p
-            yield [
-                _map_verdict(q_plus, q_minus, p_plus, p_minus, one, tol, within)
-                for q_plus, q_minus in columns
-            ]
+            yield _map_row(one, q_plus, q_minus, repeat(dp + c_p), repeat(dp - c_p), scales)
 
     return "cbar_p", "cbar_q", cbar, cbar, rows()
-
-
-def _cell_verdict(dq, dp, c_q, c_p):
-    """``robustness._map_verdict`` of the :class:`SymmetricModes` cell ``(dq, dp, c_q, c_p)``.
-
-    Raises :class:`ValidationError` for non-finite entries.
-    """
-    scale = _scale_of((dq, c_q, dp, c_p))
-    if not scale < math.inf:
-        raise ValidationError("covariance matrix contains non-finite entries")
-    (dq, dp, c_q, c_p, tol), one = _integers((dq, dp, c_q, c_p, _physicality_tol(scale)))
-    within = at_most(_band_at(scale))
-    return _map_verdict(dq + c_q, dq - c_q, dp + c_p, dp - c_p, one, tol, within)
 
 
 def _epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max):
     """The axes and verdict rows of :func:`region_map_epr`, as in :func:`_correlation_cells`.
 
     ``p_plus = 1/(mu_plus^2 q_plus)`` is evaluated once per row and
-    ``q_minus = 1/(mu_minus^2 p_minus)`` once per column, each as
-    :func:`epr_state` evaluates it.  Each cell's moments are rounded as
-    :func:`epr_state` rounds them, so its integers are formed per cell.
+    ``q_minus = 1/(mu_minus^2 p_minus)`` once per column, as :func:`epr_state`
+    does, and each cell's moments are rounded as :func:`_epr_moments` rounds
+    them.  A rounded ``(a +- b)/2`` is a multiple of half the common
+    denominator of ``a`` and ``b``, so every moment is an integer over twice
+    the axes' common denominator, one per map.  A row ends at its first cell
+    whose entries are not finite, which raises once the cells before it are
+    decided.
     """
     _require_finite(
         mu_minus=mu_minus, mu_plus=mu_plus, q_plus_max=q_plus_max, p_minus_max=p_minus_max
     )
     if not (0.0 < mu_minus <= 1.0 and 0.0 < mu_plus <= 1.0):
         raise ValidationError("partial purities must lie in (0, 1]")
-    if grid < 1:
-        raise ValidationError("grid must be positive")
     q_plus = _cell_centers(0.0, q_plus_max, grid)
     p_minus = _cell_centers(0.0, p_minus_max, grid)
     if min(q_plus) <= 0.0 or min(p_minus) <= 0.0:
         raise ValidationError("EPR variances must be positive")
-    columns = [(y, _conjugate_variance(mu_minus, y)) for y in p_minus]
+    p_plus = [_conjugate_variance(mu_plus, x) for x in q_plus]
+    q_minus = [_conjugate_variance(mu_minus, y) for y in p_minus]
+    axes = [v for v in (*q_plus, *p_plus, *p_minus, *q_minus) if v < math.inf]
+    # Twice the axes' common denominator, and at least PHYSICALITY_TOL's 2^82.
+    one = _integers([*axes, PHYSICALITY_TOL])[1] << 1
+    bits = one.bit_length()
+
+    def integers(values):
+        return [n << (bits - d.bit_length()) for n, d in map(float.as_integer_ratio, values)]
 
     def rows():
-        for x in q_plus:
-            p_plus = _conjugate_variance(mu_plus, x)
-            yield [
-                _cell_verdict(*_epr_moments(x, p_plus, y, q_minus)) for y, q_minus in columns
-            ]
+        for x, pp in zip(q_plus, p_plus):
+            dq = [0.5 * (x + qm) for qm in q_minus]
+            dp = [0.5 * (pp + y) for y in p_minus]
+            scales = list(map(max, repeat(1.0), dq, dp))  # |c_q| <= dq and |c_p| <= dp
+            end = scales.index(math.inf) if math.inf in scales else grid
+            dq, dp = integers(dq[:end]), integers(dp[:end])
+            c_q = integers([0.5 * (x - qm) for qm in q_minus[:end]])
+            c_p = integers([0.5 * (pp - y) for y in p_minus[:end]])
+            q_pm = map(add, dq, c_q), map(sub, dq, c_q)
+            row = _map_row(one, *q_pm, map(add, dp, c_p), map(sub, dp, c_p), scales)
+            if end < grid:
+                raise ValidationError("covariance matrix contains non-finite entries")
+            yield row
 
     return "q_plus_var", "p_minus_var", q_plus, p_minus, rows()
 
@@ -433,11 +427,11 @@ def region_map_correlations(dq: float, dp: float, grid: int) -> RegionMap:
     ``"unphysical"`` where ``validate_physicality`` rejects it.  A physical
     cell is flagged ``boundary`` when a corner witness lies in the zero
     band; no unphysical cell is flagged, and the physicality boundary flag
-    of ``validate_physicality`` is not carried over.  The cells are
-    classified one at a time, so memory beyond the returned arrays does not
-    grow with ``grid``, each exactly and in closed form from its EPR
-    variances ``dq +- c_q`` and ``dp +- c_p`` (``robustness._map_verdict``),
-    so every verdict is that of the exact kernel of ``classify``.
+    of ``validate_physicality`` is not carried over.  The cells are decided
+    one row at a time, so memory beyond the returned arrays does not grow
+    with ``grid``, each exactly and in closed form from its EPR variances
+    ``dq +- c_q`` and ``dp +- c_p``, integers over one denominator per map
+    (``robustness._map_row``), so every verdict is that of ``classify``.
     """
     return _region_map(*_correlation_cells(dq, dp, grid))
 

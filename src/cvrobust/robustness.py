@@ -30,6 +30,7 @@ from .covariance import (
     _as_cov,
     _exact_matrix,
     _exact_physical,
+    _physicality_tol,
     _upper,
     validate_physicality,
 )
@@ -37,6 +38,7 @@ from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
 from .witnesses import (
     GammaSet,
+    _band_at,
     _finite,
     _gamma_of,
     _reduced,
@@ -229,42 +231,70 @@ def _exact_class(x: Matrix, band: float):
     return corners, values, code, flags
 
 
-def _map_verdict(q_plus, q_minus, p_plus, p_minus, one, tol, within):
-    """The region maps' verdict ``(code, boundary)`` of one symmetric-mode cell, exactly.
+#: ``ratio(num, den)`` overflows exactly when ``|num| >= _OVERFLOW * den``: the
+#: midpoint of the largest float and ``2^1024`` rounds to even, to ``2^1024``.
+_OVERFLOW = ((1 << 54) - 1) << 970
 
-    The cell ``a1 = a2 = diag(dq, dp)``, ``c = diag(c_q, c_p)`` enters by
-    its EPR variances ``q_pm = dq +- c_q`` and ``p_pm = dp +- c_p`` and the
-    physicality tolerance ``tol``, all integers over ``one``; ``within`` is
-    ``at_most(band)`` for the cell's zero band.  The verdicts are those of
-    ``validate_physicality`` and ``classify`` on the cell's matrix: the
-    code ``_UNPHYSICAL`` and no flag when it is unphysical, else its class
-    code and whether a corner lies in the zero band.  Raises
-    :class:`ValidationError` when a rounded corner is not finite.
 
-    A balanced beam splitter is orthogonal and symplectic, and it takes
-    ``V + i*Omega`` to the one-mode blocks ``diag(q, p) + i*J`` of
-    ``(q_+, p_+)`` and ``(q_-, p_-)``.  So ``lambda_min(V + i*Omega) >= -tol``
-    holds exactly when, for both, ``q + p + 2 tol >= 0`` and
-    ``(q + tol)(p + tol) >= 1``.  The corners are those of
-    :class:`~cvrobust.families.EprSummary`'s witnesses:
-    ``w_ppt = w_prod * w_prod_bar``, ``w_full = w_sum * w_sum_bar`` and
-    ``w_ch1 = w_ch2 = (w_sum * w_prod_bar + w_prod * w_sum_bar) / 2``.
+def _map_row(one, q_plus, q_minus, p_plus, p_minus, scales) -> list:
+    """The verdicts ``(code, boundary)`` of one row of region map cells, exactly.
+
+    Cell ``j`` (``a1 = a2 = diag(dq, dp)``, ``c = diag(c_q, c_p)``) enters by
+    its EPR variances ``q_plus[j] = dq + c_q``, ``q_minus[j] = dq - c_q``,
+    ``p_plus[j] = dp + c_p`` and ``p_minus[j] = dp - c_p``, integers over a
+    power of two ``one >= 2^82`` (so that every tolerance is one too), and by
+    its tolerance unit ``scales[j]``.  The verdicts are those of
+    ``validate_physicality`` and ``classify`` on its matrix: ``_UNPHYSICAL``
+    and no flag, else the class code and whether a corner is in the zero
+    band.  Raises :class:`ValidationError` when a rounded corner is not finite.
+
+    A balanced beam splitter, orthogonal and symplectic, takes ``V + i*Omega``
+    to the one-mode blocks ``diag(q, p) + i*J`` of ``(q_+, p_+)`` and
+    ``(q_-, p_-)``, so the cell is physical when, for both, ``q + p + 2 tol
+    >= 0`` and ``(q + tol)(p + tol) >= 1``.  Its corners are those of
+    :class:`~cvrobust.families.EprSummary`: ``w_ppt = w_prod * w_prod_bar``,
+    ``w_full = w_sum * w_sum_bar`` and ``w_ch1 = w_ch2 = (w_sum * w_prod_bar
+    + w_prod * w_sum_bar) / 2``, over ``one^4``, ``one^2`` and ``2 one^3``.  A
+    corner ``w`` over ``den`` with ``|w| >= _OVERFLOW den`` rounds to no float,
+    and ``_finite`` raises; below that limit it is in a band ``b`` when
+    ``w <= b den``, an integer here.  An infinite band takes the limit, so it
+    flags every corner.  Tolerance and band change with the scale only.
     """
     one2 = one * one
-    for q, p in ((q_plus, p_plus), (q_minus, p_minus)):
-        q, p = q + tol, p + tol
-        if q + p < 0 or q * p < one2:
-            return _UNPHYSICAL, False
-    prod, prod_bar = p_minus * q_plus - one2, p_plus * q_minus - one2
-    two = 2 * one
-    w_sum, w_sum_bar = p_minus + q_plus - two, p_plus + q_minus - two
-    ppt, ppt_den = prod * prod_bar, one2 * one2
-    full, ch, ch_den = w_sum * w_sum_bar, w_sum * prod_bar + prod * w_sum_bar, two * one2
-    _finite([ratio(ppt, ppt_den), ratio(full, one2), ratio(ch, ch_den)])
-    robust = within(ch, ch_den)
-    code = _code(ppt < 0, robust, robust, within(full, one2))
-    boundary = within(abs(ppt), ppt_den) or within(abs(full), one2) or within(abs(ch), ch_den)
-    return code, boundary
+    dens = (one2 * one2, one2, 2 * one * one2)
+    limit_ppt, limit_full, limit_ch = limits = [_OVERFLOW * den for den in dens]
+    bits, two = one.bit_length(), one + one  # one = 2^(bits - 1)
+    row, seen, tol_float = [], None, None
+    for qp, qm, pp, pm, scale in zip(q_plus, q_minus, p_plus, p_minus, scales):
+        if scale != seen:
+            seen, band = scale, None
+            if _physicality_tol(scale) != tol_float:
+                tol_float = _physicality_tol(scale)
+                n, d = tol_float.as_integer_ratio()
+                tol = n * one // d
+        q, p, r, s = qp + tol, pp + tol, qm + tol, pm + tol
+        if q + p < 0 or r + s < 0 or q * p < one2 or r * s < one2:
+            row.append((_UNPHYSICAL, False))
+            continue
+        prod, prod_bar = pm * qp - one2, pp * qm - one2
+        w_sum, w_sum_bar = pm + qp - two, pp + qm - two
+        ppt, full = prod * prod_bar, w_sum * w_sum_bar
+        ch = w_sum * prod_bar + prod * w_sum_bar
+        a, b, c = abs(ppt), abs(full), abs(ch)
+        if a >= limit_ppt or b >= limit_full or c >= limit_ch:
+            _finite([ratio(w, den) for w, den in zip((ppt, full, ch), dens)])
+        if band is None:
+            band = _band_at(scale)
+            if band < math.inf:  # >= 1e-10, so over d <= 2^86 <= one^2
+                n, d = band.as_integer_ratio()
+                b_full = n << (2 * bits - 1 - d.bit_length())
+                b_ch, b_ppt = b_full << bits, b_full << (2 * bits - 2)
+            else:
+                b_ppt, b_full, b_ch = limits
+        robust = ch <= b_ch
+        code = _code(ppt < 0, robust, robust, full <= b_full)
+        row.append((code, a <= b_ppt or b <= b_full or c <= b_ch))
+    return row
 
 
 def classify(v) -> RobustnessReport:

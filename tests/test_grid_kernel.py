@@ -119,9 +119,9 @@ def test_corner_class_matches_decision_chain_on_every_sign_pattern():
 
 
 def test_map_memory_does_not_scale_with_chunked_cells():
-    # 90 601 cells, decided one at a time from integers formed once per
-    # map: measured peak ~0.94 MB, of which ~0.8 MB is the returned labels
-    # and flags.
+    # 90 601 cells, decided one row at a time from integers over one
+    # denominator per map: measured peak ~0.91 MB, of which ~0.8 MB is the
+    # returned labels and flags.
     tracemalloc.start()
     try:
         region_map_correlations(DQ, DP, 301)

@@ -1,10 +1,11 @@
 """The region maps' closed form against the general exact kernel.
 
-Every map cell is a ``SymmetricModes`` matrix, and ``robustness._map_verdict``
-decides it exactly from its four EPR variances.  Its verdict (physicality,
-class and boundary flag) must be that of the general 4x4 kernel,
-``_exact.Matrix`` (``helpers.exact_verdict``), on every cell, and a region
-map must equal its all-kernel reference.
+Every map cell is a ``SymmetricModes`` matrix, and the row kernel
+``robustness._map_row`` decides it exactly from its four EPR variances,
+integers over one denominator per map.  Its verdict (physicality, class and
+boundary flag) must be that of the general 4x4 kernel, ``_exact.Matrix``
+(``helpers.exact_verdict``), on every cell, and a region map must equal its
+all-kernel reference.
 """
 
 import math
@@ -20,10 +21,12 @@ from cvrobust import (
     region_map_epr,
     validate_physicality,
 )
-from cvrobust._exact import Matrix
-from cvrobust.covariance import _physicality_tol, _scale_of
-from cvrobust.families import _cell_centers, _cell_verdict, _epr_moments
-from cvrobust.robustness import _CLASSES
+from cvrobust import families
+from cvrobust._exact import Matrix, _integers, ratio
+from cvrobust.covariance import PHYSICALITY_TOL, _physicality_tol, _scale_of
+from cvrobust.families import _cell_centers, _epr_moments
+from cvrobust.robustness import _CLASSES, _OVERFLOW, _map_row
+from cvrobust.witnesses import _finite
 from helpers import (
     HIGHLY_SQUEEZED,
     exact_verdict,
@@ -86,14 +89,20 @@ EDGE_MAPS = {
     "pure": (epr, 1.0, 1.0),
     "mu-plus-1": (epr, 0.3, 1.0),
     "mu-minus-1": (epr, 1.0, 0.3),
+    # Variances up to 1e7, where the tolerance leaves its 1e-9 floor (up to
+    # 3.5e-8), and axes in different binades: one denominator per map.
+    "pure-1e7": (epr, 1.0, 1.0, 1e7, 1e7),
+    "mixed-1e7": (epr, 0.7267, 0.4529, 1e7, 1e7),
+    "pure-binades": (epr, 1.0, 1.0, 1e-3, 1e3),
+    "mixed-binades": (epr, 0.5, 0.8, 1e3, 1e-3),
 }
 
 
 @pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("name", sorted(EDGE_MAPS))
 def test_edge_maps_equal_all_kernel_path(name, grid):
-    kind, a, b = EDGE_MAPS[name]
-    assert_map_matches_kernels(*kind(a, b, grid))
+    kind, a, b, *extent = EDGE_MAPS[name]
+    assert_map_matches_kernels(*kind(a, b, grid, *extent))
 
 
 @pytest.mark.parametrize(
@@ -112,9 +121,20 @@ def test_pinned_states_fall_back_to_kernels(m, physical, boundary):
     assert (d.physical, d.boundary) == (physical, boundary)
 
 
+def kernel_verdict(dq, dp, c_q, c_p):
+    """``robustness._map_row`` on the one ``SymmetricModes`` cell ``(dq, dp, c_q, c_p)``.
+
+    ``PHYSICALITY_TOL`` joins the entries' common denominator, so it is at
+    least ``2^82``, as the kernel needs.
+    """
+    scale = _scale_of((dq, dp, c_q, c_p))
+    (dq, dp, c_q, c_p, _), one = _integers((dq, dp, c_q, c_p, PHYSICALITY_TOL))
+    return _map_row(one, [dq + c_q], [dq - c_q], [dp + c_p], [dp - c_p], [scale])[0]
+
+
 def test_screen_decides_a_matrix_that_is_not_positive_as_unphysical():
     assert not validate_physicality(np.diag([-1.0, 1.0, 1.0, 1.0])).physical
-    assert _cell_verdict(-1.0, 1.0, 0.0, 0.0) == (UNPHYSICAL, False)
+    assert kernel_verdict(-1.0, 1.0, 0.0, 0.0) == (UNPHYSICAL, False)
 
 
 def outcome(build):
@@ -186,7 +206,7 @@ def verdict_cells():
 def test_closed_form_verdict_equals_matrix_oracle_on_random_cells():
     seen = set()
     for cell in verdict_cells():
-        verdict = outcome(lambda: _cell_verdict(*cell))
+        verdict = outcome(lambda: kernel_verdict(*cell))
         assert verdict == outcome(lambda: exact_verdict(symmetric_modes_upper(*cell))), cell
         seen.add(verdict)
     codes = {v[0] for v in seen if isinstance(v, tuple)}
@@ -209,3 +229,55 @@ def test_corners_equal_epr_closed_forms_exactly():
         assert [Fraction(n, d) for n, d in corners] == [
             w_prod * w_prod_bar, w_sum * w_sum_bar, w_ch, w_ch
         ]
+
+
+@pytest.mark.parametrize("bits", [82, 83, 120, 1100])
+def test_overflow_limits_equal_ratio(bits):
+    # The kernel raises where |w| >= _OVERFLOW * den for a corner w over den:
+    # exactly where ratio(w, den) overflows and _finite raises.
+    one = 1 << bits
+    one2 = one * one
+    expected = outcome(lambda: _finite([math.inf]))
+    assert "not finite" in expected
+    for den in (one2 * one2, one2, 2 * one * one2):
+        limit = _OVERFLOW * den
+        for sign in (1, -1):
+            assert math.isfinite(ratio(sign * (limit - 1), den))
+            for num in (limit, limit + 1):
+                assert ratio(sign * num, den) == sign * math.inf
+                assert outcome(lambda: _finite([ratio(sign * num, den)])) == expected
+
+
+def test_epr_map_integers_are_the_rounded_moments(monkeypatch):
+    # Each cell's kernel integers over the map's one denominator equal the
+    # EPR variances of epr_state's rounded moments, and its scale (so its
+    # tolerance) is that of the moments.
+    rows = []
+    kernel = families._map_row
+
+    def record(one, *cells):
+        cells = [list(values) for values in cells]
+        rows.append((one, cells))
+        return kernel(one, *cells)
+
+    monkeypatch.setattr(families, "_map_row", record)
+    rng = np.random.default_rng(22)
+    off_floor = 0
+    for _ in range(12):
+        mu_minus, mu_plus = rng.uniform(0.01, 1.0, 2).tolist()
+        q_plus_max, p_minus_max = (10.0 ** rng.uniform(-3.0, 7.0, 2)).tolist()
+        rows.clear()
+        region = region_map_epr(mu_minus, mu_plus, 9, q_plus_max, p_minus_max)
+        assert len(rows) == 9
+        for x, (one, (q_plus, q_minus, p_plus, p_minus, scales)) in zip(region.x.tolist(), rows):
+            for j, y in enumerate(region.y.tolist()):
+                dq, dp, c_q, c_p = map(Fraction, epr_state(mu_minus, mu_plus, x, y))
+                assert Fraction(q_plus[j], one) == dq + c_q
+                assert Fraction(q_minus[j], one) == dq - c_q
+                assert Fraction(p_plus[j], one) == dp + c_p
+                assert Fraction(p_minus[j], one) == dp - c_p
+                scale = _scale_of(epr_state(mu_minus, mu_plus, x, y))
+                assert scales[j] == scale
+                assert (Fraction(_physicality_tol(scale)) * one).denominator == 1
+                off_floor += _physicality_tol(scale) > PHYSICALITY_TOL
+    assert off_floor > 0
