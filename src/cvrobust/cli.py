@@ -7,7 +7,10 @@ random, robustify.  State files are JSON records
 
 with exactly a 4x4 numeric matrix; unknown fields are rejected.  Grids are
 CSV with a header row.  All numbers are printed shortest-round-trip (at
-least 12 significant digits) and all file writes are atomic.
+least 12 significant digits).  Output goes out as it is made, a grid row by
+row, so memory does not grow with ``--grid``.  With ``-o`` the file is
+replaced atomically, and only on success.  On stdout a grid that fails
+partway leaves its header and the complete rows before the failing one.
 
 Exit status: 0 on success, 1 on validation errors, 2 on usage errors.
 """
@@ -15,12 +18,14 @@ Exit status: 0 on success, 1 on validation errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
 import os
 import sys
 import tempfile
+from itertools import chain
 
 from . import __version__
 from ._exact import _laplace, _w_ppt
@@ -71,46 +76,43 @@ from .witnesses import (
 STATE_FIELDS = {"label", "ordering", "matrix"}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write(chunks, path: str | None) -> None:
+    """Write the strings of ``chunks`` in order, to stdout or to ``path``.
 
-
-#: Characters encoded and written at a time, so that writing a grid's CSV
-#: never holds a second, encoded copy of it.
-_WRITE_SLICE = 1 << 16
-
-
-def _write_slices(handle, text: str) -> None:
-    for start in range(0, len(text), _WRITE_SLICE):
-        handle.write(text[start : start + _WRITE_SLICE])
+    ``path`` is written through a temporary file, renamed onto it with the
+    mode ``open`` gives a new file (``0o666`` less the umask) once every
+    chunk is written, and removed on any failure.  An ``OSError`` of these
+    file operations becomes an error naming ``path``.
+    """
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvrobust-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.writelines(chunks)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write text to ``path`` via a temporary file and rename.
-
-    The file gets the mode ``open`` would give a new file, ``0o666`` less
-    the umask, not the temporary file's ``0o600``.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvrobust-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            _write_slices(handle, text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Write one text to ``path`` as :func:`_write` does."""
+    _write((text,), path)
 
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
-        _write_slices(sys.stdout, text)
+        _write((text,), None)
     else:
         write_atomic(path, text)
 
@@ -161,13 +163,6 @@ def _json_text(data) -> str:
 
 def state_file_text(v: CovMatrix, label: str) -> str:
     return _json_text({"label": label, "ordering": CovMatrix.ORDERING, "matrix": v.tolist()})
-
-
-def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -247,30 +242,34 @@ def _cmd_scan(args) -> int:
         (t2, repr(t2), l2, *_attenuated(upper, l2, l2)[7:], t2 * g.gamma12)
         for t2, l2 in zip(ts, ls)
     ]
-    pieces = ["t1,t2,w_ppt_attenuated,w_reduced\n"]
-    for t1, l1 in zip(ts, ls):
-        a00, a01, _, _, a11 = _attenuated(upper, l1, l1)[:5]
-        # _reduced's sum left to right: its first term is fixed along the row.
-        r0, t1_text = g.gamma11 + t1 * g.gamma21, repr(t1)
-        row = []
-        for t2, t2_text, l2, a22, a23, a33, t2_g12 in columns:
-            # c's entries by _attenuated's rule, (l1 l2) (v - 0) + 0.
-            l12 = l1 * l2
-            det_a1, _, _, det_c, det_a2, det_v = _laplace(
-                a00, a01, l12 * q + 0.0, l12 * r + 0.0,
-                a11, l12 * s + 0.0, l12 * u + 0.0, a22, a23, a33,
-            )
-            w_att = _w_ppt(1, det_a1, det_a2, det_c, det_v)
-            w_red = r0 + t2_g12 + t1 * t2 * g22
-            row.append(f"{t1_text},{t2_text},{w_att!r},{w_red!r}\n")
-        pieces.append("".join(row))
-    _emit("".join(pieces), args.output)
+
+    def lines():
+        yield "t1,t2,w_ppt_attenuated,w_reduced\n"
+        for t1, l1 in zip(ts, ls):
+            a00, a01, _, _, a11 = _attenuated(upper, l1, l1)[:5]
+            # _reduced's sum left to right: its first term is fixed along the row.
+            r0, t1_text = g.gamma11 + t1 * g.gamma21, repr(t1)
+            row = []
+            for t2, t2_text, l2, a22, a23, a33, t2_g12 in columns:
+                # c's entries by _attenuated's rule, (l1 l2) (v - 0) + 0.
+                l12 = l1 * l2
+                det_a1, _, _, det_c, det_a2, det_v = _laplace(
+                    a00, a01, l12 * q + 0.0, l12 * r + 0.0,
+                    a11, l12 * s + 0.0, l12 * u + 0.0, a22, a23, a33,
+                )
+                w_att = _w_ppt(1, det_a1, det_a2, det_c, det_v)
+                w_red = r0 + t2_g12 + t1 * t2 * g22
+                row.append(f"{t1_text},{t2_text},{w_att!r},{w_red!r}\n")
+            yield "".join(row)
+
+    _write(lines(), args.output)
     return 0
 
 
 def _cmd_contour(args) -> int:
     cov, _ = read_state_file(args.input)
-    _emit(_csv_text(["t1", "t2"], _contour(cov, args.samples)), args.output)
+    points = _contour(cov, args.samples)
+    _write(chain(["t1,t2\n"], (f"{t1!r},{t2!r}\n" for t1, t2 in points)), args.output)
     return 0
 
 
@@ -346,16 +345,17 @@ def _cmd_map(args) -> int:
             args.mu_minus, args.mu_plus, args.grid, args.q_plus_max, args.p_minus_max
         )
     y_text = [repr(y) for y in ys]
-    pieces = [f"{x_name},{y_name},label,boundary\n"]
-    for x, row in zip(xs, rows):
-        x_text = repr(x)
-        pieces.append(
-            "".join(
+
+    def lines():
+        yield f"{x_name},{y_name},label,boundary\n"
+        for x, row in zip(xs, rows):
+            x_text = repr(x)
+            yield "".join(
                 f"{x_text},{y},{_REGIONS[code]},{'1' if flag else '0'}\n"
                 for y, (code, flag) in zip(y_text, row)
             )
-        )
-    _emit("".join(pieces), args.output)
+
+    _write(lines(), args.output)
     return 0
 
 

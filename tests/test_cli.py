@@ -1,8 +1,10 @@
 """Command-line interface: file formats, subcommands, exit codes, determinism."""
 
+import errno
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,6 +502,37 @@ class TestMap:
         ]
         assert rows == expected
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["epr", "--mu-minus", "1e-200", "--mu-plus", "0.5", "--grid", "2"],
+             "covariance matrix contains non-finite entries"),
+            (["epr", "--mu-minus", "0.5", "--mu-plus", "0.5", "--grid", "2",
+              "--q-plus-max", "1e-320"],
+             "covariance matrix contains non-finite entries"),
+            (["correlations", "--dq", "1e300", "--dp", "1.8", "--grid", "3"],
+             "witness values are not finite: the covariance entries are too large"
+             " to evaluate the quartic witness"),
+        ],
+        ids=["epr-purity-underflow", "epr-variance-overflow", "correlations-overflow"],
+    )
+    def test_failing_grid_keeps_output_file_and_writes_whole_rows(
+        self, args, message, tmp_path, capsys
+    ):
+        out = tmp_path / "map.csv"
+        out.write_bytes(b"earlier map\n")
+        assert run(["map", *args, "-o", str(out)]) == 1
+        assert out.read_bytes() == b"earlier map\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["map.csv"]
+        capsys.readouterr()
+        assert run(["map", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        header, *rows = captured.out.split("\n")[:-1]
+        assert captured.out.endswith("\n")
+        assert header.endswith(",label,boundary")
+        assert all(len(row.split(",")) == 4 for row in rows)
+
 
 class TestRandomAndRobustify:
     def test_random_deterministic(self, tmp_path):
@@ -557,7 +590,7 @@ class TestDeterminism:
         ids=["scan", "map"],
     )
     def test_stdout_equals_file(self, args, tmp_path, cm_d_file, capsys):
-        # Both outputs are written in slices; a grid CSV spans several.
+        # Both go through one writer, row by row; the CSV spans many writes.
         args = [cm_d_file if a == "STATE" else a for a in args]
         out = tmp_path / "out.csv"
         assert run([*args, "-o", str(out)]) == 0
@@ -585,3 +618,42 @@ class TestOutputFile:
         finally:
             os.umask(previous)
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["family", "pure-squeezed", "--r", "1"],
+            ["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "3"],
+        ],
+        ids=["json", "grid"],
+    )
+    def test_output_path_errors_name_the_path(self, args, tmp_path, capsys):
+        missing = tmp_path / "missing" / "out"
+        (tmp_path / "taken").mkdir()
+        for target, code in ((missing, errno.ENOENT), (tmp_path / "taken", errno.EISDIR)):
+            assert run([*args, "-o", str(target)]) == 1
+            assert capsys.readouterr().err == f"error: {target}: {os.strerror(code)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert not any((tmp_path / "taken").iterdir())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["scan", "STATE"],
+            ["map", "correlations", "--dq", "2.55", "--dp", "1.80"],
+        ],
+        ids=["scan", "map"],
+    )
+    def test_grid_memory_does_not_hold_the_csv(self, args, tmp_path, cm_d_file):
+        # The CSV is about 2 MB at grid 201; its rows are written as they
+        # are made, so the peak stays far below it.
+        out = tmp_path / "out.csv"
+        args = [cm_d_file if a == "STATE" else a for a in args]
+        tracemalloc.start()
+        try:
+            assert main([*args, "--grid", "201", "-o", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 1_500_000
+        assert peak < 1e6
