@@ -1,10 +1,12 @@
-"""Base class of the immutable value classes that validate their fields.
+"""Base class of the immutable value classes that equal only their own class.
 
 Plain result records are ``typing.NamedTuple`` classes.  A class whose
-constructor checks its arguments derives from :class:`Record` instead: it
-lists its fields in ``_fields`` (and as ``__slots__``, unless it needs an
-instance ``__dict__``) and stores them once, at the end of its validating
-``__init__``, through :meth:`Record._init`.
+constructor checks its arguments derives from :class:`Record` instead, and
+so does ``GammaSet``, which checks nothing but must not equal a tuple and
+gives its fields through ``vars``.  Such a class lists its fields in
+``_fields`` (and as ``__slots__``, unless it needs an instance ``__dict__``)
+and stores them once, at the end of its ``__init__``, through
+:meth:`Record._init`.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from typing import Iterator
 
 from ._record import Record
 from .covariance import _UPPER, CovMatrix, _as_cov, _upper
@@ -151,11 +152,13 @@ def _attenuated(upper, l1, l2) -> list:
     ]
 
 
-def _unit_samples(n: int) -> list:
-    """``n >= 2`` evenly spaced transmittances ``k * (1/(n - 1))``, the last one 1.
+def _unit_samples(n: int) -> Iterator[float]:
+    """Yield ``n >= 2`` evenly spaced transmittances ``k * (1/(n - 1))``, the last one 1.
 
     The values of ``np.linspace(0, 1, n)``, for the grid of ``scan`` and the
-    contour samples of ``robustness``.
+    contour samples of ``robustness``, made as they are read.
     """
     step = 1.0 / (n - 1)
-    return [k * step for k in range(n - 1)] + [1.0]
+    for k in range(n - 1):
+        yield k * step
+    yield 1.0

@@ -8,9 +8,10 @@ random, robustify.  State files are JSON records
 with exactly a 4x4 numeric matrix; unknown fields are rejected.  Grids are
 CSV with a header row.  All numbers are printed shortest-round-trip (at
 least 12 significant digits).  Output goes out as it is made, a grid row by
-row, so memory does not grow with ``--grid``.  With ``-o`` the file is
-replaced atomically, and only on success.  On stdout a grid that fails
-partway leaves its header and the complete rows before the failing one.
+row and a contour point by point, so memory grows with neither ``--grid``
+nor ``--samples``.  With ``-o`` the file is replaced atomically, and only
+on success.  On stdout a grid that fails partway leaves its header and the
+complete rows before the failing one.
 
 Exit status: 0 on success, 1 on validation errors, 2 on usage errors.
 """
@@ -74,6 +75,16 @@ from .witnesses import (
 )
 
 STATE_FIELDS = {"label", "ordering", "matrix"}
+
+#: The spec of each ``family`` kind; each spec field is a float flag
+#: ``--<field without "_">``, required unless the field has a default.
+_FAMILIES = {
+    "fully-symmetric": FullySymmetric,
+    "from-squeezing": FullySymmetricFromSqueezing,
+    "symmetric-modes": SymmetricModes,
+    "standard-form-i": StandardFormI,
+    "pure-squeezed": PureTwoModeSqueezed,
+}
 
 
 def _write(chunks, path: str | None) -> None:
@@ -235,7 +246,7 @@ def _cmd_scan(args) -> int:
     g22 = g.gamma22
     upper = _upper(cov.tolist())
     _, _, q, r, _, s, u, _, _, _ = upper
-    ts = _unit_samples(args.grid)
+    ts = list(_unit_samples(args.grid))
     ls = [math.sqrt(t) for t in ts]
     # Per column: t2, its text, l2, a2's entries and t2 * gamma12.
     columns = [
@@ -314,24 +325,9 @@ def _cmd_attenuate(args) -> int:
     return 0
 
 
-def _family_spec_from_args(args):
-    kind = args.kind
-    if kind == "fully-symmetric":
-        return FullySymmetric(s=args.s, c=args.c)
-    if kind == "from-squeezing":
-        return FullySymmetricFromSqueezing(r=args.r, nu=args.nu)
-    if kind == "symmetric-modes":
-        return SymmetricModes(dq=args.dq, dp=args.dp, c_q=args.cq, c_p=args.cp)
-    if kind == "standard-form-i":
-        return StandardFormI(s=args.s, t=args.t, c_q=args.cq, c_p=args.cp)
-    if kind == "pure-squeezed":
-        return PureTwoModeSqueezed(r=args.r)
-    raise ValidationError(f"unknown family kind {kind!r}")
-
-
 def _cmd_family(args) -> int:
-    spec = _family_spec_from_args(args)
-    cov = build(spec)
+    spec = _FAMILIES[args.kind]
+    cov = build(spec(*(getattr(args, name.replace("_", "")) for name in spec._fields)))
     label = args.label if args.label is not None else args.kind
     _emit(state_file_text(cov, label), args.output)
     return 0
@@ -446,25 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build a parametric family state")
     fam = p.add_subparsers(dest="kind", required=True)
-    q = fam.add_parser("fully-symmetric")
-    q.add_argument("--s", type=float, required=True)
-    q.add_argument("--c", type=float, required=True)
-    q = fam.add_parser("from-squeezing")
-    q.add_argument("--r", type=float, required=True)
-    q.add_argument("--nu", type=float, default=1.0)
-    q = fam.add_parser("symmetric-modes")
-    q.add_argument("--dq", type=float, required=True)
-    q.add_argument("--dp", type=float, required=True)
-    q.add_argument("--cq", type=float, required=True)
-    q.add_argument("--cp", type=float, required=True)
-    q = fam.add_parser("standard-form-i")
-    q.add_argument("--s", type=float, required=True)
-    q.add_argument("--t", type=float, required=True)
-    q.add_argument("--cq", type=float, required=True)
-    q.add_argument("--cp", type=float, required=True)
-    q = fam.add_parser("pure-squeezed")
-    q.add_argument("--r", type=float, required=True)
-    for q in fam.choices.values():
+    for kind, spec in _FAMILIES.items():
+        q = fam.add_parser(kind)
+        defaults = spec._field_defaults
+        for name in spec._fields:
+            q.add_argument(
+                "--" + name.replace("_", ""), type=float,
+                required=name not in defaults, default=defaults.get(name),
+            )
         q.add_argument("--label", default=None)
         add_output(q)
         q.set_defaults(func=_cmd_family)

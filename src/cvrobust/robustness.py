@@ -19,7 +19,8 @@ same quantity by the transposed index.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from itertools import chain, islice
+from typing import Iterator, NamedTuple
 
 from ._exact import Matrix, at_most, congruence, exact, ratio
 from ._record import Record
@@ -342,28 +343,32 @@ def esd_contour(v, samples: int = 256) -> np.ndarray:
     """
     import numpy as np
 
-    return np.array(_contour(_as_cov(v), samples), dtype=float).reshape(-1, 2)
+    points = _contour(_as_cov(v), samples)
+    return np.fromiter(chain.from_iterable(points), dtype=float).reshape(-1, 2)
 
 
-def _contour(cov: CovMatrix, samples: int) -> list:
-    """The points of :func:`esd_contour` as a list of ``(t1, t2)`` float pairs.
+def _contour(cov: CovMatrix, samples: int) -> Iterator[tuple[float, float]]:
+    """The points of :func:`esd_contour`: ``(t1, t2)`` float pairs made as they are read.
 
-    The samples ``t1 = i * (1/samples)``, the last one 1, are those of
-    ``np.linspace(0, 1, samples + 1)[1:]``.
+    ``samples``, physicality and overflow are checked at the call, before
+    any point is made.  The samples ``t1 = i * (1/samples)``, the last one
+    1, are those of ``np.linspace(0, 1, samples + 1)[1:]``.
     """
     if samples < 1:
         raise ValidationError("samples must be positive")
     g = _checked_gamma(cov)
     band = boundary_band(cov)
-    points = []
-    for t1 in _unit_samples(samples + 1)[1:]:
-        den = g.gamma22 * t1 + g.gamma12
-        if den == 0.0:
-            continue
-        t2 = -(g.gamma21 * t1 + g.gamma11) / den
-        if 0.0 < t2 <= 1.0 and abs(_reduced(g, t1, t2)) <= band:
-            points.append((t1, t2))
-    return points
+
+    def points():
+        for t1 in islice(_unit_samples(samples + 1), 1, None):
+            den = g.gamma22 * t1 + g.gamma12
+            if den == 0.0:
+                continue
+            t2 = -(g.gamma21 * t1 + g.gamma11) / den
+            if 0.0 < t2 <= 1.0 and abs(_reduced(g, t1, t2)) <= band:
+                yield t1, t2
+
+    return points()
 
 
 class RobustifyResult(NamedTuple):

@@ -11,11 +11,18 @@ import pytest
 
 from cvrobust import (
     CovMatrix,
+    FullySymmetric,
+    FullySymmetricFromSqueezing,
+    PureTwoModeSqueezed,
+    StandardFormI,
+    SymmetricModes,
     attenuate,
+    build,
     classify,
     ppt_witness,
     region_map_correlations,
     region_map_epr,
+    robustify,
 )
 from cvrobust import cli
 from cvrobust.cli import main, read_state_file, state_file_text
@@ -101,6 +108,23 @@ class TestStateFiles:
     def test_missing_file(self, capsys):
         assert run(["validate", "/nonexistent/state.json"]) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "line 1: expected a JSON object"),
+            ('{"label": "x", "ordering": "q1,p1,q2,p2"}',
+             "missing required fields 'ordering'/'matrix'"),
+            (json.dumps({"label": 7, "ordering": "q1,p1,q2,p2", "matrix": CM_D.tolist()}),
+             "label must be text"),
+        ],
+        ids=["array", "no-matrix", "label-not-text"],
+    )
+    def test_malformed_record_rejected(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
 
 class TestUsage:
     def test_no_command(self):
@@ -118,6 +142,7 @@ class TestBadArguments:
         "args",
         [
             ["contour", "STATE", "--samples", "0"],
+            ["scan", "STATE", "--grid", "1"],
             ["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "0"],
             ["map", "epr", "--mu-minus", "0.7267", "--mu-plus", "0.4529", "--grid", "-1"],
             ["random", "--seed", "1", "--squeeze-max", "inf"],
@@ -138,7 +163,7 @@ class TestBadArguments:
             ["map", "epr", "--mu-minus", "0.5", "--mu-plus", "0.5", "--grid", "2",
              "--q-plus-max", "1e-320"],
         ],
-        ids=["contour-samples", "map-correlations-grid", "map-epr-grid",
+        ids=["contour-samples", "scan-grid", "map-correlations-grid", "map-epr-grid",
              "random-squeeze-max", "random-nu-max", "random-squeeze-max-overflow",
              "random-nu-max-overflow", "robustify-budget-negative",
              "robustify-budget-zero", "random-seed", "robustify-seed",
@@ -367,6 +392,28 @@ class TestContour:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "v, flags, message",
+        [
+            (CM_D, ["--samples", "0"], "samples must be positive"),
+            (SUB_VACUUM, [], "unphysical state"),
+            (CovMatrix(np.diag([1e90] * 4)), [], "witness values are not finite"),
+        ],
+        ids=["samples-zero", "unphysical", "overflow"],
+    )
+    def test_errors_come_before_the_first_byte(self, v, flags, message, tmp_path, capsys):
+        # The points are made as they are written, but every check runs first.
+        path = write_state(tmp_path / "s.json", v)
+        out = tmp_path / "contour.csv"
+        out.write_bytes(b"earlier contour\n")
+        assert run(["contour", path, *flags, "-o", str(out)]) == 1
+        assert out.read_bytes() == b"earlier contour\n"
+        capsys.readouterr()
+        assert run(["contour", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     def test_vanishing_witness_has_empty_boundary(self, tmp_path):
         path = write_state(tmp_path / "vac.json", CovMatrix.vacuum())
         out = tmp_path / "contour.csv"
@@ -437,6 +484,27 @@ class TestFamily:
         assert run(args) == 0
         cov, _ = read_state_file(str(out))
         assert np.array_equal(cov.matrix, CM_D.matrix)
+
+    @pytest.mark.parametrize(
+        "kind, flags, spec",
+        [
+            ("fully-symmetric", ["--s", "2", "--c", "1.5"], FullySymmetric(2.0, 1.5)),
+            ("from-squeezing", ["--r", "0.7"], FullySymmetricFromSqueezing(0.7)),
+            ("from-squeezing", ["--r", "0.7", "--nu", "1.3"],
+             FullySymmetricFromSqueezing(0.7, 1.3)),
+            ("symmetric-modes", ["--dq", "2.55", "--dp", "1.80", "--cq", "1.033", "--cp", "-1.26"],
+             SymmetricModes(2.55, 1.80, 1.033, -1.26)),
+            ("standard-form-i", ["--s", "2", "--t", "3", "--cq", "1", "--cp", "-1"],
+             StandardFormI(2.0, 3.0, 1.0, -1.0)),
+            ("pure-squeezed", ["--r", "1"], PureTwoModeSqueezed(1.0)),
+        ],
+        ids=["fully-symmetric", "from-squeezing-default-nu", "from-squeezing",
+             "symmetric-modes", "standard-form-i", "pure-squeezed"],
+    )
+    def test_each_kind_writes_its_spec(self, kind, flags, spec, tmp_path):
+        out = tmp_path / "f.json"
+        assert run(["family", kind, *flags, "-o", str(out)]) == 0
+        assert out.read_text() == state_file_text(build(spec), kind)
 
     def test_unphysical_family_fails(self, capsys):
         assert run(["family", "fully-symmetric", "--s", "1", "--c", "0.5"]) == 1
@@ -550,6 +618,13 @@ class TestRandomAndRobustify:
         assert data["class_out"] == "FullyRobust"
         assert data["objective"] < 0
 
+    def test_robustify_budget_exhausted_is_not_found(self, tmp_path):
+        assert robustify(CM_B, budget=1) is None
+        path = write_state(tmp_path / "b.json", CM_B, label="b")
+        out = tmp_path / "rob.json"
+        assert run(["robustify", path, "--budget", "1", "-o", str(out)]) == 0
+        assert strict_json(out.read_text()) == {"label": "b", "found": False}
+
     def test_robustify_separable_fails(self, tmp_path, capsys):
         path = write_state(tmp_path / "c.json", CM_C)
         assert run(["robustify", path]) == 1
@@ -639,19 +714,20 @@ class TestOutputFile:
     @pytest.mark.parametrize(
         "args",
         [
-            ["scan", "STATE"],
-            ["map", "correlations", "--dq", "2.55", "--dp", "1.80"],
+            ["scan", "STATE", "--grid", "201"],
+            ["map", "correlations", "--dq", "2.55", "--dp", "1.80", "--grid", "201"],
+            ["contour", "STATE", "--samples", "100000"],
         ],
-        ids=["scan", "map"],
+        ids=["scan", "map", "contour"],
     )
     def test_grid_memory_does_not_hold_the_csv(self, args, tmp_path, cm_d_file):
-        # The CSV is about 2 MB at grid 201; its rows are written as they
-        # are made, so the peak stays far below it.
+        # Each CSV is about 2 MB; its rows are written as they are made, so
+        # the peak stays far below it.
         out = tmp_path / "out.csv"
         args = [cm_d_file if a == "STATE" else a for a in args]
         tracemalloc.start()
         try:
-            assert main([*args, "--grid", "201", "-o", str(out)]) == 0
+            assert main([*args, "-o", str(out)]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -95,6 +95,9 @@ EDGE_MAPS = {
     "mixed-1e7": (epr, 0.7267, 0.4529, 1e7, 1e7),
     "pure-binades": (epr, 1.0, 1.0, 1e-3, 1e3),
     "mixed-binades": (epr, 0.5, 0.8, 1e3, 1e-3),
+    # Moments up to 1e200: past about 1.34e159 the zero band is infinite, so
+    # every physical cell is flagged.
+    "huge-scale": (epr, 0.5, 0.5, 1e200, 5.0),
 }
 
 
