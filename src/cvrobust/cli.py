@@ -87,23 +87,50 @@ _FAMILIES = {
 }
 
 
+#: The characters ``_write`` gathers before one write: a write-through
+#: stdout makes a system call for every string it is handed.
+_BLOCK = 1 << 16
+
+
+def _blocks(chunks):
+    """The strings of ``chunks`` joined into blocks of at least ``_BLOCK`` characters.
+
+    The last block may be shorter.  When ``chunks`` raises, the strings
+    before the error come out as one block first.
+    """
+    block, size = [], 0
+    try:
+        for chunk in chunks:
+            block.append(chunk)
+            size += len(chunk)
+            if size >= _BLOCK:
+                yield "".join(block)
+                block, size = [], 0
+    except Exception:
+        yield "".join(block)
+        raise
+    yield "".join(block)
+
+
 def _write(chunks, path: str | None) -> None:
     """Write the strings of ``chunks`` in order, to stdout or to ``path``.
 
-    ``path`` is written through a temporary file, renamed onto it with the
-    mode ``open`` gives a new file (``0o666`` less the umask) once every
-    chunk is written, and removed on any failure.  An ``OSError`` of these
-    file operations becomes an error naming ``path``.
+    They go out in :func:`_blocks`, so on stdout a failing ``chunks`` leaves
+    every string before its error.  ``path`` is written through a temporary
+    file, renamed onto it with the mode ``open`` gives a new file (``0o666``
+    less the umask) once every chunk is written, and removed on any
+    failure.  An ``OSError`` of these file operations becomes an error
+    naming ``path``.
     """
     if path is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(_blocks(chunks))
         return
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvrobust-")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.writelines(chunks)
+                handle.writelines(_blocks(chunks))
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
@@ -221,10 +248,10 @@ def _cmd_classify(args) -> int:
         },
         "gamma": vars(g),
         "symplectic": {
-            "nu_minus": nu.nu_minus,
-            "nu_plus": nu.nu_plus,
-            "pt_nu_minus": nu_pt.nu_minus,
-            "pt_nu_plus": nu_pt.nu_plus,
+            "nu_minus": _finite_or_none(nu.nu_minus),
+            "nu_plus": _finite_or_none(nu.nu_plus),
+            "pt_nu_minus": _finite_or_none(nu_pt.nu_minus),
+            "pt_nu_plus": _finite_or_none(nu_pt.nu_plus),
         },
         "purities": {k: _finite_or_none(getattr(pur, k)) for k in ("mu", "mu1", "mu2")},
         "critical_transmittance": {
@@ -242,7 +269,7 @@ def _cmd_scan(args) -> int:
     cov, _ = read_state_file(args.input)
     if args.grid < 2:
         raise ValidationError("scan grid must be at least 2")
-    g = _checked_gamma(cov)
+    _, g = _checked_gamma(cov)
     g22 = g.gamma22
     upper = _upper(cov.tolist())
     _, _, q, r, _, s, u, _, _, _ = upper
@@ -258,7 +285,7 @@ def _cmd_scan(args) -> int:
         yield "t1,t2,w_ppt_attenuated,w_reduced\n"
         for t1, l1 in zip(ts, ls):
             a00, a01, _, _, a11 = _attenuated(upper, l1, l1)[:5]
-            # _reduced's sum left to right: its first term is fixed along the row.
+            # reduced_witness's sum left to right: its first term is fixed along the row.
             r0, t1_text = g.gamma11 + t1 * g.gamma21, repr(t1)
             row = []
             for t2, t2_text, l2, a22, a23, a33, t2_g12 in columns:

@@ -42,7 +42,6 @@ from .witnesses import (
     _band_at,
     _finite,
     _gamma_of,
-    _reduced,
     boundary_band,
     gamma_coefficients,
 )
@@ -200,11 +199,11 @@ _UNPHYSICAL = len(_CLASSES)
 _CORNERS = ("w_ppt", "w_full", "w_ch1", "w_ch2")
 
 
-def _checked_gamma(v) -> GammaSet:
-    """:func:`gamma_coefficients` of a physical ``v`` with finite corners, else raise."""
+def _checked_gamma(v) -> tuple[Matrix, GammaSet]:
+    """The exact matrix of a physical ``v`` and its Gamma set, all finite when rounded, else raise."""
     x = _exact_physical(_as_cov(v))
     _finite(ratio(n, d) for n, d in x.corners())
-    return _gamma_of(x)
+    return x, _gamma_of(x)
 
 
 def _code(entangled, r1, r2, rf):
@@ -333,13 +332,12 @@ def esd_contour(v, samples: int = 256) -> np.ndarray:
     """Sample the disentanglement boundary ``W_R = 0`` inside ``(0, 1]^2``.
 
     At each of ``samples`` evenly spaced values of ``t1`` the affine equation
-    ``W_R(t1, t2) = 0`` gives ``t2`` in closed form; a point is kept when
-    ``t2`` lies in ``(0, 1]`` and its witness in the zero band of
-    :func:`boundary_band`.  On the hyperbola's vertical asymptote the
-    denominator vanishes and the sample drops out.  Returns an ``(n, 2)``
-    array of ``(t1, t2)`` points, empty for fully robust states and when
-    ``W_R`` vanishes identically.  Raises :class:`ValidationError` for
-    unphysical input and when the witness overflows.
+    ``W_R(t1, t2) = 0`` has one root ``t2``, exact and rounded once, kept
+    when it lies in ``(0, 1]``; no zero band enters.  The point at ``t1 = 1``
+    is :func:`classify`'s ``t2_critical`` wherever that is set.  Returns an
+    ``(n, 2)`` array of ``(t1, t2)`` points, empty for fully robust states
+    and when ``W_R`` vanishes identically.  Raises :class:`ValidationError`
+    for unphysical input and when the witness overflows.
     """
     import numpy as np
 
@@ -352,21 +350,27 @@ def _contour(cov: CovMatrix, samples: int) -> Iterator[tuple[float, float]]:
 
     ``samples``, physicality and overflow are checked at the call, before
     any point is made.  The samples ``t1 = i * (1/samples)``, the last one
-    1, are those of ``np.linspace(0, 1, samples + 1)[1:]``.
+    1, are those of ``np.linspace(0, 1, samples + 1)[1:]``.  ``W_R`` is
+    bilinear: at ``t1 = m/d`` it runs linearly in ``t2`` from
+    ``a = W_R(t1, 0) = ((d - m) w_full + m w_ch2) / d`` to
+    ``b = W_R(t1, 1) = ((d - m) w_ch1 + m w_ppt) / d``.  The root
+    ``a / (a - b)`` is kept when it lies in ``(0, 1]``, decided on integers
+    over ``d D^4``, and rounded once; ``a = b`` has none.  At ``t1 = 1`` it
+    is ``w_ch2 / (w_ch2 - w_ppt)``, ``t2_critical``.
     """
     if samples < 1:
         raise ValidationError("samples must be positive")
-    g = _checked_gamma(cov)
-    band = boundary_band(cov)
+    x, _ = _checked_gamma(cov)
+    (ppt, _), (full, _), (ch1, _), (ch2, _) = x.corners()
+    a0, a1 = full * x.one**2, ch2 * x.one  # d a = (d - m) a0 + m a1 over D^4
+    e0, e1 = a0 - ch1 * x.one, a1 - ppt  # d (a - b) = (d - m) e0 + m e1
 
     def points():
         for t1 in islice(_unit_samples(samples + 1), 1, None):
-            den = g.gamma22 * t1 + g.gamma12
-            if den == 0.0:
-                continue
-            t2 = -(g.gamma21 * t1 + g.gamma11) / den
-            if 0.0 < t2 <= 1.0 and abs(_reduced(g, t1, t2)) <= band:
-                yield t1, t2
+            m, d = t1.as_integer_ratio()
+            a, den = (d - m) * a0 + m * a1, (d - m) * e0 + m * e1
+            if 0 < a <= den or den <= a < 0:
+                yield t1, a / den  # correctly rounded
 
     return points()
 

@@ -239,11 +239,6 @@ def gamma_coefficients(v) -> GammaSet:
     return _gamma_of(_exact_matrix(v))
 
 
-def _reduced(g: GammaSet, t1, t2):
-    """Reduced witness at transmittances ``t1``, ``t2``."""
-    return g.gamma11 + t1 * g.gamma21 + t2 * g.gamma12 + t1 * t2 * g.gamma22
-
-
 def reduced_witness(g: GammaSet, t) -> float:
     """Evaluate the reduced witness at transmittances ``t``.
 
@@ -251,4 +246,5 @@ def reduced_witness(g: GammaSet, t) -> float:
     when ``g = gamma_coefficients(v)``.
     """
     t = Transmittance.of(t)
-    return _reduced(g, t.t1, t.t2)
+    t1, t2 = t.t1, t.t2
+    return g.gamma11 + t1 * g.gamma21 + t2 * g.gamma12 + t1 * t2 * g.gamma22

@@ -511,3 +511,24 @@ def reference_esd_contour(v: CovMatrix, samples: int = 256) -> np.ndarray:
     if not points:
         return np.empty((0, 2))
     return np.array(points)
+
+
+def exact_esd_contour(v: CovMatrix, samples: int = 256) -> list:
+    """The ESD contour from the exact Gamma set, each ``t2`` rounded once.
+
+    At each sample ``t1`` of ``np.linspace(0, 1, samples + 1)[1:]``, taken
+    as the exact value of its float, the root of ``W_R(t1, t2) = 0`` is a
+    ``Fraction`` from :func:`exact_reference_witnesses`; the point is kept
+    when the root exists and lies in ``(0, 1]``.  Returns ``(t1, t2)``
+    float pairs.
+    """
+    w = exact_reference_witnesses(v.matrix)
+    points = []
+    for t1 in map(float, np.linspace(0.0, 1.0, samples + 1)[1:]):
+        exact_t1 = Fraction(t1)
+        den = w["gamma12"] + exact_t1 * w["gamma22"]
+        if den != 0:
+            root = -(w["gamma11"] + exact_t1 * w["gamma21"]) / den
+            if 0 < root <= 1:
+                points.append((t1, float(root)))
+    return points

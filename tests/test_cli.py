@@ -313,6 +313,14 @@ class TestClassify:
         assert run(["classify", path]) == 1
         assert "not finite" in capsys.readouterr().err
 
+    def test_overflowing_spectrum_is_null(self, tmp_path):
+        # The witnesses of these entries still round to floats; the
+        # spectrum's delta * delta does not.
+        path = write_state(tmp_path / "big.json", CovMatrix(np.diag([1e77] * 4)))
+        out = tmp_path / "report.json"
+        assert run(["classify", path, "-o", str(out)]) == 0
+        assert set(strict_json(out.read_text())["symplectic"].values()) == {None}
+
     def test_strongly_squeezed_pure_states_classify(self, tmp_path):
         state = tmp_path / "sq.json"
         for seed in range(200):
@@ -571,21 +579,27 @@ class TestMap:
         assert rows == expected
 
     @pytest.mark.parametrize(
-        "args, message",
+        "args, message, rows",
         [
             (["epr", "--mu-minus", "1e-200", "--mu-plus", "0.5", "--grid", "2"],
-             "covariance matrix contains non-finite entries"),
+             "covariance matrix contains non-finite entries", []),
             (["epr", "--mu-minus", "0.5", "--mu-plus", "0.5", "--grid", "2",
               "--q-plus-max", "1e-320"],
-             "covariance matrix contains non-finite entries"),
+             "covariance matrix contains non-finite entries", []),
             (["correlations", "--dq", "1e300", "--dp", "1.8", "--grid", "3"],
              "witness values are not finite: the covariance entries are too large"
-             " to evaluate the quartic witness"),
+             " to evaluate the quartic witness", []),
+            # w_ppt grows with 1 - cbar_p^2: the row cbar_p = -0.75 rounds, the next does not.
+            (["correlations", "--dq", "1.73e153", "--dp", "10", "--grid", "4"],
+             "witness values are not finite: the covariance entries are too large"
+             " to evaluate the quartic witness",
+             [f"-0.75,{y},IV,0" for y in ("-0.75", "-0.25", "0.25", "0.75")]),
         ],
-        ids=["epr-purity-underflow", "epr-variance-overflow", "correlations-overflow"],
+        ids=["epr-purity-underflow", "epr-variance-overflow", "correlations-overflow",
+             "correlations-overflow-second-row"],
     )
     def test_failing_grid_keeps_output_file_and_writes_whole_rows(
-        self, args, message, tmp_path, capsys
+        self, args, message, rows, tmp_path, capsys
     ):
         out = tmp_path / "map.csv"
         out.write_bytes(b"earlier map\n")
@@ -596,10 +610,8 @@ class TestMap:
         assert run(["map", *args]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
-        header, *rows = captured.out.split("\n")[:-1]
-        assert captured.out.endswith("\n")
-        assert header.endswith(",label,boundary")
-        assert all(len(row.split(",")) == 4 for row in rows)
+        header = "cbar_p,cbar_q" if args[0] == "correlations" else "q_plus_var,p_minus_var"
+        assert captured.out == "".join(f"{line}\n" for line in [f"{header},label,boundary", *rows])
 
 
 class TestRandomAndRobustify:
@@ -710,6 +722,29 @@ class TestOutputFile:
             assert capsys.readouterr().err == f"error: {target}: {os.strerror(code)}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
         assert not any((tmp_path / "taken").iterdir())
+
+    def test_stdout_gets_few_large_writes(self, cm_d_file, tmp_path, monkeypatch):
+        # A write-through stdout makes a system call per write: the 2 MB of
+        # points go out in blocks, not one write per point.
+        class Stdout:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, s):
+                self.writes.append(s)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        stdout = Stdout()
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert main(["contour", cm_d_file, "--samples", "100000"]) == 0
+        monkeypatch.undo()
+        out = tmp_path / "out.csv"
+        assert main(["contour", cm_d_file, "--samples", "100000", "-o", str(out)]) == 0
+        assert "".join(stdout.writes) == out.read_text()
+        assert out.stat().st_size > 1_500_000 and len(stdout.writes) < 100
 
     @pytest.mark.parametrize(
         "args",

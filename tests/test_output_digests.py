@@ -5,8 +5,11 @@ before the witness polynomials were shared by the exact kernel, the map
 screen and ``scan``; the ``validate`` and ``attenuate`` digests at the
 commit before those commands stopped importing numpy.  The ``classify``
 digests were recorded after its Duan variances became exact, the change
-that moved the last bits of ``w_d``.  A refactor of the kernels must leave
-every byte of these outputs unchanged; a change that means to move them
+that moved the last bits of ``w_d``.  The ``contour`` digests of CM_B,
+CM_D and CM_E were recorded when each point's ``t2`` became the exact root
+of ``W_R`` rounded once, which moved its last bits; they equal the CSV of
+``helpers.exact_esd_contour``.  CM_A and CM_C have no points.  A refactor
+of the kernels must leave every byte of these outputs unchanged; a change that means to move them
 updates the digests and says why.
 """
 
@@ -24,10 +27,10 @@ STATE_DIGESTS = {
     ("scan", "CM_D"): "19d0cf4b9bf42f2e0d0f78166959d9b9e9074ad8cd95ccd39b5056ab5f2b18ea",
     ("scan", "CM_E"): "e350133ba692193513df400356b22d5f16d471793ec2fc1664ca85aa4bbc5a50",
     ("contour", "CM_A"): "c4e4461620947eaa8a6e0b8a63c45cd9aa273ac98c704c72a5a11ca0bf316776",
-    ("contour", "CM_B"): "0899be509204e5b26c95479986d83c18ad5b911f60760a8f038037a88c9f8754",
+    ("contour", "CM_B"): "1df650054431b4bcb8e1f111e2d5ca3a205add68a9ccf85d8010b9914762e291",
     ("contour", "CM_C"): "c4e4461620947eaa8a6e0b8a63c45cd9aa273ac98c704c72a5a11ca0bf316776",
-    ("contour", "CM_D"): "c38474d07018f281fa0007a1c4da3917ce9d1ca6455e38cdc3b5c920bcd8971e",
-    ("contour", "CM_E"): "41ed656f32939103c1092d272553191c5b2659c992d731a58d9ac1e4b14f3c4b",
+    ("contour", "CM_D"): "f7022408ec08dff4f61ff1daedb1cc5fbae79f7259cfda518e9e08c087475ef9",
+    ("contour", "CM_E"): "46dbecd8eb8eca9ddc43a356c2cfa7098ccfc1cee88dd6da2b296df020433294",
     ("validate", "CM_A"): "ff4a0a56ea30d809c8d070ad80165922dac2e8c6c76b91e1f0239b322a7abcd1",
     ("validate", "CM_B"): "29e377c56d942db7f85162e773faeadd43dce6c0aac2764fb412549e87003c97",
     ("validate", "CM_C"): "b2688a010c50fcbc449da64e3e37e0ef011c6511247f15c90b12c8b01c14aaa0",

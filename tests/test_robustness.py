@@ -31,6 +31,7 @@ from helpers import (
     CM_E,
     HIGHLY_SQUEEZED,
     eq19_matrix,
+    exact_esd_contour,
     oracle_attenuated_ppt_grid,
     random_entangled_states,
     random_states,
@@ -261,6 +262,17 @@ class TestEsdContour:
     def test_sample_count_bound(self):
         assert len(esd_contour(CM_B, 64)) <= 64
 
+    @staticmethod
+    def assert_exact(v, samples, t1_column):
+        # The float references keep the points; each t2 is the exact root
+        # rounded once, so the t1 = 1 point is classify's t2_critical.
+        pts = esd_contour(v, samples)
+        assert pts[:, 0].tobytes() == np.asarray(t1_column, dtype=float).tobytes()
+        assert pts.tolist() == [list(p) for p in exact_esd_contour(v, samples)]
+        t2_critical = classify(v).t2_critical
+        if t2_critical is not None and len(pts) and pts[-1, 0] == 1.0:
+            assert pts[-1, 1] == t2_critical
+
     @pytest.mark.parametrize(
         "params",
         [None, RandomStateParams(1.0, 1.0, 3.0), RandomStateParams(1.0, 1.0, 9.0)],
@@ -272,9 +284,7 @@ class TestEsdContour:
         states = [CM_A, CM_B, CM_C, CM_D, CM_E, HIGHLY_SQUEEZED]
         states += random_states(150, params=params)
         for v in states:
-            assert repr(esd_contour(v, 256).tolist()) == repr(
-                reference_esd_contour(v, 256).tolist()
-            )
+            self.assert_exact(v, 256, reference_esd_contour(v, 256)[:, 0])
 
     @pytest.mark.parametrize("samples", [256, 7, 1])
     def test_equals_numpy_closed_form_bitwise(self, samples):
@@ -290,8 +300,7 @@ class TestEsdContour:
                 t2 = -(g.gamma21 * t1 + g.gamma11) / (g.gamma22 * t1 + g.gamma12)
                 residual = np.abs(g.gamma11 + t1 * g.gamma21 + t2 * g.gamma12 + t1 * t2 * g.gamma22)
             keep = (0.0 < t2) & (t2 <= 1.0) & (residual <= boundary_band(v))
-            expected = np.column_stack((t1[keep], t2[keep]))
-            assert esd_contour(v, samples).tobytes() == expected.tobytes()
+            self.assert_exact(v, samples, t1[keep])
 
     @pytest.mark.parametrize("diag", [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]])
     def test_vanishing_witness_is_empty(self, diag):
