@@ -6,12 +6,12 @@ random, robustify.  State files are JSON records
     {"label": "...", "ordering": "q1,p1,q2,p2", "matrix": [[...], ...]}
 
 with exactly a 4x4 numeric matrix; unknown fields are rejected.  Grids are
-CSV with a header row.  All numbers are printed shortest-round-trip (at
-least 12 significant digits).  Output goes out as it is made, a grid row by
-row and a contour point by point, so memory grows with neither ``--grid``
-nor ``--samples``.  With ``-o`` the file is replaced atomically, and only
-on success.  On stdout a grid that fails partway leaves its header and the
-complete rows before the failing one.
+CSV with a header row.  Numbers are printed by ``repr``: the shortest text
+that reads back to the same float.  Output goes out as it is made, a grid
+row by row and a contour point by point, so memory grows with neither
+``--grid`` nor ``--samples``.  With ``-o`` the file is replaced
+atomically, and only on success.  On stdout a grid that fails partway
+leaves its header and the complete rows before the failing one.
 
 Exit status: 0 on success, 1 on validation errors, 2 on usage errors.
 """
@@ -29,7 +29,7 @@ import tempfile
 from itertools import chain
 
 from . import __version__
-from ._exact import _laplace, _w_ppt
+from ._exact import _laplace, _w_ppt, ratio
 from .channel import (
     LinkBudget,
     Transmittance,
@@ -41,6 +41,8 @@ from .channel import (
 )
 from .covariance import (
     CovMatrix,
+    _exact_matrix,
+    _exact_physical,
     _require_physical,
     _upper,
     purities,
@@ -61,18 +63,8 @@ from .families import (
     build,
     random_physical_state,
 )
-from .robustness import (
-    CHANNEL_WITNESS_NOTE,
-    _checked_gamma,
-    _contour,
-    classify,
-    robustify,
-)
-from .witnesses import (
-    duan_witness,
-    gamma_coefficients,
-    minimized_duan,
-)
+from .robustness import CHANNEL_WITNESS_NOTE, _contour, classify, robustify
+from .witnesses import _NOT_FINITE, GammaSet, _finite, duan_witness, minimized_duan
 
 STATE_FIELDS = {"label", "ordering", "matrix"}
 
@@ -226,7 +218,7 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     cov, label = read_state_file(args.input)
     report = classify(cov)
-    g = gamma_coefficients(cov)
+    gamma = _exact_matrix(cov).gamma_set()
     nu = symplectic_spectrum(cov)
     nu_pt = symplectic_spectrum(cov, partial_transpose_mode=2)
     pur = purities(cov)
@@ -246,7 +238,7 @@ def _cmd_classify(args) -> int:
             "a_opt": duan.a_opt,
             "degenerate_duan": duan.degenerate,
         },
-        "gamma": vars(g),
+        "gamma": {k: _finite_or_none(ratio(*w)) for k, w in zip(GammaSet._fields, gamma)},
         "symplectic": {
             "nu_minus": _finite_or_none(nu.nu_minus),
             "nu_plus": _finite_or_none(nu.nu_plus),
@@ -269,15 +261,15 @@ def _cmd_scan(args) -> int:
     cov, _ = read_state_file(args.input)
     if args.grid < 2:
         raise ValidationError("scan grid must be at least 2")
-    _, g = _checked_gamma(cov)
-    g22 = g.gamma22
+    gamma = _exact_physical(cov).gamma_set()[:4]
+    g11, g12, g21, g22 = _finite([ratio(n, d) for n, d in gamma])
     upper = _upper(cov.tolist())
     _, _, q, r, _, s, u, _, _, _ = upper
     ts = list(_unit_samples(args.grid))
     ls = [math.sqrt(t) for t in ts]
     # Per column: t2, its text, l2, a2's entries and t2 * gamma12.
     columns = [
-        (t2, repr(t2), l2, *_attenuated(upper, l2, l2)[7:], t2 * g.gamma12)
+        (t2, repr(t2), l2, *_attenuated(upper, l2, l2)[7:], t2 * g12)
         for t2, l2 in zip(ts, ls)
     ]
 
@@ -286,7 +278,7 @@ def _cmd_scan(args) -> int:
         for t1, l1 in zip(ts, ls):
             a00, a01, _, _, a11 = _attenuated(upper, l1, l1)[:5]
             # reduced_witness's sum left to right: its first term is fixed along the row.
-            r0, t1_text = g.gamma11 + t1 * g.gamma21, repr(t1)
+            r0, t1_text = g11 + t1 * g21, repr(t1)
             row = []
             for t2, t2_text, l2, a22, a23, a33, t2_g12 in columns:
                 # c's entries by _attenuated's rule, (l1 l2) (v - 0) + 0.
@@ -298,7 +290,10 @@ def _cmd_scan(args) -> int:
                 w_att = _w_ppt(1, det_a1, det_a2, det_c, det_v)
                 w_red = r0 + t2_g12 + t1 * t2 * g22
                 row.append(f"{t1_text},{t2_text},{w_att!r},{w_red!r}\n")
-            yield "".join(row)
+            text = "".join(row)
+            if "n" in text:  # "inf" or "nan": the repr of no finite float has an "n"
+                raise ValidationError(_NOT_FINITE)
+            yield text
 
     _write(lines(), args.output)
     return 0

@@ -13,7 +13,9 @@ partially robust when it survives single-channel loss on both or one
 channel, and fragile otherwise.  Note the index pairing: the witness for
 losses on channel 1 is the ``T1 -> 0`` intercept ``gamma11 + gamma12`` of
 ``W_R(T1, 1)``; conventions that attach ``gamma21`` to channel 1 label the
-same quantity by the transposed index.
+same quantity by the transposed index.  Every function here rounds the
+corners once (:func:`_rounded_corners`) and raises "witness values are not
+finite" only when a corner is not finite, whatever the other Gamma fields.
 """
 
 from __future__ import annotations
@@ -37,14 +39,7 @@ from .covariance import (
 )
 from .errors import SeparableInputError, ValidationError
 from .simplex import nelder_mead
-from .witnesses import (
-    GammaSet,
-    _band_at,
-    _finite,
-    _gamma_of,
-    boundary_band,
-    gamma_coefficients,
-)
+from .witnesses import _band_at, _finite, boundary_band
 
 __all__ = [
     "RobustnessClass",
@@ -148,7 +143,7 @@ def full_robustness_witness(v) -> float:
     entanglement survives every partial attenuation.  Coincides with the
     minimized variance witness when the correlation block is diagonal.
     """
-    return gamma_coefficients(v).gamma11
+    return _rounded_corners(_exact_matrix(v))[1][1]
 
 
 def channel_robustness_witness(v, mode: int) -> float:
@@ -161,8 +156,7 @@ def channel_robustness_witness(v, mode: int) -> float:
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    corners = _exact_matrix(v).corners()
-    return _finite(ratio(n, d) for n, d in corners)[1 + mode]
+    return _rounded_corners(_exact_matrix(v))[1][1 + mode]
 
 
 def critical_transmittance(v, mode: int) -> float | None:
@@ -199,11 +193,10 @@ _UNPHYSICAL = len(_CLASSES)
 _CORNERS = ("w_ppt", "w_full", "w_ch1", "w_ch2")
 
 
-def _checked_gamma(v) -> tuple[Matrix, GammaSet]:
-    """The exact matrix of a physical ``v`` and its Gamma set, all finite when rounded, else raise."""
-    x = _exact_physical(_as_cov(v))
-    _finite(ratio(n, d) for n, d in x.corners())
-    return x, _gamma_of(x)
+def _rounded_corners(x: Matrix):
+    """The exact corners of ``x`` and their values rounded once: all finite, else raise."""
+    corners = x.corners()
+    return corners, _finite([ratio(n, d) for n, d in corners])
 
 
 def _code(entangled, r1, r2, rf):
@@ -222,8 +215,7 @@ def _exact_class(x: Matrix, band: float):
     Corners within the band count as nonpositive.  Raises
     :class:`ValidationError` when a rounded corner is not finite.
     """
-    corners = x.corners()
-    values = _finite([ratio(n, d) for n, d in corners])
+    corners, values = _rounded_corners(x)
     (ppt, _), full, ch1, ch2 = corners
     within = at_most(band)
     code = _code(ppt < 0, within(*ch1), within(*ch2), within(*full))
@@ -303,7 +295,7 @@ def classify(v) -> RobustnessReport:
     Witness values within the zero band (see :func:`boundary_band`) count as
     nonpositive -- the robust side -- and are flagged.  Separability uses the
     nonstrict rule: ``w_ppt >= 0`` is separable.  Unphysical input and
-    overflowing witnesses raise :class:`ValidationError`.
+    an overflowing corner raise :class:`ValidationError`.
     """
     cov = _as_cov(v)
     x = _exact_physical(cov)
@@ -337,7 +329,7 @@ def esd_contour(v, samples: int = 256) -> np.ndarray:
     is :func:`classify`'s ``t2_critical`` wherever that is set.  Returns an
     ``(n, 2)`` array of ``(t1, t2)`` points, empty for fully robust states
     and when ``W_R`` vanishes identically.  Raises :class:`ValidationError`
-    for unphysical input and when the witness overflows.
+    for unphysical input and when a corner overflows.
     """
     import numpy as np
 
@@ -360,8 +352,8 @@ def _contour(cov: CovMatrix, samples: int) -> Iterator[tuple[float, float]]:
     """
     if samples < 1:
         raise ValidationError("samples must be positive")
-    x, _ = _checked_gamma(cov)
-    (ppt, _), (full, _), (ch1, _), (ch2, _) = x.corners()
+    x = _exact_physical(cov)
+    (ppt, _), (full, _), (ch1, _), (ch2, _) = _rounded_corners(x)[0]
     a0, a1 = full * x.one**2, ch2 * x.one  # d a = (d - m) a0 + m a1 over D^4
     e0, e1 = a0 - ch1 * x.one, a1 - ppt  # d (a - b) = (d - m) e0 + m e1
 

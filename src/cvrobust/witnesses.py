@@ -12,12 +12,14 @@ with a reduced witness bilinear in the transmittances,
 
 whose coefficients are local-rotation invariants of the input state.  This
 module computes the witnesses and the Gamma decomposition, both from the
-polynomials of :mod:`cvrobust._exact`.  The Gamma coefficients and the
-Duan variances evaluate them on the matrix's exact integers and round each
-value once.  :func:`ppt_witness`, like ``scan``'s attenuated witness,
-evaluates the same Laplace expansion on one matrix's floats, and
-``_band_at`` gives the zero band that ``classify`` and the region maps'
-cells share.
+polynomials of :mod:`cvrobust._exact`.  The Gamma coefficients, the Duan
+variances and ``w_m`` evaluate them on the matrix's exact integers and
+round each value once; ``w_d`` adds the rounded variances in floats, and
+``a_opt`` is a float fourth root.  :func:`ppt_witness`, like ``scan``'s
+attenuated witness, evaluates the same Laplace expansion on one matrix's
+floats, and ``_band_at`` gives the zero band that ``classify`` and the
+region maps' cells share.  A function raises "witness values are not
+finite" only when a value it returns is not a finite float.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._exact import Matrix, _laplace, _w_ppt, ratio
+from ._exact import _laplace, _w_ppt, ratio
 from ._record import Record
 from .channel import Transmittance
 from .covariance import _as_cov, _exact_matrix, _scale_of, _upper
@@ -103,30 +105,32 @@ def duan_parameters(v, a: float) -> DuanParameters:
     return DuanParameters(a=a, u_variance=ratio(u_num, den), v_variance=ratio(v_num, den))
 
 
-def _duan_raw(v, a: float) -> float:
-    return duan_parameters(v, a).witness
+def _signed(rows, mag: float) -> float:
+    """The weight ``±mag`` of smaller summed witness: the two differ by ``±2 (v02 - v13)``."""
+    return mag if rows[0][2] <= rows[1][3] else -mag
 
 
 def duan_witness(v, a: float) -> float:
     """Summed EPR-variance witness at weight ``a`` (negative => entangled).
 
-    Only ``|a|`` is prescribed by the caller; the sign of the weight is
-    resolved by evaluating both choices and keeping the smaller witness,
-    which matches the sign of the quadrature correlations.  Sufficient but
-    not necessary: a nonnegative value proves nothing.
+    Only ``|a|`` is prescribed by the caller; the sign of the weight is the
+    one whose witness is the smaller, the sign of the quadrature
+    correlations.  Sufficient but not necessary: a nonnegative value proves
+    nothing.
     """
     if a == 0:
         raise ValueError("the EPR weight a must be nonzero")
-    mag = abs(a)
-    return min(_duan_raw(v, mag), _duan_raw(v, -mag))
+    cov = _as_cov(v)
+    return duan_parameters(cov, _signed(cov._rows, abs(a))).witness
 
 
 class MinimizedDuan(NamedTuple):
     """Product form of the variance witness minimized over the EPR weight.
 
     ``w_m = sigma1*sigma2 - (c_p - c_q)^2`` shares its sign with the
-    minimized summed witness.  ``a_opt`` is the minimizing weight
-    (``a_opt**2 = sqrt(sigma2/sigma1)``, sign resolved by evaluation) and is
+    minimized summed witness; it is evaluated exactly and rounded once.
+    ``a_opt`` is the minimizing weight, ``sigma2**0.25 / sigma1**0.25`` of
+    the rounded ``sigma_j`` with the sign of :func:`duan_witness`, and is
     ``None`` for degenerate states whose excess noise vanishes on a mode;
     such states carry an uncorrelated pure mode and are separable.
     """
@@ -139,15 +143,14 @@ class MinimizedDuan(NamedTuple):
 def minimized_duan(v) -> MinimizedDuan:
     """Minimized variance witness ``w_m`` and the optimal EPR weight."""
     cov = _as_cov(v)
-    (v00, _, v02, _), (_, v11, _, v13), (_, _, v22, _), (_, _, _, v33) = cov._rows
-    sigma1 = (v00 + v11) - 2.0
-    sigma2 = (v22 + v33) - 2.0
-    w_m = sigma1 * sigma2 - (v13 - v02) ** 2
+    x = _exact_matrix(cov)
+    v00, _, v02, _, v11, _, v13, v22, _, v33 = x.entries
+    s1, s2 = v00 + v11 - 2 * x.one, v22 + v33 - 2 * x.one  # sigma_j over D
+    w_m = ratio(s1 * s2 - (v13 - v02) ** 2, x.one**2)
+    sigma1, sigma2 = ratio(s1, x.one), ratio(s2, x.one)
     if min(sigma1, sigma2) <= DEGENERATE_SIGMA_TOL:
         return MinimizedDuan(w_m=w_m, a_opt=None, degenerate=True)
-    mag = (sigma2 / sigma1) ** 0.25
-    a_opt = mag if _duan_raw(cov, mag) <= _duan_raw(cov, -mag) else -mag
-    return MinimizedDuan(w_m=w_m, a_opt=a_opt)
+    return MinimizedDuan(w_m=w_m, a_opt=_signed(cov._rows, sigma2**0.25 / sigma1**0.25))
 
 
 def ppt_witness(v) -> float:
@@ -210,6 +213,12 @@ class GammaSet(Record):
         return self.gamma11 + self.gamma21
 
 
+_NOT_FINITE = (
+    "witness values are not finite: the covariance entries are too "
+    "large to evaluate the quartic witness"
+)
+
+
 def _finite(values) -> tuple:
     """``values`` as a tuple, checked to be finite.
 
@@ -218,16 +227,8 @@ def _finite(values) -> tuple:
     """
     values = tuple(values)
     if not all(map(math.isfinite, values)):
-        raise ValidationError(
-            "witness values are not finite: the covariance entries are too "
-            "large to evaluate the quartic witness"
-        )
+        raise ValidationError(_NOT_FINITE)
     return values
-
-
-def _gamma_of(x: Matrix) -> GammaSet:
-    """The Gamma set of an exact matrix, each field rounded once."""
-    return GammaSet(*_finite(ratio(n, d) for n, d in x.gamma_set()))
 
 
 def gamma_coefficients(v) -> GammaSet:
@@ -236,7 +237,7 @@ def gamma_coefficients(v) -> GammaSet:
     Each coefficient is evaluated exactly and rounded once; a value whose
     rounding overflows raises :class:`ValidationError`.
     """
-    return _gamma_of(_exact_matrix(v))
+    return GammaSet(*_finite(ratio(n, d) for n, d in _exact_matrix(v).gamma_set()))
 
 
 def reduced_witness(g: GammaSet, t) -> float:

@@ -72,6 +72,22 @@ HIGHLY_SQUEEZED = CovMatrix(
     ]
 )
 
+# Physical and separable; its corners are finite, but sigma2/sigma1 is not.
+SQUEEZED_MODE = CovMatrix(np.diag([1.000000001, 1.000000001, 1e300, 1e-300]))
+
+
+def pure_two_mode_squeezed(x: float) -> CovMatrix:
+    """The pure two-mode squeezed state with ``cosh 2r = x``."""
+    y = math.sqrt(x * x - 1)
+    return CovMatrix([[x, 0, y, 0], [0, x, 0, -y], [y, 0, x, 0], [0, -y, 0, x]])
+
+
+#: ``cosh 2r`` of pure two-mode squeezed states across the overflow of their
+#: Gamma set: ``lambda4`` (about ``2 x^4``) leaves float range from 1e77 on,
+#: ``lambda1`` and ``lambda2`` by 1e150, and the float ``det V`` of ``scan``'s
+#: cell ``(1, 1)`` from 1.2e77 on; the corners (about ``-4 x^2``) stay finite.
+OVERFLOW_LADDER = (1e76, 1e77, 1.2e77, 1e78, 1e80, 1e150)
+
 
 def oracle_symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues via eig(Omega @ V): moduli of the +-i*nu pairs."""

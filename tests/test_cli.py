@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import stat
 import tracemalloc
@@ -16,6 +17,7 @@ from cvrobust import (
     PureTwoModeSqueezed,
     StandardFormI,
     SymmetricModes,
+    ValidationError,
     attenuate,
     build,
     classify,
@@ -26,7 +28,17 @@ from cvrobust import (
 )
 from cvrobust import cli
 from cvrobust.cli import main, read_state_file, state_file_text
-from helpers import CM_B, CM_C, CM_D, eq19_matrix, exact_reference_witnesses, strict_json
+from helpers import (
+    CM_B,
+    CM_C,
+    CM_D,
+    OVERFLOW_LADDER,
+    SQUEEZED_MODE,
+    eq19_matrix,
+    exact_reference_witnesses,
+    pure_two_mode_squeezed,
+    strict_json,
+)
 
 
 def run(args):
@@ -353,6 +365,51 @@ class TestClassify:
         # The float det V (LU) of seed 49 rounds to <= 0; exactly, it is positive.
         mu, det_v = self.classify_pure_state(49, tmp_path)
         assert mu == float(det_v) ** -0.5
+
+    def test_unbounded_weight_ratio_classifies(self, tmp_path, capsys):
+        # sigma2/sigma1 overflows, sigma2**0.25 / sigma1**0.25 does not.
+        path = write_state(tmp_path / "sq.json", SQUEEZED_MODE)
+        assert run(["classify", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert strict_json(out)["witnesses"]["a_opt"] > 0
+
+
+@pytest.mark.parametrize("x", OVERFLOW_LADDER)
+class TestOverflowRule:
+    """A command fails only when a value it decides on or writes is not finite."""
+
+    def test_corner_commands_agree_with_the_library(self, x, tmp_path):
+        v = pure_two_mode_squeezed(x)
+        try:
+            report, expected = classify(v), 0
+        except ValidationError:
+            expected = 1
+        path = write_state(tmp_path / "s.json", v)
+        for command in ("classify", "contour"):
+            assert run([command, path, "-o", str(tmp_path / command)]) == expected
+        if expected == 0:
+            data = strict_json((tmp_path / "classify").read_text())
+            assert data["witnesses"]["w_full"] == report.w_full
+            gamma = data["gamma"]
+            assert (gamma["lambda4"] is None) == (x >= 1e77)
+            assert (gamma["lambda1"] is None) == (gamma["lambda2"] is None) == (x >= 1e150)
+
+    def test_scan_writes_only_finite_values(self, x, tmp_path, capsys):
+        path = write_state(tmp_path / "s.json", pure_two_mode_squeezed(x))
+        status = run(["scan", path, "--grid", "3"])
+        out, err = capsys.readouterr()
+        # Below 1.2e77 every cell's float det V is finite.
+        assert status == (0 if x <= 1e77 else 1)
+        lines = out.splitlines()
+        assert lines[0] == "t1,t2,w_ppt_attenuated,w_reduced"
+        assert (len(lines) - 1) % 3 == 0  # complete rows only
+        assert all(math.isfinite(float(f)) for line in lines[1:] for f in line.split(","))
+        assert status == 0 or "not finite" in err
+        target = tmp_path / "scan.csv"
+        target.write_bytes(b"earlier scan\n")
+        assert run(["scan", path, "--grid", "3", "-o", str(target)]) == status
+        assert target.read_bytes() == (out.encode() if status == 0 else b"earlier scan\n")
 
 
 class TestScan:

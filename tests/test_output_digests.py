@@ -4,13 +4,14 @@ The ``scan``, ``contour`` and ``map`` digests were recorded at the commit
 before the witness polynomials were shared by the exact kernel, the map
 screen and ``scan``; the ``validate`` and ``attenuate`` digests at the
 commit before those commands stopped importing numpy.  The ``classify``
-digests were recorded after its Duan variances became exact, the change
-that moved the last bits of ``w_d``.  The ``contour`` digests of CM_B,
-CM_D and CM_E were recorded when each point's ``t2`` became the exact root
-of ``W_R`` rounded once, which moved its last bits; they equal the CSV of
-``helpers.exact_esd_contour``.  CM_A and CM_C have no points.  A refactor
-of the kernels must leave every byte of these outputs unchanged; a change that means to move them
-updates the digests and says why.
+digests were recorded when ``w_m`` became exact, evaluated on the matrix's
+integers and rounded once, which moved its last bits on all five states.
+The ``contour`` digests of CM_B, CM_D and CM_E were recorded when each
+point's ``t2`` became the exact root of ``W_R`` rounded once, which moved
+its last bits; they equal the CSV of ``helpers.exact_esd_contour``.  CM_A
+and CM_C have no points.  A refactor of the kernels must leave every byte
+of these outputs unchanged; a change that means to move them updates the
+digests and says why.
 """
 
 import hashlib
@@ -41,11 +42,11 @@ STATE_DIGESTS = {
     ("attenuate", "CM_C"): "5d4f6ac10fbb2bcdf6c9be53de4123521679b13d0a1e9ffc956716a389b68c44",
     ("attenuate", "CM_D"): "35ca0a5594a9a61d10e02b58fdcb10166c3b901a8e3419c3fa282fdb2bbdd08a",
     ("attenuate", "CM_E"): "422170acbbc84df30d1786649c0372e548407bb1444a8ed74fb234e8542db64a",
-    ("classify", "CM_A"): "afa5f91b68ee3b830ae310e6da0246aae251d719c6f283d36595941cacf83587",
-    ("classify", "CM_B"): "697cc4a4644163b8562a9f0c4fe092b352a022a492eda847cc871f877bc121ce",
-    ("classify", "CM_C"): "96e3ade4c4775d6103b532b50fabb97f32374e0513ff220f0c6f319004adde6b",
-    ("classify", "CM_D"): "b7dd465d91a6ca9fb72ce6a484f12a5cae6b0ad54eb30b63461f58298b8b3d1b",
-    ("classify", "CM_E"): "653b67d8fe270358094495e1e40202fd62117263ad5da550c97f19a783bc4b96",
+    ("classify", "CM_A"): "9c02b8540075e707a79c234ce79a974db54e289694101d89da5df56ebdfc1a23",
+    ("classify", "CM_B"): "4ffade2ec9decbc048a987b3fff6b2f35124504433aa625f37fce09dffc30675",
+    ("classify", "CM_C"): "dda2a3a441fb7b2e079130ddcfc1d67c3b573b68fe2d9917916147c93d71d2e2",
+    ("classify", "CM_D"): "6db7ed176dac1b29a1e6b0cdb2b544f4f7b2afc06c01c9a5b391574341755fe0",
+    ("classify", "CM_E"): "23b63dc9b01bd76c9c93abaf74917a425ad90b98958cee98cae0c3b449e2a8dc",
 }
 
 MAP_DIGESTS = {

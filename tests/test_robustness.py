@@ -30,9 +30,11 @@ from helpers import (
     CM_D,
     CM_E,
     HIGHLY_SQUEEZED,
+    OVERFLOW_LADDER,
     eq19_matrix,
     exact_esd_contour,
     oracle_attenuated_ppt_grid,
+    pure_two_mode_squeezed,
     random_entangled_states,
     random_states,
     reference_esd_contour,
@@ -312,6 +314,19 @@ class TestEsdContour:
     def test_overflowing_witness_rejected(self):
         with pytest.raises(ValidationError, match="not finite"):
             esd_contour(CovMatrix(np.diag([1e90] * 4)), 16)
+
+
+@pytest.mark.parametrize("x", OVERFLOW_LADDER)
+def test_finite_corners_are_enough(x):
+    # Only the corners enter these functions; other Gamma fields overflow here.
+    v = pure_two_mode_squeezed(x)
+    report = classify(v)
+    assert report.cls == FULLY_ROBUST
+    assert full_robustness_witness(v) == report.w_full
+    assert channel_robustness_witness(v, 1) == report.w_ch1
+    assert channel_robustness_witness(v, 2) == report.w_ch2
+    assert critical_transmittance(v, 1) is critical_transmittance(v, 2) is None
+    assert esd_contour(v, 16).shape == (0, 2)
 
 
 class TestRobustify:
