@@ -40,10 +40,10 @@ too, with no dependence on how a BLAS kernel orders its sums.
 The witness polynomials are written once, as the module functions
 :func:`_laplace`, :func:`_uncertainty` (``e1 .. e4`` above), :func:`_w_ppt`,
 :func:`_parts` and :func:`_corners` of the ten entries and a unit ``one``,
-homogeneous so that the unit stands for 1.  :class:`Matrix` calls them on
-its integers with ``one = D``, for physicality, ``classify`` and the Gamma
-set; ``ppt_witness`` and ``scan``'s attenuated witness call :func:`_laplace`
-and :func:`_w_ppt` on one matrix's floats with ``one = 1``.  The region maps
+homogeneous so that the unit stands for 1.  Only :class:`Matrix` calls
+them, on its integers with ``one = D``, for physicality, the PPT witness,
+the corners and the Gamma set; ``scan`` and ``contour`` interpolate the
+corners bilinearly (``robustness._row_ends``).  The region maps
 need no :class:`Matrix`: ``robustness._map_row`` decides their
 symmetric-mode cells exactly from the EPR variances, integers over one
 power-of-two denominator per map (:func:`_integers`).
@@ -142,10 +142,9 @@ def congruence(s, v):
 def _laplace(v00, v01, v02, v03, v11, v12, v13, v22, v23, v33):
     """Determinant invariants of a symmetric 4x4 matrix from its upper triangle.
 
-    Returns ``det a1``, the 2x2 minors ``t02`` and ``t12`` of rows (0, 1)
-    with columns (0, 2) and (1, 2), ``det c``, ``det a2`` and ``det V``, the
-    last by Laplace expansion over the 2x2 minors of rows (0, 1) and
-    (2, 3).  Homogeneous of degrees 2 and 4, so the unit does not enter.
+    Returns ``det a1``, ``det c``, ``det a2`` and ``det V``, the last by
+    Laplace expansion over the 2x2 minors of rows (0, 1) and (2, 3).
+    Homogeneous of degrees 2 and 4, so the unit does not enter.
     """
     # 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair.
     t01 = v00 * v11 - v01 * v01
@@ -162,7 +161,7 @@ def _laplace(v00, v01, v02, v03, v11, v12, v13, v22, v23, v33):
     det_v = (
         t01 * det_a2 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + det_c * det_c
     )
-    return t01, t02, t12, det_c, det_a2, det_v
+    return t01, det_c, det_a2, det_v
 
 
 def _uncertainty(one, upper, det_a1, det_a2, det_c, det_v):
@@ -242,7 +241,7 @@ class Matrix:
 
     def __init__(self, upper):
         self.entries, self.one = _integers(upper)
-        self.det_a1, _, _, self.det_c, self.det_a2, self.det_v = _laplace(*self.entries)
+        self.det_a1, self.det_c, self.det_a2, self.det_v = _laplace(*self.entries)
         self._invariants = None
 
     def uncertainty(self):

@@ -127,29 +127,17 @@ def attenuate(v, t) -> CovMatrix:
     Block-wise this sends ``c -> sqrt(T1 T2) c`` and
     ``a_j -> T_j (a_j - I) + I``, so ``t = (1, 1)`` is the identity and
     ``t = (0, 0)`` outputs the two-mode vacuum.  Physical inputs stay
-    physical for every transmittance pair.
+    physical for every transmittance pair.  Each upper-triangle entry is
+    ``(l_i l_j) (v_ij - delta_ij) + delta_ij`` in floats, with ``l_i`` the
+    square root of its mode's transmittance.
     """
     t = Transmittance.of(t)
-    a, p, q, r, b, s, u, c, w, d = _attenuated(
-        _upper(_as_cov(v)._rows), math.sqrt(t.t1), math.sqrt(t.t2)
-    )
-    return CovMatrix([[a, p, q, r], [p, b, s, u], [q, s, c, w], [r, u, w, d]])
-
-
-def _attenuated(upper, l1, l2) -> list:
-    """The ten upper-triangle entries of ``L (V - I) L + I``, ``L = diag(l1, l1, l2, l2)``.
-
-    Each is ``(l_i l_j) (v_ij - delta_ij) + delta_ij`` of the float entries
-    ``upper`` and the square roots ``l1``, ``l2`` of the transmittances.
-    ``scan`` takes the blocks ``a1`` and ``a2`` from here and forms ``c``'s
-    entries by the same rule, so each cell has :func:`attenuate`'s bits.
-    The transmittances are not range checked here.
-    """
-    ls = (l1, l1, l2, l2)
-    return [
-        (ls[i] * ls[j]) * (v - float(i == j)) + float(i == j)
-        for (i, j), v in zip(_UPPER, upper)
+    ls = [math.sqrt(t.t1)] * 2 + [math.sqrt(t.t2)] * 2
+    a, p, q, r, b, s, u, c, w, d = [
+        (ls[i] * ls[j]) * (x - float(i == j)) + float(i == j)
+        for (i, j), x in zip(_UPPER, _upper(_as_cov(v)._rows))
     ]
+    return CovMatrix([[a, p, q, r], [p, b, s, u], [q, s, c, w], [r, u, w, d]])
 
 
 def _unit_samples(n: int) -> Iterator[float]:

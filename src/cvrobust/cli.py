@@ -10,8 +10,10 @@ CSV with a header row.  Numbers are printed by ``repr``: the shortest text
 that reads back to the same float.  Output goes out as it is made, a grid
 row by row and a contour point by point, so memory grows with neither
 ``--grid`` nor ``--samples``.  With ``-o`` the file is replaced
-atomically, and only on success.  On stdout a grid that fails partway
-leaves its header and the complete rows before the failing one.
+atomically, and only on success.  ``scan`` and ``contour`` check their
+state before their first byte; only ``map`` can fail partway, and on
+stdout it then leaves its header and the complete rows before the failing
+one.
 
 Exit status: 0 on success, 1 on validation errors, 2 on usage errors.
 """
@@ -29,11 +31,10 @@ import tempfile
 from itertools import chain
 
 from . import __version__
-from ._exact import _laplace, _w_ppt, ratio
+from ._exact import _integers, ratio
 from .channel import (
     LinkBudget,
     Transmittance,
-    _attenuated,
     _require_finite_nonnegative,
     _unit_samples,
     attenuate,
@@ -42,9 +43,7 @@ from .channel import (
 from .covariance import (
     CovMatrix,
     _exact_matrix,
-    _exact_physical,
     _require_physical,
-    _upper,
     purities,
     symplectic_spectrum,
     validate_physicality,
@@ -63,8 +62,8 @@ from .families import (
     build,
     random_physical_state,
 )
-from .robustness import CHANNEL_WITNESS_NOTE, _contour, classify, robustify
-from .witnesses import _NOT_FINITE, GammaSet, _finite, duan_witness, minimized_duan
+from .robustness import CHANNEL_WITNESS_NOTE, _contour, _row_ends, classify, robustify
+from .witnesses import GammaSet, duan_witness, minimized_duan
 
 STATE_FIELDS = {"label", "ordering", "matrix"}
 
@@ -261,39 +260,23 @@ def _cmd_scan(args) -> int:
     cov, _ = read_state_file(args.input)
     if args.grid < 2:
         raise ValidationError("scan grid must be at least 2")
-    gamma = _exact_physical(cov).gamma_set()[:4]
-    g11, g12, g21, g22 = _finite([ratio(n, d) for n, d in gamma])
-    upper = _upper(cov.tolist())
-    _, _, q, r, _, s, u, _, _, _ = upper
     ts = list(_unit_samples(args.grid))
-    ls = [math.sqrt(t) for t in ts]
-    # Per column: t2, its text, l2, a2's entries and t2 * gamma12.
-    columns = [
-        (t2, repr(t2), l2, *_attenuated(upper, l2, l2)[7:], t2 * g12)
-        for t2, l2 in zip(ts, ls)
-    ]
+    ms, one = _integers(ts)  # t2 = m2 / one
+    columns = [(repr(t2), m2) for t2, m2 in zip(ts, ms)]
+    rows = _row_ends(cov, ts)
 
     def lines():
         yield "t1,t2,w_ppt_attenuated,w_reduced\n"
-        for t1, l1 in zip(ts, ls):
-            a00, a01, _, _, a11 = _attenuated(upper, l1, l1)[:5]
-            # reduced_witness's sum left to right: its first term is fixed along the row.
-            r0, t1_text = g11 + t1 * g21, repr(t1)
+        for t1, a, b, den in rows:
+            # W_R = (one a + m2 (b - a)) / (one den), and t1 t2 = m1 m2 / (d1 one).
+            t1_text, (m1, d1) = repr(t1), t1.as_integer_ratio()
+            start, slope, den = one * a, b - a, one * den
+            den_att = d1 * one * den
             row = []
-            for t2, t2_text, l2, a22, a23, a33, t2_g12 in columns:
-                # c's entries by _attenuated's rule, (l1 l2) (v - 0) + 0.
-                l12 = l1 * l2
-                det_a1, _, _, det_c, det_a2, det_v = _laplace(
-                    a00, a01, l12 * q + 0.0, l12 * r + 0.0,
-                    a11, l12 * s + 0.0, l12 * u + 0.0, a22, a23, a33,
-                )
-                w_att = _w_ppt(1, det_a1, det_a2, det_c, det_v)
-                w_red = r0 + t2_g12 + t1 * t2 * g22
-                row.append(f"{t1_text},{t2_text},{w_att!r},{w_red!r}\n")
-            text = "".join(row)
-            if "n" in text:  # "inf" or "nan": the repr of no finite float has an "n"
-                raise ValidationError(_NOT_FINITE)
-            yield text
+            for t2_text, m2 in columns:
+                w = start + m2 * slope
+                row.append(f"{t1_text},{t2_text},{m1 * m2 * w / den_att!r},{w / den!r}\n")
+            yield "".join(row)
 
     _write(lines(), args.output)
     return 0

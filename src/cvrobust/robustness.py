@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, islice
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from ._exact import Matrix, at_most, congruence, exact, ratio
 from ._record import Record
@@ -337,30 +337,49 @@ def esd_contour(v, samples: int = 256) -> np.ndarray:
     return np.fromiter(chain.from_iterable(points), dtype=float).reshape(-1, 2)
 
 
+def _row_ends(cov: CovMatrix, ts: Iterable[float]) -> Iterator[tuple[float, int, int, int]]:
+    """The ends of ``W_R``'s rows, exactly: ``(t1, a, b, den)`` for each ``t1`` of ``ts``.
+
+    Physicality and overflow are checked at the call, before any row is
+    made.  ``W_R`` is bilinear: with ``F, C1, C2, P`` the exact ``w_full``,
+    ``w_ch1``, ``w_ch2`` and ``w_ppt`` over ``D^4``, at ``t1 = m/d`` it runs
+    linearly in ``t2`` from ``a / den = W_R(t1, 0) = ((d - m) F + m C2) / d``
+    to ``b / den = W_R(t1, 1) = ((d - m) C1 + m P) / d``, with ``den = d D^4``.
+    Every value of ``W_R`` on the unit square is a convex combination of
+    the four corners, so once they round to finite floats, so does it.
+    """
+    x = _exact_physical(cov)
+    (ppt, _), (full, _), (ch1, _), (ch2, _) = _rounded_corners(x)[0]
+    one2 = x.one * x.one
+    one4 = one2 * one2
+    full, ch1, ch2 = full * one2, ch1 * x.one, ch2 * x.one  # over D^4
+
+    def rows():
+        for t1 in ts:
+            m, d = t1.as_integer_ratio()
+            yield t1, (d - m) * full + m * ch2, (d - m) * ch1 + m * ppt, d * one4
+
+    return rows()
+
+
 def _contour(cov: CovMatrix, samples: int) -> Iterator[tuple[float, float]]:
     """The points of :func:`esd_contour`: ``(t1, t2)`` float pairs made as they are read.
 
     ``samples``, physicality and overflow are checked at the call, before
     any point is made.  The samples ``t1 = i * (1/samples)``, the last one
-    1, are those of ``np.linspace(0, 1, samples + 1)[1:]``.  ``W_R`` is
-    bilinear: at ``t1 = m/d`` it runs linearly in ``t2`` from
-    ``a = W_R(t1, 0) = ((d - m) w_full + m w_ch2) / d`` to
-    ``b = W_R(t1, 1) = ((d - m) w_ch1 + m w_ppt) / d``.  The root
-    ``a / (a - b)`` is kept when it lies in ``(0, 1]``, decided on integers
-    over ``d D^4``, and rounded once; ``a = b`` has none.  At ``t1 = 1`` it
-    is ``w_ch2 / (w_ch2 - w_ppt)``, ``t2_critical``.
+    1, are those of ``np.linspace(0, 1, samples + 1)[1:]``.  Along the row
+    at ``t1`` (:func:`_row_ends`), ``W_R`` has the root ``a / (a - b)``,
+    kept when it lies in ``(0, 1]``, decided on the row's integers, and
+    rounded once; ``a = b`` has none.  At ``t1 = 1`` it is
+    ``w_ch2 / (w_ch2 - w_ppt)``, ``t2_critical``.
     """
     if samples < 1:
         raise ValidationError("samples must be positive")
-    x = _exact_physical(cov)
-    (ppt, _), (full, _), (ch1, _), (ch2, _) = _rounded_corners(x)[0]
-    a0, a1 = full * x.one**2, ch2 * x.one  # d a = (d - m) a0 + m a1 over D^4
-    e0, e1 = a0 - ch1 * x.one, a1 - ppt  # d (a - b) = (d - m) e0 + m e1
+    rows = _row_ends(cov, islice(_unit_samples(samples + 1), 1, None))
 
     def points():
-        for t1 in islice(_unit_samples(samples + 1), 1, None):
-            m, d = t1.as_integer_ratio()
-            a, den = (d - m) * a0 + m * a1, (d - m) * e0 + m * e1
+        for t1, a, b, _ in rows:
+            den = a - b
             if 0 < a <= den or den <= a < 0:
                 yield t1, a / den  # correctly rounded
 

@@ -12,14 +12,13 @@ with a reduced witness bilinear in the transmittances,
 
 whose coefficients are local-rotation invariants of the input state.  This
 module computes the witnesses and the Gamma decomposition, both from the
-polynomials of :mod:`cvrobust._exact`.  The Gamma coefficients, the Duan
-variances and ``w_m`` evaluate them on the matrix's exact integers and
-round each value once; ``w_d`` adds the rounded variances in floats, and
-``a_opt`` is a float fourth root.  :func:`ppt_witness`, like ``scan``'s
-attenuated witness, evaluates the same Laplace expansion on one matrix's
-floats, and ``_band_at`` gives the zero band that ``classify`` and the
-region maps' cells share.  A function raises "witness values are not
-finite" only when a value it returns is not a finite float.
+polynomials of :mod:`cvrobust._exact`.  The PPT witness, the Gamma
+coefficients, the Duan variances and ``w_m`` evaluate them on the matrix's
+exact integers and round each value once; ``w_d`` adds the rounded
+variances in floats, and ``a_opt`` is a float fourth root.  ``_band_at``
+gives the zero band that ``classify`` and the region maps' cells share.
+A function raises "witness values are not finite" only when a value it
+returns is not a finite float.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._exact import _laplace, _w_ppt, ratio
+from ._exact import ratio
 from ._record import Record
 from .channel import Transmittance
 from .covariance import _as_cov, _exact_matrix, _scale_of, _upper
@@ -157,13 +156,11 @@ def ppt_witness(v) -> float:
     """PPT witness ``1 + det V + 2 det c - det a1 - det a2``.
 
     Negative iff the Gaussian state is entangled; nonnegative iff separable.
-    The polynomial of :mod:`cvrobust._exact` evaluated in floats, independent
-    of the exact Gamma coefficients, so that
-    ``ppt_witness(attenuate(v, t)) = t1 * t2 * reduced_witness(g, t)`` checks
-    one against the other.
+    Evaluated exactly on the matrix's integers and rounded once, the
+    ``w_ppt`` corner of :func:`~cvrobust.robustness.classify`; raises
+    :class:`ValidationError` when it does not round to a finite float.
     """
-    det_a1, _, _, det_c, det_a2, det_v = _laplace(*_upper(_as_cov(v)._rows))
-    return _w_ppt(1, det_a1, det_a2, det_c, det_v)
+    return _finite([ratio(*_exact_matrix(v).corners()[0])])[0]
 
 
 class GammaSet(Record):

@@ -396,16 +396,27 @@ class TestOverflowRule:
             assert (gamma["lambda1"] is None) == (gamma["lambda2"] is None) == (x >= 1e150)
 
     def test_scan_writes_only_finite_values(self, x, tmp_path, capsys):
-        path = write_state(tmp_path / "s.json", pure_two_mode_squeezed(x))
+        # Every cell is a convex combination of the corners, so scan fails
+        # exactly where classify and contour do, before its first byte.
+        v = pure_two_mode_squeezed(x)
+        path = write_state(tmp_path / "s.json", v)
+        try:
+            classify(v)
+            expected = 0
+        except ValidationError:
+            expected = 1
+        assert run(["contour", path, "-o", str(tmp_path / "contour")]) == expected
         status = run(["scan", path, "--grid", "3"])
         out, err = capsys.readouterr()
-        # Below 1.2e77 every cell's float det V is finite.
-        assert status == (0 if x <= 1e77 else 1)
-        lines = out.splitlines()
-        assert lines[0] == "t1,t2,w_ppt_attenuated,w_reduced"
-        assert (len(lines) - 1) % 3 == 0  # complete rows only
-        assert all(math.isfinite(float(f)) for line in lines[1:] for f in line.split(","))
-        assert status == 0 or "not finite" in err
+        assert status == expected
+        if status == 0:
+            lines = out.splitlines()
+            assert lines[0] == "t1,t2,w_ppt_attenuated,w_reduced"
+            assert len(lines) == 1 + 9
+            assert all(math.isfinite(float(f)) for line in lines[1:] for f in line.split(","))
+        else:
+            assert out == ""
+            assert "not finite" in err
         target = tmp_path / "scan.csv"
         target.write_bytes(b"earlier scan\n")
         assert run(["scan", path, "--grid", "3", "-o", str(target)]) == status
@@ -439,6 +450,28 @@ class TestScan:
         assert run(["scan", path, "--grid", "2", "-o", str(out)]) == 1
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "v, flags, message",
+        [
+            (CM_D, ["--grid", "1"], "scan grid must be at least 2"),
+            (SUB_VACUUM, [], "unphysical state"),
+            (CovMatrix(np.diag([1e90] * 4)), [], "witness values are not finite"),
+        ],
+        ids=["grid-one", "unphysical", "overflow"],
+    )
+    def test_errors_come_before_the_first_byte(self, v, flags, message, tmp_path, capsys):
+        # The rows are made as they are written, but every check runs first.
+        path = write_state(tmp_path / "s.json", v)
+        out = tmp_path / "scan.csv"
+        out.write_bytes(b"earlier scan\n")
+        assert run(["scan", path, *flags, "-o", str(out)]) == 1
+        assert out.read_bytes() == b"earlier scan\n"
+        capsys.readouterr()
+        assert run(["scan", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_row_major_t1_outer(self, tmp_path, cm_d_file):
         out = tmp_path / "scan.csv"

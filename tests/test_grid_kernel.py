@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,17 +15,14 @@ from cvrobust import (
     CovMatrix,
     RandomStateParams,
     ValidationError,
-    attenuate,
     classify,
-    gamma_coefficients,
     partially_robust_asymmetric,
-    ppt_witness,
     random_physical_state,
-    reduced_witness,
     region_map_correlations,
     region_map_epr,
 )
 from cvrobust.cli import main, state_file_text
+from cvrobust.covariance import _exact_matrix
 from cvrobust.robustness import _CLASSES, _code
 from helpers import (
     CM_A,
@@ -150,24 +148,60 @@ SCAN_STATES = {
 }
 
 
+def scan_rows(tmp_path, v, grid):
+    """The rows of ``scan --grid grid`` on ``v``, as lists of their four fields."""
+    path = tmp_path / "state.json"
+    path.write_text(state_file_text(v, "state"))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", str(path), "--grid", str(grid), "-o", str(out)]) == 0
+    return [line.split(",") for line in out.read_text().splitlines()[1:]]
+
+
 @pytest.mark.parametrize("name", sorted(SCAN_STATES))
 def test_scan_rows_bit_identical_to_scalar_witnesses(tmp_path, name):
-    # Each row is the text of the np.linspace samples and of the public
-    # scalar witnesses there: what `scan` hoists out of its loops changes
-    # no bit.
+    # Each row is the text of the np.linspace samples and of the exact
+    # t1 t2 W_R and W_R there, each rounded once; W_R is the bilinear
+    # interpolation of the exact corners, evaluated in Fractions.
     v = SCAN_STATES[name]
-    path = tmp_path / "state.json"
-    path.write_text(state_file_text(v, name))
-    g = gamma_coefficients(v)
+    ppt, full, ch1, ch2 = (Fraction(n, d) for n, d in _exact_matrix(v).corners())
     for grid in (2, 7, 33):
-        out = tmp_path / "scan.csv"
-        assert main(["scan", str(path), "--grid", str(grid), "-o", str(out)]) == 0
         ts = np.linspace(0.0, 1.0, grid).tolist()
-        expected = [
-            ",".join(
-                map(repr, (t1, t2, ppt_witness(attenuate(v, (t1, t2))), reduced_witness(g, (t1, t2))))
-            )
-            for t1 in ts
-            for t2 in ts
-        ]
-        assert out.read_text().splitlines()[1:] == expected
+        expected = []
+        for t1 in ts:
+            for t2 in ts:
+                x, y = Fraction(t1), Fraction(t2)
+                w = (1 - x) * ((1 - y) * full + y * ch1) + x * ((1 - y) * ch2 + y * ppt)
+                expected.append([repr(t1), repr(t2), repr(float(x * y * w)), repr(float(w))])
+        assert scan_rows(tmp_path, v, grid) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_STATES))
+def test_scan_corner_rows_carry_classify_corners(tmp_path, name):
+    # One kernel: scan's corners are classify's corner witnesses, bit for bit.
+    report = classify(SCAN_STATES[name])
+    w_reduced = {(t1, t2): w for t1, t2, _, w in scan_rows(tmp_path, SCAN_STATES[name], 5)}
+    assert w_reduced["0.0", "0.0"] == repr(report.w_full)
+    assert w_reduced["0.0", "1.0"] == repr(report.w_ch1)
+    assert w_reduced["1.0", "0.0"] == repr(report.w_ch2)
+    assert w_reduced["1.0", "1.0"] == repr(report.w_ppt)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_STATES))
+def test_contour_points_lie_between_scan_sign_changes(tmp_path, name):
+    # contour --samples n samples the t1 rows of scan --grid n + 1 but the
+    # first; each root lies between two columns of its row where W_R
+    # changes sign or vanishes.
+    v, n = SCAN_STATES[name], 16
+    rows = {}
+    for t1, t2, _, w in scan_rows(tmp_path, v, n + 1):
+        rows.setdefault(float(t1), []).append((float(t2), float(w)))
+    path = tmp_path / "state.json"  # written by scan_rows
+    out = tmp_path / "contour.csv"
+    assert main(["contour", str(path), "--samples", str(n), "-o", str(out)]) == 0
+    for line in out.read_text().splitlines()[1:]:
+        t1, t2 = map(float, line.split(","))
+        row = rows[t1]
+        assert any(
+            lo <= t2 <= hi and min(w_lo, w_hi) <= 0.0 <= max(w_lo, w_hi)
+            for (lo, w_lo), (hi, w_hi) in zip(row, row[1:])
+        ), (t1, t2)

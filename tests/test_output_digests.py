@@ -1,17 +1,22 @@
 """Output bytes of the CLI commands, pinned by SHA-256 digest.
 
-The ``scan``, ``contour`` and ``map`` digests were recorded at the commit
-before the witness polynomials were shared by the exact kernel, the map
-screen and ``scan``; the ``validate`` and ``attenuate`` digests at the
-commit before those commands stopped importing numpy.  The ``classify``
-digests were recorded when ``w_m`` became exact, evaluated on the matrix's
-integers and rounded once, which moved its last bits on all five states.
-The ``contour`` digests of CM_B, CM_D and CM_E were recorded when each
-point's ``t2`` became the exact root of ``W_R`` rounded once, which moved
-its last bits; they equal the CSV of ``helpers.exact_esd_contour``.  CM_A
-and CM_C have no points.  A refactor of the kernels must leave every byte
-of these outputs unchanged; a change that means to move them updates the
-digests and says why.
+The ``map`` digests, and the ``contour`` digests of CM_A and CM_C, which
+have no points, were recorded at the commit before the witness
+polynomials were shared by the exact kernel, the map screen and ``scan``;
+the ``validate`` and ``attenuate`` digests at the commit before those
+commands stopped importing numpy.  The ``classify`` digests were recorded
+when ``w_m`` became exact, evaluated on the matrix's integers and rounded
+once, which moved its last bits on all five states.  The ``contour``
+digests of CM_B, CM_D and CM_E were recorded when each point's ``t2``
+became the exact root of ``W_R`` rounded once, which moved its last bits;
+they equal the CSV of ``helpers.exact_esd_contour``.  The ``scan``
+digests were recorded when each row's ``w_reduced`` and
+``w_ppt_attenuated`` became ``W_R`` and ``t1 t2 W_R`` interpolated from
+the exact corners and rounded once, instead of float sums of the rounded
+Gamma coefficients and the float PPT witness of the attenuated matrix,
+which moved their last bits.  A refactor of the kernels must leave every
+byte of these outputs unchanged; a change that means to move them updates
+the digests and says why.
 """
 
 import hashlib
@@ -22,11 +27,11 @@ import helpers
 from cvrobust.cli import main, state_file_text
 
 STATE_DIGESTS = {
-    ("scan", "CM_A"): "fc07e913de59b67825ff8d94aaaf921e1ea1c82152be17de3aac4d9165a69409",
-    ("scan", "CM_B"): "dd88918a3e309d20d5a09aa2a98ed6a29c50839bf7661bec104d0b64ada68b44",
-    ("scan", "CM_C"): "2a64c9861b7bc86df601faf807e4eb80ee279cca3c13bb550ac6efacc66e5aad",
-    ("scan", "CM_D"): "19d0cf4b9bf42f2e0d0f78166959d9b9e9074ad8cd95ccd39b5056ab5f2b18ea",
-    ("scan", "CM_E"): "e350133ba692193513df400356b22d5f16d471793ec2fc1664ca85aa4bbc5a50",
+    ("scan", "CM_A"): "8958db0dbe91827b2f5be53e805b6c718e1a211961be0d915600b10e9b15c4cb",
+    ("scan", "CM_B"): "cdcfd0447afa3163c225c5342e28ef3c50205efa5cf4a30e659eecf023f89ab6",
+    ("scan", "CM_C"): "1d4fc42945572dafc14274a8716a1e368e59b68537ead1d44173f0a1da8af9da",
+    ("scan", "CM_D"): "1938c60a63dd69c9b0194f2ac9d4b307cac7d7773675a385ec9ed66b3ccf7f0b",
+    ("scan", "CM_E"): "29341c595baacc52685efe50804309040f576cbcdfbb642d7bf6a616b7028128",
     ("contour", "CM_A"): "c4e4461620947eaa8a6e0b8a63c45cd9aa273ac98c704c72a5a11ca0bf316776",
     ("contour", "CM_B"): "1df650054431b4bcb8e1f111e2d5ca3a205add68a9ccf85d8010b9914762e291",
     ("contour", "CM_C"): "c4e4461620947eaa8a6e0b8a63c45cd9aa273ac98c704c72a5a11ca0bf316776",
