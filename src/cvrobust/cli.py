@@ -15,7 +15,14 @@ state before their first byte; only ``map`` can fail partway, and on
 stdout it then leaves its header and the complete rows before the failing
 one.
 
-Exit status: 0 on success, 1 on validation errors, 2 on usage errors.
+The layers are bound as module objects of the lazy package namespace, and
+each command body calls into them at run time, so a command executes only
+the modules it uses; the parser gets the arguments of the invoked
+subcommand only.
+
+Exit status: 0 on success, 1 on validation errors and when stdout's reader
+leaves before the output ends (the rest is dropped, without a message), 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -23,58 +30,26 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import math
 import os
 import sys
 import tempfile
 from itertools import chain
 
-from . import __version__
-from ._exact import _integers, ratio
-from .channel import (
-    LinkBudget,
-    Transmittance,
-    _require_finite_nonnegative,
-    _unit_samples,
-    attenuate,
-    transmittance_from_link,
-)
-from .covariance import (
-    CovMatrix,
-    _exact_matrix,
-    _require_physical,
-    purities,
-    symplectic_spectrum,
-    validate_physicality,
-)
+from . import __version__, _exact, channel, covariance, families, robustness, witnesses
 from .errors import ValidationError
-from .families import (
-    _REGIONS,
-    FullySymmetric,
-    FullySymmetricFromSqueezing,
-    PureTwoModeSqueezed,
-    RandomStateParams,
-    StandardFormI,
-    SymmetricModes,
-    _correlation_cells,
-    _epr_cells,
-    build,
-    random_physical_state,
-)
-from .robustness import CHANNEL_WITNESS_NOTE, _contour, _row_ends, classify, robustify
-from .witnesses import GammaSet, duan_witness, minimized_duan
 
 STATE_FIELDS = {"label", "ordering", "matrix"}
 
-#: The spec of each ``family`` kind; each spec field is a float flag
-#: ``--<field without "_">``, required unless the field has a default.
+#: The spec class in :mod:`cvrobust.families` of each ``family`` kind; each
+#: spec field is a float flag ``--<field without "_">``, required unless the
+#: field has a default.
 _FAMILIES = {
-    "fully-symmetric": FullySymmetric,
-    "from-squeezing": FullySymmetricFromSqueezing,
-    "symmetric-modes": SymmetricModes,
-    "standard-form-i": StandardFormI,
-    "pure-squeezed": PureTwoModeSqueezed,
+    "fully-symmetric": "FullySymmetric",
+    "from-squeezing": "FullySymmetricFromSqueezing",
+    "symmetric-modes": "SymmetricModes",
+    "standard-form-i": "StandardFormI",
+    "pure-squeezed": "PureTwoModeSqueezed",
 }
 
 
@@ -146,8 +121,10 @@ def _emit(text: str, path: str | None) -> None:
         write_atomic(path, text)
 
 
-def read_state_file(path: str) -> tuple[CovMatrix, str]:
+def read_state_file(path: str) -> tuple[covariance.CovMatrix, str]:
     """Parse a state file; returns the matrix and its label."""
+    import json
+
     try:
         with open(path) as handle:
             raw = handle.read()
@@ -164,6 +141,7 @@ def read_state_file(path: str) -> tuple[CovMatrix, str]:
         raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
     if "ordering" not in data or "matrix" not in data:
         raise ValidationError(f"{path}: missing required fields 'ordering'/'matrix'")
+    CovMatrix = covariance.CovMatrix
     if data["ordering"] != CovMatrix.ORDERING:
         raise ValidationError(
             f"{path}: ordering must be {CovMatrix.ORDERING!r}, got {data['ordering']!r}"
@@ -187,11 +165,14 @@ def read_state_file(path: str) -> tuple[CovMatrix, str]:
 
 
 def _json_text(data) -> str:
+    import json
+
     return json.dumps(data, indent=2) + "\n"
 
 
-def state_file_text(v: CovMatrix, label: str) -> str:
-    return _json_text({"label": label, "ordering": CovMatrix.ORDERING, "matrix": v.tolist()})
+def state_file_text(v: covariance.CovMatrix, label: str) -> str:
+    ordering = covariance.CovMatrix.ORDERING
+    return _json_text({"label": label, "ordering": ordering, "matrix": v.tolist()})
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -201,7 +182,7 @@ def _finite_or_none(x: float) -> float | None:
 
 def _cmd_validate(args) -> int:
     cov, label = read_state_file(args.input)
-    diag = validate_physicality(cov)
+    diag = covariance.validate_physicality(cov)
     data = {
         "label": label,
         "physical": diag.physical,
@@ -216,13 +197,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_classify(args) -> int:
     cov, label = read_state_file(args.input)
-    report = classify(cov)
-    gamma = _exact_matrix(cov).gamma_set()
-    nu = symplectic_spectrum(cov)
-    nu_pt = symplectic_spectrum(cov, partial_transpose_mode=2)
-    pur = purities(cov)
-    duan = minimized_duan(cov)
-    w_d = None if duan.degenerate else duan_witness(cov, duan.a_opt)
+    report = robustness.classify(cov)
+    gamma = covariance._exact_matrix(cov).gamma_set()
+    nu = covariance.symplectic_spectrum(cov)
+    nu_pt = covariance.symplectic_spectrum(cov, partial_transpose_mode=2)
+    pur = covariance.purities(cov)
+    duan = witnesses.minimized_duan(cov)
+    w_d = None if duan.degenerate else witnesses.duan_witness(cov, duan.a_opt)
     data = {
         "label": label,
         "class": report.cls.label,
@@ -237,7 +218,9 @@ def _cmd_classify(args) -> int:
             "a_opt": duan.a_opt,
             "degenerate_duan": duan.degenerate,
         },
-        "gamma": {k: _finite_or_none(ratio(*w)) for k, w in zip(GammaSet._fields, gamma)},
+        "gamma": {
+            k: _finite_or_none(_exact.ratio(*w)) for k, w in zip(witnesses.GammaSet._fields, gamma)
+        },
         "symplectic": {
             "nu_minus": _finite_or_none(nu.nu_minus),
             "nu_plus": _finite_or_none(nu.nu_plus),
@@ -250,7 +233,7 @@ def _cmd_classify(args) -> int:
             "t2": report.t2_critical,
         },
         "boundary_flags": sorted(report.boundary_flags),
-        "notes": [CHANNEL_WITNESS_NOTE],
+        "notes": [robustness.CHANNEL_WITNESS_NOTE],
     }
     _emit(_json_text(data), args.output)
     return 0
@@ -260,10 +243,10 @@ def _cmd_scan(args) -> int:
     cov, _ = read_state_file(args.input)
     if args.grid < 2:
         raise ValidationError("scan grid must be at least 2")
-    ts = list(_unit_samples(args.grid))
-    ms, one = _integers(ts)  # t2 = m2 / one
+    ts = list(channel._unit_samples(args.grid))
+    ms, one = _exact._integers(ts)  # t2 = m2 / one
     columns = [(repr(t2), m2) for t2, m2 in zip(ts, ms)]
-    rows = _row_ends(cov, ts)
+    rows = robustness._row_ends(cov, ts)
 
     def lines():
         yield "t1,t2,w_ppt_attenuated,w_reduced\n"
@@ -284,12 +267,12 @@ def _cmd_scan(args) -> int:
 
 def _cmd_contour(args) -> int:
     cov, _ = read_state_file(args.input)
-    points = _contour(cov, args.samples)
+    points = robustness._contour(cov, args.samples)
     _write(chain(["t1,t2\n"], (f"{t1!r},{t2!r}\n" for t1, t2 in points)), args.output)
     return 0
 
 
-def _link_budget_from_args(args) -> LinkBudget | None:
+def _link_budget_from_args(args) -> channel.LinkBudget | None:
     if args.length1_km is None and args.length2_km is None:
         for flag, value in (
             ("--alpha-db-per-km", args.alpha_db_per_km),
@@ -304,8 +287,8 @@ def _link_budget_from_args(args) -> LinkBudget | None:
         ("--alpha-db-per-km", args.alpha_db_per_km),
     ):
         if value is not None:
-            _require_finite_nonnegative(flag, value)
-    return LinkBudget(
+            channel._require_finite_nonnegative(flag, value)
+    return channel.LinkBudget(
         scenario=args.scenario or "dual-channel",
         length1_km=args.length1_km or 0.0,
         length2_km=args.length2_km or 0.0,
@@ -319,20 +302,20 @@ def _cmd_attenuate(args) -> int:
     if budget is not None:
         if args.t1 is not None or args.t2 is not None:
             raise ValidationError("give either transmittances or link lengths, not both")
-        t = transmittance_from_link(budget)
+        t = channel.transmittance_from_link(budget)
     else:
-        t = Transmittance(
+        t = channel.Transmittance(
             args.t1 if args.t1 is not None else 1.0,
             args.t2 if args.t2 is not None else 1.0,
         )
-    out = attenuate(_require_physical(cov), t)
+    out = channel.attenuate(covariance._require_physical(cov), t)
     _emit(state_file_text(out, label), args.output)
     return 0
 
 
 def _cmd_family(args) -> int:
-    spec = _FAMILIES[args.kind]
-    cov = build(spec(*(getattr(args, name.replace("_", "")) for name in spec._fields)))
+    spec = getattr(families, _FAMILIES[args.kind])
+    cov = families.build(spec(*(getattr(args, name.replace("_", "")) for name in spec._fields)))
     label = args.label if args.label is not None else args.kind
     _emit(state_file_text(cov, label), args.output)
     return 0
@@ -340,19 +323,20 @@ def _cmd_family(args) -> int:
 
 def _cmd_map(args) -> int:
     if args.which == "correlations":
-        x_name, y_name, xs, ys, rows = _correlation_cells(args.dq, args.dp, args.grid)
+        x_name, y_name, xs, ys, rows = families._correlation_cells(args.dq, args.dp, args.grid)
     else:
-        x_name, y_name, xs, ys, rows = _epr_cells(
+        x_name, y_name, xs, ys, rows = families._epr_cells(
             args.mu_minus, args.mu_plus, args.grid, args.q_plus_max, args.p_minus_max
         )
     y_text = [repr(y) for y in ys]
+    regions = families._REGIONS
 
     def lines():
         yield f"{x_name},{y_name},label,boundary\n"
         for x, row in zip(xs, rows):
             x_text = repr(x)
             yield "".join(
-                f"{x_text},{y},{_REGIONS[code]},{'1' if flag else '0'}\n"
+                f"{x_text},{y},{regions[code]},{'1' if flag else '0'}\n"
                 for y, (code, flag) in zip(y_text, row)
             )
 
@@ -361,21 +345,21 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    params = RandomStateParams(
+    params = families.RandomStateParams(
         nu_min=args.nu_min, nu_max=args.nu_max, squeeze_max=args.squeeze_max
     )
-    cov = random_physical_state(args.seed, params)
+    cov = families.random_physical_state(args.seed, params)
     _emit(state_file_text(cov, f"random(seed={args.seed})"), args.output)
     return 0
 
 
 def _cmd_robustify(args) -> int:
     cov, label = read_state_file(args.input)
-    result = robustify(cov, budget=args.budget, seed=args.seed)
+    result = robustness.robustify(cov, budget=args.budget, seed=args.seed)
     if result is None:
         data = {"label": label, "found": False}
     else:
-        after = classify(result.v_out)
+        after = robustness.classify(result.v_out)
         data = {
             "label": label,
             "found": True,
@@ -396,110 +380,119 @@ def _cmd_robustify(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Each subcommand: its help line in ``cvrobust --help``, and its body.
+_COMMANDS = {
+    "validate": ("check physicality of a state file", _cmd_validate),
+    "classify": ("full witness report and robustness class", _cmd_classify),
+    "scan": ("attenuated witness over a transmittance grid (CSV)", _cmd_scan),
+    "contour": ("disentanglement boundary in the transmittance square", _cmd_contour),
+    "attenuate": ("apply the loss channel to a state file", _cmd_attenuate),
+    "family": ("build a parametric family state", _cmd_family),
+    "map": ("robustness region maps (CSV)", _cmd_map),
+    "random": ("emit a seeded random physical state", _cmd_random),
+    "robustify": ("search local symplectics for full robustness", _cmd_robustify),
+}
+
+
+def _add_output(p) -> None:
+    p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+
+
+def _add_arguments(p, command: str) -> None:
+    """Add the arguments of the subcommand ``command`` to its parser ``p``."""
+    if command == "family":
+        fam = p.add_subparsers(dest="kind", required=True)
+        for kind, spec_name in _FAMILIES.items():
+            spec = getattr(families, spec_name)
+            q = fam.add_parser(kind)
+            defaults = spec._field_defaults
+            for name in spec._fields:
+                q.add_argument(
+                    "--" + name.replace("_", ""), type=float,
+                    required=name not in defaults, default=defaults.get(name),
+                )
+            q.add_argument("--label", default=None)
+            _add_output(q)
+        return
+    if command == "map":
+        which = p.add_subparsers(dest="which", required=True)
+        q = which.add_parser("correlations")
+        q.add_argument("--dq", type=float, required=True)
+        q.add_argument("--dp", type=float, required=True)
+        q.add_argument("--grid", type=int, default=101)
+        _add_output(q)
+        q = which.add_parser("epr")
+        q.add_argument("--mu-minus", type=float, required=True, dest="mu_minus")
+        q.add_argument("--mu-plus", type=float, required=True, dest="mu_plus")
+        q.add_argument("--grid", type=int, default=101)
+        q.add_argument("--q-plus-max", type=float, default=5.0, dest="q_plus_max")
+        q.add_argument("--p-minus-max", type=float, default=5.0, dest="p_minus_max")
+        _add_output(q)
+        return
+    if command == "random":
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--nu-min", type=float, default=1.0, dest="nu_min")
+        p.add_argument("--nu-max", type=float, default=2.5, dest="nu_max")
+        p.add_argument("--squeeze-max", type=float, default=1.0, dest="squeeze_max")
+    else:
+        p.add_argument("input")
+    if command == "scan":
+        p.add_argument("--grid", type=int, default=101, help="points per axis (default 101)")
+    elif command == "contour":
+        p.add_argument("--samples", type=int, default=256, help="sample count (default 256)")
+    elif command == "attenuate":
+        p.add_argument("--t1", type=float, default=None, help="channel-1 transmittance")
+        p.add_argument("--t2", type=float, default=None, help="channel-2 transmittance")
+        p.add_argument("--length1-km", type=float, default=None, dest="length1_km")
+        p.add_argument("--length2-km", type=float, default=None, dest="length2_km")
+        p.add_argument(
+            "--scenario",
+            choices=["dual-channel", "single-channel"],
+            default=None,
+            help="loss scenario of the link lengths (default dual-channel)",
+        )
+        p.add_argument("--alpha-db-per-km", type=float, default=None, dest="alpha_db_per_km")
+    elif command == "robustify":
+        p.add_argument("--budget", type=int, default=10_000)
+        p.add_argument("--seed", type=int, default=0)
+    _add_output(p)
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The ``cvrobust`` parser, with the arguments of the subcommand ``command`` only.
+
+    Every subcommand is registered with its help line, so the top-level help
+    and usage are whole.  Parsing an argv whose subcommand is ``command``
+    reads no other subcommand's arguments, so they are left out.
+    """
     parser = argparse.ArgumentParser(
         prog="cvrobust",
         description="Analyze entanglement robustness of two-mode Gaussian states under loss.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("validate", help="check physicality of a state file")
-    p.add_argument("input")
-    add_output(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("classify", help="full witness report and robustness class")
-    p.add_argument("input")
-    add_output(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("scan", help="attenuated witness over a transmittance grid (CSV)")
-    p.add_argument("input")
-    p.add_argument("--grid", type=int, default=101, help="points per axis (default 101)")
-    add_output(p)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("contour", help="disentanglement boundary in the transmittance square")
-    p.add_argument("input")
-    p.add_argument("--samples", type=int, default=256, help="sample count (default 256)")
-    add_output(p)
-    p.set_defaults(func=_cmd_contour)
-
-    p = sub.add_parser("attenuate", help="apply the loss channel to a state file")
-    p.add_argument("input")
-    p.add_argument("--t1", type=float, default=None, help="channel-1 transmittance")
-    p.add_argument("--t2", type=float, default=None, help="channel-2 transmittance")
-    p.add_argument("--length1-km", type=float, default=None, dest="length1_km")
-    p.add_argument("--length2-km", type=float, default=None, dest="length2_km")
-    p.add_argument(
-        "--scenario",
-        choices=["dual-channel", "single-channel"],
-        default=None,
-        help="loss scenario of the link lengths (default dual-channel)",
-    )
-    p.add_argument("--alpha-db-per-km", type=float, default=None, dest="alpha_db_per_km")
-    add_output(p)
-    p.set_defaults(func=_cmd_attenuate)
-
-    p = sub.add_parser("family", help="build a parametric family state")
-    fam = p.add_subparsers(dest="kind", required=True)
-    for kind, spec in _FAMILIES.items():
-        q = fam.add_parser(kind)
-        defaults = spec._field_defaults
-        for name in spec._fields:
-            q.add_argument(
-                "--" + name.replace("_", ""), type=float,
-                required=name not in defaults, default=defaults.get(name),
-            )
-        q.add_argument("--label", default=None)
-        add_output(q)
-        q.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("map", help="robustness region maps (CSV)")
-    which = p.add_subparsers(dest="which", required=True)
-    q = which.add_parser("correlations")
-    q.add_argument("--dq", type=float, required=True)
-    q.add_argument("--dp", type=float, required=True)
-    q.add_argument("--grid", type=int, default=101)
-    add_output(q)
-    q.set_defaults(func=_cmd_map)
-    q = which.add_parser("epr")
-    q.add_argument("--mu-minus", type=float, required=True, dest="mu_minus")
-    q.add_argument("--mu-plus", type=float, required=True, dest="mu_plus")
-    q.add_argument("--grid", type=int, default=101)
-    q.add_argument("--q-plus-max", type=float, default=5.0, dest="q_plus_max")
-    q.add_argument("--p-minus-max", type=float, default=5.0, dest="p_minus_max")
-    add_output(q)
-    q.set_defaults(func=_cmd_map)
-
-    p = sub.add_parser("random", help="emit a seeded random physical state")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nu-min", type=float, default=1.0, dest="nu_min")
-    p.add_argument("--nu-max", type=float, default=2.5, dest="nu_max")
-    p.add_argument("--squeeze-max", type=float, default=1.0, dest="squeeze_max")
-    add_output(p)
-    p.set_defaults(func=_cmd_random)
-
-    p = sub.add_parser("robustify", help="search local symplectics for full robustness")
-    p.add_argument("input")
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
-    p.set_defaults(func=_cmd_robustify)
-
+    for name, (help_text, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            _add_arguments(p, name)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command on ``argv`` (default ``sys.argv[1:]``); returns the exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on ``argv`` (default ``sys.argv[1:]``); returns the exit status.
+
+    A ``BrokenPipeError`` (stdout's reader has gone) propagates: :func:`run`
+    ends the process on it without a message.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse's subcommand token: no top-level option takes a value.
+    command = next((token for token in argv if not token.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (ValidationError, OSError, MemoryError) as exc:
         # a MemoryError may name the allocation; a bare one has no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
@@ -514,9 +507,20 @@ def run() -> int:
     collector's permanent generation, so that the final collection at
     interpreter exit does not walk them.  In-process callers use
     :func:`main`, which leaves the collector alone.
+
+    When stdout's reader goes away first (``cvrobust scan s.json | head``),
+    the rest of the output is dropped and the exit status is 1, with no
+    message: stdout is pointed at ``os.devnull``, so the flush at exit has
+    nothing to fail on (the "Note on SIGPIPE" of the :mod:`signal` docs).
     """
     try:
-        return main()
+        try:
+            return main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         gc.freeze()
 

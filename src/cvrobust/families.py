@@ -22,6 +22,7 @@ from itertools import repeat
 from operator import add, sub
 from typing import NamedTuple, Union
 
+from . import robustness
 from ._exact import _integers, congruence, exact, product, ratio
 from ._record import Record
 from .covariance import (
@@ -36,7 +37,6 @@ from .covariance import (
     _scale_of,
 )
 from .errors import ValidationError
-from .robustness import _map_row
 
 __all__ = [
     "FullySymmetric",
@@ -352,7 +352,9 @@ def _correlation_cells(dq: float, dp: float, grid: int):
 
     def rows():
         for c_p in c[grid:]:
-            yield _map_row(one, q_plus, q_minus, repeat(dp + c_p), repeat(dp - c_p), scales)
+            yield robustness._map_row(
+                one, q_plus, q_minus, repeat(dp + c_p), repeat(dp - c_p), scales
+            )
 
     return "cbar_p", "cbar_q", cbar, cbar, rows()
 
@@ -398,7 +400,7 @@ def _epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max):
             c_q = integers([0.5 * (x - qm) for qm in q_minus[:end]])
             c_p = integers([0.5 * (pp - y) for y in p_minus[:end]])
             q_pm = map(add, dq, c_q), map(sub, dq, c_q)
-            row = _map_row(one, *q_pm, map(add, dp, c_p), map(sub, dp, c_p), scales)
+            row = robustness._map_row(one, *q_pm, map(add, dp, c_p), map(sub, dp, c_p), scales)
             if end < grid:
                 raise ValidationError("covariance matrix contains non-finite entries")
             yield row

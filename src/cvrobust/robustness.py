@@ -24,6 +24,7 @@ import math
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
+from . import simplex
 from ._exact import Matrix, at_most, congruence, exact, ratio
 from ._record import Record
 from .channel import _unit_samples
@@ -38,7 +39,6 @@ from .covariance import (
     validate_physicality,
 )
 from .errors import SeparableInputError, ValidationError
-from .simplex import nelder_mead
 from .witnesses import _band_at, _finite, boundary_band
 
 __all__ = [
@@ -451,7 +451,7 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
                 rng = default_rng(seed)
             bounds = (math.pi, 1.0, math.pi, math.pi, 1.0, math.pi)
             x0 = [rng.uniform(-b, b, 1)[0] for b in bounds]
-        result = nelder_mead(
+        result = simplex.nelder_mead(
             objective, x0, step=0.1, max_evals=budget - spent, target=0.0
         )
         spent += result.evaluations

@@ -10,10 +10,17 @@ from pathlib import Path
 
 import pytest
 
+import cvrobust
 from cvrobust.cli import main, state_file_text
 from helpers import CM_E
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env(**env) -> dict[str, str]:
+    """This environment with this checkout's package importable, plus ``env``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **env)
 
 
 def python(*args, **env):
@@ -21,13 +28,8 @@ def python(*args, **env):
 
     ``env`` adds variables to the child's environment only.
     """
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path, **env),
-        timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=child_env(**env), timeout=120
     )
 
 
@@ -59,6 +61,44 @@ def command_argv(argv, tmp_path) -> list[str]:
     return [paths.get(a, a) for a in argv]
 
 
+#: The submodules that ``import cvrobust`` registers without executing them.
+SUBMODULES = {
+    f"cvrobust.{name}"
+    for name in (
+        "_exact", "_pcg64", "_record", "channel", "covariance",
+        "errors", "families", "robustness", "simplex", "witnesses",
+    )
+}
+
+#: The cvrobust modules each command executes, besides ``cli`` and ``errors``.
+STATE = {"cvrobust._exact", "cvrobust.covariance"}
+LOSS = STATE | {"cvrobust._record", "cvrobust.channel"}
+WITNESS = LOSS | {"cvrobust.robustness", "cvrobust.witnesses"}
+FAMILY = STATE | {"cvrobust._record", "cvrobust.families"}
+EXECUTED = {
+    "version": set(),
+    "validate": STATE,
+    "attenuate": LOSS,
+    "classify": WITNESS,
+    "scan": WITNESS,
+    "contour": WITNESS,
+    "robustify": WITNESS | {"cvrobust.simplex"},
+    "random": FAMILY | {"cvrobust._pcg64"},
+    "family": FAMILY,
+    "map": FAMILY | WITNESS,
+}
+
+#: Prints the cvrobust modules in ``sys.modules`` as JSON: ``[registered,
+#: executed]``.  LazyLoader's module subclass turns into a plain module when
+#: the module runs, and ``type`` reads the class without running it.
+REPORT_MODULES = (
+    "import json, sys, types\n"
+    "ours = {n: m for n, m in list(sys.modules.items()) if n.startswith('cvrobust.')}\n"
+    "print(json.dumps([sorted(ours), sorted(n for n, m in ours.items()\n"
+    "                                       if type(m) is types.ModuleType)]))"
+)
+
+
 def layer_modules() -> set[str]:
     """The cvrobust modules whose functions ``bench/tracer.py`` wraps."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
@@ -76,6 +116,27 @@ class TestStartup:
         assert "dataclasses" not in loaded
         assert not any(name.split(".")[0] == "numpy" for name in loaded)
         assert layer_modules() <= loaded
+
+    def test_package_import_executes_no_submodule(self):
+        done = python("-c", "import cvrobust\n" + REPORT_MODULES)
+        assert done.returncode == 0, done.stderr
+        registered, executed = json.loads(done.stdout)
+        assert set(registered) == SUBMODULES
+        assert executed == []
+
+    @pytest.mark.parametrize("name", sorted(EXECUTED))
+    def test_command_executes_only_its_modules(self, name, tmp_path):
+        argv = command_argv(STDLIB_COMMANDS[name], tmp_path)
+        code = (
+            "from cvrobust.cli import main\n"
+            f"try: assert main({argv!r}) == 0\n"
+            "except SystemExit as exc: assert exc.code == 0\n" + REPORT_MODULES
+        )
+        done = python("-c", code)
+        assert done.returncode == 0, done.stderr
+        registered, executed = json.loads(done.stdout.splitlines()[-1])
+        assert set(registered) == SUBMODULES | {"cvrobust.cli"}
+        assert set(executed) == EXECUTED[name] | {"cvrobust.cli", "cvrobust.errors"}
 
     @pytest.mark.parametrize("name", sorted(STDLIB_COMMANDS))
     def test_single_state_commands_leave_numpy_unloaded(self, name, tmp_path):
@@ -186,6 +247,26 @@ class TestStartup:
             assert done.stdout.splitlines()[-1] == "0 True False False"
 
 
+class TestNamespace:
+    def test_star_import_binds_every_public_name_of_its_module(self):
+        names = {}
+        exec("from cvrobust import *", names)
+        assert len(cvrobust.__all__) == len(set(cvrobust.__all__)) == 67
+        assert names["__version__"] == cvrobust.__version__ == "0.1.0"
+        for name in cvrobust.__all__[1:]:
+            home = sys.modules[f"cvrobust.{cvrobust._HOME[name]}"]
+            assert names[name] is getattr(cvrobust, name) is vars(home)[name]
+            defined_in = getattr(names[name], "__module__", None) or ""  # classes, functions
+            assert defined_in == home.__name__ or not defined_in.startswith("cvrobust")
+
+    def test_dir_lists_the_public_names(self):
+        assert {"__all__", *cvrobust.__all__} <= set(dir(cvrobust))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'cvrobust' has no attribute 'nothing'"):
+            cvrobust.nothing
+
+
 def in_process(argv, capsys):
     capsys.readouterr()
     try:
@@ -209,3 +290,30 @@ class TestProcessEntry:
         done = python("-m", "cvrobust.cli", *argv)
         assert (done.returncode, done.stdout, done.stderr) == in_process(argv, capsys)
         assert done.returncode == expected_code
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["scan", "STATE", "--grid", "300"], "t1,t2,w_ppt_attenuated,w_reduced\n"),
+            (["map", "epr", "--mu-minus", "1", "--mu-plus", "1", "--grid", "300"],
+             "q_plus_var,p_minus_var,label,boundary\n"),
+        ],
+        ids=["scan", "map"],
+    )
+    def test_closed_stdout_ends_quietly(self, argv, header, unbuffered, tmp_path):
+        # `cvrobust scan s.json | head -1`: the reader leaves after one line.
+        # The rest of the output is dropped, with exit status 1 and no message.
+        argv = command_argv(argv, tmp_path)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "cvrobust.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 1
+        assert (first, err) == (header.encode(), b"")

@@ -17,9 +17,17 @@ Gamma coefficients and the float PPT witness of the attenuated matrix,
 which moved their last bits.  A refactor of the kernels must leave every
 byte of these outputs unchanged; a change that means to move them updates
 the digests and says why.
+
+The help texts, ``--version`` and the usage errors are pinned too: their
+exit status, stdout and stderr, recorded at the commit before the parser
+began to add only the invoked subcommand's arguments.  argparse lays help
+out differently from one Python version to the next, so these digests
+hold on the version they were recorded on, Python 3.11, at 80 columns.
 """
 
 import hashlib
+import json
+import sys
 
 import pytest
 
@@ -73,6 +81,41 @@ COMMAND_ARGS = {
     "classify": [],
 }
 
+#: Arguments, space-separated -> SHA-256 of the JSON text of
+#: ``[exit status, stdout, stderr]``.
+PARSER_DIGESTS = {
+    "--help": "992be88f3ee111b413a7d8e2b40c7267fdb0c562a5710dbaf61096a65627cf8c",
+    "--version": "1ae7f61a1232759306cad16e3ae0afddd6bc71266bf7c54dcdeaaa7b2969576c",
+    "validate --help": "0225898973228cd08a35c9063f004904157bcd395fcf6442642d96f244b02c9e",
+    "classify --help": "b1f9bcb95f8e42674273d31243e80799c372860defd857f2ef939bea81521f50",
+    "scan --help": "f5440c7707cc4dc1ae287ebcb15a4f403cd363a076822663a3c34ddd4ec477ad",
+    "contour --help": "f90bf0578e1691db937510f74dc34ae6f24c2b11589daa631880e13e65a1c67c",
+    "attenuate --help": "2de891af07594f5fb7c9a338bd17b8b9ce914c6157ae5eedc6ecc68bae69d107",
+    "family --help": "fe81ce4d7e693110583a4d8f4d29076afe722e9619a4bd1685632c049f96623b",
+    "map --help": "b21c7bbc3da4b8a2908c8419f80b856d3abf95cc9eb9effc4660e653837dd4a7",
+    "random --help": "376ebdd6337fb881ed1279cee9eb21adccbc171e43031e6acf74b74270386b73",
+    "robustify --help": "c71de2c427393559c2d45e5bad7a99c368f445662127b75e5ff20f7810666792",
+    "family fully-symmetric --help":
+        "dc48cb5c4d86191e9f935de38e2b9314399da242f4bb8eea8ba045ebf3a5ba70",
+    "family from-squeezing --help":
+        "61f6aab1eb9b3fcab008688f9387177a1181c8e44422eaac1faa90d0b703ac76",
+    "family symmetric-modes --help":
+        "4a859fb5a48552a785bab5aa610cc6eaa67ddc501597a5eb756f0539914827e6",
+    "family standard-form-i --help":
+        "f433b2ae48802c45fbc3117431631263081e203208b8de840793eb8783bce81e",
+    "family pure-squeezed --help":
+        "1848d306a0d998d18ca2f869e343acae8ac008040b80de594d79720113396f1d",
+    "map correlations --help": "0b5034412beb6b59d42897876f61585751e901cbb0be93410e04da19d8f32f3c",
+    "map epr --help": "92d48e1721b278800ee965e57e92a0f4edab790e41018f2da1598ac3d51c9e01",
+    "": "6419d45d97a8ae2e1e3cf4278489b98a481eed3acbbb04529dcc0e9518de80a3",
+    "bogus": "1578a59f3690b36d9911770f6f6f8ae2e00401c92ef4c5fad0a9b9959e667c07",
+    "classify": "4b384103ec69432f30aa4630ca314cc5caf043296849655572b3380436dd61de",
+    "family": "5a30b6faab0353bfef34ccc7c5ff0666192dd629c143b6d6c47fbe136491727b",
+    "map epr": "67d7ecfb6a734e592d202634441973487b8c1c4a68be30fb24f35da76afeea16",
+    "scan x --grid abc": "779c806a189854af9a0fb66557412b5baad334d9c9481ddde087ef942e8b8102",
+    "-o x classify s.json": "87ab1fadcab5bd7f402fd1305752d4a3ec99b254ce2222ea5a0fb1e792e57df8",
+}
+
 
 def digest(argv, path):
     assert main([*argv, "-o", str(path)]) == 0
@@ -91,3 +134,16 @@ def test_state_command_bytes_unchanged(command, name, tmp_path):
 def test_map_bytes_unchanged(which, tmp_path):
     argv, expected = MAP_DIGESTS[which]
     assert digest(argv, tmp_path / "out.csv") == expected
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded on Python 3.11's argparse")
+@pytest.mark.parametrize("argv", sorted(PARSER_DIGESTS), ids=lambda argv: argv or "no-arguments")
+def test_help_and_usage_bytes_unchanged(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    text = json.dumps([code, out, err])
+    assert hashlib.sha256(text.encode()).hexdigest() == PARSER_DIGESTS[argv]

@@ -21,7 +21,7 @@ from cvrobust import (
     region_map_epr,
     validate_physicality,
 )
-from cvrobust import families
+from cvrobust import robustness
 from cvrobust._exact import Matrix, _integers, ratio
 from cvrobust.covariance import PHYSICALITY_TOL, _physicality_tol, _scale_of
 from cvrobust.families import _cell_centers, _epr_moments
@@ -256,14 +256,14 @@ def test_epr_map_integers_are_the_rounded_moments(monkeypatch):
     # EPR variances of epr_state's rounded moments, and its scale (so its
     # tolerance) is that of the moments.
     rows = []
-    kernel = families._map_row
+    kernel = robustness._map_row
 
     def record(one, *cells):
         cells = [list(values) for values in cells]
         rows.append((one, cells))
         return kernel(one, *cells)
 
-    monkeypatch.setattr(families, "_map_row", record)
+    monkeypatch.setattr(robustness, "_map_row", record)
     rng = np.random.default_rng(22)
     off_floor = 0
     for _ in range(12):
