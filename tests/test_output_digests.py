@@ -14,7 +14,10 @@ digests were recorded when each row's ``w_reduced`` and
 ``w_ppt_attenuated`` became ``W_R`` and ``t1 t2 W_R`` interpolated from
 the exact corners and rounded once, instead of float sums of the rounded
 Gamma coefficients and the float PPT witness of the attenuated matrix,
-which moved their last bits.  A refactor of the kernels must leave every
+which moved their last bits.  The edge-path ``map`` digests (far moments,
+tolerances above their floor, pure states, overflow) were recorded at the
+commit before the map kernel took its tolerance, band and integer
+conversion out of the cell.  A refactor of the kernels must leave every
 byte of these outputs unchanged; a change that means to move them updates
 the digests and says why.
 
@@ -62,14 +65,56 @@ STATE_DIGESTS = {
     ("classify", "CM_E"): "23b63dc9b01bd76c9c93abaf74917a425ad90b98958cee98cae0c3b449e2a8dc",
 }
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+#: Map arguments -> exit status and the SHA-256 of stdout and of stderr.  The
+#: last five pin the kernel's edge paths: moments past float range once
+#: scaled by the map's denominator (every cell flagged), tolerances above
+#: their 1e-9 floor on both maps, pure states, and a corner overflow.
 MAP_DIGESTS = {
     "correlations": (
         ["map", "correlations", "--dq", "2.55", "--dp", "1.80", "--grid", "101"],
+        0,
         "ef05ac9b4ff92ba8a52646cda7d1f00df7629861f35c79640c0d3d93a0be3508",
+        EMPTY,
     ),
     "epr": (
         ["map", "epr", "--mu-minus", "0.7267", "--mu-plus", "0.4529", "--grid", "101"],
+        0,
         "e48f7e81d4c4b8b528365e25fd3908c4e0652949609a210b66f2d4014c55c9a9",
+        EMPTY,
+    ),
+    "epr-far-moments": (
+        ["map", "epr", "--mu-minus", "1", "--mu-plus", "1", "--q-plus-max", "1e290",
+         "--grid", "31"],
+        0,
+        "508fd0d2390bb80960e16c383756da25615906640e06c86156c45f3910a93606",
+        EMPTY,
+    ),
+    "epr-above-floor": (
+        ["map", "epr", "--mu-minus", "0.9", "--mu-plus", "0.2", "--q-plus-max", "3e5",
+         "--p-minus-max", "2", "--grid", "41"],
+        0,
+        "2fdd9ca6716fe66fc43622bbdc3315359d4709e379c67764d9b2c1fc98d13737",
+        EMPTY,
+    ),
+    "correlations-above-floor": (
+        ["map", "correlations", "--dq", "1e7", "--dp", "3e5", "--grid", "41"],
+        0,
+        "a5b73c732b7a3ba9490251662afb4ba7e36a131b3e1453bc172461199d07c8f1",
+        EMPTY,
+    ),
+    "epr-pure": (
+        ["map", "epr", "--mu-minus", "1", "--mu-plus", "1", "--grid", "21"],
+        0,
+        "db4d6b76c8d6b5f7d0579e472a4a4fcf90d7fb38f85a6f77d6dd5ea582e1f0db",
+        EMPTY,
+    ),
+    "correlations-overflow": (
+        ["map", "correlations", "--dq", "1e80", "--dp", "1e80", "--grid", "3"],
+        1,
+        "0329551677a54b074bc9d6972ae3c10afd19e3212934f16b5f5e8d94b785e0e9",
+        "360df012d31ae43a451aa23afdda4e6be94e2d02ab00a0eb7520bb123611a0f6",
     ),
 }
 
@@ -117,6 +162,10 @@ PARSER_DIGESTS = {
 }
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def digest(argv, path):
     assert main([*argv, "-o", str(path)]) == 0
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -131,9 +180,14 @@ def test_state_command_bytes_unchanged(command, name, tmp_path):
 
 
 @pytest.mark.parametrize("which", sorted(MAP_DIGESTS))
-def test_map_bytes_unchanged(which, tmp_path):
-    argv, expected = MAP_DIGESTS[which]
-    assert digest(argv, tmp_path / "out.csv") == expected
+def test_map_bytes_unchanged(which, tmp_path, capsys):
+    argv, status, out, err = MAP_DIGESTS[which]
+    capsys.readouterr()
+    code = main(argv)
+    written = capsys.readouterr()
+    assert (code, sha256(written.out), sha256(written.err)) == (status, out, err)
+    if status == 0:
+        assert digest(argv, tmp_path / "out.csv") == out
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded on Python 3.11's argparse")
@@ -145,5 +199,4 @@ def test_help_and_usage_bytes_unchanged(argv, monkeypatch, capsys):
     except SystemExit as exc:
         code = exc.code
     out, err = capsys.readouterr()
-    text = json.dumps([code, out, err])
-    assert hashlib.sha256(text.encode()).hexdigest() == PARSER_DIGESTS[argv]
+    assert sha256(json.dumps([code, out, err])) == PARSER_DIGESTS[argv]
