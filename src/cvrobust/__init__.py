@@ -71,7 +71,7 @@ def _register_lazily(names) -> None:
         globals()[name] = module
 
 
-_register_lazily(("_exact", "_pcg64", "_record", "simplex", *_EXPORTS))
+_register_lazily(("_exact", "_maps", "_pcg64", "_record", "simplex", *_EXPORTS))
 
 
 def __getattr__(name):

@@ -37,6 +37,9 @@ The Duan variances at a float weight ``a = n/d`` are integers over
 ``2 D n^2 d^2`` (:meth:`Matrix.duan_variances`), so they are rounded once
 too, with no dependence on how a BLAS kernel orders its sums.
 
+The one tolerance policy is here too, shared by every module: the
+physicality tolerance, the zero band, the overflow rule and the class codes.
+
 The witness polynomials are written once, as the module functions
 :func:`_laplace`, :func:`_uncertainty` (``e1 .. e4`` above), :func:`_w_ppt`,
 :func:`_parts` and :func:`_corners` of the ten entries and a unit ``one``,
@@ -44,9 +47,9 @@ homogeneous so that the unit stands for 1.  Only :class:`Matrix` calls
 them, on its integers with ``one = D``, for physicality, the PPT witness,
 the corners and the Gamma set; ``scan`` and ``contour`` interpolate the
 corners bilinearly (``robustness._row_ends``).  The region maps
-need no :class:`Matrix`: ``robustness._map_row`` decides their
-symmetric-mode cells exactly from the EPR variances, integers over one
-power-of-two denominator per map (:func:`_integers`).
+need no :class:`Matrix`: ``_maps._map_row`` decides their symmetric-mode
+cells exactly from the EPR variances, integers over one power-of-two
+denominator per map (:func:`_integers`).
 
 Congruences are exact the same way.  :func:`exact` holds a matrix of floats
 as ``(integer rows, D)``, :func:`product` multiplies two such matrices
@@ -59,9 +62,77 @@ a BLAS kernel orders its sums.
 
 from __future__ import annotations
 
+import math
+import sys
 from operator import mul
 
+from .errors import ValidationError
+
 _INF = float("inf")
+
+#: Absolute floor of the tolerance on the smallest eigenvalue of ``V + i*Omega``.
+PHYSICALITY_TOL = 1e-9
+
+#: Roundoff part of that tolerance, per unit of ``covariance._scale_of``.  The
+#: test is evaluated exactly, so the tolerance guards against the rounding of
+#: the data, not of the test: rounding the entries moves ``lambda_min`` by at
+#: most ``||dV||_2 <= 2 eps*max|V|``.  On stored pure states, whose eigenvalue
+#: is 0 before rounding, the exact ``-lambda_min`` was at most 1.34
+#: eps*max|V| over 11000 random pure states (``squeeze_max`` 3 to 13) and
+#: 1.46 over pure two-mode squeezed states (``r`` up to 12); 32 keeps the
+#: margin of the former float test.  A violation smaller than this cannot be
+#: told from roundoff.
+_PHYSICALITY_ROUNDOFF = 32 * sys.float_info.epsilon
+
+_BAND_COEFF = 1e-10
+
+#: ``ratio(num, den)`` overflows exactly when ``|num| >= _OVERFLOW * den``: the
+#: midpoint of the largest float and ``2^1024`` rounds to even, to ``2^1024``.
+_OVERFLOW = ((1 << 54) - 1) << 970
+
+#: The code of an unphysical matrix in the region maps, after those of :func:`_code`.
+_UNPHYSICAL = 6
+
+_NOT_FINITE = (
+    "witness values are not finite: the covariance entries are too "
+    "large to evaluate the quartic witness"
+)
+
+
+def _physicality_tol(scale: float) -> float:
+    """The tolerance of ``validate_physicality`` on ``lambda_min`` at unit ``scale``.
+
+    ``PHYSICALITY_TOL`` up to a knee near ``scale = 1.4e5``, growing above it.
+    """
+    return max(PHYSICALITY_TOL, _PHYSICALITY_ROUNDOFF * scale)
+
+
+def _band_at(scale: float) -> float:
+    """The zero band at tolerance unit ``scale`` (``_scale_of`` of the matrix).
+
+    Nondecreasing in ``scale``.  ``scale * scale`` overflows to infinity,
+    where a power would raise.
+    """
+    return _BAND_COEFF * (scale * scale)
+
+
+def _finite(values) -> tuple:
+    """``values`` as a tuple, checked to be finite.
+
+    Raises :class:`ValidationError` when one is not, as when rounding an
+    exact quartic witness overflows.
+    """
+    values = tuple(values)
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(_NOT_FINITE)
+    return values
+
+
+def _code(entangled, r1, r2, rf):
+    """Class code from the corner decisions: ``w_ppt < 0`` and robust on 1, 2, full loss."""
+    # Separable 0; entangled: 1 + (robust on 1) + 2*(robust on 2), and 5 when
+    # also robust at full loss, following the order of robustness._CLASSES.
+    return entangled * (1 + r1 + 2 * r2 + (rf & r1 & r2))
 
 
 def ratio(num: int, den: int) -> float:

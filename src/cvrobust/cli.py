@@ -36,7 +36,7 @@ import sys
 import tempfile
 from itertools import chain
 
-from . import __version__, _exact, channel, covariance, families, robustness, witnesses
+from . import __version__, _exact, _maps, channel, covariance, families, robustness, witnesses
 from .errors import ValidationError
 
 STATE_FIELDS = {"label", "ordering", "matrix"}
@@ -323,13 +323,13 @@ def _cmd_family(args) -> int:
 
 def _cmd_map(args) -> int:
     if args.which == "correlations":
-        x_name, y_name, xs, ys, rows = families._correlation_cells(args.dq, args.dp, args.grid)
+        x_name, y_name, xs, ys, rows = _maps._correlation_cells(args.dq, args.dp, args.grid)
     else:
-        x_name, y_name, xs, ys, rows = families._epr_cells(
+        x_name, y_name, xs, ys, rows = _maps._epr_cells(
             args.mu_minus, args.mu_plus, args.grid, args.q_plus_max, args.p_minus_max
         )
     y_text = [repr(y) for y in ys]
-    regions = families._REGIONS
+    regions = _maps._REGIONS
 
     def lines():
         yield f"{x_name},{y_name},label,boundary\n"

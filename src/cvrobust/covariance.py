@@ -17,10 +17,9 @@ All values are dimensionless noise powers relative to shot noise.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
-from ._exact import Matrix, _integers, congruence, exact, ratio
+from ._exact import Matrix, _integers, _physicality_tol, congruence, exact, ratio
 from .errors import ValidationError
 
 __all__ = [
@@ -45,20 +44,6 @@ __all__ = [
 
 #: Relative tolerance for the symmetry check on input matrices.
 SYMMETRY_RTOL = 1e-9
-
-#: Absolute floor of the tolerance on the smallest eigenvalue of ``V + i*Omega``.
-PHYSICALITY_TOL = 1e-9
-
-#: Roundoff part of that tolerance, per unit of ``_scale_of``.  The test is
-#: evaluated exactly, so the tolerance guards against the rounding of the
-#: data, not of the test: rounding the entries moves ``lambda_min`` by at most
-#: ``||dV||_2 <= 2 eps*max|V|``.  On stored pure states, whose eigenvalue
-#: is 0 before rounding, the exact ``-lambda_min`` was at most 1.34
-#: eps*max|V| over 11000 random pure states (``squeeze_max`` 3 to 13) and
-#: 1.46 over pure two-mode squeezed states (``r`` up to 12); 32 keeps the
-#: margin of the former float test.  A violation smaller than this cannot be
-#: told from roundoff.
-_PHYSICALITY_ROUNDOFF = 32 * sys.float_info.epsilon
 
 #: Row and column of the ten upper-triangle entries, row by row.
 _UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
@@ -277,11 +262,6 @@ def _exact_of(upper):
 def _exact_matrix(v) -> Matrix:
     """``v``, anything :func:`_as_cov` accepts, in exact integers."""
     return Matrix(_upper(_as_cov(v)._rows))
-
-
-def _physicality_tol(scale: float) -> float:
-    """The tolerance of :func:`validate_physicality` on ``lambda_min`` at unit ``scale``."""
-    return max(PHYSICALITY_TOL, _PHYSICALITY_ROUNDOFF * scale)
 
 
 def _exact_physical(cov: CovMatrix) -> Matrix:

@@ -18,15 +18,12 @@ The EPR parametrization uses the collective quadratures
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import add, sub
 from typing import NamedTuple, Union
 
-from . import robustness
-from ._exact import _integers, congruence, exact, product, ratio
+from . import _maps
+from ._exact import congruence, exact, product, ratio
 from ._record import Record
 from .covariance import (
-    PHYSICALITY_TOL,
     SYMMETRY_RTOL,
     CovMatrix,
     LocalSymplectic,
@@ -264,19 +261,9 @@ def epr_state(
         raise ValidationError("partial purities must lie in (0, 1]")
     if q_plus_var <= 0.0 or p_minus_var <= 0.0:
         raise ValidationError("EPR variances must be positive")
-    p_plus_var = _conjugate_variance(mu_plus, q_plus_var)
-    q_minus_var = _conjugate_variance(mu_minus, p_minus_var)
+    p_plus_var = _maps._conjugate_variance(mu_plus, q_plus_var)
+    q_minus_var = _maps._conjugate_variance(mu_minus, p_minus_var)
     return SymmetricModes(*_epr_moments(q_plus_var, p_plus_var, p_minus_var, q_minus_var))
-
-
-def _conjugate_variance(mu: float, variance: float) -> float:
-    """``1/(mu^2 variance)``, the EPR variance that partial purity ``mu`` pairs with ``variance``.
-
-    Infinite where it leaves float range, also where ``mu^2 variance``
-    underflows to 0.
-    """
-    den = mu**2 * variance
-    return 1.0 / den if den else math.inf
 
 
 def _epr_moments(q_plus_var, p_plus_var, p_minus_var, q_minus_var):
@@ -288,12 +275,6 @@ def _epr_moments(q_plus_var, p_plus_var, p_minus_var, q_minus_var):
         0.5 * (p_plus_var - p_minus_var),
     )
 
-
-UNPHYSICAL = "unphysical"
-
-#: Region of each class code (``robustness._CLASSES``: separable, fragile, partially
-#: robust on channel 1, on 2, on both, fully robust), then of an unphysical cell.
-_REGIONS = ("IV", "III", "II", "II", "II", "I", UNPHYSICAL)
 
 class RegionMap(NamedTuple):
     """Labeled grid of robustness regions.
@@ -311,103 +292,6 @@ class RegionMap(NamedTuple):
     boundary: np.ndarray
 
 
-def _require_finite(**params) -> None:
-    bad = [name for name, value in params.items() if not math.isfinite(value)]
-    if bad:
-        raise ValidationError(f"map parameters must be finite: {', '.join(bad)}")
-
-
-def _cell_centers(lo: float, hi: float, n: int) -> list:
-    """The centers of ``n`` equal cells partitioning ``[lo, hi]``."""
-    if n < 1:
-        raise ValidationError("grid must be positive")
-    width = (hi - lo) / n
-    return [lo + width * (k + 0.5) for k in range(n)]
-
-
-def _correlation_cells(dq: float, dp: float, grid: int):
-    """The axes and verdict rows of :func:`region_map_correlations`, as lists.
-
-    Returns ``(x_name, y_name, x, y, rows)``: the axis names, the cell
-    centers of each axis and an iterator over the rows, each the list of
-    ``robustness._map_row`` verdicts ``(code, boundary)`` of the cells
-    ``(x[i], y[j])`` (the codes index ``_REGIONS``).  A row is decided as it
-    is read, so memory does not grow with ``grid``; the arguments are
-    checked at the call.  The entries become integers over one denominator
-    per map, the EPR variances are summed once per row and once per column,
-    and every cell has the tolerance unit ``max(1, dq, dp)``, since
-    ``|c_q| <= dq`` and ``|c_p| <= dp``.
-    """
-    _require_finite(dq=dq, dp=dp)
-    if dq < 1.0 or dp < 1.0:
-        raise ValidationError("variances must be at least the vacuum level 1")
-    dq, dp = float(dq), float(dp)
-    cbar = _cell_centers(-1.0, 1.0, grid)
-    scale = max(dq, dp)
-    correlations = [cbar_q * dq for cbar_q in cbar] + [cbar_p * dp for cbar_p in cbar]
-    # PHYSICALITY_TOL puts its denominator 2^82 in one, as _map_row needs.
-    (dq, dp, _, *c), one = _integers([dq, dp, PHYSICALITY_TOL, *correlations])
-    q_plus, q_minus = [dq + c_q for c_q in c[:grid]], [dq - c_q for c_q in c[:grid]]
-    scales = repeat(scale)
-
-    def rows():
-        for c_p in c[grid:]:
-            yield robustness._map_row(
-                one, q_plus, q_minus, repeat(dp + c_p), repeat(dp - c_p), scales
-            )
-
-    return "cbar_p", "cbar_q", cbar, cbar, rows()
-
-
-def _epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max):
-    """The axes and verdict rows of :func:`region_map_epr`, as in :func:`_correlation_cells`.
-
-    ``p_plus = 1/(mu_plus^2 q_plus)`` is evaluated once per row and
-    ``q_minus = 1/(mu_minus^2 p_minus)`` once per column, as :func:`epr_state`
-    does, and each cell's moments are rounded as :func:`_epr_moments` rounds
-    them.  A rounded ``(a +- b)/2`` is a multiple of half the common
-    denominator of ``a`` and ``b``, so every moment is an integer over twice
-    the axes' common denominator, one per map.  A row ends at its first cell
-    whose entries are not finite, which raises once the cells before it are
-    decided.
-    """
-    _require_finite(
-        mu_minus=mu_minus, mu_plus=mu_plus, q_plus_max=q_plus_max, p_minus_max=p_minus_max
-    )
-    if not (0.0 < mu_minus <= 1.0 and 0.0 < mu_plus <= 1.0):
-        raise ValidationError("partial purities must lie in (0, 1]")
-    q_plus = _cell_centers(0.0, q_plus_max, grid)
-    p_minus = _cell_centers(0.0, p_minus_max, grid)
-    if min(q_plus) <= 0.0 or min(p_minus) <= 0.0:
-        raise ValidationError("EPR variances must be positive")
-    p_plus = [_conjugate_variance(mu_plus, x) for x in q_plus]
-    q_minus = [_conjugate_variance(mu_minus, y) for y in p_minus]
-    axes = [v for v in (*q_plus, *p_plus, *p_minus, *q_minus) if v < math.inf]
-    # Twice the axes' common denominator, and at least PHYSICALITY_TOL's 2^82.
-    one = _integers([*axes, PHYSICALITY_TOL])[1] << 1
-    bits = one.bit_length()
-
-    def integers(values):
-        return [n << (bits - d.bit_length()) for n, d in map(float.as_integer_ratio, values)]
-
-    def rows():
-        for x, pp in zip(q_plus, p_plus):
-            dq = [0.5 * (x + qm) for qm in q_minus]
-            dp = [0.5 * (pp + y) for y in p_minus]
-            scales = list(map(max, repeat(1.0), dq, dp))  # |c_q| <= dq and |c_p| <= dp
-            end = scales.index(math.inf) if math.inf in scales else grid
-            dq, dp = integers(dq[:end]), integers(dp[:end])
-            c_q = integers([0.5 * (x - qm) for qm in q_minus[:end]])
-            c_p = integers([0.5 * (pp - y) for y in p_minus[:end]])
-            q_pm = map(add, dq, c_q), map(sub, dq, c_q)
-            row = robustness._map_row(one, *q_pm, map(add, dp, c_p), map(sub, dp, c_p), scales)
-            if end < grid:
-                raise ValidationError("covariance matrix contains non-finite entries")
-            yield row
-
-    return "q_plus_var", "p_minus_var", q_plus, p_minus, rows()
-
-
 def _region_map(x_name, y_name, x, y, rows) -> RegionMap:
     """The :class:`RegionMap` of a map's lists, converted to numpy arrays row by row."""
     import numpy as np
@@ -415,7 +299,7 @@ def _region_map(x_name, y_name, x, y, rows) -> RegionMap:
     labels = np.empty((len(x), len(y)), dtype=object)
     boundary = np.empty((len(x), len(y)), dtype=bool)
     for i, row in enumerate(rows):
-        labels[i] = [_REGIONS[code] for code, _ in row]
+        labels[i] = [_maps._REGIONS[code] for code, _ in row]
         boundary[i] = [flag for _, flag in row]
     return RegionMap(x_name, y_name, np.array(x), np.array(y), labels, boundary)
 
@@ -433,9 +317,9 @@ def region_map_correlations(dq: float, dp: float, grid: int) -> RegionMap:
     one row at a time, so memory beyond the returned arrays does not grow
     with ``grid``, each exactly and in closed form from its EPR variances
     ``dq +- c_q`` and ``dp +- c_p``, integers over one denominator per map
-    (``robustness._map_row``), so every verdict is that of ``classify``.
+    (``_maps._map_row``), so every verdict is that of ``classify``.
     """
-    return _region_map(*_correlation_cells(dq, dp, grid))
+    return _region_map(*_maps._correlation_cells(dq, dp, grid))
 
 
 def region_map_epr(
@@ -453,7 +337,7 @@ def region_map_epr(
     :func:`region_map_correlations`; each label equals that of ``classify``
     on the cell's :func:`epr_state` matrix.
     """
-    return _region_map(*_epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max))
+    return _region_map(*_maps._epr_cells(mu_minus, mu_plus, grid, q_plus_max, p_minus_max))
 
 
 #: Largest ``nu_max * e^(2 squeeze_max)`` a random state may reach.  The

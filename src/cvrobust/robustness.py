@@ -24,8 +24,8 @@ import math
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
-from . import simplex
-from ._exact import Matrix, at_most, congruence, exact, ratio
+from . import simplex, witnesses
+from ._exact import Matrix, _code, _finite, at_most, congruence, exact, ratio
 from ._record import Record
 from .channel import _unit_samples
 from .covariance import (
@@ -34,12 +34,10 @@ from .covariance import (
     _as_cov,
     _exact_matrix,
     _exact_physical,
-    _physicality_tol,
     _upper,
     validate_physicality,
 )
 from .errors import SeparableInputError, ValidationError
-from .witnesses import _band_at, _finite, boundary_band
 
 __all__ = [
     "RobustnessClass",
@@ -177,7 +175,7 @@ def critical_transmittance(v, mode: int) -> float | None:
     return report.t1_critical if mode == 1 else report.t2_critical
 
 
-#: Robustness classes indexed by the codes of :func:`_code`.
+#: Robustness classes indexed by the codes of ``_exact._code``.
 _CLASSES = (
     SEPARABLE,
     FRAGILE,
@@ -187,9 +185,6 @@ _CLASSES = (
     FULLY_ROBUST,
 )
 
-#: The code of an unphysical matrix in the region maps' verdicts.
-_UNPHYSICAL = len(_CLASSES)
-
 _CORNERS = ("w_ppt", "w_full", "w_ch1", "w_ch2")
 
 
@@ -197,13 +192,6 @@ def _rounded_corners(x: Matrix):
     """The exact corners of ``x`` and their values rounded once: all finite, else raise."""
     corners = x.corners()
     return corners, _finite([ratio(n, d) for n, d in corners])
-
-
-def _code(entangled, r1, r2, rf):
-    """Class code from the corner decisions: ``w_ppt < 0`` and robust on 1, 2, full loss."""
-    # Separable 0; entangled: 1 + (robust on 1) + 2*(robust on 2), and 5 when
-    # also robust at full loss, following the order of _CLASSES.
-    return entangled * (1 + r1 + 2 * r2 + (rf & r1 & r2))
 
 
 def _exact_class(x: Matrix, band: float):
@@ -223,83 +211,18 @@ def _exact_class(x: Matrix, band: float):
     return corners, values, code, flags
 
 
-#: ``ratio(num, den)`` overflows exactly when ``|num| >= _OVERFLOW * den``: the
-#: midpoint of the largest float and ``2^1024`` rounds to even, to ``2^1024``.
-_OVERFLOW = ((1 << 54) - 1) << 970
-
-
-def _map_row(one, q_plus, q_minus, p_plus, p_minus, scales) -> list:
-    """The verdicts ``(code, boundary)`` of one row of region map cells, exactly.
-
-    Cell ``j`` (``a1 = a2 = diag(dq, dp)``, ``c = diag(c_q, c_p)``) enters by
-    its EPR variances ``q_plus[j] = dq + c_q``, ``q_minus[j] = dq - c_q``,
-    ``p_plus[j] = dp + c_p`` and ``p_minus[j] = dp - c_p``, integers over a
-    power of two ``one >= 2^82`` (so that every tolerance is one too), and by
-    its tolerance unit ``scales[j]``.  The verdicts are those of
-    ``validate_physicality`` and ``classify`` on its matrix: ``_UNPHYSICAL``
-    and no flag, else the class code and whether a corner is in the zero
-    band.  Raises :class:`ValidationError` when a rounded corner is not finite.
-
-    A balanced beam splitter, orthogonal and symplectic, takes ``V + i*Omega``
-    to the one-mode blocks ``diag(q, p) + i*J`` of ``(q_+, p_+)`` and
-    ``(q_-, p_-)``, so the cell is physical when, for both, ``q + p + 2 tol
-    >= 0`` and ``(q + tol)(p + tol) >= 1``.  Its corners are those of
-    :class:`~cvrobust.families.EprSummary`: ``w_ppt = w_prod * w_prod_bar``,
-    ``w_full = w_sum * w_sum_bar`` and ``w_ch1 = w_ch2 = (w_sum * w_prod_bar
-    + w_prod * w_sum_bar) / 2``, over ``one^4``, ``one^2`` and ``2 one^3``.  A
-    corner ``w`` over ``den`` with ``|w| >= _OVERFLOW den`` rounds to no float,
-    and ``_finite`` raises; below that limit it is in a band ``b`` when
-    ``w <= b den``, an integer here.  An infinite band takes the limit, so it
-    flags every corner.  Tolerance and band change with the scale only.
-    """
-    one2 = one * one
-    dens = (one2 * one2, one2, 2 * one * one2)
-    limit_ppt, limit_full, limit_ch = limits = [_OVERFLOW * den for den in dens]
-    bits, two = one.bit_length(), one + one  # one = 2^(bits - 1)
-    row, seen, tol_float = [], None, None
-    for qp, qm, pp, pm, scale in zip(q_plus, q_minus, p_plus, p_minus, scales):
-        if scale != seen:
-            seen, band = scale, None
-            if _physicality_tol(scale) != tol_float:
-                tol_float = _physicality_tol(scale)
-                n, d = tol_float.as_integer_ratio()
-                tol = n * one // d
-        q, p, r, s = qp + tol, pp + tol, qm + tol, pm + tol
-        if q + p < 0 or r + s < 0 or q * p < one2 or r * s < one2:
-            row.append((_UNPHYSICAL, False))
-            continue
-        prod, prod_bar = pm * qp - one2, pp * qm - one2
-        w_sum, w_sum_bar = pm + qp - two, pp + qm - two
-        ppt, full = prod * prod_bar, w_sum * w_sum_bar
-        ch = w_sum * prod_bar + prod * w_sum_bar
-        a, b, c = abs(ppt), abs(full), abs(ch)
-        if a >= limit_ppt or b >= limit_full or c >= limit_ch:
-            _finite([ratio(w, den) for w, den in zip((ppt, full, ch), dens)])
-        if band is None:
-            band = _band_at(scale)
-            if band < math.inf:  # >= 1e-10, so over d <= 2^86 <= one^2
-                n, d = band.as_integer_ratio()
-                b_full = n << (2 * bits - 1 - d.bit_length())
-                b_ch, b_ppt = b_full << bits, b_full << (2 * bits - 2)
-            else:
-                b_ppt, b_full, b_ch = limits
-        robust = ch <= b_ch
-        code = _code(ppt < 0, robust, robust, full <= b_full)
-        row.append((code, a <= b_ppt or b <= b_full or c <= b_ch))
-    return row
-
-
 def classify(v) -> RobustnessReport:
     """Assign a robustness class from the corner values of the reduced witness.
 
-    Witness values within the zero band (see :func:`boundary_band`) count as
-    nonpositive -- the robust side -- and are flagged.  Separability uses the
-    nonstrict rule: ``w_ppt >= 0`` is separable.  Unphysical input and
-    an overflowing corner raise :class:`ValidationError`.
+    Witness values within the zero band (see
+    :func:`~cvrobust.witnesses.boundary_band`) count as nonpositive -- the
+    robust side -- and are flagged.  Separability uses the nonstrict rule:
+    ``w_ppt >= 0`` is separable.  Unphysical input and an overflowing corner
+    raise :class:`ValidationError`.
     """
     cov = _as_cov(v)
     x = _exact_physical(cov)
-    band = boundary_band(cov)  # an infinite band flags every corner
+    band = witnesses.boundary_band(cov)  # an infinite band flags every corner
     corners, values, code, flags = _exact_class(x, band)
     ppt, ppt_den = corners[0]
 

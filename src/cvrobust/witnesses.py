@@ -15,10 +15,11 @@ module computes the witnesses and the Gamma decomposition, both from the
 polynomials of :mod:`cvrobust._exact`.  The PPT witness, the Gamma
 coefficients, the Duan variances and ``w_m`` evaluate them on the matrix's
 exact integers and round each value once; ``w_d`` adds the rounded
-variances in floats, and ``a_opt`` is a float fourth root.  ``_band_at``
-gives the zero band that ``classify`` and the region maps' cells share.
-A function raises "witness values are not finite" only when a value it
-returns is not a finite float.
+variances in floats, and ``a_opt`` is a float fourth root.
+:func:`boundary_band` is the zero band of ``_exact._band_at``, which
+``classify`` and the region maps' cells share.  A function raises
+"witness values are not finite" only when a value it returns is not a
+finite float.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._exact import ratio
+from ._exact import _band_at, _finite, ratio
 from ._record import Record
 from .channel import Transmittance
 from .covariance import _as_cov, _exact_matrix, _scale_of, _upper
-from .errors import ValidationError
 
 __all__ = [
     "boundary_band",
@@ -49,17 +49,6 @@ __all__ = [
 #: Below this excess noise a mode is treated as a pure vacuum/coherent mode
 #: and the optimal EPR weight is undefined.
 DEGENERATE_SIGMA_TOL = 1e-9
-
-_BAND_COEFF = 1e-10
-
-
-def _band_at(scale: float) -> float:
-    """The zero band at tolerance unit ``scale`` (``_scale_of`` of the matrix).
-
-    ``scale * scale`` overflows to infinity, where a power would raise.
-    """
-    return _BAND_COEFF * (scale * scale)
-
 
 def boundary_band(v) -> float:
     """Half-width of the witness zero band for boundary flagging.
@@ -208,24 +197,6 @@ class GammaSet(Record):
     def w_ch2(self) -> float:
         """Reduced witness in the limit T2 -> 0 with T1 = 1."""
         return self.gamma11 + self.gamma21
-
-
-_NOT_FINITE = (
-    "witness values are not finite: the covariance entries are too "
-    "large to evaluate the quartic witness"
-)
-
-
-def _finite(values) -> tuple:
-    """``values`` as a tuple, checked to be finite.
-
-    Raises :class:`ValidationError` when one is not, as when rounding an
-    exact quartic witness overflows.
-    """
-    values = tuple(values)
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(_NOT_FINITE)
-    return values
 
 
 def gamma_coefficients(v) -> GammaSet:

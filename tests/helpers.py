@@ -24,11 +24,10 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
-from cvrobust._exact import Matrix
-from cvrobust.covariance import _exact_of, _physicality_tol, _scale_of, _upper
-from cvrobust.families import _REGIONS
-from cvrobust.robustness import _UNPHYSICAL, _exact_class
-from cvrobust.witnesses import _band_at
+from cvrobust._exact import _UNPHYSICAL, Matrix, _band_at, _physicality_tol
+from cvrobust._maps import _REGIONS
+from cvrobust.covariance import _exact_of, _scale_of, _upper
+from cvrobust.robustness import _exact_class
 
 I4 = np.eye(4)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

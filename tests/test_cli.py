@@ -26,7 +26,7 @@ from cvrobust import (
     region_map_epr,
     robustify,
 )
-from cvrobust import families
+from cvrobust import _maps
 from cvrobust.cli import main, read_state_file, state_file_text
 from helpers import (
     CM_B,
@@ -196,7 +196,7 @@ class TestBadArguments:
 
         # Only the failure is simulated: a real allocation of that size could
         # succeed lazily and then run for a very long time.
-        monkeypatch.setattr(families, "_correlation_cells", allocate)
+        monkeypatch.setattr(_maps, "_correlation_cells", allocate)
         args = ["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "1000000"]
         assert run(args) == 1
         assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"

@@ -50,6 +50,7 @@ STDLIB_COMMANDS = {
     "robustify": ["robustify", "STATE", "-o", "OUT"],
     "family": ["family", "pure-squeezed", "--r", "1", "-o", "OUT"],
     "map": ["map", "correlations", "--dq", "2.55", "--dp", "1.8", "--grid", "5", "-o", "OUT"],
+    "map-epr": ["map", "epr", "--mu-minus", "0.7", "--mu-plus", "0.4", "--grid", "5", "-o", "OUT"],
 }
 
 
@@ -65,7 +66,7 @@ def command_argv(argv, tmp_path) -> list[str]:
 SUBMODULES = {
     f"cvrobust.{name}"
     for name in (
-        "_exact", "_pcg64", "_record", "channel", "covariance",
+        "_exact", "_maps", "_pcg64", "_record", "channel", "covariance",
         "errors", "families", "robustness", "simplex", "witnesses",
     )
 }
@@ -73,19 +74,21 @@ SUBMODULES = {
 #: The cvrobust modules each command executes, besides ``cli`` and ``errors``.
 STATE = {"cvrobust._exact", "cvrobust.covariance"}
 LOSS = STATE | {"cvrobust._record", "cvrobust.channel"}
-WITNESS = LOSS | {"cvrobust.robustness", "cvrobust.witnesses"}
+CORNERS = LOSS | {"cvrobust.robustness"}
+WITNESS = CORNERS | {"cvrobust.witnesses"}
 FAMILY = STATE | {"cvrobust._record", "cvrobust.families"}
 EXECUTED = {
     "version": set(),
     "validate": STATE,
     "attenuate": LOSS,
     "classify": WITNESS,
-    "scan": WITNESS,
-    "contour": WITNESS,
+    "scan": CORNERS,
+    "contour": CORNERS,
     "robustify": WITNESS | {"cvrobust.simplex"},
     "random": FAMILY | {"cvrobust._pcg64"},
     "family": FAMILY,
-    "map": FAMILY | WITNESS,
+    "map": {"cvrobust._exact", "cvrobust._maps"},
+    "map-epr": {"cvrobust._exact", "cvrobust._maps"},
 }
 
 #: Prints the cvrobust modules in ``sys.modules`` as JSON: ``[registered,
@@ -123,6 +126,13 @@ class TestStartup:
         registered, executed = json.loads(done.stdout)
         assert set(registered) == SUBMODULES
         assert executed == []
+
+    def test_layers_stay_apart(self):
+        # The map kernel is its own module, and the corner commands skip the
+        # witness layer that only classify's zero band needs.
+        assert all("cvrobust._maps" not in EXECUTED[name] for name in ("random", "family"))
+        assert all("cvrobust.witnesses" not in EXECUTED[name] for name in ("scan", "contour"))
+        assert "cvrobust.witnesses" in EXECUTED["classify"]
 
     @pytest.mark.parametrize("name", sorted(EXECUTED))
     def test_command_executes_only_its_modules(self, name, tmp_path):

@@ -23,7 +23,8 @@ from cvrobust import (
 )
 from cvrobust.cli import main, state_file_text
 from cvrobust.covariance import _exact_matrix
-from cvrobust.robustness import _CLASSES, _code
+from cvrobust._exact import _code
+from cvrobust.robustness import _CLASSES
 from helpers import (
     CM_A,
     CM_B,

@@ -1,7 +1,7 @@
 """The region maps' closed form against the general exact kernel.
 
 Every map cell is a ``SymmetricModes`` matrix, and the row kernel
-``robustness._map_row`` decides it exactly from its four EPR variances,
+``_maps._map_row`` decides it exactly from its four EPR variances,
 integers over one denominator per map.  Its verdict (physicality, class and
 boundary flag) must be that of the general 4x4 kernel, ``_exact.Matrix``
 (``helpers.exact_verdict``), on every cell, and a region map must equal its
@@ -21,12 +21,20 @@ from cvrobust import (
     region_map_epr,
     validate_physicality,
 )
-from cvrobust import robustness
-from cvrobust._exact import Matrix, _integers, ratio
-from cvrobust.covariance import PHYSICALITY_TOL, _physicality_tol, _scale_of
-from cvrobust.families import _cell_centers, _epr_moments
-from cvrobust.robustness import _CLASSES, _OVERFLOW, _map_row
-from cvrobust.witnesses import _finite
+from cvrobust import _maps
+from cvrobust._exact import (
+    _OVERFLOW,
+    PHYSICALITY_TOL,
+    Matrix,
+    _finite,
+    _integers,
+    _physicality_tol,
+    ratio,
+)
+from cvrobust._maps import _cell_centers, _map_row
+from cvrobust.covariance import _scale_of
+from cvrobust.families import _epr_moments
+from cvrobust.robustness import _CLASSES
 from helpers import (
     HIGHLY_SQUEEZED,
     exact_verdict,
@@ -125,7 +133,7 @@ def test_pinned_states_fall_back_to_kernels(m, physical, boundary):
 
 
 def kernel_verdict(dq, dp, c_q, c_p):
-    """``robustness._map_row`` on the one ``SymmetricModes`` cell ``(dq, dp, c_q, c_p)``.
+    """``_maps._map_row`` on the one ``SymmetricModes`` cell ``(dq, dp, c_q, c_p)``.
 
     ``PHYSICALITY_TOL`` joins the entries' common denominator, so it is at
     least ``2^82``, as the kernel needs.
@@ -256,14 +264,14 @@ def test_epr_map_integers_are_the_rounded_moments(monkeypatch):
     # EPR variances of epr_state's rounded moments, and its scale (so its
     # tolerance) is that of the moments.
     rows = []
-    kernel = robustness._map_row
+    kernel = _maps._map_row
 
     def record(one, *cells):
         cells = [list(values) for values in cells]
         rows.append((one, cells))
         return kernel(one, *cells)
 
-    monkeypatch.setattr(robustness, "_map_row", record)
+    monkeypatch.setattr(_maps, "_map_row", record)
     rng = np.random.default_rng(22)
     off_floor = 0
     for _ in range(12):
