@@ -38,7 +38,9 @@ The Duan variances at a float weight ``a = n/d`` are integers over
 too, with no dependence on how a BLAS kernel orders its sums.
 
 The one tolerance policy is here too, shared by every module: the
-physicality tolerance, the zero band, the overflow rule and the class codes.
+tolerance unit ``max(1, max|V|)`` (:func:`_scale_of`), which each
+:class:`Matrix` forms once as its ``scale``, the physicality tolerance, the
+zero band, the overflow rule and the class codes.
 
 The witness polynomials are written once, as the module functions
 :func:`_laplace`, :func:`_uncertainty` (``e1 .. e4`` above), :func:`_w_ppt`,
@@ -73,7 +75,7 @@ _INF = float("inf")
 #: Absolute floor of the tolerance on the smallest eigenvalue of ``V + i*Omega``.
 PHYSICALITY_TOL = 1e-9
 
-#: Roundoff part of that tolerance, per unit of ``covariance._scale_of``.  The
+#: Roundoff part of that tolerance, per unit of :func:`_scale_of`.  The
 #: test is evaluated exactly, so the tolerance guards against the rounding of
 #: the data, not of the test: rounding the entries moves ``lambda_min`` by at
 #: most ``||dV||_2 <= 2 eps*max|V|``.  On stored pure states, whose eigenvalue
@@ -99,6 +101,16 @@ _NOT_FINITE = (
 )
 
 
+def _scale_of(entries) -> float:
+    """The tolerance unit ``max(1, max|V|)`` of one matrix from its entries (floats).
+
+    Roundoff in a quantity of degree ``k`` in the entries grows like
+    ``eps * max|V|**k``, so its tolerance is a constant times the unit's
+    ``k``-th power.
+    """
+    return max(1.0, max(map(abs, entries)))
+
+
 def _physicality_tol(scale: float) -> float:
     """The tolerance of ``validate_physicality`` on ``lambda_min`` at unit ``scale``.
 
@@ -108,7 +120,7 @@ def _physicality_tol(scale: float) -> float:
 
 
 def _band_at(scale: float) -> float:
-    """The zero band at tolerance unit ``scale`` (``_scale_of`` of the matrix).
+    """The zero band at tolerance unit ``scale`` (:func:`_scale_of` of the matrix).
 
     Nondecreasing in ``scale``.  ``scale * scale`` overflows to infinity,
     where a power would raise.
@@ -305,12 +317,14 @@ class Matrix:
 
     ``upper`` holds the ten finite upper-triangle entries row by row,
     ``v00, v01, v02, v03, v11, v12, v13, v22, v23, v33``.  The determinants
-    that physicality and the witnesses share are formed once.
+    that physicality and the witnesses share, and the tolerance unit
+    ``scale``, are formed once.
     """
 
-    __slots__ = ("one", "entries", "det_a1", "det_a2", "det_c", "det_v", "_invariants")
+    __slots__ = ("one", "scale", "entries", "det_a1", "det_a2", "det_c", "det_v", "_invariants")
 
     def __init__(self, upper):
+        self.scale = _scale_of(upper)
         self.entries, self.one = _integers(upper)
         self.det_a1, self.det_c, self.det_a2, self.det_v = _laplace(*self.entries)
         self._invariants = None
@@ -323,12 +337,12 @@ class Matrix:
             )
         return self._invariants
 
-    def _with_shift(self, tol: float):
-        """``e1 .. e4`` and ``tol`` as integers over one denominator."""
+    def _with_shift(self):
+        """``e1 .. e4`` and the physicality tolerance as integers over one denominator."""
         invariants = self.uncertainty()
         # Lift the invariants of degree k by f^k when the tolerance's own
         # denominator is the larger.
-        shift, den = tol.as_integer_ratio()
+        shift, den = _physicality_tol(self.scale).as_integer_ratio()
         if den > self.one:
             f = den // self.one
             f2 = f * f
@@ -336,17 +350,17 @@ class Matrix:
             return (e1 * f, e2 * f2, e3 * f2 * f, e4 * f2 * f2), shift
         return invariants, shift * (self.one // den)
 
-    def physical(self, tol: float) -> bool:
-        """``lambda_min(V + i*Omega) >= -tol``."""
-        return min(_shifted(*self._with_shift(tol))) >= 0
+    def physical(self) -> bool:
+        """``lambda_min(V + i*Omega) >= -tol``, with ``tol = _physicality_tol(scale)``."""
+        return min(_shifted(*self._with_shift())) >= 0
 
-    def physicality(self, tol: float) -> tuple[bool, bool]:
+    def physicality(self) -> tuple[bool, bool]:
         """``(physical, boundary)``: :meth:`physical` and ``|lambda_min| <= tol``.
 
         ``boundary`` can hold only on a physical ``V``; only this method
         evaluates its ``-tol`` shift.
         """
-        invariants, shift = self._with_shift(tol)
+        invariants, shift = self._with_shift()
         physical = min(_shifted(invariants, shift)) >= 0
         return physical, physical and min(_shifted(invariants, -shift)) <= 0
 

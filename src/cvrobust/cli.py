@@ -126,10 +126,10 @@ def read_state_file(path: str) -> tuple[covariance.CovMatrix, str]:
     import json
 
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:  # RFC 8259: JSON text is UTF-8
             raw = handle.read()
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {getattr(exc, 'strerror', None) or exc}")
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -198,7 +198,7 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     cov, label = read_state_file(args.input)
     report = robustness.classify(cov)
-    gamma = covariance._exact_matrix(cov).gamma_set()
+    gamma = cov._exact().gamma_set()
     nu = covariance.symplectic_spectrum(cov)
     nu_pt = covariance.symplectic_spectrum(cov, partial_transpose_mode=2)
     pur = covariance.purities(cov)

@@ -9,7 +9,7 @@ Conventions used throughout the package:
   is positive semidefinite, equivalently when ``V`` is positive semidefinite
   and its smallest symplectic eigenvalue is >= 1;
 * tolerances are measured in the magnitude ``max(1, max|V|)`` of the input
-  (see ``_scale_of``).
+  (see ``_exact._scale_of``).
 
 All values are dimensionless noise powers relative to shot noise.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._exact import Matrix, _integers, _physicality_tol, congruence, exact, ratio
+from ._exact import Matrix, _integers, _scale_of, congruence, exact, ratio
 from .errors import ValidationError
 
 __all__ = [
@@ -87,12 +87,13 @@ class CovMatrix:
     asymmetry exceeds ``SYMMETRY_RTOL * max(1, max|V|)`` and then
     symmetrizes the input as ``(V + V^T) / 2`` so that file round trips with
     last-digit noise are accepted.  The 16 entries are kept as Python
-    floats, which the package's single-state analyses read without numpy;
-    the read-only array of :attr:`matrix` (and ``np.asarray``) is built on
-    first use.  Instances are immutable.
+    floats, which the package's single-state analyses read without numpy.
+    Two views are built on first use: the read-only array of :attr:`matrix`
+    (and ``np.asarray``), and the exact integers of :meth:`_exact`, which
+    every per-state analysis reads.  Instances are immutable.
     """
 
-    __slots__ = ("_rows", "_m")
+    __slots__ = ("_rows", "_m", "_x")
 
     ORDERING = "q1,p1,q2,p2"
 
@@ -104,9 +105,12 @@ class CovMatrix:
             raise ValidationError("covariance matrix contains non-finite entries")
         if max(abs(x - y) for x, y in zip(flat, flat_t)) > SYMMETRY_RTOL * _scale_of(flat):
             raise ValidationError("covariance matrix is asymmetric beyond tolerance")
-        sym = [0.5 * (x + y) for x, y in zip(flat, flat_t)]
+        # Halve first only where x + y overflows: elsewhere 0.5 * (x + y) keeps
+        # its bits, the sign of 0.5 * (-0.0 + 0.0) = 0.0 included.
+        pairs = zip(flat, flat_t)
+        sym = [h if math.isfinite(h := 0.5 * (x + y)) else 0.5 * x + 0.5 * y for x, y in pairs]
         self._rows = (tuple(sym[0:4]), tuple(sym[4:8]), tuple(sym[8:12]), tuple(sym[12:16]))
-        self._m = None
+        self._m = self._x = None
 
     @classmethod
     def vacuum(cls) -> "CovMatrix":
@@ -124,6 +128,12 @@ class CovMatrix:
             self._m = m
         return self._m
 
+    def _exact(self) -> Matrix:
+        """The entries in exact integers (:class:`cvrobust._exact.Matrix`), built on first use."""
+        if self._x is None:
+            self._x = Matrix(_upper(self._rows))
+        return self._x
+
     def tolist(self) -> list[list[float]]:
         """The entries as four lists of four Python floats, row by row."""
         return [list(row) for row in self._rows]
@@ -140,16 +150,6 @@ class CovMatrix:
 
 def _as_cov(v) -> CovMatrix:
     return v if isinstance(v, CovMatrix) else CovMatrix(v)
-
-
-def _scale_of(entries) -> float:
-    """The tolerance unit ``max(1, max|V|)`` of one matrix from its entries (floats).
-
-    Roundoff in a quantity of degree ``k`` in the entries grows like
-    ``eps * max|V|**k``, so its tolerance is a constant times the unit's
-    ``k``-th power.
-    """
-    return max(1.0, max(map(abs, entries)))
 
 
 class Blocks(NamedTuple):
@@ -225,7 +225,7 @@ def symplectic_spectrum(v, partial_transpose_mode: int | None = None) -> Symplec
     """
     if partial_transpose_mode not in (None, 1, 2):
         raise ValueError("partial_transpose_mode must be 1 or 2")
-    return _spectrum(_exact_matrix(v), 1 if partial_transpose_mode is None else -1)
+    return _spectrum(_as_cov(v)._exact(), 1 if partial_transpose_mode is None else -1)
 
 
 class PhysicalityDiagnosis(NamedTuple):
@@ -250,24 +250,10 @@ def _upper(v) -> list:
     return [v[i][j] for i, j in _UPPER]
 
 
-def _exact_of(upper):
-    """``(Matrix, tol)`` of one matrix from its ten upper-triangle floats.
-
-    ``Matrix`` is the matrix in exact integers (:mod:`cvrobust._exact`) and
-    ``tol`` the tolerance of :func:`validate_physicality` on it.
-    """
-    return Matrix(upper), _physicality_tol(_scale_of(upper))
-
-
-def _exact_matrix(v) -> Matrix:
-    """``v``, anything :func:`_as_cov` accepts, in exact integers."""
-    return Matrix(_upper(_as_cov(v)._rows))
-
-
 def _exact_physical(cov: CovMatrix) -> Matrix:
     """The admissibility gate on ``cov``, returning its matrix in exact integers."""
-    x, tol = _exact_of(_upper(cov._rows))
-    if not x.physical(tol):
+    x = cov._exact()
+    if not x.physical():
         raise ValidationError("unphysical state (uncertainty bound V + i*Omega >= 0 violated)")
     return x
 
@@ -301,8 +287,8 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
 
     Never raises for symmetric input.
     """
-    x, tol = _exact_of(_upper(_as_cov(v)._rows))
-    physical, boundary = x.physicality(tol)
+    x = _as_cov(v)._exact()
+    physical, boundary = x.physicality()
     return PhysicalityDiagnosis(
         physical=physical,
         nu=_spectrum(x),

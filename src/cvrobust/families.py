@@ -31,7 +31,6 @@ from .covariance import (
     _beam_splitter,
     _exact_physical,
     _require_physical,
-    _scale_of,
 )
 from .errors import ValidationError
 
@@ -226,7 +225,7 @@ def epr_summary(v) -> EprSummary:
 
 def _is_symmetric_mode_form(cov: CovMatrix) -> bool:
     (a, p, q, r), (_, b, s, t), (_, _, c, u), (_, _, _, d) = cov._rows
-    tol = SYMMETRY_RTOL * _scale_of([x for row in cov._rows for x in row])
+    tol = SYMMETRY_RTOL * cov._exact().scale
     # Diagonal a1, a2 and c, and a1 = a2.
     diagonal = max(map(abs, (p, u, r, s))) <= tol
     return diagonal and max(abs(a - c), abs(b - d), abs(p - u)) <= tol

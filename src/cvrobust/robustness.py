@@ -25,14 +25,13 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from . import simplex, witnesses
-from ._exact import Matrix, _code, _finite, at_most, congruence, exact, ratio
+from ._exact import Matrix, _band_at, _code, _finite, at_most, congruence, exact, ratio
 from ._record import Record
 from .channel import _unit_samples
 from .covariance import (
     CovMatrix,
     LocalSymplectic,
     _as_cov,
-    _exact_matrix,
     _exact_physical,
     _upper,
     validate_physicality,
@@ -141,7 +140,7 @@ def full_robustness_witness(v) -> float:
     entanglement survives every partial attenuation.  Coincides with the
     minimized variance witness when the correlation block is diagonal.
     """
-    return _rounded_corners(_exact_matrix(v))[1][1]
+    return _rounded_corners(_as_cov(v)._exact())[1][1]
 
 
 def channel_robustness_witness(v, mode: int) -> float:
@@ -154,7 +153,7 @@ def channel_robustness_witness(v, mode: int) -> float:
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    return _rounded_corners(_exact_matrix(v))[1][1 + mode]
+    return _rounded_corners(_as_cov(v)._exact())[1][1 + mode]
 
 
 def critical_transmittance(v, mode: int) -> float | None:
@@ -194,18 +193,18 @@ def _rounded_corners(x: Matrix):
     return corners, _finite([ratio(n, d) for n, d in corners])
 
 
-def _exact_class(x: Matrix, band: float):
+def _exact_class(x: Matrix):
     """The class decision on the exact corners of a physical matrix.
 
     Returns the corners as ``(numerator, denominator)`` pairs, their values
     rounded once, the class code (an index into ``_CLASSES``) and, per
-    corner, whether it lies in the zero band of half-width ``band``.
+    corner, whether it lies in the zero band ``_band_at(x.scale)``.
     Corners within the band count as nonpositive.  Raises
     :class:`ValidationError` when a rounded corner is not finite.
     """
     corners, values = _rounded_corners(x)
     (ppt, _), full, ch1, ch2 = corners
-    within = at_most(band)
+    within = at_most(_band_at(x.scale))
     code = _code(ppt < 0, within(*ch1), within(*ch2), within(*full))
     flags = tuple([within(abs(n), d) for n, d in corners])
     return corners, values, code, flags
@@ -223,7 +222,7 @@ def classify(v) -> RobustnessReport:
     cov = _as_cov(v)
     x = _exact_physical(cov)
     band = witnesses.boundary_band(cov)  # an infinite band flags every corner
-    corners, values, code, flags = _exact_class(x, band)
+    corners, values, code, flags = _exact_class(x)
     ppt, ppt_den = corners[0]
 
     within = at_most(band)

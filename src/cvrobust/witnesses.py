@@ -30,7 +30,7 @@ from typing import NamedTuple
 from ._exact import _band_at, _finite, ratio
 from ._record import Record
 from .channel import Transmittance
-from .covariance import _as_cov, _exact_matrix, _scale_of, _upper
+from .covariance import _as_cov
 
 __all__ = [
     "boundary_band",
@@ -56,7 +56,7 @@ def boundary_band(v) -> float:
     Witness values are polynomial (up to quartic) in the covariance entries;
     the band is ``1e-10 * max(1, max|V|)**2``, infinite where that overflows.
     """
-    return _band_at(_scale_of(_upper(_as_cov(v)._rows)))
+    return _band_at(_as_cov(v)._exact().scale)
 
 
 class DuanParameters(Record):
@@ -89,7 +89,7 @@ def duan_parameters(v, a: float) -> DuanParameters:
         raise ValueError("the EPR weight a must be nonzero")
     if not math.isfinite(a):
         raise ValueError("the EPR weight a must be finite")
-    (u_num, den), (v_num, _) = _exact_matrix(v).duan_variances(float(a))
+    (u_num, den), (v_num, _) = _as_cov(v)._exact().duan_variances(float(a))
     return DuanParameters(a=a, u_variance=ratio(u_num, den), v_variance=ratio(v_num, den))
 
 
@@ -131,7 +131,7 @@ class MinimizedDuan(NamedTuple):
 def minimized_duan(v) -> MinimizedDuan:
     """Minimized variance witness ``w_m`` and the optimal EPR weight."""
     cov = _as_cov(v)
-    x = _exact_matrix(cov)
+    x = cov._exact()
     v00, _, v02, _, v11, _, v13, v22, _, v33 = x.entries
     s1, s2 = v00 + v11 - 2 * x.one, v22 + v33 - 2 * x.one  # sigma_j over D
     w_m = ratio(s1 * s2 - (v13 - v02) ** 2, x.one**2)
@@ -149,7 +149,7 @@ def ppt_witness(v) -> float:
     ``w_ppt`` corner of :func:`~cvrobust.robustness.classify`; raises
     :class:`ValidationError` when it does not round to a finite float.
     """
-    return _finite([ratio(*_exact_matrix(v).corners()[0])])[0]
+    return _finite([ratio(*_as_cov(v)._exact().corners()[0])])[0]
 
 
 class GammaSet(Record):
@@ -205,7 +205,7 @@ def gamma_coefficients(v) -> GammaSet:
     Each coefficient is evaluated exactly and rounded once; a value whose
     rounding overflows raises :class:`ValidationError`.
     """
-    return GammaSet(*_finite(ratio(n, d) for n, d in _exact_matrix(v).gamma_set()))
+    return GammaSet(*_finite(ratio(n, d) for n, d in _as_cov(v)._exact().gamma_set()))
 
 
 def reduced_witness(g: GammaSet, t) -> float:

@@ -24,9 +24,9 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
-from cvrobust._exact import _UNPHYSICAL, Matrix, _band_at, _physicality_tol
+from cvrobust._exact import _UNPHYSICAL, Matrix
 from cvrobust._maps import _REGIONS
-from cvrobust.covariance import _exact_of, _scale_of, _upper
+from cvrobust.covariance import _upper
 from cvrobust.robustness import _exact_class
 
 I4 = np.eye(4)
@@ -124,8 +124,8 @@ def reference_physicality(m: np.ndarray):
 
 def kernel_physicality(m: np.ndarray):
     """``(physical, boundary)`` of ``validate_physicality``'s exact test over a stack ``(..., 4, 4)``."""
-    cells = (_exact_of(_upper(rows)) for rows in m.reshape(-1, 4, 4).tolist())
-    verdicts = [x.physicality(tol) for x, tol in cells]
+    cells = (Matrix(_upper(rows)) for rows in m.reshape(-1, 4, 4).tolist())
+    verdicts = [x.physicality() for x in cells]
     out = np.array(verdicts, dtype=bool).reshape(m.shape[:-2] + (2,))
     return out[..., 0], out[..., 1]
 
@@ -445,11 +445,10 @@ def exact_verdict(upper):
     not evaluated.  Raises ``ValidationError`` when a rounded corner is not
     finite.
     """
-    scale = _scale_of(upper)
     x = Matrix(upper)
-    if not x.physical(_physicality_tol(scale)):
+    if not x.physical():
         return _UNPHYSICAL, False
-    _, _, code, flags = _exact_class(x, _band_at(scale))
+    _, _, code, flags = _exact_class(x)
     return code, any(flags)
 
 

@@ -120,6 +120,14 @@ class TestStateFiles:
     def test_missing_file(self, capsys):
         assert run(["validate", "/nonexistent/state.json"]) == 1
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte order mark
+        assert run(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -565,6 +573,56 @@ class TestAttenuate:
 
     def test_mixing_forms_rejected(self, cm_d_file):
         assert run(["attenuate", cm_d_file, "--t1", "0.5", "--length2-km", "10"]) == 1
+
+
+class TestEntriesNearTheFloatLimit:
+    """States with entries above about 9e307, where the sum of two entries overflows."""
+
+    @pytest.fixture
+    def s308(self, tmp_path):
+        path = tmp_path / "s308.json"
+        assert run(["family", "fully-symmetric", "--s", "1e308", "--c", "0", "-o", str(path)]) == 0
+        return str(path)
+
+    def test_validate_reports_null_invariants(self, s308, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["validate", s308, "-o", str(out)]) == 0
+        data = strict_json(out.read_text())
+        assert data["physical"] is True and data["boundary"] is False
+        assert data["nu_minus"] is None and data["nu_plus"] is None
+        assert data["det_condition"] is None
+
+    @pytest.mark.parametrize(
+        "command", [["classify"], ["scan", "--grid", "3"], ["contour"], ["robustify"]],
+        ids=["classify", "scan", "contour", "robustify"],
+    )
+    def test_witness_commands_fail_with_a_message(self, command, s308, capsys):
+        assert run([command[0], s308, *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: witness values are not finite")
+        assert "Traceback" not in err
+
+    def test_attenuate_writes_finite_entries(self, s308, tmp_path):
+        out = tmp_path / "att.json"
+        assert run(["attenuate", s308, "--t1", "0.5", "-o", str(out)]) == 0
+        cov, _ = read_state_file(str(out))
+        assert np.isfinite(cov.matrix).all()
+
+    @pytest.mark.parametrize(
+        "kind, flags, status",
+        [
+            ("symmetric-modes", ["--dq", "1e308", "--dp", "1", "--cq", "0", "--cp", "0"], 0),
+            ("standard-form-i", ["--s", "2", "--t", "3", "--cq", "1e308", "--cp", "0"], 1),
+        ],
+        ids=["symmetric-modes", "standard-form-i"],
+    )
+    def test_family(self, kind, flags, status, capsys):
+        assert run(["family", kind, *flags]) == status
+        captured = capsys.readouterr()
+        if status == 0:
+            strict_json(captured.out)
+        else:
+            assert captured.err.startswith("error: unphysical state")
 
 
 class TestFamily:

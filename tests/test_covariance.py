@@ -62,6 +62,23 @@ class TestCovMatrix:
         with pytest.raises(ValidationError, match="asymmetric"):
             CovMatrix(m)
 
+    def test_symmetrizing_entries_near_the_float_limit_stays_finite(self):
+        # x + y overflows above about 9e307; the mean of the pair does not.
+        m = np.diag([1e308, 1.7e308, 1.0, 1.0])
+        m[0, 2], m[2, 0] = 1e308, np.nextafter(1e308, 0.0)
+        m[3, 1], m[1, 3] = -1.7e308, -1.7e308
+        rows = CovMatrix(m).tolist()
+        assert rows[0][0] == 1e308 and rows[1][1] == 1.7e308 and rows[1][3] == -1.7e308
+        assert rows[0][2] == rows[2][0] == 0.5 * 1e308 + 0.5 * np.nextafter(1e308, 0.0)
+
+    def test_symmetrizing_keeps_the_sign_of_the_mean_of_zeros(self):
+        m = np.eye(4)
+        m[0, 1], m[1, 0] = -0.0, 0.0
+        m[0, 3], m[3, 0] = -0.0, -0.0
+        rows = CovMatrix(m).tolist()
+        assert math.copysign(1.0, rows[0][1]) == math.copysign(1.0, rows[1][0]) == 1.0
+        assert math.copysign(1.0, rows[0][3]) == math.copysign(1.0, rows[3][0]) == -1.0
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValidationError):
             CovMatrix(np.eye(3))
@@ -157,6 +174,13 @@ class TestValidatePhysicality:
         d = validate_physicality(v)
         assert not d.physical and not d.boundary
         assert oracle_min_uncertainty_eigenvalue(v.matrix) == pytest.approx(min_eig, rel=1e-3)
+
+    def test_entries_near_the_float_limit_are_diagnosed(self):
+        # The determinants overflow: a spectrum and det_condition of no finite value.
+        d = validate_physicality(np.diag([1e308] * 4))
+        assert d.physical and not d.boundary
+        assert math.isnan(d.nu.nu_minus) and math.isnan(d.nu.nu_plus)
+        assert not math.isfinite(d.det_condition)
 
     def test_verdict_matches_uncertainty_eigenvalue(self):
         for seed, v in enumerate(random_states(100)):

@@ -8,12 +8,14 @@ the Gamma definitions in ``fractions``.  The commands that read a state or
 build a map must need neither LAPACK's eigensolver nor its determinant.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cvrobust import (
+    CovMatrix,
     RandomStateParams,
     boundary_band,
     classify,
@@ -27,7 +29,6 @@ from cvrobust import (
 )
 from cvrobust import _exact
 from cvrobust.cli import main, state_file_text
-from cvrobust.covariance import _exact_matrix
 from helpers import (
     CM_A,
     CM_B,
@@ -100,7 +101,7 @@ def witness_states():
 def test_witness_invariants_equal_exact_reference():
     for k, v in enumerate(witness_states()):
         ref = exact_reference_witnesses(v.matrix)
-        x = _exact_matrix(v.matrix)
+        x = v._exact()
         one2 = x.one * x.one
         exact = dict(zip(GAMMA_FIELDS, x.gamma_set()))
         exact.update(zip(CORNERS, x.corners()))
@@ -135,24 +136,68 @@ def test_validate_evaluates_the_invariants_once(monkeypatch):
     monkeypatch.setattr(_exact, "_uncertainty", lambda *a: calls.append(1) or original(*a))
     for v in (CM_A, CM_D, HIGHLY_SQUEEZED):
         calls.clear()
-        validate_physicality(v)
+        validate_physicality(CovMatrix(v.tolist()))  # a fresh exact view
         assert len(calls) == 1
+
+
+def _count_matrices(monkeypatch) -> list:
+    """The list that gets one entry per ``_exact.Matrix`` built from here on."""
+    builds = []
+    original = _exact.Matrix.__init__
+    monkeypatch.setattr(
+        _exact.Matrix, "__init__", lambda x, upper: builds.append(1) or original(x, upper)
+    )
+    return builds
 
 
 def test_map_verdicts_skip_the_boundary_shift(monkeypatch):
     # Map cells are decided in closed form on their EPR variances: no cell
     # builds the general matrix or shifts its uncertainty invariants.
-    matrices, shifts = [], []
-    original_init, original_shifted = _exact.Matrix.__init__, _exact._shifted
-    monkeypatch.setattr(
-        _exact.Matrix, "__init__", lambda x, upper: matrices.append(1) or original_init(x, upper)
-    )
+    matrices, shifts = _count_matrices(monkeypatch), []
+    original_shifted = _exact._shifted
     monkeypatch.setattr(_exact, "_shifted", lambda e, s: shifts.append(s) or original_shifted(e, s))
     region_map_correlations(2.55, 1.80, 9)
     region_map_epr(1.0, 1.0, 9)
     assert matrices == [] and shifts == []
-    assert validate_physicality(HIGHLY_SQUEEZED).physical
+    assert validate_physicality(CovMatrix(HIGHLY_SQUEEZED.tolist())).physical
     assert len(matrices) == 1 and len(shifts) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["classify"], ["attenuate", "--t1", "0.5"], ["scan", "--grid", "5"],
+     ["contour", "--samples", "8"]],
+    ids=["validate", "classify", "attenuate", "scan", "contour"],
+)
+def test_state_commands_build_one_matrix(command, tmp_path, monkeypatch):
+    # Every per-state analysis reads the state's one exact view.
+    state = tmp_path / "d.json"
+    state.write_text(state_file_text(CM_D, "d"))
+    builds = _count_matrices(monkeypatch)
+    assert main([command[0], str(state), *command[1:], "-o", str(tmp_path / "out")]) == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "state, checked",
+    [
+        (CM_A, 0),  # fully robust already: no search
+        (CM_B, 1),
+        # The first simplex hit fails the gate at the output's scale.
+        (random_physical_state(25, RandomStateParams(1.0, 1.0, 9.0)), 2),
+    ],
+    ids=["fully-robust", "fragile", "squeezed-pure"],
+)
+def test_robustify_builds_one_matrix_per_state_it_evaluates(state, checked, tmp_path, monkeypatch):
+    # The input's view, one per simplex evaluation and one per output state
+    # checked; classifying the result reuses the last one.
+    path, out = tmp_path / "s.json", tmp_path / "rob.json"
+    path.write_text(state_file_text(state, "s"))
+    builds = _count_matrices(monkeypatch)
+    assert main(["robustify", str(path), "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["found"] is True
+    assert len(builds) == 1 + data["evaluations"] + checked
 
 
 @pytest.mark.parametrize("squeeze_max", [3, 5, 7, 9, 11])

@@ -22,7 +22,6 @@ from cvrobust import (
     region_map_epr,
 )
 from cvrobust.cli import main, state_file_text
-from cvrobust.covariance import _exact_matrix
 from cvrobust._exact import _code
 from cvrobust.robustness import _CLASSES
 from helpers import (
@@ -164,7 +163,7 @@ def test_scan_rows_bit_identical_to_scalar_witnesses(tmp_path, name):
     # t1 t2 W_R and W_R there, each rounded once; W_R is the bilinear
     # interpolation of the exact corners, evaluated in Fractions.
     v = SCAN_STATES[name]
-    ppt, full, ch1, ch2 = (Fraction(n, d) for n, d in _exact_matrix(v).corners())
+    ppt, full, ch1, ch2 = (Fraction(n, d) for n, d in v._exact().corners())
     for grid in (2, 7, 33):
         ts = np.linspace(0.0, 1.0, grid).tolist()
         expected = []

@@ -29,10 +29,10 @@ from cvrobust._exact import (
     _finite,
     _integers,
     _physicality_tol,
+    _scale_of,
     ratio,
 )
 from cvrobust._maps import _cell_centers, _map_row
-from cvrobust.covariance import _scale_of
 from cvrobust.families import _epr_moments
 from cvrobust.robustness import _CLASSES
 from helpers import (
