@@ -42,12 +42,12 @@ tolerance unit ``max(1, max|V|)`` (:func:`_scale_of`), which each
 :class:`Matrix` forms once as its ``scale``, the physicality tolerance, the
 zero band, the overflow rule and the class codes.
 
-The witness polynomials are written once, as the module functions
-:func:`_laplace`, :func:`_uncertainty` (``e1 .. e4`` above), :func:`_w_ppt`,
-:func:`_parts` and :func:`_corners` of the ten entries and a unit ``one``,
-homogeneous so that the unit stands for 1.  Only :class:`Matrix` calls
-them, on its integers with ``one = D``, for physicality, the PPT witness,
-the corners and the Gamma set; ``scan`` and ``contour`` interpolate the
+The witness polynomials are written once, as :class:`Matrix` methods on
+its integers and its unit ``one = D``: the determinants in its
+constructor, :meth:`Matrix.uncertainty` (``e1 .. e4`` above),
+:meth:`Matrix.corners` and :meth:`Matrix.gamma_set`, over the private
+``_w_ppt`` and ``_parts``.  They serve physicality, the PPT witness, the
+corners and the Gamma set; ``scan`` and ``contour`` interpolate the
 corners bilinearly (``robustness._row_ends``).  The region maps
 need no :class:`Matrix`: ``_maps._map_row`` decides their symmetric-mode
 cells exactly from the EPR variances, integers over one power-of-two
@@ -222,102 +222,13 @@ def congruence(s, v):
     return out
 
 
-def _laplace(v00, v01, v02, v03, v11, v12, v13, v22, v23, v33):
-    """Determinant invariants of a symmetric 4x4 matrix from its upper triangle.
-
-    Returns ``det a1``, ``det c``, ``det a2`` and ``det V``, the last by
-    Laplace expansion over the 2x2 minors of rows (0, 1) and (2, 3).
-    Homogeneous of degrees 2 and 4, so the unit does not enter.
-    """
-    # 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair.
-    t01 = v00 * v11 - v01 * v01
-    t02 = v00 * v12 - v02 * v01
-    t03 = v00 * v13 - v03 * v01
-    t12 = v01 * v12 - v02 * v11
-    t13 = v01 * v13 - v03 * v11
-    det_c = v02 * v13 - v03 * v12
-    b02 = v02 * v23 - v22 * v03
-    b03 = v02 * v33 - v23 * v03
-    b12 = v12 * v23 - v22 * v13
-    b13 = v12 * v33 - v23 * v13
-    det_a2 = v22 * v33 - v23 * v23
-    det_v = (
-        t01 * det_a2 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + det_c * det_c
-    )
-    return t01, det_c, det_a2, det_v
-
-
-def _uncertainty(one, upper, det_a1, det_a2, det_c, det_v):
-    """``e1 .. e4`` of ``V + i*Omega``, over ``one``, ``one^2``, ``one^3`` and ``one^4``.
-
-    ``e_k`` is the sum of the ``k x k`` principal minors; ``e4`` is the
-    determinant condition ``1 + det V - 2 det c - det a1 - det a2``.
-    """
-    a, p, q, r, b, s, t, c, u, d = upper
-    one2 = one * one
-    q2, r2, s2, t2 = q * q, r * r, s * s, t * t
-    trace = a + b + c + d
-    e2 = det_a1 + det_a2 + (a + b) * (c + d) - q2 - r2 - s2 - t2 - 2 * one2
-    e3 = (
-        (c + d) * det_a1
-        + (a + b) * det_a2
-        + 2 * (p * (q * s + r * t) + u * (q * r + s * t))
-        - a * (s2 + t2)
-        - b * (q2 + r2)
-        - c * (r2 + t2)
-        - d * (q2 + s2)
-        - one2 * trace
-    )
-    e4 = det_v + one2 * (one2 - 2 * det_c - det_a1 - det_a2)
-    return trace, e2, e3, e4
-
-
-def _w_ppt(one, det_a1, det_a2, det_c, det_v):
-    """PPT witness ``1 + det V + 2 det c - det a1 - det a2``, over ``one^4``."""
-    one2 = one * one
-    return one2 * one2 + det_v + 2 * one2 * det_c - one2 * det_a1 - one2 * det_a2
-
-
-def _parts(one, upper, det_a1, det_a2, det_c):
-    """``sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21``.
-
-    Over ``one`` for the ``sigma_j``, ``one^2`` for ``lambda_c`` and
-    ``gamma11``, and ``one^3`` for the rest.
-    """
-    # Diagonal a, b, c, d; v01 = p, v02 = q, v03 = r, v12 = s, v13 = t, v23 = u.
-    a, p, q, r, b, s, t, c, u, d = upper
-    one2 = one * one
-    sigma1 = a + b - 2 * one
-    sigma2 = c + d - 2 * one
-    # Squared norms of the rows and columns of c.
-    row0, row1 = q * q + r * r, s * s + t * t
-    col0, col1 = q * q + s * s, r * r + t * t
-    lambda1 = 2 * p * (q * s + r * t) - (b - one) * row0 - (a - one) * row1
-    lambda2 = 2 * u * (q * r + s * t) - (d - one) * col0 - (c - one) * col1
-    lambda_c = col0 + col1
-    gamma11 = sigma1 * sigma2 - lambda_c + 2 * det_c
-    gamma12 = sigma1 * (det_a2 - one2 - one * sigma2) + lambda2
-    gamma21 = sigma2 * (det_a1 - one2 - one * sigma1) + lambda1
-    return sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21
-
-
-def _corners(one, upper, det_a1, det_a2, det_c, det_v):
-    """``w_ppt, w_full, w_ch1, w_ch2``, over ``one^4``, ``one^2``, ``one^3`` and ``one^3``."""
-    gamma11, gamma12, gamma21 = _parts(one, upper, det_a1, det_a2, det_c)[5:]
-    return (
-        _w_ppt(one, det_a1, det_a2, det_c, det_v),
-        gamma11,
-        one * gamma11 + gamma12,
-        one * gamma11 + gamma21,
-    )
-
-
 class Matrix:
     """A symmetric 4x4 matrix as integers over its entries' common denominator.
 
     ``upper`` holds the ten finite upper-triangle entries row by row,
     ``v00, v01, v02, v03, v11, v12, v13, v22, v23, v33``.  The determinants
-    that physicality and the witnesses share, and the tolerance unit
+    that physicality and the witnesses share, ``det a1``, ``det c``,
+    ``det a2`` and ``det V`` over ``D^2`` and ``D^4``, and the tolerance unit
     ``scale``, are formed once.
     """
 
@@ -326,15 +237,51 @@ class Matrix:
     def __init__(self, upper):
         self.scale = _scale_of(upper)
         self.entries, self.one = _integers(upper)
-        self.det_a1, self.det_c, self.det_a2, self.det_v = _laplace(*self.entries)
+        v00, v01, v02, v03, v11, v12, v13, v22, v23, v33 = self.entries
+        # det V by Laplace expansion over the 2x2 minors of rows (0, 1) and
+        # of rows (2, 3), by column pair.
+        t01 = v00 * v11 - v01 * v01
+        t02 = v00 * v12 - v02 * v01
+        t03 = v00 * v13 - v03 * v01
+        t12 = v01 * v12 - v02 * v11
+        t13 = v01 * v13 - v03 * v11
+        det_c = v02 * v13 - v03 * v12
+        b02 = v02 * v23 - v22 * v03
+        b03 = v02 * v33 - v23 * v03
+        b12 = v12 * v23 - v22 * v13
+        b13 = v12 * v33 - v23 * v13
+        det_a2 = v22 * v33 - v23 * v23
+        self.det_a1, self.det_c, self.det_a2 = t01, det_c, det_a2
+        self.det_v = (
+            t01 * det_a2 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + det_c * det_c
+        )
         self._invariants = None
 
     def uncertainty(self):
-        """``e1 .. e4`` of ``V + i*Omega``, over ``D .. D^4``, evaluated once per matrix."""
+        """``e1 .. e4`` of ``V + i*Omega``, over ``D .. D^4``, evaluated once per matrix.
+
+        ``e_k`` is the sum of the ``k x k`` principal minors; ``e4`` is the
+        determinant condition ``1 + det V - 2 det c - det a1 - det a2``.
+        """
         if self._invariants is None:
-            self._invariants = _uncertainty(
-                self.one, self.entries, self.det_a1, self.det_a2, self.det_c, self.det_v
+            a, p, q, r, b, s, t, c, u, d = self.entries
+            det_a1, det_a2 = self.det_a1, self.det_a2
+            one2 = self.one * self.one
+            q2, r2, s2, t2 = q * q, r * r, s * s, t * t
+            trace = a + b + c + d
+            e2 = det_a1 + det_a2 + (a + b) * (c + d) - q2 - r2 - s2 - t2 - 2 * one2
+            e3 = (
+                (c + d) * det_a1
+                + (a + b) * det_a2
+                + 2 * (p * (q * s + r * t) + u * (q * r + s * t))
+                - a * (s2 + t2)
+                - b * (q2 + r2)
+                - c * (r2 + t2)
+                - d * (q2 + s2)
+                - one2 * trace
             )
+            e4 = self.det_v + one2 * (one2 - 2 * self.det_c - det_a1 - det_a2)
+            self._invariants = trace, e2, e3, e4
         return self._invariants
 
     def _with_shift(self):
@@ -364,15 +311,46 @@ class Matrix:
         physical = min(_shifted(invariants, shift)) >= 0
         return physical, physical and min(_shifted(invariants, -shift)) <= 0
 
+    def _w_ppt(self) -> int:
+        """PPT witness ``1 + det V + 2 det c - det a1 - det a2``, over ``D^4``."""
+        one2 = self.one * self.one
+        return one2 * (one2 + 2 * self.det_c - self.det_a1 - self.det_a2) + self.det_v
+
+    def _parts(self):
+        """``sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21``.
+
+        Over ``D`` for the ``sigma_j``, ``D^2`` for ``lambda_c`` and
+        ``gamma11``, and ``D^3`` for the rest.
+        """
+        # Diagonal a, b, c, d; v01 = p, v02 = q, v03 = r, v12 = s, v13 = t, v23 = u.
+        a, p, q, r, b, s, t, c, u, d = self.entries
+        one = self.one
+        one2 = one * one
+        sigma1 = a + b - 2 * one
+        sigma2 = c + d - 2 * one
+        # Squared norms of the rows and columns of c.
+        row0, row1 = q * q + r * r, s * s + t * t
+        col0, col1 = q * q + s * s, r * r + t * t
+        lambda1 = 2 * p * (q * s + r * t) - (b - one) * row0 - (a - one) * row1
+        lambda2 = 2 * u * (q * r + s * t) - (d - one) * col0 - (c - one) * col1
+        lambda_c = col0 + col1
+        gamma11 = sigma1 * sigma2 - lambda_c + 2 * self.det_c
+        gamma12 = sigma1 * (self.det_a2 - one2 - one * sigma2) + lambda2
+        gamma21 = sigma2 * (self.det_a1 - one2 - one * sigma1) + lambda1
+        return sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21
+
     def corners(self):
         """``w_ppt, w_full, w_ch1, w_ch2`` as ``(numerator, denominator)`` pairs."""
+        gamma11, gamma12, gamma21 = self._parts()[5:]
         one = self.one
         one2 = one * one
         one3 = one2 * one
-        w_ppt, w_full, w_ch1, w_ch2 = _corners(
-            one, self.entries, self.det_a1, self.det_a2, self.det_c, self.det_v
+        return (
+            (self._w_ppt(), one2 * one2),
+            (gamma11, one2),
+            (one * gamma11 + gamma12, one3),
+            (one * gamma11 + gamma21, one3),
         )
-        return (w_ppt, one2 * one2), (w_full, one2), (w_ch1, one3), (w_ch2, one3)
 
     def gamma_set(self):
         """The 13 fields of ``GammaSet``, in field order, as ``(numerator, denominator)`` pairs."""
@@ -380,12 +358,9 @@ class Matrix:
         one = self.one
         one2 = one * one
         one3 = one2 * one
-        det_a1, det_a2, det_c = self.det_a1, self.det_a2, self.det_c
-        sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21 = _parts(
-            one, self.entries, det_a1, det_a2, det_c
-        )
-        w_ppt = _w_ppt(one, det_a1, det_a2, det_c, self.det_v)
-        gamma22 = w_ppt - one * (gamma12 + gamma21) - one2 * gamma11
+        det_a1, det_a2 = self.det_a1, self.det_a2
+        sigma1, sigma2, lambda1, lambda2, lambda_c, gamma11, gamma12, gamma21 = self._parts()
+        gamma22 = self._w_ppt() - one * (gamma12 + gamma21) - one2 * gamma11
         # tr(a1 adj(c)^T a2 adj(c)) with adj(c) = [[t, -r], [-s, q]].
         x00, x01, x10, x11 = a * t - p * r, p * q - a * s, p * t - b * r, b * q - p * s
         y00, y01, y10, y11 = c * t - u * s, u * q - c * r, u * t - d * s, d * q - u * r

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterator
 
 from ._record import Record
 from .covariance import _UPPER, CovMatrix, _as_cov, _upper
@@ -138,15 +137,3 @@ def attenuate(v, t) -> CovMatrix:
         for (i, j), x in zip(_UPPER, _upper(_as_cov(v)._rows))
     ]
     return CovMatrix([[a, p, q, r], [p, b, s, u], [q, s, c, w], [r, u, w, d]])
-
-
-def _unit_samples(n: int) -> Iterator[float]:
-    """Yield ``n >= 2`` evenly spaced transmittances ``k * (1/(n - 1))``, the last one 1.
-
-    The values of ``np.linspace(0, 1, n)``, for the grid of ``scan`` and the
-    contour samples of ``robustness``, made as they are read.
-    """
-    step = 1.0 / (n - 1)
-    for k in range(n - 1):
-        yield k * step
-    yield 1.0

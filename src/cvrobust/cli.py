@@ -134,6 +134,8 @@ def read_state_file(path: str) -> tuple[covariance.CovMatrix, str]:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply to parse")
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: line 1: expected a JSON object")
     unknown = set(data) - STATE_FIELDS
@@ -243,7 +245,7 @@ def _cmd_scan(args) -> int:
     cov, _ = read_state_file(args.input)
     if args.grid < 2:
         raise ValidationError("scan grid must be at least 2")
-    ts = list(channel._unit_samples(args.grid))
+    ts = list(robustness._unit_samples(args.grid))
     ms, one = _exact._integers(ts)  # t2 = m2 / one
     columns = [(repr(t2), m2) for t2, m2 in zip(ts, ms)]
     rows = robustness._row_ends(cov, ts)
@@ -365,14 +367,7 @@ def _cmd_robustify(args) -> int:
             "found": True,
             "objective": result.objective,
             "evaluations": result.evaluations,
-            "symplectic": {
-                "theta1": result.s.theta1,
-                "r1": result.s.r1,
-                "phi1": result.s.phi1,
-                "theta2": result.s.theta2,
-                "r2": result.s.r2,
-                "phi2": result.s.phi2,
-            },
+            "symplectic": result.s._asdict(),
             "class_out": after.cls.label,
             "matrix": result.v_out.tolist(),
         }

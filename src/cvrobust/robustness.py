@@ -24,10 +24,9 @@ import math
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
-from . import simplex, witnesses
+from . import simplex
 from ._exact import Matrix, _band_at, _code, _finite, at_most, congruence, exact, ratio
 from ._record import Record
-from .channel import _unit_samples
 from .covariance import (
     CovMatrix,
     LocalSymplectic,
@@ -219,24 +218,21 @@ def classify(v) -> RobustnessReport:
     ``w_ppt >= 0`` is separable.  Unphysical input and an overflowing corner
     raise :class:`ValidationError`.
     """
-    cov = _as_cov(v)
-    x = _exact_physical(cov)
-    band = witnesses.boundary_band(cov)  # an infinite band flags every corner
-    corners, values, code, flags = _exact_class(x)
+    corners, values, code, flags = _exact_class(_exact_physical(_as_cov(v)))
     ppt, ppt_den = corners[0]
 
-    within = at_most(band)
-
-    def t_crit(w, den):
-        # w_ppt < -band and w > band: T_c = w/(w - w_ppt), rounded once.
-        if within(-ppt, ppt_den) or within(w, den):
+    def t_crit(k):
+        # Set when w_ppt < -band and w > band, that is, when neither is
+        # flagged and the signs are right: T_c = w/(w - w_ppt), rounded once.
+        w, den = corners[k]
+        if ppt >= 0 or w <= 0 or flags[0] or flags[k]:
             return None
         return ratio(w * ppt_den, w * ppt_den - ppt * den)
 
     return RobustnessReport(
         *values,
-        t1_critical=t_crit(*corners[2]),
-        t2_critical=t_crit(*corners[3]),
+        t1_critical=t_crit(2),
+        t2_critical=t_crit(3),
         cls=_CLASSES[code],
         boundary_flags=frozenset(name for name, flag in zip(_CORNERS, flags) if flag),
     )
@@ -282,6 +278,18 @@ def _row_ends(cov: CovMatrix, ts: Iterable[float]) -> Iterator[tuple[float, int,
             yield t1, (d - m) * full + m * ch2, (d - m) * ch1 + m * ppt, d * one4
 
     return rows()
+
+
+def _unit_samples(n: int) -> Iterator[float]:
+    """Yield ``n >= 2`` evenly spaced transmittances ``k * (1/(n - 1))``, the last one 1.
+
+    The values of ``np.linspace(0, 1, n)``, for the grid of ``scan`` and the
+    contour samples, made as they are read.
+    """
+    step = 1.0 / (n - 1)
+    for k in range(n - 1):
+        yield k * step
+    yield 1.0
 
 
 def _contour(cov: CovMatrix, samples: int) -> Iterator[tuple[float, float]]:

@@ -16,8 +16,10 @@ polynomials of :mod:`cvrobust._exact`.  The PPT witness, the Gamma
 coefficients, the Duan variances and ``w_m`` evaluate them on the matrix's
 exact integers and round each value once; ``w_d`` adds the rounded
 variances in floats, and ``a_opt`` is a float fourth root.
-:func:`boundary_band` is the zero band of ``_exact._band_at``, which
-``classify`` and the region maps' cells share.  A function raises
+:func:`boundary_band` reports the zero band ``_exact._band_at`` of a
+state; ``classify`` reads the same band through ``robustness._exact_class``
+and the region maps' cells through ``_maps``, without this module.  A
+function raises
 "witness values are not finite" only when a value it returns is not a
 finite float.
 """
@@ -27,9 +29,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import channel
 from ._exact import _band_at, _finite, ratio
 from ._record import Record
-from .channel import Transmittance
 from .covariance import _as_cov
 
 __all__ = [
@@ -214,6 +216,6 @@ def reduced_witness(g: GammaSet, t) -> float:
     Satisfies ``ppt_witness(attenuate(v, t)) = t1 * t2 * reduced_witness(g, t)``
     when ``g = gamma_coefficients(v)``.
     """
-    t = Transmittance.of(t)
+    t = channel.Transmittance.of(t)
     t1, t2 = t.t1, t.t2
     return g.gamma11 + t1 * g.gamma21 + t2 * g.gamma12 + t1 * t2 * g.gamma22

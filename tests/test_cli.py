@@ -128,6 +128,15 @@ class TestStateFiles:
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_deeply_nested_file_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        depth = 200_000
+        bad.write_text('{"matrix": ' + "[" * depth + "]" * depth + "}")
+        assert run(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: JSON nested too deeply to parse\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "text, message",
         [

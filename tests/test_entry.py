@@ -74,17 +74,16 @@ SUBMODULES = {
 #: The cvrobust modules each command executes, besides ``cli`` and ``errors``.
 STATE = {"cvrobust._exact", "cvrobust.covariance"}
 LOSS = STATE | {"cvrobust._record", "cvrobust.channel"}
-CORNERS = LOSS | {"cvrobust.robustness"}
-WITNESS = CORNERS | {"cvrobust.witnesses"}
+CORNERS = STATE | {"cvrobust._record", "cvrobust.robustness"}
 FAMILY = STATE | {"cvrobust._record", "cvrobust.families"}
 EXECUTED = {
     "version": set(),
     "validate": STATE,
     "attenuate": LOSS,
-    "classify": WITNESS,
+    "classify": CORNERS | {"cvrobust.witnesses"},
     "scan": CORNERS,
     "contour": CORNERS,
-    "robustify": WITNESS | {"cvrobust.simplex"},
+    "robustify": CORNERS | {"cvrobust.simplex"},
     "random": FAMILY | {"cvrobust._pcg64"},
     "family": FAMILY,
     "map": {"cvrobust._exact", "cvrobust._maps"},
@@ -128,11 +127,15 @@ class TestStartup:
         assert executed == []
 
     def test_layers_stay_apart(self):
-        # The map kernel is its own module, and the corner commands skip the
-        # witness layer that only classify's zero band needs.
+        # The map kernel is its own module.  The corner commands decide on
+        # the exact corners alone, zero band included, so they skip the
+        # witness layer that only classify's report reads, and only
+        # attenuate runs the loss channel.
         assert all("cvrobust._maps" not in EXECUTED[name] for name in ("random", "family"))
-        assert all("cvrobust.witnesses" not in EXECUTED[name] for name in ("scan", "contour"))
+        corner_commands = ("scan", "contour", "robustify")
+        assert all("cvrobust.witnesses" not in EXECUTED[name] for name in corner_commands)
         assert "cvrobust.witnesses" in EXECUTED["classify"]
+        assert [name for name in EXECUTED if "cvrobust.channel" in EXECUTED[name]] == ["attenuate"]
 
     @pytest.mark.parametrize("name", sorted(EXECUTED))
     def test_command_executes_only_its_modules(self, name, tmp_path):

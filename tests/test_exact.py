@@ -131,13 +131,16 @@ def test_duan_variances_equal_exact_reference():
 
 
 def test_validate_evaluates_the_invariants_once(monkeypatch):
+    # Each call records whether it evaluates e1 .. e4 or reads them back.
     calls = []
-    original = _exact._uncertainty
-    monkeypatch.setattr(_exact, "_uncertainty", lambda *a: calls.append(1) or original(*a))
+    original = _exact.Matrix.uncertainty
+    monkeypatch.setattr(
+        _exact.Matrix, "uncertainty", lambda x: calls.append(x._invariants is None) or original(x)
+    )
     for v in (CM_A, CM_D, HIGHLY_SQUEEZED):
         calls.clear()
         validate_physicality(CovMatrix(v.tolist()))  # a fresh exact view
-        assert len(calls) == 1
+        assert calls[0] and calls.count(True) == 1
 
 
 def _count_matrices(monkeypatch) -> list:

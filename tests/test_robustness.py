@@ -31,14 +31,32 @@ from helpers import (
     CM_E,
     HIGHLY_SQUEEZED,
     OVERFLOW_LADDER,
+    SQUEEZED_MODE,
     eq19_matrix,
     exact_esd_contour,
+    exact_reference_witnesses,
     oracle_attenuated_ppt_grid,
     pure_two_mode_squeezed,
     random_entangled_states,
     random_states,
     reference_esd_contour,
 )
+
+
+def eq19_edge(name: str, lo: float, hi: float) -> tuple[CovMatrix, CovMatrix]:
+    """The two ``eq19_matrix`` states at adjacent floats ``c_q`` across a sign change of ``name``.
+
+    ``name`` is an exact corner of :func:`exact_reference_witnesses`, of
+    opposite signs at ``lo`` and ``hi``.
+    """
+
+    def positive(c_q):
+        return exact_reference_witnesses(eq19_matrix(c_q).matrix)[name] > 0
+
+    side = positive(lo)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if positive(mid) == side else (lo, mid)
+    return eq19_matrix(lo), eq19_matrix(hi)
 
 
 class TestCornerWitnesses:
@@ -157,14 +175,24 @@ class TestClassify:
             analysis(eq19_matrix(2.54))
 
     def test_critical_presence_matches_witness_signs(self):
-        for v in random_entangled_states(100):
+        # Each t_crit is set exactly when w_ppt < -band < band < w on the
+        # exact corners: on random states, on states with a corner in the
+        # band, and on one whose band is infinite.
+        edges = [*eq19_edge("w_ppt", 0.3825, 0.893), *eq19_edge("w_ch1", 0.893, 1.033)]
+        squeezed = random_states(40, params=RandomStateParams(1.0, 2.5, 13.0))
+        flagged = 0
+        for v in [*random_entangled_states(100), *squeezed, *edges, SQUEEZED_MODE]:
             report = classify(v)
             band = boundary_band(v)
-            if report.w_ch1 > band:
-                assert report.t1_critical is not None
-                assert 0.0 < report.t1_critical < 1.0
-            else:
-                assert report.t1_critical is None
+            exact = exact_reference_witnesses(v.matrix)
+            flagged += bool(report.boundary_flags)
+            for name, t_crit in (("w_ch1", report.t1_critical), ("w_ch2", report.t2_critical)):
+                if exact["w_ppt"] < -band < band < exact[name]:
+                    assert 0.0 < t_crit < 1.0
+                else:
+                    assert t_crit is None
+        assert boundary_band(SQUEEZED_MODE) == float("inf")
+        assert flagged >= 6
 
     def test_rank_order(self):
         labels = [
