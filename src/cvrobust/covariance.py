@@ -399,12 +399,18 @@ class LocalSymplectic(NamedTuple):
 
         The factors' twelve floats (cosines, sines and exponentials) are
         integers over their common denominator ``D``, so each product
-        ``R Z R`` is an integer over ``D^3``.
+        ``R Z R`` is an integer over ``D^3``.  Raises :class:`ValidationError`
+        when a parameter is not finite or an ``e^+-r`` overflows.
         """
+        if not all(map(math.isfinite, self)):
+            raise ValidationError("local symplectic parameters must be finite")
         factors = []
         for theta, r, phi in (self[:3], self[3:]):
-            factors += (math.cos(theta), math.sin(theta), math.exp(r), math.exp(-r))
-            factors += (math.cos(phi), math.sin(phi))
+            try:
+                e, f = math.exp(r), math.exp(-r)
+            except OverflowError:
+                raise ValidationError(f"squeezing r={r!r} overflows the symplectic entries")
+            factors += (math.cos(theta), math.sin(theta), e, f, math.cos(phi), math.sin(phi))
         ints, one = _integers(factors)
         (a, b), (c, d) = _mode(*ints[:6])
         (e, f), (g, h) = _mode(*ints[6:])

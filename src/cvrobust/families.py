@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple, Union
 
 from . import _maps
-from ._exact import congruence, exact, product, ratio
+from ._exact import _finite, congruence, exact, product, ratio
 from ._record import Record
 from .covariance import (
     SYMMETRY_RTOL,
@@ -103,20 +103,16 @@ FamilySpec = Union[
 ]
 
 
-def _reduce_to_sc(spec) -> FullySymmetric:
-    if isinstance(spec, PureTwoModeSqueezed):
-        spec = FullySymmetricFromSqueezing(r=spec.r, nu=1.0)
-    try:
-        ch, sh = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
-    except OverflowError:
-        raise ValidationError(f"squeezing r={spec.r!r} overflows the covariance entries")
-    return FullySymmetric(s=spec.nu * ch, c=spec.nu * sh)
-
-
 def _family_matrix(spec: FamilySpec) -> list:
     """The entries of a family member, as four rows of four floats."""
-    if isinstance(spec, (FullySymmetricFromSqueezing, PureTwoModeSqueezed)):
-        spec = _reduce_to_sc(spec)
+    if isinstance(spec, PureTwoModeSqueezed):
+        spec = FullySymmetricFromSqueezing(r=spec.r)
+    if isinstance(spec, FullySymmetricFromSqueezing):
+        try:
+            ch, sh = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
+        except OverflowError:
+            raise ValidationError(f"squeezing r={spec.r!r} overflows the covariance entries")
+        spec = FullySymmetric(s=spec.nu * ch, c=spec.nu * sh)
     if isinstance(spec, FullySymmetric):
         s, c = spec.s, spec.c
         return [[s, 0.0, c, 0.0], [0.0, s, 0.0, -c], [c, 0.0, s, 0.0], [0.0, -c, 0.0, s]]
@@ -144,36 +140,14 @@ class FamilyWitnesses(NamedTuple):
 
 
 def family_witnesses(spec: FamilySpec) -> FamilyWitnesses:
-    """Closed-form PPT and full-robustness witnesses for a family member."""
-    if isinstance(spec, (FullySymmetricFromSqueezing, PureTwoModeSqueezed)):
-        spec = _reduce_to_sc(spec)
-    if isinstance(spec, FullySymmetric):
-        s, c = spec.s, spec.c
-        w_ppt = (s * s - c * c + 1.0) ** 2 - 4.0 * s * s
-        w_full = 4.0 * ((s - 1.0) ** 2 - c * c)
-        return FamilyWitnesses(w_ppt=w_ppt, w_full=w_full)
-    if isinstance(spec, SymmetricModes):
-        dq, dp, c_q, c_p = spec.dq, spec.dp, spec.c_q, spec.c_p
-        w_ppt = (
-            (dp * dp - c_p * c_p) * (dq * dq - c_q * c_q)
-            - 2.0 * dp * dq
-            + 2.0 * c_p * c_q
-            + 1.0
-        )
-        w_full = (dp + dq - 2.0) ** 2 - (c_q - c_p) ** 2
-        return FamilyWitnesses(w_ppt=w_ppt, w_full=w_full)
-    if isinstance(spec, StandardFormI):
-        s, t, c_q, c_p = spec.s, spec.t, spec.c_q, spec.c_p
-        w_ppt = (
-            (s * t - c_q * c_q) * (s * t - c_p * c_p)
-            - s * s
-            - t * t
-            + 2.0 * c_q * c_p
-            + 1.0
-        )
-        w_full = 4.0 * (s - 1.0) * (t - 1.0) - (c_q - c_p) ** 2
-        return FamilyWitnesses(w_ppt=w_ppt, w_full=w_full)
-    raise TypeError(f"unknown family spec {spec!r}")
+    """The PPT and full-robustness witnesses ``w_ppt`` and ``w_full`` of a family member.
+
+    The exact corners of its matrix (:mod:`cvrobust._exact`), each rounded
+    once; physicality is not checked.  Raises :class:`ValidationError` for
+    non-finite entries and for a witness that does not round to a float.
+    """
+    corners = CovMatrix(_family_matrix(spec))._exact().corners()
+    return FamilyWitnesses(*_finite(ratio(n, d) for n, d in corners[:2]))
 
 
 class EprSummary(NamedTuple):
@@ -203,19 +177,24 @@ def epr_summary(v) -> EprSummary:
     The variances are the Duan variances of
     :func:`~cvrobust.witnesses.duan_parameters` at ``a = +-1``, each exact
     and rounded once: ``var(p_-)`` and ``var(q_+)`` at ``a = 1``,
-    ``var(p_+)`` and ``var(q_-)`` at ``a = -1``.  Raises
+    ``var(p_+)`` and ``var(q_-)`` at ``a = -1``.  The purities and witnesses
+    are float arithmetic on them; as in :func:`~cvrobust.covariance.purities`,
+    ``mu_+-`` is NaN where its variance product is ``<= 0``, which the
+    tolerance admits under strong squeezing.  Raises
     :class:`ValidationError` for unphysical ``v``.
     """
     x = _exact_physical(_as_cov(v))
     var_p_minus, var_q_plus = (ratio(n, d) for n, d in x.duan_variances(1.0))
     var_p_plus, var_q_minus = (ratio(n, d) for n, d in x.duan_variances(-1.0))
+    products = (var_p_plus * var_q_plus, var_p_minus * var_q_minus)
+    mu_plus, mu_minus = (p**-0.5 if p > 0.0 else math.nan for p in products)
     return EprSummary(
         var_p_minus=var_p_minus,
         var_p_plus=var_p_plus,
         var_q_minus=var_q_minus,
         var_q_plus=var_q_plus,
-        mu_plus=1.0 / math.sqrt(var_p_plus * var_q_plus),
-        mu_minus=1.0 / math.sqrt(var_p_minus * var_q_minus),
+        mu_plus=mu_plus,
+        mu_minus=mu_minus,
         w_sum=var_p_minus + var_q_plus - 2.0,
         w_sum_bar=var_p_plus + var_q_minus - 2.0,
         w_prod=var_p_minus * var_q_plus - 1.0,
@@ -234,9 +213,10 @@ def _is_symmetric_mode_form(cov: CovMatrix) -> bool:
 def epr_partial_witness(v) -> float:
     """Single-channel robustness witness in EPR form (symmetric modes only).
 
-    ``w_sum * w_prod_bar + w_prod * w_sum_bar``, which is twice the channel
-    robustness witness ``w_ch1 = w_ch2`` of symmetric modes.
-    Raises :class:`ValidationError` for other forms and unphysical ``v``.
+    ``w_ch1 + w_ch2`` of the exact corners, rounded once: twice the channel
+    robustness witness ``w_ch1 = w_ch2`` of symmetric modes.  Raises
+    :class:`ValidationError` for other forms, unphysical ``v`` and a sum
+    that does not round to a float.
     """
     cov = _as_cov(v)
     if not _is_symmetric_mode_form(cov):
@@ -244,8 +224,8 @@ def epr_partial_witness(v) -> float:
             "EPR partial witness requires a symmetric-mode covariance "
             "(equal diagonal mode blocks, diagonal correlations)"
         )
-    e = epr_summary(cov)
-    return e.w_sum * e.w_prod_bar + e.w_prod * e.w_sum_bar
+    _, _, (w_ch1, den), (w_ch2, _) = _exact_physical(cov).corners()
+    return _finite([ratio(w_ch1 + w_ch2, den)])[0]
 
 
 def epr_state(
@@ -255,14 +235,23 @@ def epr_state(
 
     The remaining variances follow from the fixed partial purities:
     ``q_minus = 1/(mu_minus^2 p_minus)`` and ``p_plus = 1/(mu_plus^2 q_plus)``.
+    Raises :class:`ValidationError`, as :func:`region_map_epr` does, for
+    non-finite arguments or moments, purities outside ``(0, 1]`` and
+    variances ``<= 0``.
     """
+    _maps._require_finite(
+        mu_minus=mu_minus, mu_plus=mu_plus, q_plus_var=q_plus_var, p_minus_var=p_minus_var
+    )
     if not (0.0 < mu_minus <= 1.0 and 0.0 < mu_plus <= 1.0):
         raise ValidationError("partial purities must lie in (0, 1]")
     if q_plus_var <= 0.0 or p_minus_var <= 0.0:
         raise ValidationError("EPR variances must be positive")
     p_plus_var = _maps._conjugate_variance(mu_plus, q_plus_var)
     q_minus_var = _maps._conjugate_variance(mu_minus, p_minus_var)
-    return SymmetricModes(*_epr_moments(q_plus_var, p_plus_var, p_minus_var, q_minus_var))
+    moments = _epr_moments(q_plus_var, p_plus_var, p_minus_var, q_minus_var)
+    if not all(map(math.isfinite, moments)):
+        raise ValidationError("covariance matrix contains non-finite entries")
+    return SymmetricModes(*moments)
 
 
 def _epr_moments(q_plus_var, p_plus_var, p_minus_var, q_minus_var):

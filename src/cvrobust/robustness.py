@@ -27,14 +27,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import simplex
 from ._exact import Matrix, _band_at, _code, _finite, at_most, congruence, exact, ratio
 from ._record import Record
-from .covariance import (
-    CovMatrix,
-    LocalSymplectic,
-    _as_cov,
-    _exact_physical,
-    _upper,
-    validate_physicality,
-)
+from .covariance import CovMatrix, LocalSymplectic, _as_cov, _exact_physical, _upper
 from .errors import SeparableInputError, ValidationError
 
 __all__ = [
@@ -388,7 +381,7 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
         if result.hit_target:
             s = LocalSymplectic(*result.x)
             v_out = CovMatrix(congruence(s._exact(), base))
-            if not validate_physicality(v_out).physical:
+            if not v_out._exact().physical():
                 # The input's own lambda_min, inside the tolerance at its
                 # scale, can exceed it at the output's: try the next restart.
                 continue

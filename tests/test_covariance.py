@@ -354,3 +354,13 @@ class TestLocalSymplectic:
         for v in random_states(100):
             s = LocalSymplectic(*rng.uniform(-1.5, 1.5, 6))
             assert validate_physicality(apply_local_symplectic(v, s)).physical
+
+    @pytest.mark.parametrize(
+        "params",
+        [dict(r1=1000.0), dict(r2=-1000.0), dict(r1=math.nan), dict(theta2=math.inf)],
+        ids=["overflowing-r1", "overflowing-r2", "nan-r1", "infinite-theta2"],
+    )
+    def test_bad_parameters_raise_validation_error(self, params):
+        # e^1000 raised OverflowError and NaN raised ValueError from as_integer_ratio.
+        with pytest.raises(ValidationError, match="overflows|finite"):
+            apply_local_symplectic(CM_D, LocalSymplectic(**params))

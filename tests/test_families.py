@@ -1,5 +1,6 @@
 """State families, EPR parametrization, region maps, random state generator."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,13 @@ from cvrobust import (
     region_map_epr,
     validate_physicality,
 )
-from helpers import CM_B, CM_D, random_states, reference_random_physical_state
+from helpers import (
+    CM_B,
+    CM_D,
+    exact_reference_witnesses,
+    random_states,
+    reference_random_physical_state,
+)
 
 
 class TestBuild:
@@ -129,6 +136,50 @@ class TestFamilyWitnesses:
             w_full = full_robustness_witness(v)
             assert abs(w.w_ppt - w_ppt) <= 1e-12 * max(1.0, abs(w_ppt))
             assert abs(w.w_full - w_full) <= 1e-12 * max(1.0, abs(w_full))
+
+    @pytest.mark.parametrize(
+        "kind", ["fully-symmetric", "from-squeezing", "symmetric-modes", "standard-form-i"]
+    )
+    def test_equal_exact_reference_rounded_once(self, kind):
+        from cvrobust.families import _family_matrix
+
+        rng = np.random.default_rng(hash(kind) % 2**32 + 1)
+        for spec in self._draws(kind, rng, 300):
+            ref = exact_reference_witnesses(_family_matrix(spec))
+            assert family_witnesses(spec) == (float(ref["w_ppt"]), float(ref["w_full"])), spec
+
+    @pytest.mark.parametrize(
+        "spec, w_ppt, w_full",
+        [
+            (PureTwoModeSqueezed(20.0), -5.540622384393511e34, -9.4154106734808e17),
+            (PureTwoModeSqueezed(15.0), -1.1420073898156844e26, -42745898326093.85),
+            (StandardFormI(1e9, 1e9, 1e9 - 1, -(1e9 - 1)), 0.0, 0.0),
+            (SymmetricModes(1e8, 1e8, 1e8 - 1, -(1e8 - 1)), 0.0, 0.0),
+        ],
+        ids=["pure-r20", "pure-r15", "standard-form-1e9", "symmetric-modes-1e8"],
+    )
+    def test_strong_squeezing_equals_exact_reference(self, spec, w_ppt, w_full):
+        # The float closed forms gave w_full = 0.0 at r = 20, a relative error
+        # of 5.6e-5 at r = 15, and w_ppt = +4e9 and +4e8 for the exact zeros.
+        from cvrobust.families import _family_matrix
+
+        ref = exact_reference_witnesses(_family_matrix(spec))
+        assert (float(ref["w_ppt"]), float(ref["w_full"])) == (w_ppt, w_full)
+        assert family_witnesses(spec) == (w_ppt, w_full)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (FullySymmetric(1e200, 0.0), "witness values are not finite"),
+            (PureTwoModeSqueezed(200.0), "witness values are not finite"),
+            (FullySymmetric(float("nan"), 0.0), "non-finite"),
+        ],
+        ids=["fully-symmetric-1e200", "pure-r200", "nan"],
+    )
+    def test_non_finite_values_raise_validation_error(self, spec, message):
+        # The float closed forms raised OverflowError from ** on the first two.
+        with pytest.raises(ValidationError, match=message):
+            family_witnesses(spec)
 
     def test_fully_symmetric_sign_equivalence(self):
         # sign(w_ppt) = sign(w_full) = sign(s - 1 - |c|); entangled => fully robust
@@ -281,6 +332,15 @@ class TestEprPartialWitness:
             w_ch = channel_robustness_witness(v, 1)
             assert epr_partial_witness(v) == pytest.approx(2.0 * w_ch, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("r", [9.5, 10.0, 20.0])
+    def test_strongly_squeezed_pure_state_is_twice_channel_witness(self, r):
+        # The float EPR products raised ValueError at r = 9.5 and
+        # ZeroDivisionError from r = 10, where the rounded s - c is <= 0.
+        v = build(PureTwoModeSqueezed(r))
+        assert epr_partial_witness(v) == 2.0 * channel_robustness_witness(v, 1) < 0
+        e = epr_summary(v)
+        assert math.isnan(e.mu_plus) and math.isnan(e.mu_minus)
+
     def test_separable_symmetric_state_nonnegative(self):
         v = build(SymmetricModes(dq=1.2, dp=1.1, c_q=0.05, c_p=-0.05))
         assert ppt_witness(v) >= 0
@@ -390,6 +450,22 @@ class TestRegionMapEpr:
     def test_bad_purities_rejected(self):
         with pytest.raises(ValidationError):
             region_map_epr(1.2, 0.5, grid=4)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.0, 1.0, math.nan, 1.0), "finite: q_plus_var"),
+            ((1.0, 1.0, math.inf, 1.0), "finite: q_plus_var"),
+            ((1.0, math.nan, 1.0, 1.0), "finite: mu_plus"),
+            ((1e-200, 1.0, 1.0, 1.0), "non-finite entries"),
+        ],
+        ids=["nan-variance", "infinite-variance", "nan-purity", "tiny-purity"],
+    )
+    def test_epr_state_rejects_non_finite_moments(self, args, message):
+        # epr_state returned all-NaN or infinite moments here; region_map_epr
+        # rejects the same values.
+        with pytest.raises(ValidationError, match=message):
+            epr_state(*args)
 
 
 class TestRandomPhysicalState:
