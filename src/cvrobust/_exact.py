@@ -47,9 +47,9 @@ its integers and its unit ``one = D``: the determinants in its
 constructor, :meth:`Matrix.uncertainty` (``e1 .. e4`` above),
 :meth:`Matrix.corners` and :meth:`Matrix.gamma_set`, over the private
 ``_w_ppt`` and ``_parts``.  They serve physicality, the PPT witness, the
-corners and the Gamma set; ``scan`` and ``contour`` interpolate the
-corners bilinearly (``robustness._row_ends``).  The region maps
-need no :class:`Matrix`: ``_maps._map_row`` decides their symmetric-mode
+corners and the Gamma set; ``scan`` and ``contour`` interpolate the corners
+bilinearly, in ``robustness`` alone (``_row_ends``).  The region maps need
+no :class:`Matrix`: ``_maps._map_row`` decides their symmetric-mode
 cells exactly from the EPR variances, integers over one power-of-two
 denominator per map (:func:`_integers`).
 

@@ -27,7 +27,7 @@ _REGIONS = ("IV", "III", "II", "II", "II", "I", UNPHYSICAL)
 def _require_finite(**params) -> None:
     bad = [name for name, value in params.items() if not math.isfinite(value)]
     if bad:
-        raise ValidationError(f"map parameters must be finite: {', '.join(bad)}")
+        raise ValidationError(f"parameters must be finite: {', '.join(bad)}")
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> list:

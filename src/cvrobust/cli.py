@@ -243,25 +243,15 @@ def _cmd_classify(args) -> int:
 
 def _cmd_scan(args) -> int:
     cov, _ = read_state_file(args.input)
-    if args.grid < 2:
-        raise ValidationError("scan grid must be at least 2")
-    ts = list(robustness._unit_samples(args.grid))
-    ms, one = _exact._integers(ts)  # t2 = m2 / one
-    columns = [(repr(t2), m2) for t2, m2 in zip(ts, ms)]
-    rows = robustness._row_ends(cov, ts)
+    ts, rows = robustness._scan(cov, args.grid)
+    columns = [repr(t2) for t2 in ts]
 
     def lines():
         yield "t1,t2,w_ppt_attenuated,w_reduced\n"
-        for t1, a, b, den in rows:
-            # W_R = (one a + m2 (b - a)) / (one den), and t1 t2 = m1 m2 / (d1 one).
-            t1_text, (m1, d1) = repr(t1), t1.as_integer_ratio()
-            start, slope, den = one * a, b - a, one * den
-            den_att = d1 * one * den
-            row = []
-            for t2_text, m2 in columns:
-                w = start + m2 * slope
-                row.append(f"{t1_text},{t2_text},{m1 * m2 * w / den_att!r},{w / den!r}\n")
-            yield "".join(row)
+        for t1, row in rows:
+            t1_text = repr(t1)
+            cells = zip(columns, row)
+            yield "".join([f"{t1_text},{t2},{att!r},{w!r}\n" for t2, (att, w) in cells])
 
     _write(lines(), args.output)
     return 0

@@ -64,20 +64,14 @@ def __getattr__(name):
 
 
 def _float_rows(entries) -> list:
-    """``entries`` as four lists of four floats, as ``np.array(entries, dtype=float)`` converts them."""
-    try:
-        rows = [[float(x) for x in row] for row in entries]
-        if len(rows) == 4 and all(len(row) == 4 for row in rows):
-            return rows
+    """``entries`` as four lists of four floats; any other shape or nesting is rejected."""
+    try:  # an entry with a length (a string, a one-element array) drops out
+        rows = [[float(x) for x in row if not hasattr(x, "__len__")] for row in entries]
     except TypeError:
-        pass
-    # Another shape or nesting: numpy's conversion names its shape, or raises.
-    import numpy as np
-
-    m = np.array(entries, dtype=float)
-    if m.shape != (4, 4):
-        raise ValidationError(f"covariance matrix must be 4x4, got shape {m.shape}")
-    return m.tolist()
+        rows = []
+    if len(rows) == 4 and all(len(row) == 4 for row in rows):
+        return rows
+    raise ValidationError("covariance matrix must be 4x4: four rows of four numbers")
 
 
 class CovMatrix:

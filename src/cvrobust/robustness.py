@@ -25,7 +25,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from . import simplex
-from ._exact import Matrix, _band_at, _code, _finite, at_most, congruence, exact, ratio
+from ._exact import Matrix, _band_at, _code, _finite, _integers, at_most, congruence, exact, ratio
 from ._record import Record
 from .covariance import CovMatrix, LocalSymplectic, _as_cov, _exact_physical, _upper
 from .errors import SeparableInputError, ValidationError
@@ -271,6 +271,28 @@ def _row_ends(cov: CovMatrix, ts: Iterable[float]) -> Iterator[tuple[float, int,
             yield t1, (d - m) * full + m * ch2, (d - m) * ch1 + m * ppt, d * one4
 
     return rows()
+
+
+def _scan(cov: CovMatrix, grid: int) -> tuple[list[float], Iterator[tuple[float, list]]]:
+    """``scan``'s ``t2`` samples and rows ``(t1, [(t1 t2 W_R, W_R), ...])``, each rounded once.
+
+    Checks ``grid``, physicality and overflow at the call.  On the row ``(t1 = m1/d1, a, b, den)``
+    of :func:`_row_ends`, at ``t2 = m2/one``, ``W_R = w/(one den)`` for ``w = one a + m2 (b - a)``.
+    """
+    if grid < 2:
+        raise ValidationError("scan grid must be at least 2")
+    ts = list(_unit_samples(grid))
+    ms, one = _integers(ts)
+    rows = _row_ends(cov, ts)
+
+    def cells():
+        for t1, a, b, den in rows:
+            m1, d1 = t1.as_integer_ratio()
+            start, slope, den = one * a, b - a, one * den
+            att = d1 * one * den
+            yield t1, [(m1 * m2 * (w := start + m2 * slope) / att, w / den) for m2 in ms]
+
+    return ts, cells()
 
 
 def _unit_samples(n: int) -> Iterator[float]:

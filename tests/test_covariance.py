@@ -80,8 +80,21 @@ class TestCovMatrix:
         assert math.copysign(1.0, rows[0][3]) == math.copysign(1.0, rows[3][0]) == -1.0
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(ValidationError):
-            CovMatrix(np.eye(3))
+        # The 4x4x1 array must fail on every numpy, including those where
+        # float() still unwraps a one-element array.
+        bad = [
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]],
+            [[1, 0, 0, 0]] * 5,
+            [[1, 0], [0, 1]],
+            [[1, 0, 0, 0]] * 3,
+            1.0,
+            np.eye(3),
+            np.eye(4).reshape(4, 4, 1),
+            [[str(float(i == j)) for j in range(4)] for i in range(4)],
+        ]
+        for entries in bad:
+            with pytest.raises(ValidationError, match="must be 4x4: four rows of four numbers"):
+                CovMatrix(entries)
 
     def test_immutable(self):
         v = CovMatrix.vacuum()

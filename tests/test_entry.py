@@ -119,6 +119,18 @@ class TestStartup:
         assert not any(name.split(".")[0] == "numpy" for name in loaded)
         assert layer_modules() <= loaded
 
+    def test_bad_shape_is_rejected_without_numpy(self):
+        code = (
+            "import sys; from cvrobust import CovMatrix, ValidationError\n"
+            "try: CovMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]])\n"
+            "except ValidationError as exc: print(exc)\n"
+            "print('numpy' in sys.modules)"
+        )
+        done = python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+        assert "must be 4x4" in done.stdout
+
     def test_package_import_executes_no_submodule(self):
         done = python("-c", "import cvrobust\n" + REPORT_MODULES)
         assert done.returncode == 0, done.stderr
