@@ -126,6 +126,21 @@ class TestFamilyWitnesses:
     @pytest.mark.parametrize(
         "kind", ["fully-symmetric", "from-squeezing", "symmetric-modes", "standard-form-i"]
     )
+    def test_closed_forms_match_generic_operations(self, kind):
+        from cvrobust.families import _family_matrix
+
+        rng = np.random.default_rng(zlib.crc32(kind.encode()))
+        for spec in self._draws(kind, rng, 10_000):
+            w = family_witnesses(spec)
+            v = CovMatrix(_family_matrix(spec))  # physicality not needed here
+            w_ppt = ppt_witness(v)
+            w_full = full_robustness_witness(v)
+            assert abs(w.w_ppt - w_ppt) <= 1e-12 * max(1.0, abs(w_ppt))
+            assert abs(w.w_full - w_full) <= 1e-12 * max(1.0, abs(w_full))
+
+    @pytest.mark.parametrize(
+        "kind", ["fully-symmetric", "from-squeezing", "symmetric-modes", "standard-form-i"]
+    )
     def test_equal_exact_reference_rounded_once(self, kind):
         from cvrobust.families import _family_matrix
 
