@@ -40,7 +40,10 @@ too, with no dependence on how a BLAS kernel orders its sums.
 The one tolerance policy is here too, shared by every module: the
 tolerance unit ``max(1, max|V|)`` (:func:`_scale_of`), which each
 :class:`Matrix` forms once as its ``scale``, the physicality tolerance, the
-zero band, the overflow rule and the class codes.
+zero band, the overflow rule and the class codes.  :func:`_band_bounds`
+alone turns the band into integer bounds on exact corners; the class
+decisions of ``robustness._exact_class`` and ``_maps._map_row`` compare
+against them.
 
 The witness polynomials are written once, as :class:`Matrix` methods on
 its integers and its unit ``one = D``: the determinants in its
@@ -56,10 +59,10 @@ denominator per map (:func:`_integers`).
 Congruences are exact the same way.  :func:`exact` holds a matrix of floats
 as ``(integer rows, D)``, :func:`product` multiplies two such matrices
 without roundoff (the denominators multiply), and :func:`congruence` forms
-``S V S^T`` from them and rounds each entry once.  The random states'
-``S^T diag(nu) S`` and every local symplectic transform (``robustify``,
-``apply_local_symplectic``) go through it, so no output bit depends on how
-a BLAS kernel orders its sums.
+``S V S^T`` as two such products and rounds each entry once.  The random
+states' ``S^T diag(nu) S`` and every local symplectic transform
+(``robustify``, ``apply_local_symplectic``) go through it, so no output bit
+depends on how a BLAS kernel orders its sums.
 """
 
 from __future__ import annotations
@@ -155,12 +158,19 @@ def ratio(num: int, den: int) -> float:
         return _INF if num > 0 else -_INF
 
 
-def at_most(bound: float):
-    """The exact test ``(num, den) -> num / den <= bound`` for ``den > 0``."""
-    if bound == _INF:
-        return lambda num, den: True
-    n, d = bound.as_integer_ratio()
-    return lambda num, den: num * d <= n * den
+def _band_bounds(scale: float, dens) -> list:
+    """``floor(band * den)`` for each denominator ``den > 0``, ``band = _band_at(scale)``.
+
+    For an integer ``w``, ``w <= floor(band * den)`` exactly when ``w / den
+    <= band``.  An infinite band gives ``_OVERFLOW * den``, which bounds
+    every ``|w|`` whose ``w / den`` rounds to a float, so compare only
+    after :func:`_finite` has passed the rounded corners.
+    """
+    band = _band_at(scale)
+    if band == _INF:
+        return [_OVERFLOW * den for den in dens]
+    n, d = band.as_integer_ratio()
+    return [n * den // d for den in dens]
 
 
 def _integers(values):
@@ -185,40 +195,19 @@ def product(a, b):
     return [[sum(map(mul, row, column)) for column in columns] for row in a], a_one * b_one
 
 
-def _block(m, i: int, j: int):
-    """The entries ``a, b, c, d`` of the 2x2 block ``[[a, b], [c, d]]`` of ``m`` at ``(i, j)``."""
-    (a, b), (c, d) = m[i][j : j + 2], m[i + 1][j : j + 2]
-    return a, b, c, d
-
-
 def congruence(s, v):
     """``S V S^T`` of exact 4x4 matrices with ``V`` symmetric, each entry rounded once.
 
-    Works on the 2x2 blocks of the two modes, ``(S V S^T)_IJ = sum_KL S_IK
-    V_KL S_JL^T``, over the nonzero blocks of ``S`` only: a mode-local ``S``
-    has one per block row, so its congruence is ``S_1 a1 S_1^T``,
-    ``S_1 c S_2^T`` and ``S_2 a2 S_2^T``.  Returns four rows of floats,
-    symmetric by construction: the upper triangle is evaluated and mirrored.
-    An entry beyond float range rounds to an infinity of its sign.
+    The exact ``(S V) S^T`` is symmetric, so its upper triangle is rounded
+    and mirrored.  Returns four rows of floats; an entry beyond float range
+    rounds to an infinity of its sign.
     """
-    (s, s_one), (v, v_one) = s, v
-    nonzero = [[(k, m) for k in (0, 2) if any(m := _block(s, i, k))] for i in (0, 2)]
-    den = s_one * s_one * v_one
+    s_t = list(zip(*s[0])), s[1]
+    rows, den = product(product(s, v), s_t)
     out = [[0.0] * 4 for _ in range(4)]
-    for i, j in ((0, 0), (0, 2), (2, 2)):
-        t = [0, 0, 0, 0]
-        for k, (a, b, c, d) in nonzero[i // 2]:
-            for l, (e, f, g, h) in nonzero[j // 2]:
-                w, x, y, z = _block(v, k, l)
-                # S_IK V_KL, then times S_JL^T.
-                p, q, r, u = a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z
-                t[0] += p * e + q * f
-                t[1] += p * g + q * h
-                t[2] += r * e + u * f
-                t[3] += r * g + u * h
-        for (row, col), n in zip(((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1)), t):
-            if row <= col:
-                out[row][col] = out[col][row] = ratio(n, den)
+    for i in range(4):
+        for j in range(i, 4):
+            out[i][j] = out[j][i] = ratio(rows[i][j], den)
     return out
 
 

@@ -13,7 +13,7 @@ import math
 from itertools import repeat
 from operator import add, sub
 
-from ._exact import PHYSICALITY_TOL, _OVERFLOW, _UNPHYSICAL, _band_at, _code, _finite
+from ._exact import PHYSICALITY_TOL, _OVERFLOW, _UNPHYSICAL, _band_bounds, _code, _finite
 from ._exact import _integers, _physicality_tol, ratio
 from .errors import ValidationError
 
@@ -69,41 +69,32 @@ def _map_row(one, q_plus, q_minus, p_plus, p_minus, scales) -> list:
     ``w_full = w_sum * w_sum_bar`` and ``w_ch1 = w_ch2 = (w_sum * w_prod_bar
     + w_prod * w_sum_bar) / 2``, over ``one^4``, ``one^2`` and ``2 one^3``.  A
     corner ``w`` over ``den`` with ``|w| >= _OVERFLOW den`` rounds to no float,
-    and ``_finite`` raises; below that limit it is in a band ``b`` when
-    ``w <= b den``, an integer here.  An infinite band takes the limit, so it
-    flags every corner.
+    and ``_finite`` raises; below that limit it is in the band when ``w <=``
+    its bound from ``_band_bounds``, as in ``robustness._exact_class``.  An
+    infinite band's bound is the limit, so it flags every corner.
 
     Tolerance and band are nondecreasing in the scale.  So the tolerance is
     one integer per row where it is the same at the row's smallest and
-    largest scale (always below the knee of ``_physicality_tol``), and a cell
-    whose three ``|corner|`` exceed the band at the largest scale is in no
-    band and decided by its signs; only the others form their own band.
+    largest scale (always below the knee of ``_physicality_tol``), and the
+    bounds at the row's largest scale are formed once: a cell whose three
+    ``|corner|`` exceed them is in no band, and the bound test reduces to
+    its signs.  Only the other cells form the bounds at their own scale.
     """
     one2 = one * one
     dens = (one2 * one2, one2, 2 * one * one2)
-    limits = [_OVERFLOW * den for den in dens]
-    limit_ppt, limit_full, limit_ch = limits
-    bits, two = one.bit_length(), one + one  # one = 2^(bits - 1)
+    limit_ppt, limit_full, limit_ch = (_OVERFLOW * den for den in dens)
+    two = one + one
 
     def tolerance(scale):
         n, d = _physicality_tol(scale).as_integer_ratio()
         return n * one // d
-
-    def band_bounds(scale):
-        """``floor(band * den)`` of the three corner denominators."""
-        band = _band_at(scale)
-        if band < math.inf:  # >= 1e-10, so over d <= 2^86 <= one^2
-            n, d = band.as_integer_ratio()
-            b_full = n << (2 * bits - 1 - d.bit_length())
-            return b_full << (2 * bits - 2), b_full, b_full << bits
-        return limits
 
     low, top = min(scales, default=1.0), max(scales, default=1.0)
     if _physicality_tol(low) == _physicality_tol(top):
         tols = repeat(tolerance(top))
     else:
         tols = map(tolerance, scales)
-    top_ppt, top_full, top_ch = band_bounds(top)
+    top_ppt, top_full, top_ch = _band_bounds(top, dens)
     row, seen = [], None
     for qp, qm, pp, pm, scale, tol in zip(q_plus, q_minus, p_plus, p_minus, scales, tols):
         q, p, r, s = qp + tol, pp + tol, qm + tol, pm + tol
@@ -118,12 +109,13 @@ def _map_row(one, q_plus, q_minus, p_plus, p_minus, scales) -> list:
         if a >= limit_ppt or b >= limit_full or c >= limit_ch:
             _finite([ratio(w, den) for w, den in zip((ppt, full, ch), dens)])
         if a > top_ppt and b > top_full and c > top_ch:
+            # Out of every band: the bound tests below give the signs.
             robust = ch < 0
             row.append((_code(ppt < 0, robust, robust, full < 0), False))
             continue
         if scale != seen:
             seen = scale
-            b_ppt, b_full, b_ch = band_bounds(scale)
+            b_ppt, b_full, b_ch = _band_bounds(scale, dens)
         robust = ch <= b_ch
         code = _code(ppt < 0, robust, robust, full <= b_full)
         row.append((code, a <= b_ppt or b <= b_full or c <= b_ch))

@@ -9,6 +9,7 @@ each draw is ``low + (high - low) * ((next64 >> 11) * 2**-53)``.
 """
 
 import math
+import operator
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -54,10 +55,10 @@ def _seed_state(seed: int) -> tuple[int, int]:
 
 
 class default_rng:
-    """The ``uniform`` draws of numpy's ``default_rng(seed)``, for ``seed >= 0``."""
+    """The ``uniform`` draws of numpy's ``default_rng(seed)``, for an integer ``seed >= 0``."""
 
     def __init__(self, seed: int):
-        state, sequence = _seed_state(seed)
+        state, sequence = _seed_state(operator.index(seed))
         self._inc = (sequence << 1 | 1) & _M128
         # pcg64_set_seed: from state 0, step, add the seed, step.
         self._state = (self._inc + state) * _PCG_MULT + self._inc & _M128

@@ -63,12 +63,23 @@ def __getattr__(name):
     return globals()[name]
 
 
+#: Iterables that are not a row of numbers in order, nor rows: bytes iterate
+#: as their byte values, a dict as its keys and a set in hash order.
+_NOT_ROWS = (bytes, bytearray, memoryview, dict, set, frozenset)
+
+
 def _float_rows(entries) -> list:
     """``entries`` as four lists of four floats; any other shape or nesting is rejected."""
-    try:  # an entry with a length (a string, a one-element array) drops out
-        rows = [[float(x) for x in row if not hasattr(x, "__len__")] for row in entries]
-    except TypeError:
-        rows = []
+    rows = []
+    if not isinstance(entries, _NOT_ROWS):
+        try:  # entries with a length (strings, one-element arrays) and such rows drop out
+            rows = [
+                [float(x) for x in row if not hasattr(x, "__len__")]
+                for row in entries
+                if not isinstance(row, _NOT_ROWS)
+            ]
+        except TypeError:
+            pass
     if len(rows) == 4 and all(len(row) == 4 for row in rows):
         return rows
     raise ValidationError("covariance matrix must be 4x4: four rows of four numbers")
@@ -244,18 +255,11 @@ def _upper(v) -> list:
     return [v[i][j] for i, j in _UPPER]
 
 
-def _exact_physical(cov: CovMatrix) -> Matrix:
-    """The admissibility gate on ``cov``, returning its matrix in exact integers."""
-    x = cov._exact()
-    if not x.physical():
-        raise ValidationError("unphysical state (uncertainty bound V + i*Omega >= 0 violated)")
-    return x
-
-
 def _require_physical(v) -> CovMatrix:
     """The admissibility gate: ``v`` as a :class:`CovMatrix` if physical, else raise."""
     cov = _as_cov(v)
-    _exact_physical(cov)
+    if not cov._exact().physical():
+        raise ValidationError("unphysical state (uncertainty bound V + i*Omega >= 0 violated)")
     return cov
 
 
@@ -314,7 +318,7 @@ def purities(v) -> Purities:
     Raises for unphysical ``v``; a purity is NaN where its determinant is
     ``<= 0``, which the tolerance admits only for large ``max|V|``.
     """
-    x = _exact_physical(_as_cov(v))
+    x = _require_physical(v)._exact()
     one2 = x.one * x.one
     dets = (ratio(x.det_v, one2 * one2), ratio(x.det_a1, one2), ratio(x.det_a2, one2))
     # The last four Gamma-set fields: sigma1, sigma2, impurity1, impurity2.

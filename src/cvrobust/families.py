@@ -29,7 +29,6 @@ from .covariance import (
     LocalSymplectic,
     _as_cov,
     _beam_splitter,
-    _exact_physical,
     _require_physical,
 )
 from .errors import ValidationError
@@ -183,7 +182,7 @@ def epr_summary(v) -> EprSummary:
     tolerance admits under strong squeezing.  Raises
     :class:`ValidationError` for unphysical ``v``.
     """
-    x = _exact_physical(_as_cov(v))
+    x = _require_physical(v)._exact()
     var_p_minus, var_q_plus = (ratio(n, d) for n, d in x.duan_variances(1.0))
     var_p_plus, var_q_minus = (ratio(n, d) for n, d in x.duan_variances(-1.0))
     products = (var_p_plus * var_q_plus, var_p_minus * var_q_minus)
@@ -224,7 +223,7 @@ def epr_partial_witness(v) -> float:
             "EPR partial witness requires a symmetric-mode covariance "
             "(equal diagonal mode blocks, diagonal correlations)"
         )
-    _, _, (w_ch1, den), (w_ch2, _) = _exact_physical(cov).corners()
+    _, _, (w_ch1, den), (w_ch2, _) = _require_physical(cov)._exact().corners()
     return _finite([ratio(w_ch1 + w_ch2, den)])[0]
 
 
@@ -367,8 +366,9 @@ def random_physical_state(seed: int, params: RandomStateParams | None = None) ->
     (:mod:`cvrobust._pcg64`); each entry is the exact ``S^T D S`` of the
     float factors (``math.cos``, ``math.sin``, ``math.exp`` and the draws)
     rounded once, so no numpy is loaded and no bit depends on a BLAS kernel.
+    A ``seed`` that is not a nonnegative integer raises :class:`ValidationError`.
     """
-    if seed < 0:
+    if not hasattr(seed, "__index__") or seed < 0:
         raise ValidationError("seed must be nonnegative")
     from ._pcg64 import default_rng  # only seeded commands compile the stream
 

@@ -25,9 +25,9 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from . import simplex
-from ._exact import Matrix, _band_at, _code, _finite, _integers, at_most, congruence, exact, ratio
+from ._exact import Matrix, _band_bounds, _code, _finite, _integers, congruence, exact, ratio
 from ._record import Record
-from .covariance import CovMatrix, LocalSymplectic, _as_cov, _exact_physical, _upper
+from .covariance import CovMatrix, LocalSymplectic, _as_cov, _require_physical, _upper
 from .errors import SeparableInputError, ValidationError
 
 __all__ = [
@@ -190,15 +190,20 @@ def _exact_class(x: Matrix):
 
     Returns the corners as ``(numerator, denominator)`` pairs, their values
     rounded once, the class code (an index into ``_CLASSES``) and, per
-    corner, whether it lies in the zero band ``_band_at(x.scale)``.
-    Corners within the band count as nonpositive.  Raises
-    :class:`ValidationError` when a rounded corner is not finite.
+    corner, whether it lies in the zero band ``_band_at(x.scale)``: a
+    numerator ``w`` with ``w <= b`` counts as nonpositive and with
+    ``|w| <= b`` is flagged, for its bound ``b`` from ``_band_bounds``.
+    The corners are rounded first, so an infinite band's bound flags every
+    one.  Raises :class:`ValidationError` when a rounded corner is not
+    finite.
     """
     corners, values = _rounded_corners(x)
-    (ppt, _), full, ch1, ch2 = corners
-    within = at_most(_band_at(x.scale))
-    code = _code(ppt < 0, within(*ch1), within(*ch2), within(*full))
-    flags = tuple([within(abs(n), d) for n, d in corners])
+    nums, dens = zip(*corners)
+    bounds = _band_bounds(x.scale, dens)
+    ppt, full, ch1, ch2 = nums
+    _, b_full, b_ch1, b_ch2 = bounds
+    code = _code(ppt < 0, ch1 <= b_ch1, ch2 <= b_ch2, full <= b_full)
+    flags = tuple([abs(n) <= b for n, b in zip(nums, bounds)])
     return corners, values, code, flags
 
 
@@ -211,7 +216,7 @@ def classify(v) -> RobustnessReport:
     ``w_ppt >= 0`` is separable.  Unphysical input and an overflowing corner
     raise :class:`ValidationError`.
     """
-    corners, values, code, flags = _exact_class(_exact_physical(_as_cov(v)))
+    corners, values, code, flags = _exact_class(_require_physical(v)._exact())
     ppt, ppt_den = corners[0]
 
     def t_crit(k):
@@ -259,7 +264,7 @@ def _row_ends(cov: CovMatrix, ts: Iterable[float]) -> Iterator[tuple[float, int,
     Every value of ``W_R`` on the unit square is a convex combination of
     the four corners, so once they round to finite floats, so does it.
     """
-    x = _exact_physical(cov)
+    x = _require_physical(cov)._exact()
     (ppt, _), (full, _), (ch1, _), (ch2, _) = _rounded_corners(x)[0]
     one2 = x.one * x.one
     one4 = one2 * one2
@@ -359,10 +364,11 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
     congruence rounded once, so the search runs on the standard library
     alone and its result does not depend on a BLAS kernel.  Entanglement is
     untouched: ``S V S^T`` has the symplectic spectrum of ``V``.  Returns
-    ``None`` when the evaluation budget is exhausted; ``budget < 1``,
-    ``seed < 0`` and unphysical input raise :class:`ValidationError`.
+    ``None`` when the evaluation budget is exhausted; ``budget < 1``, a
+    ``seed`` that is not a nonnegative integer and unphysical input raise
+    :class:`ValidationError`.
     """
-    if budget < 1 or seed < 0:
+    if budget < 1 or not hasattr(seed, "__index__") or seed < 0:
         raise ValidationError("robustify needs budget >= 1 and seed >= 0")
     cov = _as_cov(v)
     report = classify(cov)

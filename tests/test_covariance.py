@@ -91,6 +91,10 @@ class TestCovMatrix:
             np.eye(3),
             np.eye(4).reshape(4, 4, 1),
             [[str(float(i == j)) for j in range(4)] for i in range(4)],
+            # Bytes iterate as byte values, a dict as its keys, a set unordered.
+            [b"\x01\x00\x00\x00", b"\x00\x01\x00\x00", b"\x00\x00\x01\x00", b"\x00\x00\x00\x01"],
+            {tuple(float(i == j) for j in range(4)): None for i in range(4)},
+            {tuple(float(i == j) for j in range(4)) for i in range(4)},
         ]
         for entries in bad:
             with pytest.raises(ValidationError, match="must be 4x4: four rows of four numbers"):

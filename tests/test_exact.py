@@ -240,6 +240,23 @@ def test_strongly_squeezed_states_get_exact_class(nu_max, seed, label):
     assert (report.cls.label, report.boundary_flags) == (label, frozenset())
 
 
+@pytest.mark.parametrize("scale", [0.5, 1.0, 3.0, 1.4e5, 2.0**60, 1e150])
+def test_band_bounds_are_the_floor_of_band_times_den(scale):
+    # Both class deciders, classify and the region maps, compare integer
+    # corners against these bounds: w <= b exactly when w / den <= band.
+    band = Fraction(_exact._band_at(scale))
+    dens = [2**k for k in range(0, 401, 8)]
+    for den, b in zip(dens, _exact._band_bounds(scale, dens)):
+        assert Fraction(b, den) <= band < Fraction(b + 1, den), (scale, den)
+
+
+def test_infinite_band_bounds_are_the_overflow_limit():
+    # scale * scale overflows: the band is infinite and flags every finite corner.
+    assert _exact._band_at(1e160) == float("inf")
+    dens = [2**k for k in range(0, 401, 8)]
+    assert _exact._band_bounds(1e160, dens) == [_exact._OVERFLOW * den for den in dens]
+
+
 COMMANDS = {
     "validate": ["validate", "STATE"],
     "classify": ["classify", "STATE"],

@@ -501,8 +501,12 @@ class TestRandomPhysicalState:
             assert np.allclose(v.matrix, np.eye(4), atol=1e-12)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError, match="seed"):
-            random_physical_state(-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValidationError, match="seed"):
+                random_physical_state(seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        assert random_physical_state(np.int64(3)).tolist() == random_physical_state(3).tolist()
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValidationError):

@@ -380,7 +380,9 @@ class TestRobustify:
         with pytest.raises(SeparableInputError):
             robustify(CM_C)
 
-    @pytest.mark.parametrize("kwargs", [{"budget": 0}, {"budget": -5}, {"seed": -1}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"budget": 0}, {"budget": -5}, {"seed": -1}, {"seed": 1.5}]
+    )
     def test_bad_budget_or_seed_rejected(self, kwargs):
         # Checked before the search, also for an already robust state.
         for v in (CM_A, CM_D):
