@@ -1,7 +1,8 @@
 """Witness invariants of a symmetric 4x4 matrix, exact in stdlib integers.
 
 Every float is ``p/2^k``, so scaling the ten upper-triangle entries by their
-common denominator ``D = 2^K`` turns them into integers, and an invariant of
+common denominator ``D = 2^K`` (taken with that of ``PHYSICALITY_TOL``, so
+``D >= 2^82``) turns them into integers, and an invariant of
 degree ``k`` into an integer over ``D^k``: its sign is decided, and its
 value rounded once (CPython's ``int / int`` is correctly rounded), without
 intermediate roundoff.  A value is reported as ``(numerator, denominator)``;
@@ -17,7 +18,7 @@ symmetric ``W`` they are ``e1 = tr W``, ``e2 = e2(W) - 2``,
 over ``W``'s 2x2 blocks.  The shift ``W = V + s*I`` moves them by
 ``e_k(H + s) = sum_j C(4 - j, k - j) s^(k - j) e_j(H)``, so the invariants
 of ``V`` serve both shifts, ``+tol`` for the verdict and ``-tol`` for the
-boundary flag.
+boundary flag, with ``tol`` an integer over ``D`` (:func:`_tol_bound`).
 
 The witness invariants are the polynomials of the Gamma decomposition with
 ``V = [[a1, c], [c^T, a2]]``, ``sigma_j = tr a_j - 2`` and
@@ -40,18 +41,22 @@ too, with no dependence on how a BLAS kernel orders its sums.
 The one tolerance policy is here too, shared by every module: the
 tolerance unit ``max(1, max|V|)`` (:func:`_scale_of`), which each
 :class:`Matrix` forms once as its ``scale``, the physicality tolerance, the
-zero band, the overflow rule and the class codes.  :func:`_band_bounds`
-alone turns the band into integer bounds on exact corners; the class
-decisions of ``robustness._exact_class`` and ``_maps._map_row`` compare
-against them.
+zero band, the overflow rule and the class codes.  Only this module turns
+a tolerance into integers and corners into a class: :func:`_tol_bound`
+makes the physicality tolerance an integer over the unit ``one``,
+:func:`_band_bounds` makes the band integer bounds on exact corners, and
+:func:`_verdict` compares corners against those bounds for the class code
+and the band flags, in ``classify`` and in ``_maps._map_row``'s in-band
+cells.
 
 The witness polynomials are written once, as :class:`Matrix` methods on
 its integers and its unit ``one = D``: the determinants in its
 constructor, :meth:`Matrix.uncertainty` (``e1 .. e4`` above),
-:meth:`Matrix.corners` and :meth:`Matrix.gamma_set`, over the private
-``_w_ppt`` and ``_parts``.  They serve physicality, the PPT witness, the
-corners and the Gamma set; ``scan`` and ``contour`` interpolate the corners
-bilinearly, in ``robustness`` alone (``_row_ends``).  The region maps need
+:meth:`Matrix.physicality`, :meth:`Matrix.corners` and
+:meth:`Matrix.gamma_set`, over the private ``_w_ppt`` and ``_parts``.
+They serve physicality, the PPT witness, the corners and the Gamma set;
+``scan`` and ``contour`` interpolate the corners bilinearly, in
+``robustness`` alone (``_row_ends``).  The region maps need
 no :class:`Matrix`: ``_maps._map_row`` decides their symmetric-mode
 cells exactly from the EPR variances, integers over one power-of-two
 denominator per map (:func:`_integers`).
@@ -143,6 +148,17 @@ def _finite(values) -> tuple:
     return values
 
 
+def _tol_bound(scale: float, one: int) -> int:
+    """``_physicality_tol(scale)`` as an integer over ``one``, a power of two ``>= 2^82``.
+
+    Exact: the tolerance is ``PHYSICALITY_TOL``, a multiple of ``2^-82``, or
+    ``2^-47 * scale`` above the knee, where ``scale >= 2^17`` is a multiple
+    of ``2^-35``.
+    """
+    n, d = _physicality_tol(scale).as_integer_ratio()
+    return n * one // d
+
+
 def _code(entangled, r1, r2, rf):
     """Class code from the corner decisions: ``w_ppt < 0`` and robust on 1, 2, full loss."""
     # Separable 0; entangled: 1 + (robust on 1) + 2*(robust on 2), and 5 when
@@ -171,6 +187,22 @@ def _band_bounds(scale: float, dens) -> list:
         return [_OVERFLOW * den for den in dens]
     n, d = band.as_integer_ratio()
     return [n * den // d for den in dens]
+
+
+def _verdict(nums, bounds):
+    """The class code and per-corner band flags of the corners ``w_ppt, w_full, w_ch1, w_ch2``.
+
+    ``nums`` are the corners' numerators and ``bounds`` their bounds from
+    :func:`_band_bounds`: a numerator ``w`` with ``w <= b`` counts as
+    nonpositive, the robust side, and with ``|w| <= b`` is flagged;
+    ``w_ppt < 0`` alone decides entanglement.  Compare only corners that
+    :func:`_finite` has passed, so that an infinite band's bound flags every
+    one.
+    """
+    ppt, full, ch1, ch2 = nums
+    _, b_full, b_ch1, b_ch2 = bounds
+    code = _code(ppt < 0, ch1 <= b_ch1, ch2 <= b_ch2, full <= b_full)
+    return code, tuple([abs(n) <= b for n, b in zip(nums, bounds)])
 
 
 def _integers(values):
@@ -212,20 +244,22 @@ def congruence(s, v):
 
 
 class Matrix:
-    """A symmetric 4x4 matrix as integers over its entries' common denominator.
+    """A symmetric 4x4 matrix as integers over a power of two ``one >= 2^82``.
 
     ``upper`` holds the ten finite upper-triangle entries row by row,
-    ``v00, v01, v02, v03, v11, v12, v13, v22, v23, v33``.  The determinants
-    that physicality and the witnesses share, ``det a1``, ``det c``,
-    ``det a2`` and ``det V`` over ``D^2`` and ``D^4``, and the tolerance unit
-    ``scale``, are formed once.
+    ``v00, v01, v02, v03, v11, v12, v13, v22, v23, v33``.  ``one`` is the
+    common denominator of the entries and ``PHYSICALITY_TOL``, so every
+    physicality tolerance is an integer over it (:func:`_tol_bound`).  The
+    determinants that physicality and the witnesses share, ``det a1``,
+    ``det c``, ``det a2`` and ``det V`` over ``D^2`` and ``D^4``, and the
+    tolerance unit ``scale``, are formed once.
     """
 
     __slots__ = ("one", "scale", "entries", "det_a1", "det_a2", "det_c", "det_v", "_invariants")
 
     def __init__(self, upper):
         self.scale = _scale_of(upper)
-        self.entries, self.one = _integers(upper)
+        (*self.entries, _), self.one = _integers([*upper, PHYSICALITY_TOL])
         v00, v01, v02, v03, v11, v12, v13, v22, v23, v33 = self.entries
         # det V by Laplace expansion over the 2x2 minors of rows (0, 1) and
         # of rows (2, 3), by column pair.
@@ -273,32 +307,17 @@ class Matrix:
             self._invariants = trace, e2, e3, e4
         return self._invariants
 
-    def _with_shift(self):
-        """``e1 .. e4`` and the physicality tolerance as integers over one denominator."""
-        invariants = self.uncertainty()
-        # Lift the invariants of degree k by f^k when the tolerance's own
-        # denominator is the larger.
-        shift, den = _physicality_tol(self.scale).as_integer_ratio()
-        if den > self.one:
-            f = den // self.one
-            f2 = f * f
-            e1, e2, e3, e4 = invariants
-            return (e1 * f, e2 * f2, e3 * f2 * f, e4 * f2 * f2), shift
-        return invariants, shift * (self.one // den)
-
-    def physical(self) -> bool:
-        """``lambda_min(V + i*Omega) >= -tol``, with ``tol = _physicality_tol(scale)``."""
-        return min(_shifted(*self._with_shift())) >= 0
-
     def physicality(self) -> tuple[bool, bool]:
-        """``(physical, boundary)``: :meth:`physical` and ``|lambda_min| <= tol``.
+        """``(physical, boundary)``: ``lambda_min(V + i*Omega) >= -tol``, ``|lambda_min| <= tol``.
 
-        ``boundary`` can hold only on a physical ``V``; only this method
-        evaluates its ``-tol`` shift.
+        ``tol = _physicality_tol(scale)``, exactly ``_tol_bound(scale, one)``
+        over ``one``.  ``boundary`` can hold only on a physical ``V``, and
+        only then is its ``-tol`` shift evaluated.
         """
-        invariants, shift = self._with_shift()
-        physical = min(_shifted(invariants, shift)) >= 0
-        return physical, physical and min(_shifted(invariants, -shift)) <= 0
+        invariants = self.uncertainty()
+        tol = _tol_bound(self.scale, self.one)
+        physical = min(_shifted(invariants, tol)) >= 0
+        return physical, physical and min(_shifted(invariants, -tol)) <= 0
 
     def _w_ppt(self) -> int:
         """PPT witness ``1 + det V + 2 det c - det a1 - det a2``, over ``D^4``."""
@@ -370,14 +389,6 @@ class Matrix:
             (det_a1 - one2, one2),
             (det_a2 - one2, one2),
         )
-
-    def delta(self, det_c_sign: int = 1) -> int:
-        """``det a1 + det a2 + 2 det c``, over ``D^2``; ``det_c_sign=-1`` partially transposes."""
-        return self.det_a1 + self.det_a2 + 2 * det_c_sign * self.det_c
-
-    def det_condition(self) -> int:
-        """``1 + det V - 2 det c - det a1 - det a2``, over ``D^4``: ``e4`` of ``V + i*Omega``."""
-        return self.uncertainty()[3]
 
     def duan_variances(self, a: float):
         """``var(u)`` and ``var(v)`` of the EPR operators at the signed weight ``a``.

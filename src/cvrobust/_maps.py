@@ -3,8 +3,10 @@
 :func:`_map_row` decides a row of symmetric-mode cells from their EPR
 variances; :func:`_correlation_cells` and :func:`_epr_cells` make the axes
 and rows of the ``map`` command and of ``families.region_map_*``.  Only
-:mod:`cvrobust._exact` (with the tolerance policy) and
-:mod:`cvrobust.errors` are imported, so ``map`` executes nothing else.
+:mod:`cvrobust._exact` and :mod:`cvrobust.errors` are imported, so ``map``
+executes nothing else.  The tolerance policy is ``_exact``'s: the
+physicality tolerance comes from ``_tol_bound``, and an in-band cell's
+class code and flags from ``_verdict``, as for ``classify``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import repeat
 from operator import add, sub
 
 from ._exact import PHYSICALITY_TOL, _OVERFLOW, _UNPHYSICAL, _band_bounds, _code, _finite
-from ._exact import _integers, _physicality_tol, ratio
+from ._exact import _integers, _physicality_tol, _tol_bound, _verdict, ratio
 from .errors import ValidationError
 
 UNPHYSICAL = "unphysical"
@@ -31,8 +33,8 @@ def _require_finite(**params) -> None:
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> list:
-    """The centers of ``n`` equal cells partitioning ``[lo, hi]``."""
-    if n < 1:
+    """The centers of ``n`` equal cells partitioning ``[lo, hi]``, for a positive integer ``n``."""
+    if not hasattr(n, "__index__") or n < 1:
         raise ValidationError("grid must be positive")
     width = (hi - lo) / n
     return [lo + width * (k + 0.5) for k in range(n)]
@@ -69,32 +71,28 @@ def _map_row(one, q_plus, q_minus, p_plus, p_minus, scales) -> list:
     ``w_full = w_sum * w_sum_bar`` and ``w_ch1 = w_ch2 = (w_sum * w_prod_bar
     + w_prod * w_sum_bar) / 2``, over ``one^4``, ``one^2`` and ``2 one^3``.  A
     corner ``w`` over ``den`` with ``|w| >= _OVERFLOW den`` rounds to no float,
-    and ``_finite`` raises; below that limit it is in the band when ``w <=``
-    its bound from ``_band_bounds``, as in ``robustness._exact_class``.  An
-    infinite band's bound is the limit, so it flags every corner.
+    and ``_finite`` raises; below that limit ``_verdict`` decides the code
+    and flags against the bounds from ``_band_bounds``, as for ``classify``.
+    An infinite band's bound is the limit, so it flags every corner.
 
-    Tolerance and band are nondecreasing in the scale.  So the tolerance is
-    one integer per row where it is the same at the row's smallest and
-    largest scale (always below the knee of ``_physicality_tol``), and the
-    bounds at the row's largest scale are formed once: a cell whose three
-    ``|corner|`` exceed them is in no band, and the bound test reduces to
-    its signs.  Only the other cells form the bounds at their own scale.
+    Tolerance and band are nondecreasing in the scale.  So the tolerance,
+    ``_tol_bound`` over ``one``, is one integer per row where it is the same
+    at the row's smallest and largest scale (always below the knee of
+    ``_physicality_tol``), and the bounds at the row's largest scale are
+    formed once: a cell whose three ``|corner|`` exceed them is in no band,
+    and the bound test reduces to its signs.  Only the other cells form the
+    bounds at their own scale.
     """
     one2 = one * one
-    dens = (one2 * one2, one2, 2 * one * one2)
-    limit_ppt, limit_full, limit_ch = (_OVERFLOW * den for den in dens)
+    dens = (one2 * one2, one2, 2 * one * one2, 2 * one * one2)
+    limit_ppt, limit_full, limit_ch, _ = (_OVERFLOW * den for den in dens)
     two = one + one
-
-    def tolerance(scale):
-        n, d = _physicality_tol(scale).as_integer_ratio()
-        return n * one // d
-
     low, top = min(scales, default=1.0), max(scales, default=1.0)
     if _physicality_tol(low) == _physicality_tol(top):
-        tols = repeat(tolerance(top))
+        tols = repeat(_tol_bound(top, one))
     else:
-        tols = map(tolerance, scales)
-    top_ppt, top_full, top_ch = _band_bounds(top, dens)
+        tols = map(_tol_bound, scales, repeat(one))
+    top_ppt, top_full, top_ch, _ = _band_bounds(top, dens)
     row, seen = [], None
     for qp, qm, pp, pm, scale, tol in zip(q_plus, q_minus, p_plus, p_minus, scales, tols):
         q, p, r, s = qp + tol, pp + tol, qm + tol, pm + tol
@@ -115,10 +113,9 @@ def _map_row(one, q_plus, q_minus, p_plus, p_minus, scales) -> list:
             continue
         if scale != seen:
             seen = scale
-            b_ppt, b_full, b_ch = _band_bounds(scale, dens)
-        robust = ch <= b_ch
-        code = _code(ppt < 0, robust, robust, full <= b_full)
-        row.append((code, a <= b_ppt or b <= b_full or c <= b_ch))
+            bounds = _band_bounds(scale, dens)
+        code, flags = _verdict((ppt, full, ch, ch), bounds)
+        row.append((code, any(flags)))
     return row
 
 

@@ -68,11 +68,14 @@ class Transmittance(Record):
 
     @classmethod
     def of(cls, value) -> "Transmittance":
-        """Coerce a ``Transmittance`` or an ``(t1, t2)`` pair."""
+        """Coerce a ``Transmittance`` or an ``(t1, t2)`` pair of numbers, numpy scalars included.
+
+        A value without ``__float__``, text too, raises as the constructor does.
+        """
         if isinstance(value, cls):
             return value
-        t1, t2 = value
-        return cls(float(t1), float(t2))
+        t1, t2 = (float(t) if hasattr(t, "__float__") else t for t in value)
+        return cls(t1, t2)
 
 
 class LinkBudget(Record):

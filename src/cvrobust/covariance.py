@@ -202,7 +202,7 @@ def _spectrum(x: Matrix, det_c_sign: int = 1) -> SymplecticSpectrum:
     # nu^2 are the roots of x^2 - delta*x + det_v = 0, real and nonnegative
     # for V > 0 by Williamson's theorem; roundoff below zero is clamped.
     one2 = x.one * x.one
-    delta = ratio(x.delta(det_c_sign), one2)
+    delta = ratio(x.det_a1 + x.det_a2 + 2 * det_c_sign * x.det_c, one2)
     det_v = ratio(x.det_v, one2 * one2)
     root = math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))
     return SymplecticSpectrum(
@@ -258,7 +258,7 @@ def _upper(v) -> list:
 def _require_physical(v) -> CovMatrix:
     """The admissibility gate: ``v`` as a :class:`CovMatrix` if physical, else raise."""
     cov = _as_cov(v)
-    if not cov._exact().physical():
+    if not cov._exact().physicality()[0]:
         raise ValidationError("unphysical state (uncertainty bound V + i*Omega >= 0 violated)")
     return cov
 
@@ -290,7 +290,7 @@ def validate_physicality(v) -> PhysicalityDiagnosis:
     return PhysicalityDiagnosis(
         physical=physical,
         nu=_spectrum(x),
-        det_condition=ratio(x.det_condition(), x.one**4),
+        det_condition=ratio(x.uncertainty()[3], x.one**4),
         boundary=boundary,
     )
 

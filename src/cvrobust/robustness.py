@@ -25,7 +25,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from . import simplex
-from ._exact import Matrix, _band_bounds, _code, _finite, _integers, congruence, exact, ratio
+from ._exact import Matrix, _band_bounds, _finite, _integers, _verdict, congruence, exact, ratio
 from ._record import Record
 from .covariance import CovMatrix, LocalSymplectic, _as_cov, _require_physical, _upper
 from .errors import SeparableInputError, ValidationError
@@ -185,28 +185,6 @@ def _rounded_corners(x: Matrix):
     return corners, _finite([ratio(n, d) for n, d in corners])
 
 
-def _exact_class(x: Matrix):
-    """The class decision on the exact corners of a physical matrix.
-
-    Returns the corners as ``(numerator, denominator)`` pairs, their values
-    rounded once, the class code (an index into ``_CLASSES``) and, per
-    corner, whether it lies in the zero band ``_band_at(x.scale)``: a
-    numerator ``w`` with ``w <= b`` counts as nonpositive and with
-    ``|w| <= b`` is flagged, for its bound ``b`` from ``_band_bounds``.
-    The corners are rounded first, so an infinite band's bound flags every
-    one.  Raises :class:`ValidationError` when a rounded corner is not
-    finite.
-    """
-    corners, values = _rounded_corners(x)
-    nums, dens = zip(*corners)
-    bounds = _band_bounds(x.scale, dens)
-    ppt, full, ch1, ch2 = nums
-    _, b_full, b_ch1, b_ch2 = bounds
-    code = _code(ppt < 0, ch1 <= b_ch1, ch2 <= b_ch2, full <= b_full)
-    flags = tuple([abs(n) <= b for n, b in zip(nums, bounds)])
-    return corners, values, code, flags
-
-
 def classify(v) -> RobustnessReport:
     """Assign a robustness class from the corner values of the reduced witness.
 
@@ -216,7 +194,10 @@ def classify(v) -> RobustnessReport:
     ``w_ppt >= 0`` is separable.  Unphysical input and an overflowing corner
     raise :class:`ValidationError`.
     """
-    corners, values, code, flags = _exact_class(_require_physical(v)._exact())
+    x = _require_physical(v)._exact()
+    corners, values = _rounded_corners(x)
+    nums, dens = zip(*corners)
+    code, flags = _verdict(nums, _band_bounds(x.scale, dens))
     ppt, ppt_den = corners[0]
 
     def t_crit(k):
@@ -245,7 +226,8 @@ def esd_contour(v, samples: int = 256) -> np.ndarray:
     is :func:`classify`'s ``t2_critical`` wherever that is set.  Returns an
     ``(n, 2)`` array of ``(t1, t2)`` points, empty for fully robust states
     and when ``W_R`` vanishes identically.  Raises :class:`ValidationError`
-    for unphysical input and when a corner overflows.
+    for unphysical input, when a corner overflows and when ``samples`` is
+    not a positive integer.
     """
     import numpy as np
 
@@ -323,7 +305,7 @@ def _contour(cov: CovMatrix, samples: int) -> Iterator[tuple[float, float]]:
     rounded once; ``a = b`` has none.  At ``t1 = 1`` it is
     ``w_ch2 / (w_ch2 - w_ppt)``, ``t2_critical``.
     """
-    if samples < 1:
+    if not hasattr(samples, "__index__") or samples < 1:
         raise ValidationError("samples must be positive")
     rows = _row_ends(cov, islice(_unit_samples(samples + 1), 1, None))
 
@@ -364,11 +346,12 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
     congruence rounded once, so the search runs on the standard library
     alone and its result does not depend on a BLAS kernel.  Entanglement is
     untouched: ``S V S^T`` has the symplectic spectrum of ``V``.  Returns
-    ``None`` when the evaluation budget is exhausted; ``budget < 1``, a
-    ``seed`` that is not a nonnegative integer and unphysical input raise
-    :class:`ValidationError`.
+    ``None`` when the evaluation budget is exhausted; a ``budget`` that is
+    not a positive integer, a ``seed`` that is not a nonnegative integer and
+    unphysical input raise :class:`ValidationError`.
     """
-    if budget < 1 or not hasattr(seed, "__index__") or seed < 0:
+    integers = hasattr(budget, "__index__") and hasattr(seed, "__index__")
+    if not integers or budget < 1 or seed < 0:
         raise ValidationError("robustify needs budget >= 1 and seed >= 0")
     cov = _as_cov(v)
     report = classify(cov)
@@ -409,7 +392,7 @@ def robustify(v, budget: int = 10_000, seed: int = 0) -> RobustifyResult | None:
         if result.hit_target:
             s = LocalSymplectic(*result.x)
             v_out = CovMatrix(congruence(s._exact(), base))
-            if not v_out._exact().physical():
+            if not v_out._exact().physicality()[0]:
                 # The input's own lambda_min, inside the tolerance at its
                 # scale, can exceed it at the output's: try the next restart.
                 continue

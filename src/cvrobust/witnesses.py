@@ -17,11 +17,11 @@ coefficients, the Duan variances and ``w_m`` evaluate them on the matrix's
 exact integers and round each value once; ``w_d`` adds the rounded
 variances in floats, and ``a_opt`` is a float fourth root.
 :func:`boundary_band` reports the zero band ``_exact._band_at`` of a
-state; ``classify`` reads the same band through ``robustness._exact_class``
-and the region maps' cells through ``_maps``, without this module.  A
-function raises
-"witness values are not finite" only when a value it returns is not a
-finite float.
+state.  ``classify`` and the region maps' cells (``_maps``) decide against
+the same band through ``_exact._verdict``, once their physicality test,
+shifted by ``_exact._tol_bound``, has passed; neither runs this module.  A
+function raises "witness values are not finite" only when a value it
+returns is not a finite float.
 """
 
 from __future__ import annotations

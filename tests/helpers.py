@@ -24,10 +24,10 @@ from cvrobust import (
     reduced_witness,
     validate_physicality,
 )
-from cvrobust._exact import _UNPHYSICAL, Matrix
+from cvrobust._exact import _UNPHYSICAL, Matrix, _band_bounds, _verdict
 from cvrobust._maps import _REGIONS
 from cvrobust.covariance import _upper
-from cvrobust.robustness import _exact_class
+from cvrobust.robustness import _rounded_corners
 
 I4 = np.eye(4)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -441,14 +441,15 @@ def exact_verdict(upper):
     ``validate_physicality`` and ``classify`` on the general 4x4 kernel:
     the code ``_UNPHYSICAL`` and no flag when the matrix is unphysical,
     else its class code and whether a corner lies in the zero band.  The
-    physicality boundary flag is not a map flag, so its ``-tol`` shift is
-    not evaluated.  Raises ``ValidationError`` when a rounded corner is not
-    finite.
+    physicality boundary flag is not a map flag.  Raises
+    ``ValidationError`` when a rounded corner is not finite.
     """
     x = Matrix(upper)
-    if not x.physical():
+    if not x.physicality()[0]:
         return _UNPHYSICAL, False
-    _, _, code, flags = _exact_class(x)
+    corners, _ = _rounded_corners(x)
+    nums, dens = zip(*corners)
+    code, flags = _verdict(nums, _band_bounds(x.scale, dens))
     return code, any(flags)
 
 

@@ -42,6 +42,25 @@ class TestTransmittance:
         t = Transmittance.of((0.3, 0.7))
         assert t == Transmittance(0.3, 0.7)
 
+    def test_of_takes_numpy_scalars(self):
+        t = Transmittance.of((np.float32(0.5), np.int64(1)))
+        assert t == Transmittance(0.5, 1.0)
+        assert type(t.t1) is float and type(t.t2) is float
+
+    @pytest.mark.parametrize(
+        "pair, name",
+        [(("0.5", 1), "t1"), ((None, 1), "t1"), ((0.5, b"1"), "t2"), ((0.5, 1j), "t2")],
+    )
+    def test_of_rejects_text_and_non_numbers(self, pair, name):
+        # As the constructor does: Transmittance("0.5", 1) raises the same error.
+        message = f"transmittance {name} must be a finite number"
+        with pytest.raises(ValidationError, match=message):
+            Transmittance.of(pair)
+        with pytest.raises(ValidationError, match=message):
+            attenuate(CM_D, pair)
+        with pytest.raises(ValidationError, match=message):
+            Transmittance(*pair)
+
 
 class TestAttenuate:
     @pytest.mark.parametrize("squeeze_max", [1.0, 3.0, 9.0])

@@ -9,6 +9,7 @@ build a map must need neither LAPACK's eigensolver nor its determinant.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from cvrobust import (
     CovMatrix,
     RandomStateParams,
+    ValidationError,
     boundary_band,
     classify,
     duan_parameters,
@@ -29,6 +31,7 @@ from cvrobust import (
 )
 from cvrobust import _exact
 from cvrobust.cli import main, state_file_text
+from cvrobust.robustness import _CLASSES
 from helpers import (
     CM_A,
     CM_B,
@@ -106,8 +109,8 @@ def test_witness_invariants_equal_exact_reference():
         exact = dict(zip(GAMMA_FIELDS, x.gamma_set()))
         exact.update(zip(CORNERS, x.corners()))
         exact["det_v"] = (x.det_v, one2 * one2)
-        exact["delta"] = (x.delta(), one2)
-        exact["det_condition"] = (x.det_condition(), one2 * one2)
+        exact["delta"] = (x.det_a1 + x.det_a2 + 2 * x.det_c, one2)
+        exact["det_condition"] = (x.uncertainty()[3], one2 * one2)
         for name, (num, den) in exact.items():
             assert num / den == float(ref[name]), (k, name)
         rounded = {**vars(gamma_coefficients(v)), **classify(v)._asdict()}
@@ -255,6 +258,90 @@ def test_infinite_band_bounds_are_the_overflow_limit():
     assert _exact._band_at(1e160) == float("inf")
     dens = [2**k for k in range(0, 401, 8)]
     assert _exact._band_bounds(1e160, dens) == [_exact._OVERFLOW * den for den in dens]
+
+
+#: The knee of the physicality tolerance, where 32 eps * scale reaches 1e-9
+#: (exactly, since 32 eps is a power of two).
+KNEE = _exact.PHYSICALITY_TOL / _exact._PHYSICALITY_ROUNDOFF
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [0.5, 1.0, 2.0**17, 1.4e5, math.nextafter(KNEE, 0.0), KNEE, math.nextafter(KNEE, math.inf),
+     2.0**60, 1e300],
+)
+def test_tolerance_bound_is_the_exact_tolerance_over_the_unit(scale):
+    # Every physicality verdict shifts by this integer: it must be the
+    # tolerance itself, not its floor, for every unit the kernels use.
+    tol = Fraction(_exact._physicality_tol(scale))
+    for bits in range(82, 401):
+        one = 1 << bits
+        assert _exact._tol_bound(scale, one) == tol * one, (scale, bits)
+
+
+def test_tolerance_edges_at_the_uncertainty_tie():
+    # diag(x, x) on mode 1 has lambda_min(V + i*Omega) = x - 1 exactly, and
+    # the scale 2^20 puts the tolerance above its floor, at 2^-27.
+    t = _exact._physicality_tol(2.0**20)
+    assert t == 2.0**-27
+    cases = [
+        (1.0 - t, True, True),  # lambda_min = -tol
+        (math.nextafter(1.0 - t, 0.0), False, False),
+        (1.0 + t, True, True),  # lambda_min = +tol
+        (math.nextafter(1.0 + t, 2.0), True, False),
+    ]
+    for x, physical, boundary in cases:
+        m = np.diag([x, x, 2.0**20, 2.0**20])
+        d = validate_physicality(m)
+        assert (d.physical, d.boundary) == (physical, boundary), x
+        if physical:
+            classify(m)  # passes the admissibility gate
+        else:
+            with pytest.raises(ValidationError, match="unphysical"):
+                classify(m)
+
+
+#: Distinct bounds for w_ppt, w_full, w_ch1, w_ch2, so that a mixed-up index shows.
+BOUNDS = (7, 11, 13, 17)
+
+
+def verdict(nums):
+    code, flags = _exact._verdict(nums, BOUNDS)
+    return str(_CLASSES[code]), {name for name, flag in zip(CORNERS, flags) if flag}
+
+
+def test_verdict_counts_a_corner_at_its_bound_as_nonpositive_and_flags_it():
+    robust = [-100, -100, -100, -100]
+    assert verdict(robust) == ("FullyRobust", set())
+    # A corner at +-bound is in the band: nonpositive and flagged.  One past
+    # it, it is out: positive (robust on no channel) and unflagged.
+    beyond = {
+        "w_full": "PartiallyRobustSymmetric",
+        "w_ch1": "PartiallyRobustAsymmetric(robust_mode=2)",
+        "w_ch2": "PartiallyRobustAsymmetric(robust_mode=1)",
+    }
+    for k in (1, 2, 3):
+        name = CORNERS[k]
+        for num, expected in (
+            (BOUNDS[k], ("FullyRobust", {name})),
+            (-BOUNDS[k], ("FullyRobust", {name})),
+            (BOUNDS[k] + 1, (beyond[name], set())),
+            (-BOUNDS[k] - 1, ("FullyRobust", set())),
+        ):
+            nums = list(robust)
+            nums[k] = num
+            assert verdict(nums) == expected, (name, num)
+
+
+def test_verdict_decides_entanglement_on_the_sign_of_w_ppt():
+    # w_ppt >= 0 is separable, even inside the band; w_ppt < 0 is entangled.
+    robust = [-100, -100, -100]
+    assert verdict([0, *robust]) == ("Separable", {"w_ppt"})
+    assert verdict([BOUNDS[0], *robust]) == ("Separable", {"w_ppt"})
+    assert verdict([BOUNDS[0] + 1, *robust]) == ("Separable", set())
+    assert verdict([-1, *robust]) == ("FullyRobust", {"w_ppt"})
+    assert verdict([-BOUNDS[0], *robust]) == ("FullyRobust", {"w_ppt"})
+    assert verdict([-BOUNDS[0] - 1, *robust]) == ("FullyRobust", set())
 
 
 COMMANDS = {

@@ -399,6 +399,13 @@ class TestRegionMapCorrelations:
         with pytest.raises(ValidationError):
             region_map_correlations(dq=0.8, dp=1.2, grid=4)
 
+    @pytest.mark.parametrize("grid", [0, -3, 2.5, math.nan, "5"])
+    def test_grid_must_be_a_positive_integer(self, grid):
+        with pytest.raises(ValidationError, match="grid must be positive"):
+            region_map_correlations(2.55, 1.8, grid)
+        with pytest.raises(ValidationError, match="grid must be positive"):
+            region_map_epr(0.7267, 0.4529, grid)
+
 
 class TestRegionMapEpr:
     MU_MINUS = 0.7267

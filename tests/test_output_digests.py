@@ -19,7 +19,10 @@ tolerances above their floor, pure states, overflow) were recorded at the
 commit before the map kernel took its tolerance, band and integer
 conversion out of the cell.  A refactor of the kernels must leave every
 byte of these outputs unchanged; a change that means to move them updates
-the digests and says why.
+the digests and says why.  The seeded ``random`` states, the ``family``
+states and the ``robustify`` results were recorded at the commit before
+``_exact.Matrix`` took the physicality tolerance's denominator into its
+unit; they pass the physicality gate that change rewrote.
 
 The help texts, ``--version`` and the usage errors are pinned too: their
 exit status, stdout and stderr, recorded at the commit before the parser
@@ -36,6 +39,7 @@ import pytest
 
 import helpers
 from cvrobust.cli import main, state_file_text
+from test_entry import SQUEEZED_PIN
 
 STATE_DIGESTS = {
     ("scan", "CM_A"): "8958db0dbe91827b2f5be53e805b6c718e1a211961be0d915600b10e9b15c4cb",
@@ -126,6 +130,25 @@ COMMAND_ARGS = {
     "classify": [],
 }
 
+#: Arguments of a command that makes a state, space-separated -> SHA-256 of its output.
+GENERATED_DIGESTS = {
+    "random --seed 7": "062fdb837e79853c7c344c28fa4b9637e9a064e045491a2cdbd08994fa05cadc",
+    " ".join(SQUEEZED_PIN): "c4b59f5b4b525b2a9c68341e614a6180255220a227000a9a6e1d86fa30762392",
+    "family pure-squeezed --r 1":
+        "a11a8f033e2a41107e5376e7df321adb6026613bbfc4169e72ec136c3830b37f",
+    "family standard-form-i --s 2 --t 3 --cq 1 --cp -1":
+        "308f515c76b8af6fab279b2ccf2ba0f12ffe901113fecb30ebc7aa2a073c5f94",
+}
+
+#: The state ``robustify`` reads, a fixture or the squeezed pin's output -> SHA-256
+#: of its output with the default budget and seed.
+ROBUSTIFY_DIGESTS = {
+    "CM_B": "3a23882c8bcc5ba26a0a127badd8d73d851b0ca56342a2669c6ded495ad08b78",
+    "CM_D": "0954868e2c3b8511114ba1e36c1a73f3b49a6bccc369c16a5c37167933bc2962",
+    "CM_E": "7bb1a9382ad8739cca291239fa538ce63fe7868863fc227a1d695658a4eaf986",
+    "SQUEEZED_PIN": "9d74ffc9c42d03b2ab0a28ec4c6d8a0fd9df25e816e824a3d55e47f8079e248a",
+}
+
 #: Arguments, space-separated -> SHA-256 of the JSON text of
 #: ``[exit status, stdout, stderr]``.
 PARSER_DIGESTS = {
@@ -177,6 +200,22 @@ def test_state_command_bytes_unchanged(command, name, tmp_path):
     state.write_text(state_file_text(getattr(helpers, name), name))
     argv = [command, str(state), *COMMAND_ARGS[command]]
     assert digest(argv, tmp_path / "out") == STATE_DIGESTS[command, name]
+
+
+@pytest.mark.parametrize("argv", sorted(GENERATED_DIGESTS))
+def test_generated_state_bytes_unchanged(argv, tmp_path):
+    assert digest(argv.split(), tmp_path / "out.json") == GENERATED_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("name", sorted(ROBUSTIFY_DIGESTS))
+def test_robustify_bytes_unchanged(name, tmp_path):
+    state = tmp_path / "state.json"
+    if name == "SQUEEZED_PIN":
+        assert main([*SQUEEZED_PIN, "-o", str(state)]) == 0
+    else:
+        state.write_text(state_file_text(getattr(helpers, name), name))
+    argv = ["robustify", str(state)]
+    assert digest(argv, tmp_path / "out.json") == ROBUSTIFY_DIGESTS[name]
 
 
 @pytest.mark.parametrize("which", sorted(MAP_DIGESTS))

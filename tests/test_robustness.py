@@ -264,6 +264,17 @@ class TestEsdContour:
     def test_fully_robust_empty(self):
         assert esd_contour(CM_A, 128).shape == (0, 2)
 
+    def test_root_at_t2_one_is_kept(self):
+        # A product of pure squeezed modes has W_R(t1, 1) = 0 exactly on every
+        # row t1 < 1 (and W_R = 0 on the row t1 = 1): the root t2 = 1 is kept.
+        pts = esd_contour(np.diag([2.0, 0.5, 4.0, 0.25]), 8)
+        assert pts.tolist() == [[k / 8, 1.0] for k in range(1, 8)]
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, float("nan"), "16"])
+    def test_samples_must_be_a_positive_integer(self, samples):
+        with pytest.raises(ValidationError, match="samples must be positive"):
+            esd_contour(CM_D, samples)
+
     def test_fragile_crosses_both_edges(self):
         pts = esd_contour(CM_B, 256)
         assert len(pts) > 10
@@ -381,7 +392,9 @@ class TestRobustify:
             robustify(CM_C)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"budget": 0}, {"budget": -5}, {"seed": -1}, {"seed": 1.5}]
+        "kwargs",
+        [{"budget": 0}, {"budget": -5}, {"seed": -1}, {"seed": 1.5}, {"budget": 1.5},
+         {"budget": float("nan")}],
     )
     def test_bad_budget_or_seed_rejected(self, kwargs):
         # Checked before the search, also for an already robust state.

@@ -26,6 +26,7 @@ from cvrobust._exact import (
     _OVERFLOW,
     PHYSICALITY_TOL,
     Matrix,
+    _band_bounds,
     _finite,
     _integers,
     _physicality_tol,
@@ -141,6 +142,58 @@ def kernel_verdict(dq, dp, c_q, c_p):
     scale = _scale_of((dq, dp, c_q, c_p))
     (dq, dp, c_q, c_p, _), one = _integers((dq, dp, c_q, c_p, PHYSICALITY_TOL))
     return _map_row(one, [dq + c_q], [dq - c_q], [dp + c_p], [dp - c_p], [scale])[0]
+
+
+@pytest.mark.parametrize("d", [8, 2**20], ids=["floor", "above-floor"])
+@pytest.mark.parametrize("pair", ["plus", "minus"])
+def test_row_kernel_is_physical_at_the_product_tie(pair, d):
+    # A cell with dq = dp = d, so scale d, whose (q_+, p_+) or (q_-, p_-)
+    # pair has (q + tol)(p + tol) = one^2 exactly: on the uncertainty bound
+    # after the shift, so physical.  One unit less on q, it is not.
+    one = 1 << 82
+    scale = float(d)
+    tol = Fraction(_physicality_tol(scale)) * one
+    assert tol.denominator == 1
+    q, p = (1 << 80) - int(tol), (1 << 84) - int(tol)
+    for less, physical in ((0, True), (1, False)):
+        tie = [q - less], [p]
+        other = [2 * d * one - q + less], [2 * d * one - p]  # far from the bound
+        if pair == "plus":
+            q_plus, p_plus, q_minus, p_minus = *tie, *other
+        else:
+            q_minus, p_minus, q_plus, p_plus = *tie, *other
+        code, _ = _map_row(one, q_plus, q_minus, p_plus, p_minus, [scale])[0]
+        assert (code != UNPHYSICAL) == physical, (pair, d, less)
+
+
+def test_row_kernel_takes_a_corner_at_its_top_bound_into_the_band():
+    # The fast path decides on signs the cells whose three |corner| exceed
+    # the row's top bounds; a corner equal to its bound must reach the band
+    # test and be flagged.  Planted cells of unit 1: each has one corner at
+    # its bound and the other two far outside theirs, and one unit more of
+    # p_minus moves that corner just past the bound.
+    one = 1 << 82
+    one2 = one * one
+    dens = (one2 * one2, one2, 2 * one * one2, 2 * one * one2)
+    b_ppt, b_full, b_ch, _ = _band_bounds(1.0, dens)
+    # w_ch = p_minus * k1 + k0 over 2 one^3 at fixed q_plus, p_plus, q_minus.
+    q_plus, p_plus, q_minus = 7 * one // 2, one // 2, 51 * one // 32
+    k1 = (p_plus * q_minus - one2) + q_plus * (p_plus + q_minus - 2 * one)
+    k0 = (q_plus - 2 * one) * (p_plus * q_minus - one2) - one2 * (p_plus + q_minus - 2 * one)
+    p_minus, rest = divmod(b_ch - k0, k1)
+    assert rest == 0
+    cells = {
+        # (q_plus, p_plus, q_minus, p_minus): verdicts at the bound and past it.
+        # w_ppt = (p_minus q_plus - one^2)(p_plus q_minus - one^2) = b_ppt * 1.
+        "w_ppt": ((1, one2 + 1, 1, one2 + b_ppt), (0, True), (0, False)),
+        # w_full = (p_minus + q_plus - 2 one)(p_plus + q_minus - 2 one) = b_full * 1.
+        "w_full": ((2 * one, one // 2, 3 * one // 2 + 1, b_full), (5, True), (4, False)),
+        "w_ch": ((q_plus, p_plus, q_minus, p_minus), (4, True), (1, False)),
+    }
+    for name, ((qp, pp, qm, pm), at_bound, past) in cells.items():
+        for extra, expected in ((0, at_bound), (1, past)):
+            row = _map_row(one, [qp], [qm], [pp], [pm + extra], [1.0])
+            assert row == [expected], (name, extra)
 
 
 def test_screen_decides_a_matrix_that_is_not_positive_as_unphysical():
